@@ -568,13 +568,19 @@ fn cmd_auto(args: &Args) -> Result<(), String> {
     }
     if let Some(st) = &report.search {
         println!(
-            "search: {} structures ({} pruned whole), {} nodes — {} bounded, \
-             {} planned, {} pruned post-plan, {} simulated ({:.0}% never simulated)",
+            "search: {} structures ({} pruned whole), {} nodes — {} bounded \
+             ({} by the memory floor), {} degenerate, {} plan errors, {} planned \
+             ({} out of memory, {} pruned post-plan, {} simulated); \
+             {:.0}% rejected before planning",
             st.structures_expanded,
             st.structures_pruned,
             st.nodes_expanded,
             st.nodes_bounded,
+            st.nodes_memory_floor,
+            st.nodes_degenerate,
+            st.nodes_plan_errors,
             st.nodes_planned,
+            st.nodes_memory_rejected,
             st.nodes_pruned_planned,
             st.nodes_simulated,
             st.bounded_fraction() * 100.0

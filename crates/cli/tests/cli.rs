@@ -207,3 +207,51 @@ fn baseline_flag_slows_hetero_dp() {
         "baseline {baseline} vs aware {aware}"
     );
 }
+
+#[test]
+fn zero_batch_exits_nonzero() {
+    for args in [
+        &["simulate", "--model", "resnet50", "--batch", "0"][..],
+        &["auto", "--search", "--model", "resnet50", "--batch", "0"][..],
+    ] {
+        let (stdout, stderr, ok) = run(args);
+        assert!(!ok, "{args:?} succeeded: {stdout}");
+        assert!(stderr.contains("global batch"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn auto_search_summary_partitions_the_leaves() {
+    let (stdout, _, ok) = run(&[
+        "auto",
+        "--search",
+        "--threads",
+        "1",
+        "--model",
+        "m6-10b",
+        "--batch",
+        "256",
+        "--cluster",
+        "2x(8xV100)+2x(8xP100)",
+    ]);
+    assert!(ok, "{stdout}");
+    let summary = stdout
+        .lines()
+        .find(|l| l.starts_with("search:"))
+        .expect("summary line");
+    for part in [
+        "by the memory floor",
+        "degenerate",
+        "plan errors",
+        "out of memory",
+        "pruned post-plan",
+        "simulated",
+        "rejected before planning",
+    ] {
+        assert!(
+            summary.contains(part),
+            "summary missing '{part}': {summary}"
+        );
+    }
+    assert!(stdout.contains("chosen: pipeline"), "{stdout}");
+}

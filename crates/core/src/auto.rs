@@ -20,7 +20,15 @@ use crate::strategies;
 /// cause (and render it) without parsing strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RejectReason {
-    /// The plan needs more bytes on some GPU than that GPU has.
+    /// The candidate needs more bytes on some GPU than that GPU has.
+    ///
+    /// Two sources. A planned candidate carries its plan, and `need` is the
+    /// ledger total of its worst overcommitted GPU. A pipeline leaf the
+    /// search's memory floor rejected before planning
+    /// ([`whale_planner::pipeline_memory_floor`]) carries no plan: no
+    /// contiguous stage cut fits, and `need` is what the last stage would
+    /// hold with every op the greedy fill could not place earlier, under
+    /// the binding group's memory model.
     MemoryInfeasible {
         /// Peak bytes on the worst offending GPU.
         need: u64,
@@ -93,6 +101,14 @@ pub struct Candidate {
 /// Pruning counters of one branch-and-bound search (present on
 /// [`AutoReport::search`] when the report came from
 /// [`crate::search::auto_parallel_search`]).
+///
+/// The leaf counters partition the leaves with no overlap and nothing left
+/// out:
+///
+/// ```text
+/// nodes_expanded = nodes_bounded + nodes_degenerate + nodes_plan_errors + nodes_planned
+/// nodes_planned  = nodes_memory_rejected + nodes_pruned_planned + nodes_simulated
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Level-1 structure nodes considered.
@@ -101,10 +117,24 @@ pub struct SearchStats {
     pub structures_pruned: usize,
     /// Leaf strategies generated (every (structure, micro, schedule) cell).
     pub nodes_expanded: usize,
-    /// Leaves pruned by the pre-plan structural bound (never planned).
+    /// Leaves rejected before planning by a pre-plan gate: the structure
+    /// bound, the leaf's time bounds, or the memory floor. Never planned.
     pub nodes_bounded: usize,
+    /// The memory floor's share of [`SearchStats::nodes_bounded`]: pipeline
+    /// leaves no contiguous stage cut can fit
+    /// ([`whale_planner::pipeline_memory_floor`]), rejected with
+    /// [`RejectReason::MemoryInfeasible`] and no plan.
+    pub nodes_memory_floor: usize,
+    /// Leaves with more micro batches than per-replica samples
+    /// ([`RejectReason::DegenerateMicro`]). Never planned.
+    pub nodes_degenerate: usize,
+    /// Leaves whose plan attempt failed ([`RejectReason::PlanError`]).
+    pub nodes_plan_errors: usize,
     /// Leaves that paid for a full plan.
     pub nodes_planned: usize,
+    /// Planned leaves rejected at the wave drain because the plan does not
+    /// fit device memory ([`RejectReason::MemoryInfeasible`] with a plan).
+    pub nodes_memory_rejected: usize,
     /// Planned leaves pruned by the post-plan bound (never simulated).
     pub nodes_pruned_planned: usize,
     /// Leaves that paid for a full simulation.
@@ -112,13 +142,15 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Fraction of expanded leaves that never reached full plan+simulate
-    /// (the headline pruning metric `search_bench` gates on).
+    /// Fraction of expanded leaves rejected before any plan attempt —
+    /// bounded or degenerate (the headline pruning metric `search_bench`
+    /// gates on). Failed plan attempts do not count: they paid for
+    /// planning.
     pub fn bounded_fraction(&self) -> f64 {
         if self.nodes_expanded == 0 {
             return 0.0;
         }
-        (self.nodes_expanded - self.nodes_simulated) as f64 / self.nodes_expanded as f64
+        (self.nodes_bounded + self.nodes_degenerate) as f64 / self.nodes_expanded as f64
     }
 }
 
@@ -324,6 +356,9 @@ pub fn auto_parallel_opts(
     opts: &AutoOptions,
     build: impl Fn() -> Result<Graph> + Sync,
 ) -> Result<AutoReport> {
+    if global_batch == 0 {
+        return Err(whale_ir::IrError::ZeroGlobalBatch.into());
+    }
     let baseline_session;
     let session = if opts.memoize {
         session

@@ -21,13 +21,17 @@
 //! incumbent, so the search provably never loses to the enumeration on any
 //! workload whose candidates it contains (all of them).
 //!
-//! Two levels, three gates:
+//! Two levels, three time gates and a memory gate:
 //!
 //! 1. **structure bound** — the cheapest leaf bound of a structure; prunes
 //!    whole subtrees before any per-leaf work;
 //! 2. **pre-plan leaf bound** — [`whale_planner::structural_lower_bound`]
 //!    from cluster aggregates (work conservation, fastest-GPU critical
 //!    chain, stage-bottleneck averaging); prunes before paying for a plan;
+//!    pipeline leaves that survive it first meet the **memory floor**
+//!    ([`whale_planner::pipeline_memory_floor`]: no contiguous stage cut
+//!    fits, so no plan could run), then the partition-seeded
+//!    [`whale_planner::pipeline_leaf_bound`];
 //! 3. **post-plan bound** — [`whale_planner::estimate_step_lower_bound`]
 //!    from the planned stages' real rooflines; prunes before paying for a
 //!    simulation.
@@ -44,8 +48,9 @@ use std::sync::Arc;
 
 use whale_graph::Graph;
 use whale_planner::{
-    estimate_step_lower_bound, pipeline_leaf_bound, structural_lower_bound_keyed, EstimateCache,
-    ExecutionPlan, ScheduleKind, StructuralBound,
+    estimate_step_lower_bound, pipeline_leaf_bound, pipeline_memory_floor,
+    structural_lower_bound_keyed, EstimateCache, ExecutionPlan, MemoryPrefix, ScheduleKind,
+    StructuralBound,
 };
 
 use crate::auto::{
@@ -83,9 +88,10 @@ pub struct SearchOptions {
     pub max_micro: usize,
     /// Include the GPipe flush schedule next to backward-first (1F1B).
     pub gpipe: bool,
-    /// Disable all three pruning gates: plan *and* simulate every leaf.
-    /// Exists for the admissibility test and for auditing the bounds; the
-    /// winner must match the pruned search.
+    /// Disable every pruning gate — the three time bounds and the memory
+    /// floor: plan *and* simulate every leaf. Exists for the admissibility
+    /// tests and for auditing the gates; the winner must match the pruned
+    /// search.
     pub exhaustive: bool,
 }
 
@@ -212,6 +218,9 @@ pub fn auto_parallel_search(
     opts: &SearchOptions,
     build: impl Fn() -> Result<Graph> + Sync,
 ) -> Result<AutoReport> {
+    if global_batch == 0 {
+        return Err(whale_ir::IrError::ZeroGlobalBatch.into());
+    }
     let baseline_session;
     let session = if opts.memoize {
         session
@@ -229,6 +238,7 @@ pub fn auto_parallel_search(
     let probe_stats = whale_graph::graph_stats(&probe);
     let fw_flops_per_sample = probe_stats.forward_flops / global_batch.max(1) as f64;
     let param_bytes = probe_stats.params as f64 * 4.0;
+    let mem_prefix = MemoryPrefix::new(&probe);
     let template = if opts.memoize { Some(probe) } else { None };
 
     // Slowest pairwise link in the cluster, as an effective bandwidth: the
@@ -480,6 +490,7 @@ pub fn auto_parallel_search(
                 LeafKind::Pipeline { replicas, micro } => (*micro, global_batch / *replicas),
                 _ => unreachable!("only pipeline leaves can be degenerate"),
             };
+            stats.nodes_degenerate += 1;
             resolved.insert(
                 (si, li),
                 Candidate {
@@ -549,9 +560,13 @@ pub fn auto_parallel_search(
                 continue;
             }
 
-            // Phase 1 (serial): pre-plan bound gate. The generator's
-            // structural bound goes first (free); a pipeline leaf it cannot
-            // kill gets the partition-seeded bound — the exact cuts and
+            // Phase 1 (serial): pre-plan gates. The generator's structural
+            // bound goes first (free). A pipeline leaf it cannot kill meets
+            // the memory floor next: when no contiguous stage cut fits its
+            // GPUs, the leaf could only fail inside PSVF or be rejected for
+            // memory at the drain, so it dies here — no partition, IR, plan
+            // or simulation — as a `MemoryInfeasible` row without a plan. A
+            // survivor gets the partition-seeded bound — the exact cuts and
             // profiles its plan would use, a memo hit after the structure's
             // first plan — which sees heterogeneous stage rates, partition
             // imbalance, and memory traffic, and typically reaches within
@@ -563,22 +578,48 @@ pub fn auto_parallel_search(
                 let leaf = &st.leaves[li];
                 let mut lb = leaf.lb;
                 if !opts.exhaustive && !beaten(lb, &incumbent) {
-                    if let (LeafKind::Pipeline { replicas, micro }, Some(g)) =
-                        (&leaf.kind, &template)
-                    {
-                        let refined = pipeline_leaf_bound(
-                            g,
+                    if let LeafKind::Pipeline { replicas, micro } = &leaf.kind {
+                        let gpipe = leaf.schedule == ScheduleKind::GPipe;
+                        if let Some(short) = pipeline_memory_floor(
+                            &mem_prefix,
                             session.cluster(),
                             session.planner_config(),
                             *replicas,
                             *micro,
-                            leaf.schedule == ScheduleKind::GPipe,
+                            gpipe,
                             global_batch,
-                        )
-                        .ok()
-                        .flatten();
-                        if let Some(r) = refined {
-                            lb = lb.max(r);
+                        ) {
+                            stats.nodes_bounded += 1;
+                            stats.nodes_memory_floor += 1;
+                            resolved.insert(
+                                (si, li),
+                                Candidate {
+                                    name: leaf.name.clone(),
+                                    plan: None,
+                                    stats: None,
+                                    rejected: Some(RejectReason::MemoryInfeasible {
+                                        need: short.need,
+                                        have: short.have,
+                                    }),
+                                },
+                            );
+                            continue;
+                        }
+                        if let Some(g) = &template {
+                            let refined = pipeline_leaf_bound(
+                                g,
+                                session.cluster(),
+                                session.planner_config(),
+                                *replicas,
+                                *micro,
+                                gpipe,
+                                global_batch,
+                            )
+                            .ok()
+                            .flatten();
+                            if let Some(r) = refined {
+                                lb = lb.max(r);
+                            }
                         }
                     }
                 }
@@ -640,6 +681,7 @@ pub fn auto_parallel_search(
             for (i, leaf, ls, plan) in planned {
                 match plan {
                     Err(e) => {
+                        stats.nodes_plan_errors += 1;
                         resolved.insert(
                             (si, i),
                             Candidate {
@@ -697,6 +739,7 @@ pub fn auto_parallel_search(
                         .memory_feasible(session.cluster())
                         .map_err(|e| WhaleError::Plan(e.to_string()))?
                     {
+                        stats.nodes_memory_rejected += 1;
                         let rejected = Some(memory_reject(&leaf.plan, session.cluster()));
                         resolved.insert(
                             (si, leaf.index),

@@ -24,6 +24,8 @@ pub enum IrError {
     /// `stage` TaskGraphs must be convex (contiguous in topological order)
     /// to be schedulable as pipeline stages.
     NonConvexStage(usize),
+    /// The global batch is zero: a training step needs at least one sample.
+    ZeroGlobalBatch,
 }
 
 impl fmt::Display for IrError {
@@ -44,6 +46,7 @@ impl fmt::Display for IrError {
                     "stage TaskGraph {i} is not contiguous in topological order"
                 )
             }
+            IrError::ZeroGlobalBatch => write!(f, "global batch must be at least 1 sample"),
         }
     }
 }

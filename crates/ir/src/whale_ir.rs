@@ -35,9 +35,13 @@ impl WhaleIr {
     /// * TaskGraphs are disjoint;
     /// * every op is covered (after [`WhaleIr::fill_default`] or when a
     ///   default strategy / auto-partition is declared);
+    /// * the global batch is positive;
     /// * pipeline micro-batch count is positive;
     /// * pipeline stages are convex.
     pub fn validate(&self) -> Result<()> {
+        if self.global_batch == 0 {
+            return Err(IrError::ZeroGlobalBatch);
+        }
         let mut owner = vec![None::<usize>; self.graph.len()];
         for tg in &self.task_graphs {
             if tg.ops.is_empty() {

@@ -61,8 +61,8 @@ pub use estimate::{
 };
 pub use ledger::{LedgerComponent, LedgerEntry, MemoryLedger, LOSS_SCALING_STATE_BYTES};
 pub use pipe_balance::{
-    in_flight_micro_batches, pipeline_leaf_bound, pipeline_partition, pipeline_partition_opts,
-    stage_flops, PipePartition,
+    in_flight_micro_batches, pipeline_leaf_bound, pipeline_memory_floor, pipeline_partition,
+    pipeline_partition_opts, stage_flops, MemoryPrefix, MemoryShortfall, PipePartition,
 };
 pub use pipeline::{
     compile, invalidation_start, replan, BalancedStages, BridgedPlan, CompilePipeline,

@@ -27,10 +27,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::error::{PlanError, Result};
 use crate::partition::{balanced_cuts, group_costs};
+use crate::planner::{DeviceAssignment, PlannerConfig};
 use crate::psvf::{psvf, PsvfReport, Workload};
 use whale_fp::{Fingerprint, Fingerprinter};
-use whale_graph::{CostProfile, Graph, OpId, TrainingConfig};
-use whale_hardware::Gpu;
+use whale_graph::{CostProfile, Graph, OpId, OpKind, Phase, TrainingConfig};
+use whale_hardware::{Cluster, Gpu};
 
 /// One memoized FLOP-proportional cut: the balanced cut points plus the
 /// per-stage profiles at the reference batch, captured *before* any PSVF
@@ -545,35 +546,18 @@ pub fn stage_flops(graph: &Graph, part: &PipePartition) -> Vec<f64> {
 #[allow(clippy::too_many_arguments)]
 pub fn pipeline_leaf_bound(
     graph: &Graph,
-    cluster: &whale_hardware::Cluster,
-    config: &crate::planner::PlannerConfig,
+    cluster: &Cluster,
+    config: &PlannerConfig,
     replicas: usize,
     num_micro: usize,
     gpipe: bool,
     global_batch: usize,
 ) -> Result<Option<f64>> {
-    let n = cluster.num_gpus();
-    if replicas == 0 || n == 0 || !n.is_multiple_of(replicas) || num_micro == 0 {
+    let Some(depth) = pipeline_depth(cluster, replicas, num_micro) else {
         return Ok(None);
-    }
-    let depth = n / replicas;
-    if depth < 2 {
-        return Ok(None);
-    }
-    // Replica 0's batch share, exactly as DegreeInference splits it.
-    let weights: Vec<f64> = if config.hardware_aware {
-        (0..replicas)
-            .map(|g| {
-                cluster.gpus()[g * depth..(g + 1) * depth]
-                    .iter()
-                    .map(|gpu| gpu.flops())
-                    .sum()
-            })
-            .collect()
-    } else {
-        vec![1.0; replicas]
     };
-    let group_batch = crate::partition::proportional_split(global_batch, &weights)?[0];
+    // Replica 0's batch share, exactly as DegreeInference splits it.
+    let group_batch = group_batches(cluster, config, replicas, depth, global_batch)?[0];
     if group_batch == 0 {
         return Ok(None);
     }
@@ -615,6 +599,273 @@ pub fn pipeline_leaf_bound(
         chain += fw_bw;
     }
     Ok(Some(bound))
+}
+
+/// Stage count of the pipeline leaf `(replicas, num_micro)` on `cluster`,
+/// or `None` when the cluster does not tile into `replicas` groups of depth
+/// ≥ 2 (the shape both pre-plan pipeline gates price).
+fn pipeline_depth(cluster: &Cluster, replicas: usize, num_micro: usize) -> Option<usize> {
+    let n = cluster.num_gpus();
+    if replicas == 0 || n == 0 || !n.is_multiple_of(replicas) || num_micro == 0 {
+        return None;
+    }
+    Some(n / replicas).filter(|&depth| depth >= 2)
+}
+
+/// Each replica group's batch share, exactly as `DegreeInference` splits
+/// the global batch over contiguous `depth`-GPU groups.
+fn group_batches(
+    cluster: &Cluster,
+    config: &PlannerConfig,
+    replicas: usize,
+    depth: usize,
+    global_batch: usize,
+) -> Result<Vec<usize>> {
+    let weights: Vec<f64> = if config.hardware_aware {
+        cluster
+            .gpus()
+            .chunks(depth)
+            .map(|group| group.iter().map(|gpu| gpu.flops()).sum())
+            .collect()
+    } else {
+        vec![1.0; replicas]
+    };
+    crate::partition::proportional_split(global_batch, &weights)
+}
+
+/// Per-op prefix sums of the memory terms [`CostProfile::from_ops`] sums in
+/// u64, so the profile of any contiguous op range costs O(1). Build once
+/// per graph; [`pipeline_memory_floor`] then prices each candidate stage
+/// range without walking its ops.
+///
+/// Parameter counts and stored activation bytes reproduce `from_ops` bit
+/// for bit (same u64 sums, same division by the reference batch). The
+/// recompute checkpoint term is a lower bound: it sums the outputs of the
+/// *layer-final* forward ops (the last forward op of each layer in the
+/// whole graph) that lie in the range. `from_ops` counts each of those too
+/// — a layer-final op is the last op of its layer in any range holding it —
+/// and only adds to them (a cut layer's last op in range; all activations
+/// when a range holds no checkpoint), while the lower bound stays monotone
+/// in the range, which the floor's greedy fill needs.
+#[derive(Debug, Clone)]
+pub struct MemoryPrefix {
+    /// `params[k]` = forward parameter count of ops `0..k`.
+    params: Vec<u64>,
+    /// `activations[k]` = stored forward activation bytes of ops `0..k`.
+    activations: Vec<u64>,
+    /// `checkpoints[k]` = output bytes of the layer-final ops among `0..k`.
+    checkpoints: Vec<u64>,
+}
+
+impl MemoryPrefix {
+    /// Prefix sums over `graph`'s op sequence (the order pipeline cuts
+    /// index).
+    pub fn new(graph: &Graph) -> MemoryPrefix {
+        let ops = graph.ops();
+        // Last forward op of each layer, found the way `from_ops` finds it:
+        // ops arrive grouped by layer, so a tail-first scan is amortized
+        // O(1) per op.
+        let mut layer_last: Vec<(usize, usize)> = Vec::new();
+        for (k, op) in ops.iter().enumerate() {
+            if let (Phase::Forward, Some(layer)) = (op.phase, op.layer) {
+                match layer_last.iter_mut().rev().find(|(l, _)| *l == layer) {
+                    Some(entry) => entry.1 = k,
+                    None => layer_last.push((layer, k)),
+                }
+            }
+        }
+        let mut layer_final = vec![false; ops.len()];
+        for (_, k) in layer_last {
+            layer_final[k] = true;
+        }
+        let mut params = Vec::with_capacity(ops.len() + 1);
+        let mut activations = Vec::with_capacity(ops.len() + 1);
+        let mut checkpoints = Vec::with_capacity(ops.len() + 1);
+        let (mut p, mut a, mut c) = (0u64, 0u64, 0u64);
+        params.push(p);
+        activations.push(a);
+        checkpoints.push(c);
+        for (k, op) in ops.iter().enumerate() {
+            if op.phase == Phase::Forward {
+                p += op.param_count();
+                if !matches!(op.kind, OpKind::Input) {
+                    a += op.output_bytes();
+                }
+                if layer_final[k] {
+                    c += op.output_bytes();
+                }
+            }
+            params.push(p);
+            activations.push(a);
+            checkpoints.push(c);
+        }
+        MemoryPrefix {
+            params,
+            activations,
+            checkpoints,
+        }
+    }
+
+    /// Number of ops covered.
+    pub fn num_ops(&self) -> usize {
+        self.params.len() - 1
+    }
+
+    /// The memory fields of `CostProfile::from_ops` over ops `lo..hi` at
+    /// `ref_batch` (checkpoints as the lower bound above; FLOP and traffic
+    /// fields, which no memory model reads, are zero).
+    fn profile(&self, lo: usize, hi: usize, ref_batch: usize) -> CostProfile {
+        let rb = ref_batch as f64;
+        let param_count = self.params[hi] - self.params[lo];
+        CostProfile {
+            param_count,
+            param_bytes: param_count * 4,
+            forward_flops_per_sample: 0.0,
+            activation_bytes_per_sample: (self.activations[hi] - self.activations[lo]) as f64 / rb,
+            checkpoint_bytes_per_sample: (self.checkpoints[hi] - self.checkpoints[lo]) as f64 / rb,
+            memory_traffic_bytes_per_sample: 0.0,
+            ref_batch,
+        }
+    }
+}
+
+/// A pipeline leaf that no contiguous stage cut can fit (see
+/// [`pipeline_memory_floor`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoryShortfall {
+    /// Bytes the last stage would hold if it took every op the greedy fill
+    /// could not place on an earlier stage, under the binding memory model.
+    pub need: u64,
+    /// Capacity of the binding GPU, bytes.
+    pub have: u64,
+}
+
+/// One memory model a stage range must satisfy on one GPU.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StageCheck {
+    training: TrainingConfig,
+    batch: usize,
+    act_mult: f64,
+    have: u64,
+}
+
+impl StageCheck {
+    fn need(&self, profile: &CostProfile) -> u64 {
+        self.training
+            .memory_bytes(profile, self.batch, self.act_mult)
+    }
+}
+
+/// Admissible pre-plan memory floor for the pipeline leaf
+/// `(replicas, num_micro, gpipe)` on `cluster`: `Some` only when no plan of
+/// the leaf can both succeed and pass
+/// [`ExecutionPlan::memory_feasible`](crate::ExecutionPlan::memory_feasible).
+///
+/// The floor asks whether the ops can be cut, in order, into `depth`
+/// contiguous stages so that stage `i` fits GPU `i` of every replica group
+/// under the memory models the planner enforces:
+///
+/// * **PSVF's model** on group 0 (only when `config.hardware_aware`, since
+///   only then does PSVF run): `memory_bytes(p, max(1, gb₀/m), in_flight)`
+///   with the session's training config, exactly as `auto_stages` calls the
+///   partitioner. A cut PSVF returns fits this; a failed PSVF is a plan
+///   error.
+/// * **The ledger's `Stage` arm** on every group `g`: `memory_bytes` with
+///   ZeRO sharded `replicas` ways, batch `gb_g`, and multiplier
+///   `in_flight / m`. The ledger only adds to a device's `mem_bytes`, so a
+///   cut that overflows here fails `memory_feasible`.
+///
+/// No term of `memory_bytes` shrinks when a stage takes more ops, and the
+/// stage order is fixed, so filling each stage greedily as far as it fits
+/// leaves the last stage the smallest remainder any feasible cut could:
+/// if that remainder overflows, every cut does. Stages may come out empty
+/// in the greedy fill — a relaxation the planner never needs, which only
+/// weakens the floor. Each stage costs a binary search over the
+/// [`MemoryPrefix`], so one leaf is O(stages · log ops) with no partition,
+/// IR, plan, or simulation.
+///
+/// `prefix` must come from the graph the leaf plans. Returns `None` when
+/// some cut may fit, or when the leaf is outside the floor's shape (an
+/// explicit device assignment, or a cluster that does not tile into
+/// `replicas` groups of depth ≥ 2).
+pub fn pipeline_memory_floor(
+    prefix: &MemoryPrefix,
+    cluster: &Cluster,
+    config: &PlannerConfig,
+    replicas: usize,
+    num_micro: usize,
+    gpipe: bool,
+    global_batch: usize,
+) -> Option<MemoryShortfall> {
+    if !matches!(config.devices, DeviceAssignment::Auto) {
+        return None;
+    }
+    let depth = pipeline_depth(cluster, replicas, num_micro)?;
+    let batches = group_batches(cluster, config, replicas, depth, global_batch).ok()?;
+    let ref_batch = global_batch.max(1);
+    let ops = prefix.num_ops();
+    let gpus = cluster.gpus();
+    let psvf_batch = (batches[0] / num_micro).max(1);
+    let mut stage_cfg = config.training;
+    stage_cfg.dp_shards = replicas;
+
+    let mut checks: Vec<StageCheck> = Vec::with_capacity(batches.len() + 1);
+    let mut start = 0;
+    for stage in 0..depth {
+        let in_flight = in_flight_micro_batches(stage, depth, num_micro, gpipe) as f64;
+        checks.clear();
+        if config.hardware_aware {
+            checks.push(StageCheck {
+                training: config.training,
+                batch: psvf_batch,
+                act_mult: in_flight,
+                have: gpus[stage].memory_bytes(),
+            });
+        }
+        for (g, &batch) in batches.iter().enumerate() {
+            let check = StageCheck {
+                training: stage_cfg,
+                batch,
+                act_mult: in_flight / num_micro as f64,
+                have: gpus[g * depth + stage].memory_bytes(),
+            };
+            // Groups with the same batch share and GPU capacity ask the
+            // same question.
+            if !checks.contains(&check) {
+                checks.push(check);
+            }
+        }
+        let fits = |hi: usize| {
+            let p = prefix.profile(start, hi, ref_batch);
+            checks.iter().all(|c| c.need(&p) <= c.have)
+        };
+        if stage + 1 == depth {
+            let p = prefix.profile(start, ops, ref_batch);
+            return checks
+                .iter()
+                .map(|c| (c.need(&p), c.have))
+                .filter(|(need, have)| need > have)
+                .max_by_key(|&(need, have)| (need - have, need))
+                .map(|(need, have)| MemoryShortfall { need, have });
+        }
+        if fits(ops) {
+            // Every remaining op fits here; later stages may stay empty.
+            return None;
+        }
+        // Largest end this stage can hold (the empty range counts as
+        // fitting, per the relaxation above).
+        let (mut lo, mut hi) = (start, ops);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        start = lo;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -781,6 +1032,152 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memory_prefix_reproduces_from_ops() {
+        // Parameters and stored activations must match the planner's
+        // profiles bit for bit on every range; the checkpoint term must
+        // never exceed them.
+        for g in [
+            models::bert_base(4, 64).unwrap(),
+            models::t5_large(2, 64, 64).unwrap(),
+        ] {
+            let prefix = MemoryPrefix::new(&g);
+            let n = g.len();
+            assert_eq!(prefix.num_ops(), n);
+            for lo in (0..n).step_by(7) {
+                for hi in (lo..=n).step_by(5).chain([n]) {
+                    let ops: Vec<OpId> = (lo..hi).map(OpId).collect();
+                    let exact = CostProfile::from_ops(&g, &ops, 4);
+                    let fast = prefix.profile(lo, hi, 4);
+                    assert_eq!(fast.param_count, exact.param_count, "{lo}..{hi}");
+                    assert_eq!(
+                        fast.activation_bytes_per_sample.to_bits(),
+                        exact.activation_bytes_per_sample.to_bits(),
+                        "{lo}..{hi}"
+                    );
+                    assert!(
+                        fast.checkpoint_bytes_per_sample <= exact.checkpoint_bytes_per_sample,
+                        "{lo}..{hi}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memory_floor_matches_brute_force_cuts() {
+        // Enumerate every contiguous cut (empty stages allowed, as in the
+        // floor's relaxation) of a small model and price each stage with
+        // the planner's own profiles: without recompute the floor must
+        // reject exactly the leaves no cut fits; with recompute (a lower
+        // bound) it may reject only such leaves.
+        let config = models::BertConfig {
+            layers: 3,
+            ..models::BertConfig::large()
+        };
+        let (mut rejected, mut accepted) = (0, 0);
+        for (spec, replicas) in [("1xV100,1xP100", 1), ("2xV100,2xP100", 2), ("3xP100", 1)] {
+            let cluster = Cluster::parse(spec).unwrap();
+            let depth = cluster.num_gpus() / replicas;
+            for batch in [256usize, 1024, 4096] {
+                let g = models::bert(config, batch, 128).unwrap();
+                let prefix = MemoryPrefix::new(&g);
+                let n = g.len();
+                let ranges: HashMap<(usize, usize), CostProfile> = (0..=n)
+                    .flat_map(|lo| (lo..=n).map(move |hi| (lo, hi)))
+                    .map(|(lo, hi)| {
+                        let ops: Vec<OpId> = (lo..hi).map(OpId).collect();
+                        ((lo, hi), CostProfile::from_ops(&g, &ops, batch))
+                    })
+                    .collect();
+                for recompute in [false, true] {
+                    let cfg = PlannerConfig {
+                        training: TrainingConfig {
+                            recompute,
+                            ..TrainingConfig::default()
+                        },
+                        ..PlannerConfig::default()
+                    };
+                    let batches = group_batches(&cluster, &cfg, replicas, depth, batch).unwrap();
+                    for num_micro in [1usize, 2, 4, 8, 16] {
+                        for gpipe in [false, true] {
+                            let fits = |stage: usize, lo: usize, hi: usize| {
+                                let p = &ranges[&(lo, hi)];
+                                let in_flight =
+                                    in_flight_micro_batches(stage, depth, num_micro, gpipe) as f64;
+                                let psvf_ok = cfg.training.memory_bytes(
+                                    p,
+                                    (batches[0] / num_micro).max(1),
+                                    in_flight,
+                                ) <= cluster.gpus()[stage].memory_bytes();
+                                let mut ledger = cfg.training;
+                                ledger.dp_shards = replicas;
+                                psvf_ok
+                                    && batches.iter().enumerate().all(|(gi, &gb)| {
+                                        ledger.memory_bytes(p, gb, in_flight / num_micro as f64)
+                                            <= cluster.gpus()[gi * depth + stage].memory_bytes()
+                                    })
+                            };
+                            let feasible = if depth == 2 {
+                                (0..=n).any(|c| fits(0, 0, c) && fits(1, c, n))
+                            } else {
+                                (0..=n).any(|c1| {
+                                    fits(0, 0, c1)
+                                        && (c1..=n).any(|c2| fits(1, c1, c2) && fits(2, c2, n))
+                                })
+                            };
+                            let floor = pipeline_memory_floor(
+                                &prefix, &cluster, &cfg, replicas, num_micro, gpipe, batch,
+                            );
+                            let what = format!(
+                                "{spec} batch={batch} recompute={recompute} m={num_micro} \
+                                 gpipe={gpipe}"
+                            );
+                            if let Some(short) = floor {
+                                assert!(!feasible, "{what}: rejected a fitting leaf");
+                                assert!(short.need > short.have, "{what}: {short:?}");
+                                rejected += 1;
+                            } else {
+                                assert!(recompute || feasible, "{what}: missed an infeasible leaf");
+                                accepted += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            rejected > 0 && accepted > 0,
+            "{rejected} rejected, {accepted} accepted"
+        );
+    }
+
+    #[test]
+    fn memory_floor_stays_out_of_explicit_assignments() {
+        let g = models::bert_large(4096, 128).unwrap();
+        let prefix = MemoryPrefix::new(&g);
+        let cluster = Cluster::parse("2xP100").unwrap();
+        let cfg = PlannerConfig::default();
+        assert!(pipeline_memory_floor(&prefix, &cluster, &cfg, 1, 1, true, 4096).is_some());
+        let explicit = PlannerConfig {
+            devices: DeviceAssignment::PerTaskGraph(Vec::new()),
+            ..PlannerConfig::default()
+        };
+        assert_eq!(
+            pipeline_memory_floor(&prefix, &cluster, &explicit, 1, 1, true, 4096),
+            None
+        );
+        // One-stage and non-tiling shapes are not pipelines it can price.
+        assert_eq!(
+            pipeline_memory_floor(&prefix, &cluster, &cfg, 2, 1, true, 4096),
+            None
+        );
+        assert_eq!(
+            pipeline_memory_floor(&prefix, &cluster, &cfg, 3, 1, true, 4096),
+            None
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-cargo test -q --offline
+cargo test --workspace -q --offline
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline

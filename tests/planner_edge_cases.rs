@@ -1,9 +1,11 @@
 //! Error paths and boundary conditions in the planner: a production system
 //! must fail loudly and precisely, never silently misplan.
 
-use whale::{models, strategies, Session};
+use whale::{
+    auto_parallel, auto_parallel_search, models, strategies, SearchOptions, Session, WhaleError,
+};
 use whale_hardware::{Cluster, VirtualDevice};
-use whale_ir::{Annotator, Primitive};
+use whale_ir::{Annotator, IrError, Primitive};
 use whale_planner::{plan, DeviceAssignment, PlanError, PlannerConfig};
 
 fn dp_ir(batch: usize) -> whale::WhaleIr {
@@ -161,17 +163,44 @@ fn baseline_mode_emits_the_doomed_plan_for_comparison() {
 
 #[test]
 fn zero_global_batch_is_rejected_or_empty() {
+    // A step needs at least one sample: annotation refuses a zero global
+    // batch with a typed error instead of producing an inert plan.
     let g = models::resnet50(1).unwrap();
-    let ir = Annotator::new(g, 0)
+    let err = Annotator::new(g.clone(), 0)
+        .replicate_all()
+        .unwrap()
+        .finish()
+        .unwrap_err();
+    assert_eq!(err, IrError::ZeroGlobalBatch);
+    // An IR that reaches the planner with a zero batch by another route
+    // fails validation there too, never a panic.
+    let mut ir = Annotator::new(g, 1)
         .replicate_all()
         .unwrap()
         .finish()
         .unwrap();
+    ir.global_batch = 0;
     let cluster = Cluster::parse("1x(2xV100)").unwrap();
-    // Zero batch planning yields zero samples everywhere (valid but inert)
-    // or an explicit error — never a panic.
-    if let Ok(p) = plan(&ir, &cluster, &PlannerConfig::default()) {
-        let total: usize = p.stages[0].devices.iter().map(|d| d.samples_per_step).sum();
-        assert_eq!(total, 0);
-    }
+    assert!(matches!(
+        plan(&ir, &cluster, &PlannerConfig::default()).unwrap_err(),
+        PlanError::BadIr(_)
+    ));
+}
+
+#[test]
+fn zero_global_batch_is_a_typed_error_at_every_entry_point() {
+    let session = Session::on_cluster("1x(2xV100)").unwrap();
+    let mut ir = dp_ir(1);
+    ir.global_batch = 0;
+    assert!(matches!(session.plan(&ir), Err(WhaleError::Plan(_))));
+    // Both strategy searches refuse before building a single candidate.
+    let never = || -> whale::Result<whale::Graph> { panic!("no candidate may be built") };
+    assert!(matches!(
+        auto_parallel(&session, 0, never),
+        Err(WhaleError::Ir(_))
+    ));
+    assert!(matches!(
+        auto_parallel_search(&session, 0, &SearchOptions::default(), never),
+        Err(WhaleError::Ir(_))
+    ));
 }
