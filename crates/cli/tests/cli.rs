@@ -221,6 +221,17 @@ fn zero_batch_exits_nonzero() {
 }
 
 #[test]
+fn oversized_cluster_exits_nonzero_at_once() {
+    let start = std::time::Instant::now();
+    for spec in ["99999999999x(8xV100)", "100000x(100000xV100)"] {
+        let (stdout, stderr, ok) = run(&["simulate", "--model", "resnet50", "--cluster", spec]);
+        assert!(!ok, "{spec} succeeded: {stdout}");
+        assert!(stderr.contains("more than"), "{spec}: {stderr}");
+    }
+    assert!(start.elapsed().as_secs() < 30, "took {:?}", start.elapsed());
+}
+
+#[test]
 fn auto_search_summary_partitions_the_leaves() {
     let (stdout, _, ok) = run(&[
         "auto",

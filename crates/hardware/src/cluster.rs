@@ -10,6 +10,12 @@ use crate::gpu::{Gpu, GpuModel};
 use crate::interconnect::Interconnect;
 use std::collections::BTreeMap;
 
+/// Most GPUs a spec given to [`Cluster::parse`] may describe: 2,048 times
+/// the paper's largest run (512 GPUs). A larger spec is a
+/// [`HardwareError::ParseError`], returned before any node is built, so
+/// hostile input costs neither time nor memory.
+pub const MAX_GPUS: usize = 1 << 20;
+
 /// One machine hosting several GPUs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
@@ -57,6 +63,8 @@ impl Cluster {
     /// * `"2x(8xV100)+2x(8xP100)"` — two 8-V100 nodes plus two 8-P100 nodes.
     /// * `"4xV100+4xP100"` — two nodes: one with four V100, one with four P100.
     ///
+    /// A spec of more than [`MAX_GPUS`] GPUs is a parse error.
+    ///
     /// # Examples
     ///
     /// ```
@@ -66,7 +74,10 @@ impl Cluster {
     /// assert_eq!(c.num_nodes(), 4);
     /// ```
     pub fn parse(spec: &str) -> Result<Cluster> {
-        let mut b = ClusterBuilder::new();
+        // Every group as `(node repeat, per-node model runs)`. Nothing is
+        // expanded until the GPU count, taken with checked arithmetic, is
+        // known to be at most `MAX_GPUS`.
+        let mut groups: Vec<(usize, Vec<(usize, GpuModel)>)> = Vec::new();
         for group in spec.split('+') {
             let group = group.trim();
             if group.is_empty() {
@@ -82,16 +93,37 @@ impl Cluster {
                 let inner = group[paren + 2..].strip_suffix(')').ok_or_else(|| {
                     HardwareError::ParseError(format!("missing ')' in '{group}'"))
                 })?;
-                let models = parse_node(inner)?;
-                for _ in 0..count {
-                    b = b.add_node(models.clone());
-                }
+                groups.push((count, parse_node(inner)?));
             } else {
-                b = b.add_node(parse_node(group)?);
+                groups.push((1, parse_node(group)?));
             }
         }
-        if b.is_empty() {
+        let mut total = 0usize;
+        for (count, runs) in &groups {
+            total = runs
+                .iter()
+                .try_fold(0usize, |acc, &(n, _)| acc.checked_add(n))
+                .and_then(|per_node| per_node.checked_mul(*count))
+                .and_then(|gpus| total.checked_add(gpus))
+                .filter(|&t| t <= MAX_GPUS)
+                .ok_or_else(|| {
+                    HardwareError::ParseError(format!(
+                        "cluster spec '{spec}' has more than {MAX_GPUS} GPUs"
+                    ))
+                })?;
+        }
+        if total == 0 {
             return Err(HardwareError::ParseError("empty spec".into()));
+        }
+        let mut b = ClusterBuilder::new();
+        for (count, runs) in groups {
+            let models: Vec<GpuModel> = runs
+                .into_iter()
+                .flat_map(|(n, model)| std::iter::repeat_n(model, n))
+                .collect();
+            for _ in 0..count {
+                b = b.add_node(models.clone());
+            }
         }
         Ok(b.build())
     }
@@ -248,9 +280,10 @@ impl Cluster {
     }
 }
 
-fn parse_node(s: &str) -> Result<Vec<GpuModel>> {
+/// One node's GPUs as `(count, model)` runs, in spec order (not expanded).
+fn parse_node(s: &str) -> Result<Vec<(usize, GpuModel)>> {
     // `NxMODEL[,NxMODEL...]` — a node may itself mix GPU models.
-    let mut models = Vec::new();
+    let mut runs = Vec::new();
     for part in s.split(',') {
         let part = part.trim();
         let (count, name) = match part.split_once('x') {
@@ -264,12 +297,12 @@ fn parse_node(s: &str) -> Result<Vec<GpuModel>> {
         };
         let model = GpuModel::parse(name)
             .ok_or_else(|| HardwareError::ParseError(format!("unknown GPU model '{name}'")))?;
-        models.extend(std::iter::repeat_n(model, count));
+        runs.push((count, model));
     }
-    if models.is_empty() {
+    if runs.iter().all(|&(count, _)| count == 0) {
         return Err(HardwareError::ParseError(format!("empty node '{s}'")));
     }
-    Ok(models)
+    Ok(runs)
 }
 
 /// Incremental builder for [`Cluster`].
@@ -375,6 +408,37 @@ mod tests {
         assert_eq!(c.num_nodes(), 1);
         assert_eq!(c.num_gpus(), 4);
         assert!(c.is_heterogeneous());
+    }
+
+    #[test]
+    fn parse_refuses_oversized_specs_before_building() {
+        // Both used to run until killed: the first adds 10^11 nodes one by
+        // one, the second allocates 10^10 GPUs.
+        for spec in [
+            "99999999999x(8xV100)",
+            "100000x(100000xV100)",
+            "1x(99999999999999999xV100)",
+            "18446744073709551615x(2xV100)",
+        ] {
+            let err = Cluster::parse(spec).unwrap_err();
+            assert!(
+                matches!(&err, HardwareError::ParseError(m) if m.contains("more than")),
+                "{spec}: {err}"
+            );
+        }
+        // One GPU over the cap is refused (the cap itself is 2,048 times
+        // the paper's 512-GPU run).
+        assert_eq!(MAX_GPUS, 2048 * 512);
+        let at_cap = format!("{}x(1024xV100)", MAX_GPUS / 1024);
+        assert!(Cluster::parse(&format!("{at_cap}+1xP100")).is_err());
+        // Zero-count groups still add nothing.
+        assert!(Cluster::parse("0x(8xV100)").is_err());
+        assert_eq!(
+            Cluster::parse("0x(8xV100)+0xP100,2xV100")
+                .unwrap()
+                .num_gpus(),
+            2
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 use crate::cluster::Cluster;
 use crate::error::{HardwareError, Result};
 use crate::interconnect::LinkKind;
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 
 /// Collective operations the planner can insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,10 +97,19 @@ impl<'c> CommModel<'c> {
         })
     }
 
-    fn ring_params(&self, group: &[usize]) -> Result<(f64, f64)> {
-        let kind = self.bottleneck_link(group)?;
+    fn link_params(&self, kind: LinkKind) -> (f64, f64) {
         let ic = &self.cluster.interconnect;
-        Ok((ic.bandwidth(kind), ic.latency(kind)))
+        (ic.bandwidth(kind), ic.latency(kind))
+    }
+
+    /// `kind` over a flat ring of `group`, priced by [`ring_cost`].
+    fn ring(&self, kind: Collective, group: &[usize], bytes: u64) -> Result<f64> {
+        let n = check_group(group)?;
+        if n == 1 {
+            return Ok(0.0);
+        }
+        let (bw, lat) = self.link_params(self.bottleneck_link(group)?);
+        Ok(ring_cost(kind, n, bw, lat, bytes))
     }
 
     /// Ring AllReduce over `group` of a `bytes`-sized tensor.
@@ -107,46 +117,23 @@ impl<'c> CommModel<'c> {
     /// Cost: `2·(n−1)/n · bytes / bw + 2·(n−1)·lat` — a reduce-scatter pass
     /// followed by an all-gather pass.
     pub fn allreduce(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        let n = check_group(group)?;
-        if n == 1 {
-            return Ok(0.0);
-        }
-        let (bw, lat) = self.ring_params(group)?;
-        let nf = n as f64;
-        Ok(2.0 * (nf - 1.0) / nf * bytes as f64 / bw + 2.0 * (nf - 1.0) * lat)
+        self.ring(Collective::AllReduce, group, bytes)
     }
 
     /// Ring AllGather: each rank contributes `bytes_per_rank`, ends with
     /// `n·bytes_per_rank`.
     pub fn allgather(&self, group: &[usize], bytes_per_rank: u64) -> Result<f64> {
-        let n = check_group(group)?;
-        if n == 1 {
-            return Ok(0.0);
-        }
-        let (bw, lat) = self.ring_params(group)?;
-        let nf = n as f64;
-        Ok((nf - 1.0) * bytes_per_rank as f64 / bw + (nf - 1.0) * lat)
+        self.ring(Collective::AllGather, group, bytes_per_rank)
     }
 
     /// Ring ReduceScatter of a `bytes`-sized tensor.
     pub fn reduce_scatter(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        let n = check_group(group)?;
-        if n == 1 {
-            return Ok(0.0);
-        }
-        let (bw, lat) = self.ring_params(group)?;
-        let nf = n as f64;
-        Ok((nf - 1.0) / nf * bytes as f64 / bw + (nf - 1.0) * lat)
+        self.ring(Collective::ReduceScatter, group, bytes)
     }
 
     /// Pipelined broadcast of a `bytes`-sized tensor from one rank.
     pub fn broadcast(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        let n = check_group(group)?;
-        if n == 1 {
-            return Ok(0.0);
-        }
-        let (bw, lat) = self.ring_params(group)?;
-        Ok(bytes as f64 / bw + (n as f64 - 1.0) * lat)
+        self.ring(Collective::Broadcast, group, bytes)
     }
 
     /// AllToAll where each rank holds `bytes` total and sends `(n−1)/n` of it.
@@ -154,13 +141,7 @@ impl<'c> CommModel<'c> {
     /// MoE expert dispatch (`einsum("GSEC,GSM->EGCM")` in paper Example 8)
     /// lowers to this collective.
     pub fn alltoall(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        let n = check_group(group)?;
-        if n == 1 {
-            return Ok(0.0);
-        }
-        let (bw, lat) = self.ring_params(group)?;
-        let nf = n as f64;
-        Ok((nf - 1.0) / nf * bytes as f64 / bw + (nf - 1.0) * lat)
+        self.ring(Collective::AllToAll, group, bytes)
     }
 
     /// Binary-tree AllReduce: reduce up and broadcast down.
@@ -172,9 +153,8 @@ impl<'c> CommModel<'c> {
         if n == 1 {
             return Ok(0.0);
         }
-        let (bw, lat) = self.ring_params(group)?;
-        let depth = (n as f64).log2().ceil();
-        Ok(2.0 * depth * (lat + bytes as f64 / bw))
+        let (bw, lat) = self.link_params(self.bottleneck_link(group)?);
+        Ok(tree_cost(n, bw, lat, bytes))
     }
 
     /// Hierarchical AllReduce as implemented by Whale (§4): ReduceScatter +
@@ -183,43 +163,10 @@ impl<'c> CommModel<'c> {
     ///
     /// Falls back to a flat ring when the group sits on a single node.
     pub fn hierarchical_allreduce(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        let n = check_group(group)?;
-        if n == 1 {
+        if check_group(group)? == 1 {
             return Ok(0.0);
         }
-        // Group members per node, preserving order.
-        let mut per_node: Vec<(usize, Vec<usize>)> = Vec::new();
-        for &id in group {
-            let node = self.cluster.gpu(id)?.node;
-            match per_node.iter_mut().find(|(nd, _)| *nd == node) {
-                Some((_, v)) => v.push(id),
-                None => per_node.push((node, vec![id])),
-            }
-        }
-        if per_node.len() == 1 {
-            return self.allreduce(group, bytes);
-        }
-        // Phase 1: local reduce-scatter inside each node (slowest node bounds).
-        let mut local_rs: f64 = 0.0;
-        let mut local_ag: f64 = 0.0;
-        for (_, members) in &per_node {
-            if members.len() > 1 {
-                local_rs = local_rs.max(self.reduce_scatter(members, bytes)?);
-                local_ag = local_ag.max(self.allgather(members, bytes / members.len() as u64)?);
-            }
-        }
-        // Phase 2: global ring AllReduce among one leader per node. Each
-        // leader carries the locally reduced shard; with symmetric nodes the
-        // shard is bytes/local_size, but with asymmetric membership we bound
-        // by the largest shard.
-        let leaders: Vec<usize> = per_node.iter().map(|(_, m)| m[0]).collect();
-        let max_shard = per_node
-            .iter()
-            .map(|(_, m)| bytes / m.len() as u64)
-            .max()
-            .unwrap_or(bytes);
-        let global = self.allreduce(&leaders, max_shard)?;
-        Ok(local_rs + global + local_ag)
+        Ok(self.allreduce_selector(group)?.hierarchical(bytes))
     }
 
     /// AllReduce cost under an explicitly chosen algorithm.
@@ -244,67 +191,75 @@ impl<'c> CommModel<'c> {
         Ok(self.allreduce_selector(group)?.select(bytes))
     }
 
-    /// Precompute an [`AllReduceSelector`] for `group`: the topology walks
-    /// (bottleneck links, per-node membership, leader ring) happen once here,
-    /// and each subsequent payload costs three multiply-adds. Costs are
-    /// bit-identical to [`CommModel::allreduce`] /
-    /// [`CommModel::tree_allreduce`] / [`CommModel::hierarchical_allreduce`];
-    /// the planner's comm-optimizer and the simulator's bucketed grad-sync
-    /// path use this to price every fusion bucket of a group without
-    /// re-deriving the topology per bucket.
+    /// Precompute an [`AllReduceSelector`] for `group`: one walk over the
+    /// group (bottleneck links, per-node membership, leader ring) happens
+    /// here, and each subsequent payload costs a few multiply-adds. Costs
+    /// are bit-identical to the [`CommModel`] methods; the planner's
+    /// comm-optimizer and the simulator price through a [`GroupCache`] of
+    /// these, one per distinct group.
     pub fn allreduce_selector(&self, group: &[usize]) -> Result<AllReduceSelector> {
         let n = check_group(group)?;
-        if n == 1 {
-            let membw = self.cluster.gpu(group[0])?.model.memory_bandwidth();
-            return Ok(AllReduceSelector {
-                n,
-                ring_bw: 1.0,
-                ring_lat: 0.0,
-                tree_depth: 0.0,
-                min_membw: membw,
-                hier: None,
-            });
-        }
-        let (ring_bw, ring_lat) = self.ring_params(group)?;
-        let tree_depth = (n as f64).log2().ceil();
-        let mut per_node: Vec<(usize, Vec<usize>)> = Vec::new();
+        // Per node, in first-appearance order: id, member count, and whether
+        // every member has NVLink.
+        let mut slot_of: HashMap<usize, usize> = HashMap::new();
+        let mut per_node: Vec<(usize, usize, bool)> = Vec::new();
         let mut min_membw = f64::INFINITY;
         for &id in group {
             let g = self.cluster.gpu(id)?;
             min_membw = min_membw.min(g.model.memory_bandwidth());
-            let node = g.node;
-            match per_node.iter_mut().find(|(nd, _)| *nd == node) {
-                Some((_, v)) => v.push(id),
-                None => per_node.push((node, vec![id])),
+            let nvlink = g.model.has_nvlink();
+            match slot_of.entry(g.node) {
+                Entry::Occupied(e) => {
+                    let node = &mut per_node[*e.get()];
+                    node.1 += 1;
+                    node.2 &= nvlink;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(per_node.len());
+                    per_node.push((g.node, 1, nvlink));
+                }
             }
         }
-        let hier = if per_node.len() == 1 {
-            None
-        } else {
-            let mut nodes = Vec::with_capacity(per_node.len());
-            for (_, members) in &per_node {
-                let (bw, lat) = if members.len() > 1 {
-                    self.ring_params(members)?
-                } else {
-                    (1.0, 0.0)
-                };
-                nodes.push((members.len(), bw, lat));
+        // The link classes `bottleneck_link` would find: the network across
+        // nodes, else NVLink only if every member has it.
+        let local = |all_nvlink: bool| {
+            if all_nvlink {
+                LinkKind::NvLink
+            } else {
+                LinkKind::Pcie
             }
-            let leaders: Vec<usize> = per_node.iter().map(|(_, m)| m[0]).collect();
-            let (leader_bw, leader_lat) = self.ring_params(&leaders)?;
-            Some(HierTopo {
-                nodes,
-                leaders_n: leaders.len(),
+        };
+        let (ring_bw, ring_lat) = match per_node.as_slice() {
+            [(_, _, all_nvlink)] => self.link_params(local(*all_nvlink)),
+            _ => self.link_params(LinkKind::Network),
+        };
+        let hier = (per_node.len() > 1).then(|| {
+            let (leader_bw, leader_lat) = self.link_params(LinkKind::Network);
+            HierTopo {
+                nodes: per_node
+                    .iter()
+                    .map(|&(_, m, all_nvlink)| {
+                        let (bw, lat) = if m > 1 {
+                            self.link_params(local(all_nvlink))
+                        } else {
+                            (1.0, 0.0)
+                        };
+                        (m, bw, lat)
+                    })
+                    .collect(),
+                leaders_n: per_node.len(),
                 leader_bw,
                 leader_lat,
-            })
-        };
+            }
+        });
+        let mut nodes: Vec<usize> = per_node.iter().map(|&(node, _, _)| node).collect();
+        nodes.sort_unstable();
         Ok(AllReduceSelector {
             n,
             ring_bw,
             ring_lat,
-            tree_depth,
             min_membw,
+            nodes,
             hier,
         })
     }
@@ -321,16 +276,40 @@ impl<'c> CommModel<'c> {
     pub fn collective(&self, kind: Collective, group: &[usize], bytes: u64) -> Result<f64> {
         match kind {
             Collective::AllReduce => self.best_allreduce(group, bytes),
-            Collective::AllGather => self.allgather(group, bytes),
-            Collective::ReduceScatter => self.reduce_scatter(group, bytes),
-            Collective::Broadcast => self.broadcast(group, bytes),
-            Collective::AllToAll => self.alltoall(group, bytes),
+            _ => self.ring(kind, group, bytes),
         }
     }
 }
 
-/// Per-group AllReduce cost evaluator with the topology precomputed — built
-/// by [`CommModel::allreduce_selector`]. Evaluating a payload is pure
+/// α–β cost of `kind` over a flat ring of `n` ranks whose slowest hop has
+/// bandwidth `bw` and latency `lat` (for AllReduce, the ring algorithm).
+/// The one copy of the ring formulas: [`CommModel`] and
+/// [`AllReduceSelector`] both price through it.
+fn ring_cost(kind: Collective, n: usize, bw: f64, lat: f64, bytes: u64) -> f64 {
+    if n <= 1 {
+        return 0.0;
+    }
+    let nf = n as f64;
+    match kind {
+        Collective::AllReduce => 2.0 * (nf - 1.0) / nf * bytes as f64 / bw + 2.0 * (nf - 1.0) * lat,
+        Collective::AllGather => (nf - 1.0) * bytes as f64 / bw + (nf - 1.0) * lat,
+        Collective::ReduceScatter | Collective::AllToAll => {
+            (nf - 1.0) / nf * bytes as f64 / bw + (nf - 1.0) * lat
+        }
+        Collective::Broadcast => bytes as f64 / bw + (nf - 1.0) * lat,
+    }
+}
+
+/// Binary-tree AllReduce over `n` ranks: `2·⌈log2 n⌉·(lat + bytes/bw)`.
+fn tree_cost(n: usize, bw: f64, lat: f64, bytes: u64) -> f64 {
+    if n <= 1 {
+        return 0.0;
+    }
+    2.0 * (n as f64).log2().ceil() * (lat + bytes as f64 / bw)
+}
+
+/// Per-group cost evaluator with the topology precomputed — built by
+/// [`CommModel::allreduce_selector`]. Evaluating a payload is pure
 /// arithmetic over the cached link parameters, so pricing every bucket of a
 /// fusion schedule is O(buckets), not O(buckets × group).
 #[derive(Debug, Clone)]
@@ -338,11 +317,12 @@ pub struct AllReduceSelector {
     n: usize,
     ring_bw: f64,
     ring_lat: f64,
-    tree_depth: f64,
     /// Slowest group member's device memory bandwidth — the bound on the
     /// elementwise quantize/dequantize passes mixed-precision collectives
     /// run around the wire transfer.
     min_membw: f64,
+    /// The nodes the group touches, ascending.
+    nodes: Vec<usize>,
     /// `None` when the group sits on one node: hierarchical falls back to
     /// the flat ring there.
     hier: Option<HierTopo>,
@@ -361,24 +341,24 @@ struct HierTopo {
 impl AllReduceSelector {
     /// Flat-ring cost; bit-identical to [`CommModel::allreduce`].
     pub fn ring(&self, bytes: u64) -> f64 {
-        if self.n == 1 {
-            return 0.0;
-        }
-        let nf = self.n as f64;
-        2.0 * (nf - 1.0) / nf * bytes as f64 / self.ring_bw + 2.0 * (nf - 1.0) * self.ring_lat
+        ring_cost(
+            Collective::AllReduce,
+            self.n,
+            self.ring_bw,
+            self.ring_lat,
+            bytes,
+        )
     }
 
     /// Binary-tree cost; bit-identical to [`CommModel::tree_allreduce`].
     pub fn tree(&self, bytes: u64) -> f64 {
-        if self.n == 1 {
-            return 0.0;
-        }
-        2.0 * self.tree_depth * (self.ring_lat + bytes as f64 / self.ring_bw)
+        tree_cost(self.n, self.ring_bw, self.ring_lat, bytes)
     }
 
-    /// Two-level cost; bit-identical to
-    /// [`CommModel::hierarchical_allreduce`], including the flat-ring
-    /// fallback for single-node groups.
+    /// Two-level cost: ReduceScatter inside each node (the slowest node
+    /// bounds), a ring AllReduce of the largest shard among one leader per
+    /// node, then AllGather inside each node. Single-node groups fall back
+    /// to the flat ring.
     pub fn hierarchical(&self, bytes: u64) -> f64 {
         if self.n == 1 {
             return 0.0;
@@ -390,10 +370,9 @@ impl AllReduceSelector {
         let mut local_ag: f64 = 0.0;
         for &(m, bw, lat) in &h.nodes {
             if m > 1 {
-                let mf = m as f64;
-                local_rs = local_rs.max((mf - 1.0) / mf * bytes as f64 / bw + (mf - 1.0) * lat);
+                local_rs = local_rs.max(ring_cost(Collective::ReduceScatter, m, bw, lat, bytes));
                 let per_rank = bytes / m as u64;
-                local_ag = local_ag.max((mf - 1.0) * per_rank as f64 / bw + (mf - 1.0) * lat);
+                local_ag = local_ag.max(ring_cost(Collective::AllGather, m, bw, lat, per_rank));
             }
         }
         let max_shard = h
@@ -402,9 +381,13 @@ impl AllReduceSelector {
             .map(|&(m, _, _)| bytes / m as u64)
             .max()
             .unwrap_or(bytes);
-        let nl = h.leaders_n as f64;
-        let global = 2.0 * (nl - 1.0) / nl * max_shard as f64 / h.leader_bw
-            + 2.0 * (nl - 1.0) * h.leader_lat;
+        let global = ring_cost(
+            Collective::AllReduce,
+            h.leaders_n,
+            h.leader_bw,
+            h.leader_lat,
+            max_shard,
+        );
         local_rs + global + local_ag
     }
 
@@ -443,6 +426,27 @@ impl AllReduceSelector {
         }
     }
 
+    /// Cost of `kind` carrying `bytes` (per rank, as
+    /// [`CommModel::collective`] takes them) over this group; bit-identical
+    /// to [`CommModel::collective`].
+    pub fn collective(&self, kind: Collective, bytes: u64) -> f64 {
+        match kind {
+            Collective::AllReduce => self.select(bytes).1,
+            _ => ring_cost(kind, self.n, self.ring_bw, self.ring_lat, bytes),
+        }
+    }
+
+    /// The nodes the group touches, ascending: the NICs (or, on one node,
+    /// the local fabric) its collectives occupy.
+    pub fn nodes(&self) -> &[usize] {
+        &self.nodes
+    }
+
+    /// Slowest member's device memory bandwidth, bytes/s.
+    pub fn min_membw(&self) -> f64 {
+        self.min_membw
+    }
+
     /// Time to quantize a `logical`-byte fp32 gradient down to `wire` bytes
     /// before the collective and dequantize the result back afterwards:
     /// two elementwise passes (read logical + write wire, then read wire +
@@ -455,6 +459,59 @@ impl AllReduceSelector {
             return 0.0;
         }
         quantize_dequantize_cost(logical, wire, self.min_membw)
+    }
+}
+
+/// Group topologies memoized by group content: each distinct group is
+/// validated and walked once, however many collectives, syncs and buckets
+/// name it. The planner's comm-optimizer and the simulator keep one per
+/// pass or step; every price is bit-identical to [`CommModel`]'s, and the
+/// first sight of an invalid group returns [`CommModel::allreduce_selector`]'s
+/// error for it.
+#[derive(Debug)]
+pub struct GroupCache<'c> {
+    comm: CommModel<'c>,
+    slots: HashMap<Box<[usize]>, usize>,
+    groups: Vec<AllReduceSelector>,
+}
+
+impl<'c> GroupCache<'c> {
+    /// An empty cache over `cluster`.
+    pub fn new(cluster: &'c Cluster) -> Self {
+        GroupCache {
+            comm: CommModel::new(cluster),
+            slots: HashMap::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// Slot of `group`'s topology (see [`GroupCache::get`]), walking the
+    /// group on its first sight.
+    pub fn slot(&mut self, group: &[usize]) -> Result<usize> {
+        if let Some(&slot) = self.slots.get(group) {
+            return Ok(slot);
+        }
+        let topo = self.comm.allreduce_selector(group)?;
+        let slot = self.groups.len();
+        self.groups.push(topo);
+        self.slots.insert(group.into(), slot);
+        Ok(slot)
+    }
+
+    /// The topology in `slot`.
+    pub fn get(&self, slot: usize) -> &AllReduceSelector {
+        &self.groups[slot]
+    }
+
+    /// `group`'s topology.
+    pub fn selector(&mut self, group: &[usize]) -> Result<&AllReduceSelector> {
+        let slot = self.slot(group)?;
+        Ok(&self.groups[slot])
+    }
+
+    /// [`CommModel::collective`] through the cache.
+    pub fn collective(&mut self, kind: Collective, group: &[usize], bytes: u64) -> Result<f64> {
+        Ok(self.selector(group)?.collective(kind, bytes))
     }
 }
 

@@ -37,8 +37,10 @@ pub mod gpu;
 pub mod interconnect;
 pub mod virtual_device;
 
-pub use cluster::{Cluster, ClusterBuilder, Node};
-pub use comm::{quantize_dequantize_cost, AllReduceAlgo, AllReduceSelector, Collective, CommModel};
+pub use cluster::{Cluster, ClusterBuilder, Node, MAX_GPUS};
+pub use comm::{
+    quantize_dequantize_cost, AllReduceAlgo, AllReduceSelector, Collective, CommModel, GroupCache,
+};
 pub use delta::ClusterDelta;
 pub use error::{HardwareError, Result};
 pub use gpu::{Gpu, GpuModel, GIB, TFLOPS};

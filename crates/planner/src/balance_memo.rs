@@ -12,14 +12,17 @@
 //! [`BalanceMemo`]:
 //!
 //! * `dp_partition` results are memoized on their **exact** inputs — the
-//!   TaskGraph (profile + strategies + activation multiplier are functions
-//!   of it within one run), the group batch, and the `(model,
-//!   throughput_scale)` signature of the device slice (the only GPU fields
-//!   the partitioner reads). `dp_partition` is a pure function, so replaying
-//!   a memoized result is bit-identical to recomputing it.
-//! * `match_split_pattern` results are memoized per `(TaskGraph, degree)` —
-//!   the pattern depends only on the graph, the TaskGraph's ops, and the
-//!   shard count, all fixed across groups.
+//!   bit patterns of the `CostProfile` fields, the batch, the activation
+//!   multiplier's bits, `dp_shards` (the only `TrainingConfig` field that
+//!   varies within a run), and the `(model, throughput_scale)` signature of
+//!   the device slice (the only GPU fields the partitioner reads). The key
+//!   names no TaskGraph, so the hundreds of identical replica TaskGraphs of
+//!   a deep MoE model share one partition. `dp_partition` is a pure
+//!   function, so replaying a memoized result is bit-identical to
+//!   recomputing it.
+//! * `match_split_pattern` results are memoized per `(TaskGraph position,
+//!   degree)` — the pattern depends only on the graph, the TaskGraph's ops,
+//!   and the shard count, all fixed across groups.
 //!
 //! The monolithic [`crate::planner::plan_reference`] keeps calling the
 //! unmemoized originals: it is the golden reference the pipeline is compared
@@ -28,10 +31,11 @@
 //! Bit-identity of the pipeline against the reference is pinned by the
 //! zoo × cluster golden matrix in `tests/compile_pipeline.rs`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use whale_graph::CostProfile;
-use whale_hardware::GpuModel;
+use whale_graph::{CostProfile, TrainingConfig};
+use whale_hardware::{Cluster, Collective, Gpu, GpuModel};
 use whale_ir::Primitive;
 
 use crate::dp_balance::{dp_partition, DpPartition};
@@ -47,56 +51,86 @@ use crate::shard::{match_split_pattern, SplitPlan};
 /// signatures are indistinguishable to [`dp_partition`].
 type GpuSig = (GpuModel, u64);
 
+/// Everything [`dp_partition`] reads besides the device slice: the
+/// `CostProfile` fields (floats as bit patterns), the batch, the bits of the
+/// activation multiplier, and `dp_shards`. The rest of the
+/// `TrainingConfig` and `hardware_aware` are fixed for a Balance run.
+type DpKey = ([u64; 7], usize, u64, usize);
+
 /// Signature-matched memo bucket: every partition computed for one
-/// `(tg.index, batch)` cell, keyed by the device-slice signature it was
-/// derived from.
+/// [`DpKey`], keyed by the device-slice signature it was derived from.
 type DpBucket = Vec<(Vec<GpuSig>, DpPartition)>;
 
 /// Per-Balance-run memo for the pure planning subroutines.
 #[derive(Default)]
 pub(crate) struct BalanceMemo {
-    /// `(tg.index, batch)` → signature-matched [`dp_partition`] results.
-    /// Buckets are tiny (distinct signatures per TaskGraph and batch — one
-    /// on homogeneous clusters), so lookup is a scratch-signature build plus
-    /// a short linear scan, with no allocation on hits.
-    dp: HashMap<(usize, usize), DpBucket>,
-    /// `(tg.index, degree)` → shard plan.
+    /// [`DpKey`] → signature-matched [`dp_partition`] results. Buckets are
+    /// tiny (distinct signatures per key — one on homogeneous clusters), so
+    /// lookup is a scratch-signature build plus a short linear scan, with
+    /// no allocation on hits.
+    dp: HashMap<DpKey, DpBucket>,
+    /// `(TaskGraph position, degree)` → shard plan.
     splits: HashMap<(usize, usize), SplitPlan>,
+    /// Reused device-slice buffer.
+    gpus: Vec<Gpu>,
     /// Reused signature buffer.
     sig: Vec<GpuSig>,
 }
 
 impl BalanceMemo {
+    /// [`dp_partition`] over the GPUs `ids` of `cluster`, memoized.
     #[allow(clippy::too_many_arguments)]
     fn dp_partition_memo(
         &mut self,
-        tg_index: usize,
+        cluster: &Cluster,
+        ids: &[usize],
         profile: &CostProfile,
-        tcfg: &whale_graph::TrainingConfig,
-        gpus: &[whale_hardware::Gpu],
+        tcfg: &TrainingConfig,
         batch: usize,
         act_mult: f64,
         hardware_aware: bool,
-    ) -> Result<DpPartition> {
-        self.sig.clear();
-        self.sig
-            .extend(gpus.iter().map(|g| (g.model, g.throughput_scale.to_bits())));
-        let bucket = self.dp.entry((tg_index, batch)).or_default();
-        if let Some((_, dp)) = bucket.iter().find(|(sig, _)| *sig == self.sig) {
-            return Ok(dp.clone());
+    ) -> Result<&DpPartition> {
+        self.gpus.clear();
+        for &id in ids {
+            self.gpus.push(*cluster.gpu(id)?);
         }
-        let dp = dp_partition(profile, tcfg, gpus, batch, act_mult, hardware_aware)?;
-        bucket.push((self.sig.clone(), dp.clone()));
-        Ok(dp)
+        self.sig.clear();
+        self.sig.extend(
+            self.gpus
+                .iter()
+                .map(|g| (g.model, g.throughput_scale.to_bits())),
+        );
+        let key = (
+            [
+                profile.param_count,
+                profile.param_bytes,
+                profile.forward_flops_per_sample.to_bits(),
+                profile.activation_bytes_per_sample.to_bits(),
+                profile.checkpoint_bytes_per_sample.to_bits(),
+                profile.memory_traffic_bytes_per_sample.to_bits(),
+                profile.ref_batch as u64,
+            ],
+            batch,
+            act_mult.to_bits(),
+            tcfg.dp_shards,
+        );
+        let bucket = self.dp.entry(key).or_default();
+        let i = match bucket.iter().position(|(sig, _)| *sig == self.sig) {
+            Some(i) => i,
+            None => {
+                let dp = dp_partition(profile, tcfg, &self.gpus, batch, act_mult, hardware_aware)?;
+                bucket.push((self.sig.clone(), dp));
+                bucket.len() - 1
+            }
+        };
+        Ok(&bucket[i].1)
     }
 
-    fn split_plan_memo(&mut self, a: &PlanTgArgs<'_>, degree: usize) -> Result<SplitPlan> {
-        if let Some(plan) = self.splits.get(&(a.tg.index, degree)) {
-            return Ok(plan.clone());
-        }
-        let plan = match_split_pattern(&a.ir.graph, &a.tg.ops, degree)?;
-        self.splits.insert((a.tg.index, degree), plan.clone());
-        Ok(plan)
+    fn split_plan_memo(&mut self, a: &PlanTgArgs<'_>, degree: usize) -> Result<&SplitPlan> {
+        Ok(match self.splits.entry((a.stage_index, degree)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(match_split_pattern(&a.ir.graph, &a.tg.ops, degree)?),
+        })
     }
 }
 
@@ -118,20 +152,15 @@ pub(crate) fn plan_taskgraph_memo(
     match a.tg.strategies.as_slice() {
         // Pure data parallelism (possibly via default scope).
         [] | [Primitive::Replica] => {
-            let gpus: Vec<whale_hardware::Gpu> = a
-                .vd_gpus
-                .iter()
-                .map(|&id| Ok(*a.cluster.gpu(id)?))
-                .collect::<Result<_>>()?;
             // ZeRO shards across every replica of this TaskGraph: in-group
             // replicas times plan-level copies.
             let mut tcfg = a.config.training;
             tcfg.dp_shards = (k * a.outer_dp).max(1);
             let dp = memo.dp_partition_memo(
-                a.tg.index,
+                a.cluster,
+                a.vd_gpus,
                 a.profile,
                 &tcfg,
-                &gpus,
                 a.group_batch,
                 act_mult,
                 a.config.hardware_aware,
@@ -200,15 +229,11 @@ pub(crate) fn plan_taskgraph_memo(
         [Primitive::Replica, Primitive::Split] => {
             let (s, r) = nested_degrees(k);
             for shard_gpus in a.vd_gpus.chunks(r) {
-                let gpus: Vec<whale_hardware::Gpu> = shard_gpus
-                    .iter()
-                    .map(|&id| Ok(*a.cluster.gpu(id)?))
-                    .collect::<Result<_>>()?;
                 let dp = memo.dp_partition_memo(
-                    a.tg.index,
+                    a.cluster,
+                    shard_gpus,
                     a.profile,
                     &a.config.training,
-                    &gpus,
                     a.group_batch,
                     act_mult / s as f64,
                     a.config.hardware_aware,
@@ -299,109 +324,143 @@ fn shard_onto_memo(
 
 /// Transplant of [`crate::planner::build_grad_groups`] that assembles the
 /// common replica/split/stage groups directly instead of materializing the
-/// per-GPU `positions` table first. The emitted `(label, group, bytes,
-/// stage)` tuples are element-for-element identical: the direct loops visit
-/// the same `(gpu, group)` pairs in the same order, and the replica-path
-/// sort sees the same multiset.
-pub(crate) fn build_grad_groups_fast(
+/// per-GPU `positions` table first, and emits them as the plan's
+/// AllReduce tasks. Every group it keeps is element-for-element the
+/// reference's `(label, group, bytes, stage)`: the direct loops visit the
+/// same `(gpu, group)` pairs in the same order, and the replica-path sort
+/// sees the same multiset. Groups of one GPU are never built (see
+/// [`push_grad_sync`]).
+pub(crate) fn build_grad_syncs(
     tg: &whale_ir::TaskGraph,
     profile: &CostProfile,
     vd0: &whale_hardware::VirtualDevice,
     groups: &[Vec<usize>],
     config: &crate::planner::PlannerConfig,
-    out: &mut Vec<(String, Vec<usize>, u64, usize)>,
+    out: &mut Vec<CollectiveTask>,
 ) {
     let grad_bytes_full = if config.training.amp {
         profile.param_count * 2
     } else {
         profile.param_bytes
     };
-    let k = vd0.num_gpus();
+    let ids = vd0.gpu_ids();
+    let k = ids.len();
     let base = groups[0][0];
+    // Every plan copy's GPU at `id0`'s position in copy 0.
+    let copies = |group: &mut Vec<usize>, id0: usize| {
+        group.extend(groups.iter().map(|g| id0 - base + g[0]));
+    };
+    let tgi = tg.index;
     match tg.strategies.as_slice() {
         // Replicas hold full copies: one big group over every replica of
         // every plan copy.
-        [] | [Primitive::Replica] => {
-            let mut group: Vec<usize> = Vec::with_capacity(k * groups.len());
-            for &id0 in vd0.gpu_ids() {
-                for g in groups {
-                    group.push(id0 - base + g[0]);
+        [] | [Primitive::Replica] => push_grad_sync(
+            out,
+            k * groups.len(),
+            grad_bytes_full,
+            tgi,
+            || format!("dp sync tg{tgi}"),
+            |group| {
+                for &id0 in ids {
+                    copies(group, id0);
                 }
-            }
-            group.sort_unstable();
-            out.push((
-                format!("dp sync tg{}", tg.index),
-                group,
-                grad_bytes_full,
-                tg.index,
-            ));
-        }
+                group.sort_unstable();
+            },
+        ),
         // Shards are unique; only plan-level copies need syncing.
         [Primitive::Split] => {
             let per_shard = grad_bytes_full / k.max(1) as u64;
-            for (i, &id0) in vd0.gpu_ids().iter().enumerate() {
-                let pos: Vec<usize> = groups.iter().map(|g| id0 - base + g[0]).collect();
-                out.push((
-                    format!("split sync tg{} shard{i}", tg.index),
-                    pos,
+            for (i, &id0) in ids.iter().enumerate() {
+                push_grad_sync(
+                    out,
+                    groups.len(),
                     per_shard,
-                    tg.index,
-                ));
+                    tgi,
+                    || format!("split sync tg{tgi} shard{i}"),
+                    |group| copies(group, id0),
+                );
             }
         }
-        [Primitive::Stage] => {
-            let mut pos: Vec<usize> = Vec::with_capacity(k * groups.len());
-            for &id0 in vd0.gpu_ids() {
-                for g in groups {
-                    pos.push(id0 - base + g[0]);
+        [Primitive::Stage] => push_grad_sync(
+            out,
+            k * groups.len(),
+            grad_bytes_full,
+            tgi,
+            || format!("stage sync tg{tgi}"),
+            |group| {
+                for &id0 in ids {
+                    copies(group, id0);
                 }
-            }
-            out.push((
-                format!("stage sync tg{}", tg.index),
-                pos,
-                grad_bytes_full,
-                tg.index,
-            ));
-        }
+            },
+        ),
+        // Shard j is replicated in every chunk and every plan copy: the
+        // positions j, j + s, j + 2s, ...
         [Primitive::Split, Primitive::Replica] => {
             let (s, _r) = nested_degrees(k);
-            // Shard j is replicated in every chunk and every plan copy.
             for j in 0..s {
-                let mut group = Vec::new();
-                for (idx, &id0) in vd0.gpu_ids().iter().enumerate() {
-                    if idx % s == j {
-                        group.extend(groups.iter().map(|g| id0 - base + g[0]));
-                    }
-                }
-                group.sort_unstable();
-                out.push((
-                    format!("nested sync tg{} shard{j}", tg.index),
-                    group,
+                let members = (j..k).step_by(s);
+                push_grad_sync(
+                    out,
+                    members.len() * groups.len(),
                     grad_bytes_full / s as u64,
-                    tg.index,
-                ));
+                    tgi,
+                    || format!("nested sync tg{tgi} shard{j}"),
+                    |group| {
+                        for &id0 in ids.iter().skip(j).step_by(s) {
+                            copies(group, id0);
+                        }
+                        group.sort_unstable();
+                    },
+                );
             }
         }
+        // Replica groups each own a shard: positions shard·r .. (shard+1)·r.
         [Primitive::Replica, Primitive::Split] => {
             let (s, r) = nested_degrees(k);
             for shard in 0..s {
-                let mut group = Vec::new();
-                for (idx, &id0) in vd0.gpu_ids().iter().enumerate() {
-                    if idx / r == shard {
-                        group.extend(groups.iter().map(|g| id0 - base + g[0]));
-                    }
-                }
-                group.sort_unstable();
-                out.push((
-                    format!("nested sync tg{} shard{shard}", tg.index),
-                    group,
+                let members = &ids[(shard * r).min(k)..((shard + 1) * r).min(k)];
+                push_grad_sync(
+                    out,
+                    members.len() * groups.len(),
                     grad_bytes_full / s as u64,
-                    tg.index,
-                ));
+                    tgi,
+                    || format!("nested sync tg{tgi} shard{shard}"),
+                    |group| {
+                        for &id0 in members {
+                            copies(group, id0);
+                        }
+                        group.sort_unstable();
+                    },
+                );
             }
         }
         _ => {}
     }
+}
+
+/// Append one gradient AllReduce of `size` GPUs, filled by `fill`, for
+/// stage `stage`. The one place the rule lives that a group of one GPU
+/// syncs nothing: such a group gets no label, no `Vec` and no task.
+fn push_grad_sync(
+    out: &mut Vec<CollectiveTask>,
+    size: usize,
+    bytes: u64,
+    stage: usize,
+    label: impl FnOnce() -> String,
+    fill: impl FnOnce(&mut Vec<usize>),
+) {
+    if size < 2 {
+        return;
+    }
+    let mut group = Vec::with_capacity(size);
+    fill(&mut group);
+    out.push(CollectiveTask {
+        kind: Collective::AllReduce,
+        group,
+        bytes,
+        label: label(),
+        stage: Some(stage),
+    });
 }
 
 #[cfg(test)]
@@ -473,11 +532,24 @@ mod tests {
                 assert_eq!(dev_a, dev_b, "devices diverge on tg {tg_idx} group {g}");
                 assert_eq!(col_a, col_b, "collectives diverge on tg {tg_idx} group {g}");
             }
+            // Balance keeps only groups of two or more GPUs; the fast
+            // builder never makes the others.
             let mut gg_a = Vec::new();
             let mut gg_b = Vec::new();
             build_grad_groups(tg, &profile, &p.vds0[tg_idx], &d.groups, &config, &mut gg_a);
-            build_grad_groups_fast(tg, &profile, &p.vds0[tg_idx], &d.groups, &config, &mut gg_b);
-            assert_eq!(gg_a, gg_b, "grad groups diverge on tg {tg_idx}");
+            build_grad_syncs(tg, &profile, &p.vds0[tg_idx], &d.groups, &config, &mut gg_b);
+            let kept: Vec<CollectiveTask> = gg_a
+                .into_iter()
+                .filter(|(_, group, _, _)| group.len() > 1)
+                .map(|(label, group, bytes, stage)| CollectiveTask {
+                    kind: Collective::AllReduce,
+                    group,
+                    bytes,
+                    label,
+                    stage: Some(stage),
+                })
+                .collect();
+            assert_eq!(kept, gg_b, "grad groups diverge on tg {tg_idx}");
         }
     }
 }

@@ -18,9 +18,9 @@
 //!   proportional to forward FLOPs);
 //! * when [`CommConfig::auto_algorithm`] is set, each bucket also records
 //!   the cheapest AllReduce algorithm for its `(group, payload, topology)`
-//!   via [`CommModel::select_allreduce`] — small buckets ride the
-//!   latency-optimal tree, large ones the bandwidth-optimal ring or
-//!   hierarchical reduction.
+//!   via [`whale_hardware::CommModel::select_allreduce`] — small buckets
+//!   ride the latency-optimal tree, large ones the bandwidth-optimal ring
+//!   or hierarchical reduction.
 //!
 //! The simulator's event-driven grad-sync path consumes the resulting
 //! [`GradSyncSchedule`] directly — no `sync_overlap` interpolation constant.
@@ -29,8 +29,10 @@
 //! algorithm, and the simulator takes the exact pre-existing code path
 //! (bit-identical step times, pinned by `tests/comm_equivalence.rs`).
 
+use std::collections::HashMap;
+
 use whale_graph::Graph;
-use whale_hardware::{AllReduceAlgo, Cluster, CommModel};
+use whale_hardware::{AllReduceAlgo, Cluster, GroupCache};
 use whale_ir::TaskGraph;
 
 use crate::error::Result;
@@ -291,6 +293,11 @@ impl GradSyncSchedule {
 /// Build the grad-sync schedule for `grad_syncs` against the model's layer
 /// structure and the cluster topology. Shared by the [`CommOpt`] pipeline
 /// pass and the monolithic `plan_reference`, so both emit identical plans.
+///
+/// Cost: one pass over `task_graphs` to index them, one pass over each
+/// owning stage's ops (its layer table is built once and shared by every
+/// sync of that stage), one topology walk per distinct sync group, and
+/// O(layers of the stage) per sync to pack its buckets.
 pub(crate) fn build_grad_sync_schedule(
     grad_syncs: &[CollectiveTask],
     task_graphs: &[TaskGraph],
@@ -303,7 +310,8 @@ pub(crate) fn build_grad_sync_schedule(
     } else {
         SyncMode::Legacy
     };
-    let comm = CommModel::new(cluster);
+    let mut groups = GroupCache::new(cluster);
+    let mut layers = StageLayers::new(task_graphs);
     let numer = compress_numer(cfg.compress_ratio);
     let mut buckets = Vec::with_capacity(grad_syncs.len());
     for (sync_index, sync) in grad_syncs.iter().enumerate() {
@@ -317,9 +325,13 @@ pub(crate) fn build_grad_sync_schedule(
                 algo: None,
                 layers: (0, 0),
             }),
-            SyncMode::Bucketed => {
-                bucket_sync(sync_index, sync, task_graphs, graph, cfg, &mut buckets)
-            }
+            SyncMode::Bucketed => bucket_sync(
+                sync_index,
+                sync,
+                layers.of(sync.stage, graph),
+                cfg,
+                &mut buckets,
+            ),
         }
         // Wire bytes telescope over the *logical* cumulative marks, so the
         // group's wire total is exactly `wire_scale(sync.bytes)` regardless
@@ -333,12 +345,12 @@ pub(crate) fn build_grad_sync_schedule(
             b.wire_bytes = wire_scale(cum, cfg.grad_dtype, numer) - before;
         }
         if cfg.auto_algorithm && mode == SyncMode::Bucketed {
-            // One topology walk per group; each bucket then costs three
-            // multiply-adds to price (the selector is bit-identical to
-            // `select_allreduce`). Selection runs on *wire* bytes: smaller
-            // messages sit closer to the latency-optimal side of the
-            // ring/tree/hierarchical crossover.
-            let selector = comm.allreduce_selector(&sync.group)?;
+            // One topology walk per distinct group; each bucket then costs
+            // three multiply-adds to price (the selector is bit-identical
+            // to `select_allreduce`). Selection runs on *wire* bytes:
+            // smaller messages sit closer to the latency-optimal side of
+            // the ring/tree/hierarchical crossover.
+            let selector = groups.selector(&sync.group)?;
             for b in &mut buckets[start..] {
                 b.algo = Some(selector.select(b.wire_bytes).0);
             }
@@ -353,8 +365,71 @@ pub(crate) fn build_grad_sync_schedule(
     })
 }
 
+/// Per-stage layer tables for bucketing, built on first use: for each model
+/// layer a stage's ops touch, in ascending layer order, its summed parameter
+/// count and forward FLOPs.
+struct StageLayers<'t> {
+    task_graphs: &'t [TaskGraph],
+    /// TaskGraph index → position of the first TaskGraph with that index.
+    position: HashMap<usize, usize>,
+    /// Layer table of each TaskGraph position, once built.
+    tables: Vec<Option<Vec<(usize, u64, f64)>>>,
+}
+
+impl<'t> StageLayers<'t> {
+    fn new(task_graphs: &'t [TaskGraph]) -> Self {
+        let mut position = HashMap::with_capacity(task_graphs.len());
+        for (pos, tg) in task_graphs.iter().enumerate() {
+            position.entry(tg.index).or_insert(pos);
+        }
+        StageLayers {
+            task_graphs,
+            position,
+            tables: vec![None; task_graphs.len()],
+        }
+    }
+
+    /// The layer table of the stage a sync belongs to (empty when the sync
+    /// names no stage or no TaskGraph has its index).
+    fn of(&mut self, stage: Option<usize>, graph: &Graph) -> &[(usize, u64, f64)] {
+        let Some(&pos) = stage.and_then(|s| self.position.get(&s)) else {
+            return &[];
+        };
+        let tg = &self.task_graphs[pos];
+        self.tables[pos].get_or_insert_with(|| layer_table(tg, graph))
+    }
+}
+
+/// One pass over a stage's ops, into a flat table sized by the stage's own
+/// layer range (ops without a layer count as layer 0).
+fn layer_table(tg: &TaskGraph, graph: &Graph) -> Vec<(usize, u64, f64)> {
+    let ops = || tg.ops.iter().filter_map(|&id| graph.op(id).ok());
+    let Some((lo, hi)) =
+        ops()
+            .map(|op| op.layer.unwrap_or(0))
+            .fold(None, |acc: Option<(usize, usize)>, l| {
+                Some(acc.map_or((l, l), |(lo, hi)| (lo.min(l), hi.max(l))))
+            })
+    else {
+        return Vec::new();
+    };
+    let mut slots: Vec<(bool, u64, f64)> = vec![(false, 0, 0.0); hi - lo + 1];
+    for op in ops() {
+        let e = &mut slots[op.layer.unwrap_or(0) - lo];
+        e.0 = true;
+        e.1 += op.param_count();
+        e.2 += op.forward_flops();
+    }
+    slots
+        .into_iter()
+        .enumerate()
+        .filter(|(_, (seen, _, _))| *seen)
+        .map(|(i, (_, p, f))| (lo + i, p, f))
+        .collect()
+}
+
 /// Split one sync group's payload into size-capped buckets along the owning
-/// stage's layer structure, deepest layers first.
+/// stage's layer table (from [`layer_table`]), deepest layers first.
 ///
 /// Byte split: each layer owns a share of `sync.bytes` proportional to its
 /// parameter count, realized through cumulative u64 rounding so the bucket
@@ -362,39 +437,10 @@ pub(crate) fn build_grad_sync_schedule(
 fn bucket_sync(
     sync_index: usize,
     sync: &CollectiveTask,
-    task_graphs: &[TaskGraph],
-    graph: &Graph,
+    layers: &[(usize, u64, f64)],
     cfg: &CommConfig,
     out: &mut Vec<GradBucket>,
 ) {
-    // Per-layer parameter counts and forward FLOPs of the owning stage,
-    // layer-indexed flat table (one O(ops) pass, no per-op map lookups).
-    let tg = sync
-        .stage
-        .and_then(|s| task_graphs.iter().find(|tg| tg.index == s));
-    let mut layers: Vec<(bool, u64, f64)> = Vec::new();
-    if let Some(tg) = tg {
-        for &id in &tg.ops {
-            if let Ok(op) = graph.op(id) {
-                let layer = op.layer.unwrap_or(0);
-                if layer >= layers.len() {
-                    layers.resize(layer + 1, (false, 0, 0.0));
-                }
-                let e = &mut layers[layer];
-                e.0 = true;
-                e.1 += op.param_count();
-                e.2 += op.forward_flops();
-            }
-        }
-    }
-    let present = |ls: &[(bool, u64, f64)]| -> Vec<(usize, u64, f64)> {
-        ls.iter()
-            .enumerate()
-            .filter(|(_, &(seen, _, _))| seen)
-            .map(|(l, &(_, p, f))| (l, p, f))
-            .collect()
-    };
-    let layers = present(&layers);
     let total_params: u64 = layers.iter().map(|&(_, p, _)| p).sum();
     // Accumulate FLOPs in the same (descending) order the packing loop uses
     // so the final bucket's cumulative sum hits the total exactly.

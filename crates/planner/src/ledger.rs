@@ -19,7 +19,7 @@
 //! memory-ledger item: new components (activation checkpoints, ZeRO shards)
 //! slot in as further [`LedgerComponent`] variants.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use whale_graph::profile::RUNTIME_OVERHEAD_BYTES;
 
@@ -108,7 +108,10 @@ impl MemoryLedger {
 /// grad-sync schedule communicates in a sub-fp32 dtype or compresses.
 pub(crate) fn build_ledger(plan: &ExecutionPlan) -> MemoryLedger {
     let mut entries = Vec::new();
+    // GPUs in first-seen order. The set is hashed, not indexed by id: a
+    // plan no cluster validated may name any id.
     let mut gpus_seen: Vec<usize> = Vec::new();
+    let mut seen: HashSet<usize> = HashSet::new();
     let sched = plan.grad_sync_schedule.as_ref();
     let dtype = sched.map(|s| s.grad_dtype).unwrap_or(GradDtype::Fp32);
     let compressed = sched.is_some_and(|s| s.compress_ratio < 1.0);
@@ -144,7 +147,7 @@ pub(crate) fn build_ledger(plan: &ExecutionPlan) -> MemoryLedger {
                     bytes: stage.param_bytes,
                 });
             }
-            if !gpus_seen.contains(&d.gpu) {
+            if seen.insert(d.gpu) {
                 gpus_seen.push(d.gpu);
             }
         }

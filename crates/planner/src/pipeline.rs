@@ -143,9 +143,9 @@ pub struct BalancedStages {
     /// rerunning). Behind an [`Arc`] so the Schedule pass assembles the
     /// final plan by sharing, not cloning, the per-stage vectors.
     pub stages: Arc<Vec<PlannedStage>>,
-    /// Gradient-sync collectives, fully materialized (single-GPU groups
-    /// already dropped) and [`Arc`]-shared with the plan for the same
-    /// reason as `stages`.
+    /// Gradient-sync collectives, fully materialized (a group of one GPU is
+    /// never built) and [`Arc`]-shared with the plan for the same reason as
+    /// `stages`.
     pub grad_syncs: Arc<Vec<CollectiveTask>>,
 }
 
@@ -465,6 +465,36 @@ impl PlannerPass for BridgeInsertion {
     }
 }
 
+/// Membership test over one plan replica's GPU ids: a bitmap over the
+/// replica's own id range. Replicas are contiguous id ranges, so the bitmap
+/// has one slot per replica GPU.
+struct GpuSet {
+    lo: usize,
+    member: Vec<bool>,
+}
+
+impl GpuSet {
+    fn new(ids: &[usize]) -> GpuSet {
+        let (Some(&lo), Some(&hi)) = (ids.iter().min(), ids.iter().max()) else {
+            return GpuSet {
+                lo: 0,
+                member: Vec::new(),
+            };
+        };
+        let mut member = vec![false; hi - lo + 1];
+        for &id in ids {
+            member[id - lo] = true;
+        }
+        GpuSet { lo, member }
+    }
+
+    fn contains(&self, id: usize) -> bool {
+        id.checked_sub(self.lo)
+            .and_then(|i| self.member.get(i))
+            .is_some_and(|&m| m)
+    }
+}
+
 /// Pass 4: hardware-aware load balancing — per-device batch/shard
 /// assignment for every TaskGraph on every plan replica, plus gradient-sync
 /// groups.
@@ -493,13 +523,16 @@ impl PlannerPass for Balance {
         let num_stages = p.task_graphs.len();
 
         let mut stages: Vec<PlannedStage> = Vec::with_capacity(num_stages);
-        let mut grad_groups: Vec<(String, Vec<usize>, u64, usize)> = Vec::new();
+        let mut grad_syncs: Vec<CollectiveTask> = Vec::new();
         // Run-scoped memo: dp-partition and split-pattern results repeat
         // across plan replicas (and across same-signature device slices on
         // heterogeneous clusters); replaying them is bit-identical because
         // both subroutines are pure (see `balance_memo`).
         let mut memo = crate::balance_memo::BalanceMemo::default();
         let mut vd_gpus: Vec<usize> = Vec::new();
+        // Membership of each plan replica, built once: checking a virtual
+        // device against it costs O(1) per GPU, not O(replica size).
+        let members: Vec<GpuSet> = d.groups.iter().map(|g| GpuSet::new(g)).collect();
 
         for (tg_idx, tg) in p.task_graphs.iter().enumerate() {
             let profile = match &p.stage_profiles {
@@ -519,7 +552,7 @@ impl PlannerPass for Balance {
                         .map(|&id| id - d.groups[0][0] + offset),
                 );
                 for &id in &vd_gpus {
-                    if !group.contains(&id) {
+                    if !members[g].contains(id) {
                         return Err(PlanError::BadDeviceAssignment(format!(
                             "virtual device GPU {id} outside plan replica {g}"
                         )));
@@ -549,13 +582,13 @@ impl PlannerPass for Balance {
             // Gradient-sync groups: GPUs at the same (replica/shard)
             // position across plan replicas, or across DP replicas within a
             // group.
-            crate::balance_memo::build_grad_groups_fast(
+            crate::balance_memo::build_grad_syncs(
                 tg,
                 &profile,
                 &p.vds0[tg_idx],
                 &d.groups,
                 config,
-                &mut grad_groups,
+                &mut grad_syncs,
             );
 
             let dp_degree = match tg.strategies.as_slice() {
@@ -581,21 +614,6 @@ impl PlannerPass for Balance {
         for (target, task) in &br.bridges {
             stages[*target].collectives_per_micro.push(task.clone());
         }
-
-        // Materialize the gradient syncs too (they derive purely from this
-        // pass's groups), moving label and group storage instead of
-        // cloning it at schedule time.
-        let grad_syncs = grad_groups
-            .into_iter()
-            .filter(|(_, group, _, _)| group.len() > 1)
-            .map(|(label, group, bytes, stage)| CollectiveTask {
-                kind: Collective::AllReduce,
-                group,
-                bytes,
-                label,
-                stage: Some(stage),
-            })
-            .collect();
 
         state.balanced = Some(BalancedStages {
             stages: Arc::new(stages),

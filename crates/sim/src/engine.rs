@@ -7,9 +7,7 @@
 //! collective cost model, and gradient AllReduce runs hierarchically at the
 //! end of the step, partially overlapped with backward compute.
 
-use std::collections::BTreeMap;
-
-use whale_hardware::{Cluster, CommModel};
+use whale_hardware::{Cluster, GroupCache};
 use whale_planner::{ExecutionPlan, PlannedStage, ScheduleKind, SyncMode};
 
 use crate::error::{Result, SimError};
@@ -97,49 +95,6 @@ fn task_kind(idx: usize, num_micro: usize) -> TaskKind {
     }
 }
 
-/// Compute duration of one stage-task (max over its devices) plus its
-/// per-micro collectives.
-fn stage_task_time(
-    stage: &PlannedStage,
-    cluster: &Cluster,
-    comm: &CommModel<'_>,
-    efficiency: f64,
-    backward: bool,
-    recompute: bool,
-    amp: bool,
-) -> Result<(f64, Vec<(usize, f64)>)> {
-    let mut per_device = Vec::with_capacity(stage.devices.len());
-    let mut max_compute: f64 = 0.0;
-    // Backward ≈ 2× forward; recomputation replays the forward first.
-    let factor = if backward {
-        if recompute {
-            3.0
-        } else {
-            2.0
-        }
-    } else {
-        1.0
-    };
-    for d in &stage.devices {
-        let gpu = cluster.gpu(d.gpu)?;
-        let amp_boost = if amp { gpu.model.amp_speedup() } else { 1.0 };
-        // Roofline: compute-bound FLOPs at effective throughput plus the
-        // bandwidth-bound traffic at device memory bandwidth (AMP halves
-        // activation bytes).
-        let flops_t = factor * d.fw_flops_per_micro / (gpu.flops() * amp_boost * efficiency);
-        let traffic = d.mem_traffic_per_micro * if amp { 0.5 } else { 1.0 };
-        let bw_t = factor * traffic / gpu.model.memory_bandwidth();
-        let t = flops_t + bw_t;
-        per_device.push((d.gpu, t));
-        max_compute = max_compute.max(t);
-    }
-    let mut comm_time = 0.0;
-    for c in &stage.collectives_per_micro {
-        comm_time += comm.collective(c.kind, &c.group, per_rank_bytes(c))?;
-    }
-    Ok((max_compute + comm_time, per_device))
-}
-
 /// Convert a plan collective's *total logical payload* into the per-rank
 /// bytes the cost model expects. AllGather and AllToAll distribute the
 /// payload across ranks (each rank contributes `1/n`); AllReduce,
@@ -165,56 +120,89 @@ fn inter_stage_transfer(
     }
     // Co-located stages (e.g. alternating replica/split MoE TaskGraphs on
     // the same GPUs) hand tensors over in device memory.
-    let from_ids = from.gpu_ids();
-    let to_ids = to.gpu_ids();
-    if from_ids == to_ids {
+    if from
+        .devices
+        .iter()
+        .map(|d| d.gpu)
+        .eq(to.devices.iter().map(|d| d.gpu))
+    {
         return Ok(0.0);
     }
-    let a = cluster.gpu(from_ids[0])?;
-    let b = cluster.gpu(to_ids[0])?;
+    let a = cluster.gpu(from.devices[0].gpu)?;
+    let b = cluster.gpu(to.devices[0].gpu)?;
     Ok(cluster.interconnect.p2p_time(a, b, bytes))
 }
 
 /// Per-stage task durations and inter-stage transfer lags, computed once per
 /// simulated step and shared by both schedulers.
 struct StageTimes {
-    /// `(duration, per-device compute shares)` of one forward micro-task.
-    fw: Vec<(f64, Vec<(usize, f64)>)>,
+    /// Duration of one forward micro-task of each stage: the slowest
+    /// device's compute plus the stage's per-micro collectives.
+    fw: Vec<f64>,
     /// Same for one backward micro-task.
-    bw: Vec<(f64, Vec<(usize, f64)>)>,
+    bw: Vec<f64>,
+    /// `(gpu, forward share, backward share)` of every device row, stage
+    /// after stage; stage `s` owns `rows[row_start[s]..row_start[s + 1]]`.
+    rows: Vec<(usize, f64, f64)>,
+    row_start: Vec<usize>,
+    /// Largest backward share among each stage's devices.
+    bw_max: Vec<f64>,
     /// Activation/gradient transfer lag across the boundary after stage `s`.
     xfer: Vec<f64>,
 }
 
+impl StageTimes {
+    fn rows(&self, s: usize) -> &[(usize, f64, f64)] {
+        &self.rows[self.row_start[s]..self.row_start[s + 1]]
+    }
+}
+
+/// One pass over every device row and one price per stage collective:
+/// forward and backward tasks of a stage pay the same collectives, so they
+/// are priced once and shared.
 fn stage_times(
     plan: &ExecutionPlan,
     cluster: &Cluster,
-    comm: &CommModel<'_>,
+    groups: &mut GroupCache<'_>,
 ) -> Result<StageTimes> {
     let num_stages = plan.stages.len();
-    let recompute = plan.training.recompute;
+    let (recompute, amp, efficiency) =
+        (plan.training.recompute, plan.training.amp, plan.efficiency);
+    // Backward ≈ 2× forward; recomputation replays the forward first.
+    let bw_factor = if recompute { 3.0 } else { 2.0 };
     let mut fw = Vec::with_capacity(num_stages);
     let mut bw = Vec::with_capacity(num_stages);
+    let mut bw_max = Vec::with_capacity(num_stages);
+    let mut rows = Vec::new();
+    let mut row_start = Vec::with_capacity(num_stages + 1);
     for stage in plan.stages.iter() {
-        fw.push(stage_task_time(
-            stage,
-            cluster,
-            comm,
-            plan.efficiency,
-            false,
-            recompute,
-            plan.training.amp,
-        )?);
-        bw.push(stage_task_time(
-            stage,
-            cluster,
-            comm,
-            plan.efficiency,
-            true,
-            recompute,
-            plan.training.amp,
-        )?);
+        row_start.push(rows.len());
+        let (mut max_fw, mut max_bw): (f64, f64) = (0.0, 0.0);
+        for d in &stage.devices {
+            let gpu = cluster.gpu(d.gpu)?;
+            let amp_boost = if amp { gpu.model.amp_speedup() } else { 1.0 };
+            // Roofline: compute-bound FLOPs at effective throughput plus the
+            // bandwidth-bound traffic at device memory bandwidth (AMP halves
+            // activation bytes).
+            let traffic = d.mem_traffic_per_micro * if amp { 0.5 } else { 1.0 };
+            let time = |factor: f64| {
+                factor * d.fw_flops_per_micro / (gpu.flops() * amp_boost * efficiency)
+                    + factor * traffic / gpu.model.memory_bandwidth()
+            };
+            let (t_fw, t_bw) = (time(1.0), time(bw_factor));
+            rows.push((d.gpu, t_fw, t_bw));
+            max_fw = max_fw.max(t_fw);
+            max_bw = max_bw.max(t_bw);
+        }
+        let mut comm_time = 0.0;
+        for c in &stage.collectives_per_micro {
+            comm_time += groups.collective(c.kind, &c.group, per_rank_bytes(c))?;
+        }
+        fw.push(max_fw + comm_time);
+        bw.push(max_bw + comm_time);
+        bw_max.push(max_bw);
     }
+    row_start.push(rows.len());
     let mut xfer = vec![0.0; num_stages];
     for (s, slot) in xfer
         .iter_mut()
@@ -228,7 +216,14 @@ fn stage_times(
             plan.stages[s].send_bytes_per_micro,
         )?;
     }
-    Ok(StageTimes { fw, bw, xfer })
+    Ok(StageTimes {
+        fw,
+        bw,
+        rows,
+        row_start,
+        bw_max,
+        xfer,
+    })
 }
 
 /// Event-driven scheduler: an indegree-counted ready queue over the task
@@ -308,9 +303,9 @@ fn schedule_tasks_event(
         let kind = task_kind(idx, num_micro);
         let s = kind.stage();
         let dur = if kind.is_backward() {
-            times.bw[s].0
+            times.bw[s]
         } else {
-            times.fw[s].0
+            times.fw[s]
         };
         let start = ready_acc[idx];
         let done = start + dur;
@@ -421,9 +416,9 @@ fn schedule_tasks_polling(
                     break;
                 }
                 let dur = if kind.is_backward() {
-                    times.bw[s].0
+                    times.bw[s]
                 } else {
-                    times.fw[s].0
+                    times.fw[s]
                 };
                 let idx = task_index(kind, num_micro);
                 finish[idx] = ready_at + dur;
@@ -531,11 +526,13 @@ fn simulate_step_impl(
     use_polling: bool,
 ) -> Result<StepOutcome> {
     plan.validate(cluster)?;
-    let comm = CommModel::new(cluster);
+    // Every collective, sync and bucket below prices through one topology
+    // per distinct group.
+    let mut groups = GroupCache::new(cluster);
     let num_stages = plan.stages.len();
     let num_micro = plan.num_micro_batches;
 
-    let times = stage_times(plan, cluster, &comm)?;
+    let times = stage_times(plan, cluster, &mut groups)?;
     let (finish, records) = if use_polling {
         schedule_tasks_polling(num_stages, num_micro, &times, config.schedule)?
     } else {
@@ -550,19 +547,22 @@ fn simulate_step_impl(
     // bottleneck stage's work — warm-up and drain vanish.
     if config.schedule == ScheduleKind::AsyncNoFlush {
         let steady = (0..num_stages)
-            .map(|s| (fw_time[s].0 + bw_time[s].0) * num_micro as f64)
+            .map(|s| (fw_time[s] + bw_time[s]) * num_micro as f64)
             .fold(0.0f64, f64::max);
         compute_makespan = steady;
     }
 
-    // Per-GPU busy time: own compute share per task instance.
-    let mut busy: BTreeMap<usize, f64> = BTreeMap::new();
+    // Per-GPU busy time: own compute share per task instance. `validate`
+    // bounds every GPU id by the cluster, so per-GPU state lives in arrays
+    // indexed by id.
+    let num_gpus = cluster.num_gpus();
+    let mut busy = vec![0.0f64; num_gpus];
     for s in 0..num_stages {
-        for &(gpu, t) in &fw_time[s].1 {
-            *busy.entry(gpu).or_insert(0.0) += t * num_micro as f64;
+        for &(gpu, t, _) in times.rows(s) {
+            busy[gpu] += t * num_micro as f64;
         }
-        for &(gpu, t) in &bw_time[s].1 {
-            *busy.entry(gpu).or_insert(0.0) += t * num_micro as f64;
+        for &(gpu, _, t) in times.rows(s) {
+            busy[gpu] += t * num_micro as f64;
         }
     }
 
@@ -599,14 +599,12 @@ fn simulate_step_impl(
         // backward task spans `[done − bw_dur, done]` and gradients
         // finalize at `ready_frac` through it. No interpolation constant.
         let mut sync_total = 0.0;
-        let mut events: Vec<(f64, usize, f64, Vec<usize>)> =
-            Vec::with_capacity(sched.buckets.len());
-        // Per-sync context (involved nodes, backward window, cost selector)
-        // is derived once per group, not once per bucket.
+        // `(ready, tie-break gpu id, duration, group slot)` per bucket.
+        let mut events: Vec<(f64, usize, f64, usize)> = Vec::with_capacity(sched.buckets.len());
+        // Per-sync context (group topology, backward window) is derived
+        // once per sync, not once per bucket.
         struct SyncCtx {
-            selector: Option<whale_hardware::AllReduceSelector>,
-            nodes: Vec<usize>,
-            membw: f64,
+            slot: usize,
             done: f64,
             bw_dur: f64,
             tie: usize,
@@ -626,54 +624,34 @@ fn simulate_step_impl(
                     b.sync_index
                 ))
             })?;
-            if ctxs[b.sync_index].is_none() {
-                let stage_idx = c.stage.filter(|&s| s < num_stages);
-                let mut nodes: Vec<usize> = Vec::with_capacity(2);
-                let mut membw = f64::INFINITY;
-                for &g in &c.group {
-                    let gpu = cluster.gpu(g)?;
-                    membw = membw.min(gpu.model.memory_bandwidth());
-                    let n = gpu.node;
-                    if !nodes.contains(&n) {
-                        nodes.push(n);
-                    }
+            let ctx = match &mut ctxs[b.sync_index] {
+                Some(ctx) => ctx,
+                empty => {
+                    let stage_idx = c.stage.filter(|&s| s < num_stages);
+                    empty.insert(SyncCtx {
+                        slot: groups.slot(&c.group)?,
+                        done: stage_idx
+                            .map(|s| stage_bw_done[s])
+                            .unwrap_or(compute_makespan_tmp),
+                        bw_dur: stage_idx.map(|s| bw_time[s]).unwrap_or(0.0),
+                        tie: c.group.iter().copied().min().unwrap_or(usize::MAX),
+                    })
                 }
-                nodes.sort_unstable();
-                ctxs[b.sync_index] = Some(SyncCtx {
-                    selector: None,
-                    nodes,
-                    membw,
-                    done: stage_idx
-                        .map(|s| stage_bw_done[s])
-                        .unwrap_or(compute_makespan_tmp),
-                    bw_dur: stage_idx.map(|s| bw_time[s].0).unwrap_or(0.0),
-                    tie: c.group.iter().copied().min().unwrap_or(usize::MAX),
-                });
-            }
-            let ctx = ctxs[b.sync_index].as_mut().expect("just built");
+            };
+            let topo = groups.get(ctx.slot);
             let quant = if scaled && c.group.len() > 1 {
-                whale_hardware::quantize_dequantize_cost(b.bytes, b.wire_bytes, ctx.membw)
+                whale_hardware::quantize_dequantize_cost(b.bytes, b.wire_bytes, topo.min_membw())
             } else {
                 0.0
             };
             let dur = match b.algo {
-                // `AllReduceSelector::cost` is bit-identical to
-                // `allreduce_with` with the group re-derived per call.
-                Some(algo) => {
-                    if ctx.selector.is_none() {
-                        ctx.selector = Some(comm.allreduce_selector(&c.group)?);
-                    }
-                    ctx.selector
-                        .as_ref()
-                        .expect("just built")
-                        .cost(algo, b.wire_bytes)
-                }
-                None => comm.collective(c.kind, &c.group, b.wire_bytes)?,
+                Some(algo) => topo.cost(algo, b.wire_bytes),
+                None => topo.collective(c.kind, b.wire_bytes),
             } * zero_factor
                 + quant;
             sync_total += dur;
             let ready = (ctx.done - (1.0 - b.ready_frac) * ctx.bw_dur).max(0.0);
-            events.push((ready, ctx.tie, dur, ctx.nodes.clone()));
+            events.push((ready, ctx.tie, dur, ctx.slot));
         }
         // Stable sort keeps each sync's reverse-backward bucket order on
         // ties; the min-gpu tie-break keeps cross-sync order deterministic.
@@ -681,24 +659,23 @@ fn simulate_step_impl(
         // Buckets serialize per link, not globally: a cross-node collective
         // occupies every involved node's NIC, an intra-node one only that
         // node's local fabric — disjoint groups overlap freely.
-        let mut nic_free: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut local_free: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut nic_free = vec![0.0f64; cluster.num_nodes()];
+        let mut local_free = vec![0.0f64; cluster.num_nodes()];
         let mut last_finish = 0.0f64;
-        for (ready, _, dur, nodes) in events {
+        for (ready, _, dur, slot) in events {
+            let nodes = groups.get(slot).nodes();
             let fin = if nodes.len() > 1 {
-                let start = nodes.iter().fold(ready, |acc, n| {
-                    acc.max(nic_free.get(n).copied().unwrap_or(0.0))
-                });
+                let start = nodes.iter().fold(ready, |acc, &n| acc.max(nic_free[n]));
                 let fin = start + dur;
-                for n in nodes {
-                    nic_free.insert(n, fin);
+                for &n in nodes {
+                    nic_free[n] = fin;
                 }
                 fin
             } else {
                 let n = nodes.first().copied().unwrap_or(0);
-                let start = ready.max(local_free.get(&n).copied().unwrap_or(0.0));
+                let start = ready.max(local_free[n]);
                 let fin = start + dur;
-                local_free.insert(n, fin);
+                local_free[n] = fin;
                 fin
             };
             last_finish = last_finish.max(fin);
@@ -716,23 +693,26 @@ fn simulate_step_impl(
         // dtype or a compression factor) still shrinks the wire: each sync
         // moves its schedule's wire bytes and pays the quantize passes.
         // fp32 schedules — and plans with no schedule at all — take the
-        // exact pre-existing expression.
-        let wire_sched = plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled());
-        for (sync_index, c) in plan.grad_syncs.iter().enumerate() {
-            let (wire, quant) = match wire_sched.and_then(|s| s.wire_bytes_of(sync_index)) {
-                Some(wire) if c.group.len() > 1 => {
-                    let mut membw = f64::INFINITY;
-                    for &g in &c.group {
-                        membw = membw.min(cluster.gpu(g)?.model.memory_bandwidth());
-                    }
-                    (
-                        wire,
-                        whale_hardware::quantize_dequantize_cost(c.bytes, wire, membw),
-                    )
+        // exact pre-existing expression. One pass over the buckets sums
+        // each sync's wire bytes (`GradSyncSchedule::wire_bytes_of`).
+        let mut wire_of: Vec<Option<u64>> = vec![None; plan.grad_syncs.len()];
+        if let Some(sched) = plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled()) {
+            for b in &sched.buckets {
+                if let Some(w) = wire_of.get_mut(b.sync_index) {
+                    *w = Some(w.unwrap_or(0) + b.wire_bytes);
                 }
+            }
+        }
+        for (c, wire_sum) in plan.grad_syncs.iter().zip(wire_of) {
+            let topo = groups.selector(&c.group)?;
+            let (wire, quant) = match wire_sum {
+                Some(wire) if c.group.len() > 1 => (
+                    wire,
+                    whale_hardware::quantize_dequantize_cost(c.bytes, wire, topo.min_membw()),
+                ),
                 _ => (c.bytes, 0.0),
             };
-            let dur = comm.collective(c.kind, &c.group, wire)? * zero_factor + quant;
+            let dur = topo.collective(c.kind, wire) * zero_factor + quant;
             sync_total += dur;
             let stage_idx = c.stage.filter(|&s| s < num_stages);
             let done = stage_idx
@@ -742,9 +722,7 @@ fn simulate_step_impl(
                 // Un-pipelined DP: gradients finalize layer by layer during
                 // the single backward pass, so bucketed AllReduce overlaps
                 // with the backward window itself (Horovod-style).
-                let bw_busy = stage_idx
-                    .map(|s| bw_time[s].1.iter().map(|&(_, t)| t).fold(0.0f64, f64::max))
-                    .unwrap_or(0.0);
+                let bw_busy = stage_idx.map(|s| times.bw_max[s]).unwrap_or(0.0);
                 (done - config.sync_overlap * bw_busy).max(0.0)
             } else {
                 // Pipelined: gradients accumulate across micro batches and
@@ -792,26 +770,32 @@ fn simulate_step_impl(
     let step_time = compute_makespan + sync_exposed + optimizer_time;
 
     // Per-GPU sample share, for the occupancy model.
-    let mut samples: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut samples = vec![0usize; num_gpus];
     for stage in plan.stages.iter() {
         for d in &stage.devices {
-            let e = samples.entry(d.gpu).or_insert(0);
-            *e = (*e).max(d.samples_per_step);
+            samples[d.gpu] = samples[d.gpu].max(d.samples_per_step);
         }
     }
 
-    // Memory audit.
-    let mem = plan.memory_per_gpu();
+    // Memory audit: the ledger's per-GPU totals (`memory_per_gpu`), visited
+    // in id order.
+    let mut mem = vec![0u64; num_gpus];
+    let mut charged = vec![false; num_gpus];
+    for e in &plan.memory_ledger().entries {
+        mem[e.gpu] += e.bytes;
+        charged[e.gpu] = true;
+    }
     let mut oom = Vec::new();
     let mut per_gpu = Vec::new();
-    for (&gpu_id, &bytes) in &mem {
+    for gpu_id in (0..num_gpus).filter(|&g| charged[g]) {
+        let bytes = mem[gpu_id];
         let gpu = cluster.gpu(gpu_id)?;
         if bytes > gpu.memory_bytes() {
             oom.push(gpu_id);
         }
-        let b = busy.get(&gpu_id).copied().unwrap_or(0.0);
+        let b = busy[gpu_id];
         let occupancy = if config.occupancy_half_sat > 0.0 {
-            let s = samples.get(&gpu_id).copied().unwrap_or(0) as f64;
+            let s = samples[gpu_id] as f64;
             s / (s + config.occupancy_half_sat)
         } else {
             1.0

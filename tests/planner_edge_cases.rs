@@ -204,3 +204,131 @@ fn zero_global_batch_is_a_typed_error_at_every_entry_point() {
         Err(WhaleError::Ir(_))
     ));
 }
+
+#[test]
+fn vd_reaching_into_another_plan_replica_is_a_bad_device_assignment() {
+    // Two nodes, so `outer_replica` makes two plan replicas: GPUs {0, 1}
+    // and {2, 3}. A replica-0 virtual device naming GPU 2 reaches into
+    // replica 1.
+    let g = models::resnet50(16).unwrap();
+    let ir = Annotator::new(g, 16)
+        .outer_replica()
+        .replicate_all()
+        .unwrap()
+        .finish()
+        .unwrap();
+    let cluster = Cluster::parse("2x(2xV100)").unwrap();
+    let assign = |ids: Vec<usize>| PlannerConfig {
+        devices: DeviceAssignment::PerTaskGraph(vec![VirtualDevice::new(ids).unwrap()]),
+        ..PlannerConfig::default()
+    };
+    match plan(&ir, &cluster, &assign(vec![0, 2])) {
+        Err(PlanError::BadDeviceAssignment(m)) => {
+            assert!(m.contains("GPU 2 outside plan replica 0"), "{m}")
+        }
+        other => panic!("expected BadDeviceAssignment, got {other:?}"),
+    }
+    // The same layout inside replica 0 plans, shifted onto replica 1.
+    let p = plan(&ir, &cluster, &assign(vec![0, 1])).unwrap();
+    assert_eq!(p.all_gpus(), vec![0, 1, 2, 3]);
+}
+
+#[test]
+fn ledger_of_an_unvalidated_plan_never_allocates_by_gpu_id() {
+    // `memory_ledger` is public and takes plans no cluster has validated:
+    // a GPU id near `usize::MAX` must cost an entry, not an id-sized table.
+    let mut p = plan(
+        &dp_ir(8),
+        &Cluster::parse("1x(2xV100)").unwrap(),
+        &PlannerConfig::default(),
+    )
+    .unwrap();
+    let far = usize::MAX - 1;
+    std::sync::Arc::make_mut(&mut p.stages)[0].devices[1].gpu = far;
+    let ledger = p.memory_ledger();
+    let gpus: Vec<usize> = ledger
+        .entries
+        .iter()
+        .filter(|e| e.component == whale_planner::LedgerComponent::RuntimeOverhead)
+        .map(|e| e.gpu)
+        .collect();
+    assert_eq!(
+        gpus,
+        vec![0, far],
+        "overhead once per GPU, in first-seen order"
+    );
+    assert_eq!(p.memory_per_gpu().len(), 2);
+    assert!(p.memory_per_gpu()[&far] > 0);
+}
+
+#[test]
+fn comm_opt_buckets_a_shared_taskgraph_index_by_the_first_taskgraph() {
+    use whale_planner::{compile, CommConfig, CommOpt, PassContext, PlannerPass};
+    // Two plan replicas of a two-stage pipeline: each stage's gradients
+    // sync across the replicas, bucketed along that stage's layers.
+    let ir = strategies::pipeline_with_dp(models::bert_base(16, 64).unwrap(), 16, 4).unwrap();
+    let cluster = Cluster::parse("2x(2xV100)").unwrap();
+    let config = PlannerConfig {
+        comm: CommConfig::fused(),
+        ..PlannerConfig::default()
+    };
+    let cx = PassContext {
+        ir: &ir,
+        cluster: &cluster,
+        config: &config,
+    };
+    let state = compile(&ir, &cluster, &config).unwrap();
+    let schedule =
+        |state: &whale_planner::CompileState| state.plan_arc().grad_sync_schedule.clone().unwrap();
+    let tgs = &state.placement.as_ref().unwrap().task_graphs;
+    assert_eq!(tgs.len(), 2);
+    let layers_of = |tg: &whale::TaskGraph| -> Vec<usize> {
+        tg.ops
+            .iter()
+            .map(|&id| ir.graph.op(id).unwrap().layer.unwrap_or(0))
+            .collect()
+    };
+    let (stage1_lo, stage1_hi) = {
+        let l = layers_of(&tgs[1]);
+        (*l.iter().min().unwrap(), *l.iter().max().unwrap())
+    };
+    // An impostor TaskGraph with stage 0's index and stage 1's ops.
+    let impostor =
+        whale::TaskGraph::new(tgs[0].index, tgs[1].ops.clone(), tgs[1].strategies.clone());
+
+    // Listed after the real stage 0: the real one comes first and wins.
+    let mut after = state.clone();
+    after
+        .placement
+        .as_mut()
+        .unwrap()
+        .task_graphs
+        .push(impostor.clone());
+    CommOpt.run(&cx, &mut after).unwrap();
+    assert_eq!(schedule(&after), schedule(&state));
+
+    // Listed first: stage 0's syncs now bucket along the impostor's layers.
+    let mut before = state.clone();
+    before
+        .placement
+        .as_mut()
+        .unwrap()
+        .task_graphs
+        .insert(0, impostor);
+    CommOpt.run(&cx, &mut before).unwrap();
+    let plan = before.plan_arc();
+    let sched = schedule(&before);
+    let mut stage0_buckets = 0;
+    for b in &sched.buckets {
+        if plan.grad_syncs[b.sync_index].stage == Some(tgs[0].index) {
+            stage0_buckets += 1;
+            assert!(
+                stage1_lo <= b.layers.0 && b.layers.1 <= stage1_hi,
+                "bucket layers {:?} outside the impostor's {stage1_lo}..={stage1_hi}",
+                b.layers
+            );
+        }
+    }
+    assert!(stage0_buckets > 0);
+    assert_ne!(sched, schedule(&state));
+}

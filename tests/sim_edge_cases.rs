@@ -117,3 +117,90 @@ fn timeline_and_chrome_trace_agree_on_task_count() {
     assert_eq!(events, out.timeline.len());
     assert_eq!(events, 4 * 2 * 6);
 }
+
+/// A duplicate rank in any group the step prices is the typed
+/// `InvalidGroup` error, even when the step has already priced a valid
+/// group: the per-step topology cache is keyed by the group's exact
+/// content, so a bad group is always validated on its first sight.
+mod duplicate_ranks {
+    use std::sync::Arc;
+
+    use whale::{models, strategies, Cluster, CommConfig, ExecutionPlan, PlannerConfig, SimConfig};
+    use whale_hardware::{AllReduceAlgo, Collective, HardwareError};
+    use whale_planner::{plan, CollectiveTask, GradBucket};
+    use whale_sim::{simulate_step, SimError};
+
+    fn dp_plan(comm: CommConfig) -> (ExecutionPlan, Cluster) {
+        let cluster = Cluster::parse("1x(4xV100)").unwrap();
+        let ir = strategies::data_parallel(models::bert_base(16, 64).unwrap(), 16).unwrap();
+        let config = PlannerConfig {
+            comm,
+            ..PlannerConfig::default()
+        };
+        (plan(&ir, &cluster, &config).unwrap(), cluster)
+    }
+
+    fn task(kind: Collective, group: Vec<usize>, stage: Option<usize>) -> CollectiveTask {
+        CollectiveTask {
+            kind,
+            group,
+            bytes: 1 << 20,
+            label: "hand-built".into(),
+            stage,
+        }
+    }
+
+    fn invalid_group() -> SimError {
+        HardwareError::InvalidGroup("duplicate rank in group".into()).into()
+    }
+
+    fn step(p: &ExecutionPlan, cluster: &Cluster) -> Result<(), SimError> {
+        simulate_step(p, cluster, &SimConfig::default()).map(|_| ())
+    }
+
+    #[test]
+    fn in_a_stage_collective() {
+        for comm in [CommConfig::default(), CommConfig::fused()] {
+            let (mut p, cluster) = dp_plan(comm);
+            step(&p, &cluster).unwrap();
+            let collectives = &mut Arc::make_mut(&mut p.stages)[0].collectives_per_micro;
+            collectives.push(task(Collective::AllToAll, vec![0, 1, 2, 3], Some(0)));
+            collectives.push(task(Collective::AllToAll, vec![0, 1, 2, 1], Some(0)));
+            assert_eq!(step(&p, &cluster), Err(invalid_group()));
+        }
+    }
+
+    #[test]
+    fn in_a_legacy_grad_sync_after_a_valid_one() {
+        let (mut p, cluster) = dp_plan(CommConfig::default());
+        // The plan's own sync over [0, 1, 2, 3] is priced first.
+        assert_eq!(p.grad_syncs[0].group, vec![0, 1, 2, 3]);
+        let syncs = Arc::make_mut(&mut p.grad_syncs);
+        syncs.push(task(Collective::AllReduce, vec![0, 1, 2, 3, 3], Some(0)));
+        p.grad_sync_schedule = None;
+        assert_eq!(step(&p, &cluster), Err(invalid_group()));
+    }
+
+    #[test]
+    fn in_a_bucketed_grad_sync_after_a_valid_one() {
+        for algo in [Some(AllReduceAlgo::Ring), None] {
+            let (mut p, cluster) = dp_plan(CommConfig::fused());
+            assert_eq!(p.grad_syncs[0].group, vec![0, 1, 2, 3]);
+            Arc::make_mut(&mut p.grad_syncs).push(task(
+                Collective::AllReduce,
+                vec![3, 0, 1, 2, 3],
+                Some(0),
+            ));
+            let sched = p.grad_sync_schedule.as_mut().unwrap();
+            sched.buckets.push(GradBucket {
+                sync_index: 1,
+                bytes: 1 << 20,
+                wire_bytes: 1 << 20,
+                ready_frac: 1.0,
+                algo,
+                layers: (0, 0),
+            });
+            assert_eq!(step(&p, &cluster), Err(invalid_group()), "algo {algo:?}");
+        }
+    }
+}
