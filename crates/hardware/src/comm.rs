@@ -88,13 +88,7 @@ impl<'c> CommModel<'c> {
             nodes.insert(g.node);
             all_nvlink &= g.model.has_nvlink();
         }
-        Ok(if nodes.len() > 1 {
-            LinkKind::Network
-        } else if all_nvlink {
-            LinkKind::NvLink
-        } else {
-            LinkKind::Pcie
-        })
+        Ok(ring_link(nodes.len(), all_nvlink))
     }
 
     fn link_params(&self, kind: LinkKind) -> (f64, f64) {
@@ -220,37 +214,20 @@ impl<'c> CommModel<'c> {
                 }
             }
         }
-        // The link classes `bottleneck_link` would find: the network across
-        // nodes, else NVLink only if every member has it.
-        let local = |all_nvlink: bool| {
-            if all_nvlink {
-                LinkKind::NvLink
-            } else {
-                LinkKind::Pcie
-            }
-        };
-        let (ring_bw, ring_lat) = match per_node.as_slice() {
-            [(_, _, all_nvlink)] => self.link_params(local(*all_nvlink)),
-            _ => self.link_params(LinkKind::Network),
-        };
-        let hier = (per_node.len() > 1).then(|| {
-            let (leader_bw, leader_lat) = self.link_params(LinkKind::Network);
-            HierTopo {
-                nodes: per_node
-                    .iter()
-                    .map(|&(_, m, all_nvlink)| {
-                        let (bw, lat) = if m > 1 {
-                            self.link_params(local(all_nvlink))
-                        } else {
-                            (1.0, 0.0)
-                        };
-                        (m, bw, lat)
-                    })
-                    .collect(),
-                leaders_n: per_node.len(),
-                leader_bw,
-                leader_lat,
-            }
+        let all_nvlink = per_node.iter().all(|&(_, _, nvlink)| nvlink);
+        let (ring_bw, ring_lat) = self.link_params(ring_link(per_node.len(), all_nvlink));
+        let hier = (per_node.len() > 1).then(|| HierTopo {
+            nodes: per_node
+                .iter()
+                .map(|&(_, m, nvlink)| {
+                    let (bw, lat) = if m > 1 {
+                        self.link_params(ring_link(1, nvlink))
+                    } else {
+                        (1.0, 0.0)
+                    };
+                    (m, bw, lat)
+                })
+                .collect(),
         });
         let mut nodes: Vec<usize> = per_node.iter().map(|&(node, _, _)| node).collect();
         nodes.sort_unstable();
@@ -300,6 +277,18 @@ fn ring_cost(kind: Collective, n: usize, bw: f64, lat: f64, bytes: u64) -> f64 {
     }
 }
 
+/// Link class of a ring whose members span `nodes` nodes: the network
+/// across nodes, else NVLink only if every member has it.
+fn ring_link(nodes: usize, all_nvlink: bool) -> LinkKind {
+    if nodes > 1 {
+        LinkKind::Network
+    } else if all_nvlink {
+        LinkKind::NvLink
+    } else {
+        LinkKind::Pcie
+    }
+}
+
 /// Binary-tree AllReduce over `n` ranks: `2·⌈log2 n⌉·(lat + bytes/bw)`.
 fn tree_cost(n: usize, bw: f64, lat: f64, bytes: u64) -> f64 {
     if n <= 1 {
@@ -328,14 +317,13 @@ pub struct AllReduceSelector {
     hier: Option<HierTopo>,
 }
 
+/// A group spanning several nodes. Its leader ring (one GPU per node) runs
+/// on the network, the same link as the group's own flat ring.
 #[derive(Debug, Clone)]
 struct HierTopo {
     /// Per node: member count and the node-local ring `(bw, lat)` (unused
     /// placeholders for single-member nodes, which run no local phase).
     nodes: Vec<(usize, f64, f64)>,
-    leaders_n: usize,
-    leader_bw: f64,
-    leader_lat: f64,
 }
 
 impl AllReduceSelector {
@@ -383,9 +371,9 @@ impl AllReduceSelector {
             .unwrap_or(bytes);
         let global = ring_cost(
             Collective::AllReduce,
-            h.leaders_n,
-            h.leader_bw,
-            h.leader_lat,
+            h.nodes.len(),
+            self.ring_bw,
+            self.ring_lat,
             max_shard,
         );
         local_rs + global + local_ag
@@ -507,11 +495,6 @@ impl<'c> GroupCache<'c> {
     pub fn selector(&mut self, group: &[usize]) -> Result<&AllReduceSelector> {
         let slot = self.slot(group)?;
         Ok(&self.groups[slot])
-    }
-
-    /// [`CommModel::collective`] through the cache.
-    pub fn collective(&mut self, kind: Collective, group: &[usize], bytes: u64) -> Result<f64> {
-        Ok(self.selector(group)?.collective(kind, bytes))
     }
 }
 

@@ -284,6 +284,18 @@ impl GradSyncSchedule {
         seen.then_some(total)
     }
 
+    /// [`Self::wire_bytes_of`] for each sync index below `syncs`, in one
+    /// pass over the buckets.
+    pub fn wire_bytes_per_sync(&self, syncs: usize) -> Vec<Option<u64>> {
+        let mut out = vec![None; syncs];
+        for b in &self.buckets {
+            if let Some(total) = out.get_mut(b.sync_index) {
+                *total = Some(total.unwrap_or(0) + b.wire_bytes);
+            }
+        }
+        out
+    }
+
     /// Total wire bytes across every sync group.
     pub fn total_wire_bytes(&self) -> u64 {
         self.buckets.iter().map(|b| b.wire_bytes).sum()
@@ -404,13 +416,8 @@ impl<'t> StageLayers<'t> {
 /// layer range (ops without a layer count as layer 0).
 fn layer_table(tg: &TaskGraph, graph: &Graph) -> Vec<(usize, u64, f64)> {
     let ops = || tg.ops.iter().filter_map(|&id| graph.op(id).ok());
-    let Some((lo, hi)) =
-        ops()
-            .map(|op| op.layer.unwrap_or(0))
-            .fold(None, |acc: Option<(usize, usize)>, l| {
-                Some(acc.map_or((l, l), |(lo, hi)| (lo.min(l), hi.max(l))))
-            })
-    else {
+    let layers = || ops().map(|op| op.layer.unwrap_or(0));
+    let (Some(lo), Some(hi)) = (layers().min(), layers().max()) else {
         return Vec::new();
     };
     let mut slots: Vec<(bool, u64, f64)> = vec![(false, 0, 0.0); hi - lo + 1];
@@ -668,7 +675,9 @@ mod tests {
             let (p, _) = dp_plan(&cfg);
             let sched = p.grad_sync_schedule.as_ref().unwrap();
             assert_eq!(sched.grad_dtype, dtype);
+            let per_sync = sched.wire_bytes_per_sync(p.grad_syncs.len());
             for (i, sync) in p.grad_syncs.iter().enumerate() {
+                assert_eq!(per_sync[i], sched.wire_bytes_of(i));
                 assert_eq!(
                     sched.wire_bytes_of(i),
                     Some(comm.wire_bytes(sync.bytes)),

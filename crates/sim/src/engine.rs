@@ -196,7 +196,9 @@ fn stage_times(
         }
         let mut comm_time = 0.0;
         for c in &stage.collectives_per_micro {
-            comm_time += groups.collective(c.kind, &c.group, per_rank_bytes(c))?;
+            comm_time += groups
+                .selector(&c.group)?
+                .collective(c.kind, per_rank_bytes(c));
         }
         fw.push(max_fw + comm_time);
         bw.push(max_bw + comm_time);
@@ -693,16 +695,11 @@ fn simulate_step_impl(
         // dtype or a compression factor) still shrinks the wire: each sync
         // moves its schedule's wire bytes and pays the quantize passes.
         // fp32 schedules — and plans with no schedule at all — take the
-        // exact pre-existing expression. One pass over the buckets sums
-        // each sync's wire bytes (`GradSyncSchedule::wire_bytes_of`).
-        let mut wire_of: Vec<Option<u64>> = vec![None; plan.grad_syncs.len()];
-        if let Some(sched) = plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled()) {
-            for b in &sched.buckets {
-                if let Some(w) = wire_of.get_mut(b.sync_index) {
-                    *w = Some(w.unwrap_or(0) + b.wire_bytes);
-                }
-            }
-        }
+        // exact pre-existing expression.
+        let wire_of = match plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled()) {
+            Some(sched) => sched.wire_bytes_per_sync(plan.grad_syncs.len()),
+            None => vec![None; plan.grad_syncs.len()],
+        };
         for (c, wire_sum) in plan.grad_syncs.iter().zip(wire_of) {
             let topo = groups.selector(&c.group)?;
             let (wire, quant) = match wire_sum {
