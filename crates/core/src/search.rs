@@ -239,7 +239,7 @@ pub fn auto_parallel_search(
     let fw_flops_per_sample = probe_stats.forward_flops / global_batch.max(1) as f64;
     let param_bytes = probe_stats.params as f64 * 4.0;
     let mem_prefix = MemoryPrefix::new(&probe);
-    let template = if opts.memoize { Some(probe) } else { None };
+    let template = opts.memoize.then(|| probe.clone());
 
     // Slowest pairwise link in the cluster, as an effective bandwidth: the
     // denominator of the exploration-order sync heuristic (see
@@ -605,21 +605,17 @@ pub fn auto_parallel_search(
                             );
                             continue;
                         }
-                        if let Some(g) = &template {
-                            let refined = pipeline_leaf_bound(
-                                g,
-                                session.cluster(),
-                                session.planner_config(),
-                                *replicas,
-                                *micro,
-                                gpipe,
-                                global_batch,
-                            )
-                            .ok()
-                            .flatten();
-                            if let Some(r) = refined {
-                                lb = lb.max(r);
-                            }
+                        let refined = pipeline_leaf_bound(
+                            &probe,
+                            session.cluster(),
+                            session.planner_config(),
+                            *replicas,
+                            *micro,
+                            gpipe,
+                            global_batch,
+                        );
+                        if let Ok(Some(r)) = refined {
+                            lb = lb.max(r);
                         }
                     }
                 }

@@ -536,13 +536,14 @@ pub fn stage_flops(graph: &Graph, part: &PipePartition) -> Vec<f64> {
 /// dropped (each only adds time in the engine), and only replica 0's
 /// devices are priced (the plan's per-stage time is a max over every
 /// replica's), so the value never exceeds the leaf's true simulated step
-/// time. Because the partition call is bit-identical memoized or cold, the
-/// bound — and hence the search report it gates — does not depend on memo
-/// warmth.
+/// time. The partition call always runs memoized, whatever
+/// `config.memoize` says: its result is bit-identical memoized or cold, so
+/// the bound — and hence the search report it gates — depends neither on
+/// memo warmth nor on the memoize switch.
 ///
 /// Returns `Ok(None)` when the leaf cannot be priced this way: the cluster
-/// does not tile into `replicas` groups of depth ≥ 2, the group batch is
-/// empty, or profiles are unavailable (`memoize` off).
+/// does not tile into `replicas` groups of depth ≥ 2, or the group batch is
+/// empty.
 #[allow(clippy::too_many_arguments)]
 pub fn pipeline_leaf_bound(
     graph: &Graph,
@@ -572,11 +573,9 @@ pub fn pipeline_leaf_bound(
         gpipe,
         global_batch.max(1),
         config.hardware_aware,
-        config.memoize,
+        true,
     )?;
-    let Some(profiles) = profiles else {
-        return Ok(None);
-    };
+    let profiles = profiles.expect("a memoized partition returns its stage profiles");
     // Price replica 0's stages the way `plan_taskgraph` + the estimator's
     // `stage_fw_bw` do, minus everything additive.
     let amp = config.training.amp;

@@ -12,8 +12,8 @@
 //! * every report's leaf counters partition its leaves.
 
 use whale::{
-    auto_parallel, auto_parallel_search, models, strategies, AutoReport, RejectReason,
-    SearchOptions, Session,
+    auto_parallel, auto_parallel_opts, auto_parallel_search, models, strategies, AutoOptions,
+    AutoReport, RejectReason, SearchOptions, Session,
 };
 use whale_graph::{Graph, TrainingConfig, ZeroStage};
 use whale_hardware::Cluster;
@@ -341,4 +341,42 @@ fn memory_floor_rejections_never_plan_a_feasible_leaf() {
         rejected > 0 && rejected < leaves,
         "sweep must exercise both outcomes: {rejected} of {leaves} rejected"
     );
+}
+
+#[test]
+fn reports_do_not_depend_on_memoization() {
+    type Build = fn() -> whale::Result<Graph>;
+    let builds: [(&str, usize, Build); 3] = [
+        ("bert-base", 64, || {
+            Ok(models::bert_base(64, 64).expect("build"))
+        }),
+        ("gpt2-xl", 64, || {
+            Ok(models::gpt2_xl(64, 128).expect("build"))
+        }),
+        ("m6-10b", 32, || Ok(models::m6_10b(32).expect("build"))),
+    ];
+    let memo = |on: bool| SearchOptions {
+        memoize: on,
+        ..opts(1)
+    };
+    let narrow_memo = |on: bool| AutoOptions {
+        search_threads: 1,
+        memoize: on,
+        ..AutoOptions::default()
+    };
+    for cluster in ["2x(8xV100)+2x(8xP100)", "1x(8xV100)+1x(8xP100)"] {
+        let session = Session::on_cluster(cluster).unwrap();
+        for (name, batch, build) in builds {
+            let on = auto_parallel_search(&session, batch, &memo(true), build).unwrap();
+            let off = auto_parallel_search(&session, batch, &memo(false), build).unwrap();
+            assert_partition(&on, &format!("{name} on {cluster}"));
+            assert_eq!(on, off, "{name} on {cluster}: memoize changed the search");
+            let on = auto_parallel_opts(&session, batch, &narrow_memo(true), build).unwrap();
+            let off = auto_parallel_opts(&session, batch, &narrow_memo(false), build).unwrap();
+            assert_eq!(
+                on, off,
+                "{name} on {cluster}: memoize changed the narrow report"
+            );
+        }
+    }
 }
