@@ -358,14 +358,16 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         mttr_samples: args.get_num("mttr", 5e4)?,
         seed: args.get_num("seed", 0u64)?,
     };
+    // The horizon covers re-earned samples too: a rollback pushes processed
+    // past `samples`, so leave headroom for late faults.
+    let horizon = samples * 1.5;
+    model.check(horizon).map_err(|e| e.to_string())?;
     let policy = RecoveryPolicy {
         checkpoint_interval: args.get_num("checkpoint-every", 5e4)?,
         min_capacity: args.get_num("min-capacity", 0.25)?,
         ..RecoveryPolicy::default()
     };
-    // The horizon covers re-earned samples too: a rollback pushes processed
-    // past `samples`, so leave headroom for late faults.
-    let trace = FaultTrace::generate(session.cluster(), &model, samples * 1.5);
+    let trace = FaultTrace::generate(session.cluster(), &model, horizon);
     let params = {
         let batch = args.get_num("batch", 64usize)?;
         let seq = args.get_num("seq", 128usize)?;

@@ -266,3 +266,18 @@ fn auto_search_summary_partitions_the_leaves() {
     }
     assert!(stdout.contains("chosen: pipeline"), "{stdout}");
 }
+
+#[test]
+fn unbounded_event_generators_exit_nonzero_at_once() {
+    for (args, why) in [
+        (&["fleet", "--horizon", "1e12"][..], "expects"),
+        (&["faults", "--mtbf", "0"][..], "positive and finite"),
+    ] {
+        let start = std::time::Instant::now();
+        let (stdout, stderr, ok) = run(args);
+        let took = start.elapsed();
+        assert!(!ok, "{args:?} succeeded: {stdout}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+        assert!(took.as_secs_f64() < 1.0, "{args:?} took {took:?}");
+    }
+}

@@ -18,7 +18,37 @@
 
 use whale_hardware::{Cluster, ClusterDelta, GpuModel, LinkKind};
 
+use crate::error::{Result, SimError};
 use crate::rng::SplitMix64;
+
+/// Most events an exponential generator may be asked to draw in
+/// expectation: 2²⁰, the same cap `whale_hardware::MAX_GPUS` puts on a
+/// cluster spec. A constant, not an option.
+pub const MAX_EXPECTED_EVENTS: f64 = (1u64 << 20) as f64;
+
+/// Refuse an exponential event stream that cannot be drawn in bounded time
+/// and memory: its mean gap must be positive and finite, and its expected
+/// event count `horizon / mean` at most [`MAX_EXPECTED_EVENTS`].
+///
+/// `FleetSim` runs it on its job arrivals and, through
+/// [`FaultModel::check`], on its pool faults before drawing either; the
+/// CLI's `faults` command runs [`FaultModel::check`] before
+/// [`FaultTrace::generate`].
+pub fn check_event_stream(what: &str, mean: f64, horizon: f64) -> Result<()> {
+    if !(mean > 0.0 && mean.is_finite()) {
+        return Err(SimError::BadPlan(format!(
+            "{what} must be positive and finite, got {mean}"
+        )));
+    }
+    let expected = horizon / mean;
+    if expected.is_nan() || expected > MAX_EXPECTED_EVENTS {
+        return Err(SimError::BadPlan(format!(
+            "{what} {mean} over a horizon of {horizon} expects {expected:.3e} events, \
+             more than {MAX_EXPECTED_EVENTS}"
+        )));
+    }
+    Ok(())
+}
 
 /// The kind of an injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,6 +119,17 @@ pub struct FaultModel {
     pub mttr_samples: f64,
     /// PRNG seed; equal seeds produce bit-identical traces.
     pub seed: u64,
+}
+
+impl FaultModel {
+    /// Check that this model generates over `horizon` in bounded time and
+    /// memory: [`check_event_stream`] on the fault arrivals, and a positive,
+    /// finite MTTR. Heals follow their faults one for one, so the MTTR
+    /// bounds no event count; a zero horizon checks only the mean.
+    pub fn check(&self, horizon: f64) -> Result<()> {
+        check_event_stream("mtbf", self.mtbf_samples, horizon)?;
+        check_event_stream("mttr", self.mttr_samples, 0.0)
+    }
 }
 
 impl Default for FaultModel {
@@ -388,6 +429,22 @@ mod tests {
         let cluster = Cluster::parse("4xV100").unwrap();
         let trace = FaultTrace::generate(&cluster, &model(5), 0.0);
         assert!(trace.is_empty());
+    }
+
+    #[test]
+    fn event_streams_are_bounded_before_they_run() {
+        assert!(check_event_stream("mtbf", 1.0, MAX_EXPECTED_EVENTS).is_ok());
+        assert!(check_event_stream("mtbf", 1.0, 2.0 * MAX_EXPECTED_EVENTS).is_err());
+        assert!(check_event_stream("mtbf", 1.0, f64::NAN).is_err());
+        for mean in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(check_event_stream("mtbf", mean, 10.0).is_err(), "{mean}");
+        }
+        assert!(model(0).check(1e6).is_ok());
+        let no_heal = FaultModel {
+            mttr_samples: 0.0,
+            ..model(0)
+        };
+        assert!(no_heal.check(1e6).is_err());
     }
 
     #[test]

@@ -55,7 +55,7 @@ use whale_planner::{plan as cold_plan, CacheStats, ExecutionPlan, PlanService, P
 
 use crate::engine::{simulate_step, SimConfig};
 use crate::error::{Result, SimError};
-use crate::faults::{exponential, FaultEvent, FaultModel, FaultTrace};
+use crate::faults::{check_event_stream, exponential, FaultEvent, FaultModel, FaultTrace};
 use crate::json::{num, obj, JsonValue};
 use crate::recovery::{RecoveryEvent, RecoveryPolicy, RecoveryStats, ReplanPath};
 use crate::replan::check_replan;
@@ -479,11 +479,13 @@ impl FleetSim {
         }
         // NaN fails these comparisons too, which is exactly what we want.
         let positive = |x: f64| x > 0.0 && x.is_finite();
-        if !positive(cfg.horizon_s) || !positive(cfg.arrival_mean_s) {
-            return Err(SimError::BadPlan(
-                "horizon and arrival mean must be positive".into(),
-            ));
+        if !positive(cfg.horizon_s) {
+            return Err(SimError::BadPlan("horizon must be positive".into()));
         }
+        // Both generators below draw until the horizon: bound their event
+        // counts before either runs.
+        check_event_stream("arrival mean", cfg.arrival_mean_s, cfg.horizon_s)?;
+        cfg.faults.check(cfg.horizon_s)?;
         let planner_cfg = PlannerConfig::default();
         let sim_cfg = SimConfig::default();
 
