@@ -14,7 +14,7 @@
 
 use std::hint::black_box;
 
-use whale::{auto_parallel_opts, models, strategies, AutoOptions, Session};
+use whale::{auto_parallel_opts, models, strategies, SearchOptions, Session};
 use whale_bench::{header, row, time_fn, Timing};
 use whale_sim::json::{num, obj, s, JsonValue};
 
@@ -23,11 +23,14 @@ const PIPE_CLUSTER: &str = "16xV100";
 const PIPE_MICRO: usize = 64;
 
 /// Seed-equivalent search: serial, uncached, polling scheduler.
-const BEFORE: AutoOptions = AutoOptions {
-    search_threads: 1,
-    memoize: false,
-    reference_sim: true,
-};
+fn before() -> SearchOptions {
+    SearchOptions {
+        search_threads: 1,
+        memoize: false,
+        reference_sim: true,
+        ..SearchOptions::default()
+    }
+}
 
 fn timing_json(t: &Timing) -> JsonValue {
     obj(vec![
@@ -85,18 +88,18 @@ fn main() {
     for (name, batch, build) in zoo {
         // The merge is deterministic and the caches bit-identical, so both
         // arms must agree on the full report — cheap end-to-end sanity.
-        let slow = auto_parallel_opts(&session, batch, &BEFORE, || Ok(build()));
-        let fast = auto_parallel_opts(&session, batch, &AutoOptions::default(), || Ok(build()));
+        let slow = auto_parallel_opts(&session, batch, &before(), || Ok(build()));
+        let fast = auto_parallel_opts(&session, batch, &SearchOptions::default(), || Ok(build()));
         match (&slow, &fast) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "{name}: fast path changed the report"),
             (a, b) => panic!("{name}: search failed (before {a:?} / after {b:?})"),
         }
         let before = time_fn(&format!("auto/{name}/before"), warmup, iters, || {
-            black_box(auto_parallel_opts(&session, batch, &BEFORE, || Ok(build())).unwrap())
+            black_box(auto_parallel_opts(&session, batch, &before(), || Ok(build())).unwrap())
         });
         let after = time_fn(&format!("auto/{name}/after"), warmup, iters, || {
             black_box(
-                auto_parallel_opts(&session, batch, &AutoOptions::default(), || Ok(build()))
+                auto_parallel_opts(&session, batch, &SearchOptions::default(), || Ok(build()))
                     .unwrap(),
             )
         });

@@ -1,10 +1,16 @@
 //! Automatic parallelism (paper Example 6: `wh.auto_parallel()`).
 //!
-//! Without user annotations, Whale explores parallel strategies itself. The
-//! reproduction enumerates candidate strategies (pure DP, auto pipelines at
+//! Without user annotations, Whale explores parallel strategies itself.
+//! [`auto_parallel`] runs the narrow preset — pure DP, auto pipelines at
 //! several micro-batch counts, pipeline+DP when the cluster has several
-//! nodes), plans each, discards memory-infeasible ones, simulates the rest,
-//! and returns the plan with the highest throughput.
+//! nodes, and the MoE and dominant-classifier strategies when the graph has
+//! them — through the same branch-and-bound driver as
+//! [`crate::search::auto_parallel_search`]: leaves that admissible bounds
+//! or the memory floor rule out are never planned or simulated, the rest
+//! are planned and simulated, and the fastest memory-feasible plan wins.
+//!
+//! This module holds the narrow entry points and the report types both
+//! entry points return.
 
 use std::sync::Arc;
 
@@ -12,9 +18,9 @@ use whale_graph::Graph;
 use whale_planner::ExecutionPlan;
 use whale_sim::StepStats;
 
-use crate::error::{Result, WhaleError};
+use crate::error::Result;
+use crate::search::{self, SearchOptions};
 use crate::session::Session;
-use crate::strategies;
 
 /// Why a candidate was rejected — structured so callers can branch on the
 /// cause (and render it) without parsing strings.
@@ -98,9 +104,7 @@ pub struct Candidate {
     pub rejected: Option<RejectReason>,
 }
 
-/// Pruning counters of one branch-and-bound search (present on
-/// [`AutoReport::search`] when the report came from
-/// [`crate::search::auto_parallel_search`]).
+/// Pruning counters of one branch-and-bound search ([`AutoReport::search`]).
 ///
 /// The leaf counters partition the leaves with no overlap and nothing left
 /// out:
@@ -163,45 +167,13 @@ pub struct AutoReport {
     pub plan: Arc<ExecutionPlan>,
     /// Winning step stats.
     pub stats: StepStats,
-    /// All candidates in evaluation order.
+    /// All candidates in report order: structures in exploration order,
+    /// leaves in generation order (the narrow preset's fixed order).
     pub candidates: Vec<Candidate>,
-    /// Pruning counters (`None` for the narrow enumeration, `Some` for the
-    /// branch-and-bound search).
+    /// Pruning counters of the driver that produced the report. Both
+    /// [`auto_parallel`] and [`crate::search::auto_parallel_search`] set
+    /// it, and its partition identities ([`SearchStats`]) hold on both.
     pub search: Option<SearchStats>,
-}
-
-/// Knobs of the candidate search; [`AutoOptions::default`] is the fast
-/// path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AutoOptions {
-    /// Worker threads for the planning and simulation phases. `0` sizes to
-    /// [`std::thread::available_parallelism`]; `1` reproduces the serial
-    /// search exactly (any thread count returns an identical report — see
-    /// `tests/fastpath_determinism.rs`).
-    pub search_threads: usize,
-    /// Memoize planner cost terms and share one estimator cache across
-    /// candidates. Bit-identical results either way; `false` is the
-    /// pre-fast-path baseline `fastpath_bench` measures against.
-    pub memoize: bool,
-    /// Simulate candidates with the polling reference scheduler instead of
-    /// the event-driven one (golden baseline; timelines are bit-identical).
-    pub reference_sim: bool,
-}
-
-impl Default for AutoOptions {
-    fn default() -> Self {
-        Self {
-            search_threads: 0,
-            memoize: true,
-            reference_sim: false,
-        }
-    }
-}
-
-impl AutoOptions {
-    fn effective_threads(&self, work_items: usize) -> usize {
-        effective_threads(self.search_threads, work_items)
-    }
 }
 
 /// Resolve a `search_threads` knob (0 = all cores) against the number of
@@ -217,10 +189,10 @@ pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
     requested.min(work_items).max(1)
 }
 
-/// Structure probe shared by the narrow enumeration and the
-/// branch-and-bound search: pattern-match MoE layers and a dominant
-/// fully-connected classifier (the paper's planner likewise
-/// pattern-matches these shapes, §4 "TaskGraph Partition").
+/// Structure probe shared by the narrow preset and the wide search:
+/// pattern-match MoE layers and a dominant fully-connected classifier (the
+/// paper's planner likewise pattern-matches these shapes, §4 "TaskGraph
+/// Partition").
 pub(crate) struct GraphProbe {
     pub has_moe: bool,
     pub dominant_fc: Option<String>,
@@ -336,8 +308,8 @@ pub(crate) fn fan_out<T: Send, R: Send>(
         .collect()
 }
 
-/// Explore strategies for `graph` on the session's cluster and pick the
-/// fastest memory-feasible one.
+/// Explore the narrow preset of strategies for `graph` on the session's
+/// cluster and pick the fastest memory-feasible one.
 ///
 /// `build` must be able to rebuild the graph for each candidate (annotation
 /// consumes it); a closure over the model constructor does this naturally.
@@ -346,204 +318,24 @@ pub fn auto_parallel(
     global_batch: usize,
     build: impl Fn() -> Result<Graph> + Sync,
 ) -> Result<AutoReport> {
-    auto_parallel_opts(session, global_batch, &AutoOptions::default(), build)
+    auto_parallel_opts(session, global_batch, &SearchOptions::default(), build)
 }
 
-/// [`auto_parallel`] with explicit search options.
+/// [`auto_parallel`] with explicit driver options. `max_micro` and `gpipe`
+/// shape only the wide space, so they do not change the narrow preset.
 pub fn auto_parallel_opts(
     session: &Session,
     global_batch: usize,
-    opts: &AutoOptions,
+    opts: &SearchOptions,
     build: impl Fn() -> Result<Graph> + Sync,
 ) -> Result<AutoReport> {
-    if global_batch == 0 {
-        return Err(whale_ir::IrError::ZeroGlobalBatch.into());
-    }
-    let baseline_session;
-    let session = if opts.memoize {
-        session
-    } else {
-        baseline_session = session.clone().memoize(false);
-        &baseline_session
-    };
-    let n_gpus = session.cluster().num_gpus();
-    let n_nodes = session.cluster().num_nodes();
-
-    // Probe the model structure once to propose structure-specific
-    // strategies (the paper's planner likewise pattern-matches MoE and
-    // large-classification graphs, §4 "TaskGraph Partition").
-    let probe = build()?;
-    let GraphProbe {
-        has_moe,
-        dominant_fc,
-    } = probe_graph(&probe);
-    // On the fast path the probe doubles as the candidate template: `Graph`
-    // clones are an O(1) Arc bump, so every candidate reuses the one built
-    // model instead of re-running the model constructor (the dominant cost
-    // of the seed search). The uncached baseline rebuilds per candidate,
-    // reproducing seed behavior for `fastpath_bench`'s "before" arm.
-    let template = if opts.memoize { Some(probe) } else { None };
-
-    type IrBuilder = Box<dyn Fn(Graph) -> Result<whale_ir::WhaleIr> + Send + Sync>;
-    let mut specs: Vec<(String, IrBuilder)> = vec![(
-        "data-parallel".to_string(),
-        Box::new(move |g| strategies::data_parallel(g, global_batch)),
-    )];
-    if n_gpus > 1 {
-        for micro in [4usize, 8, 16] {
-            specs.push((
-                format!("pipeline(micro={micro})"),
-                Box::new(move |g| strategies::pipeline_only(g, global_batch, micro)),
-            ));
-        }
-    }
-    if n_nodes > 1 && n_gpus.is_multiple_of(n_nodes) && n_gpus / n_nodes > 1 {
-        for micro in [8usize, 16] {
-            specs.push((
-                format!("pipeline+dp(micro={micro})"),
-                Box::new(move |g| strategies::pipeline_with_dp(g, global_batch, micro)),
-            ));
-        }
-    }
-    if has_moe && n_gpus > 1 {
-        specs.push((
-            "moe(split experts + dp)".to_string(),
-            Box::new(move |g| strategies::moe_hybrid(g, global_batch)),
-        ));
-    }
-    if let Some(fc) = dominant_fc {
-        if n_gpus > 1 {
-            specs.push((
-                format!("dp+split({fc})"),
-                Box::new(move |g| strategies::feature_dp_classifier_split(g, global_batch, &fc)),
-            ));
-        }
-    }
-
-    // Two-phase evaluation: plan everything, rank by the analytic estimator,
-    // and only simulate candidates within 4x of the best estimate (the
-    // estimator provably preserves ordering on these workloads; see
-    // tests/estimator_agreement.rs). Planning and simulation fan out over
-    // `search_threads` workers; the merge is by candidate index, so the
-    // report is independent of worker scheduling.
-    let threads = opts.effective_threads(specs.len());
-    type Planned = (Arc<ExecutionPlan>, whale_fp::Fingerprint);
-    let planned: Vec<(String, std::result::Result<Planned, String>)> =
-        fan_out(threads, specs, |(name, mk_ir)| {
-            let graph = match &template {
-                Some(g) => Ok(g.clone()),
-                None => build(),
-            };
-            let plan = graph
-                .and_then(&mk_ir)
-                .and_then(|ir| {
-                    // The IR fingerprint composes from memoized block sums,
-                    // so this is a table walk, not a graph re-hash; it keys
-                    // the whole-step estimate memo below.
-                    let fp = ir.fingerprint();
-                    session.plan(&ir).map(|p| (p, fp))
-                })
-                .map_err(|e| e.to_string());
-            (name, plan)
-        });
-
-    // The estimator is cheap; it runs serially so every candidate can share
-    // one memoized cache (stages repeated across candidates are priced
-    // once). The whole-step memo is keyed by the same content-fingerprint
-    // triple as the plan cache, so a repeated search over unchanged inputs
-    // reduces each estimate to a single map lookup.
-    let env_fp = [
-        session.cluster().fingerprint(),
-        session.planner_config().fingerprint(),
-    ];
-    let mut cache = whale_planner::EstimateCache::new(session.cluster());
-    let estimates: Vec<Option<f64>> = planned
-        .iter()
-        .map(|(_, p)| {
-            p.as_ref().ok().and_then(|(plan, ir_fp)| {
-                let estimate = if opts.memoize {
-                    let key =
-                        whale_fp::compose("auto-step-estimate", [*ir_fp, env_fp[0], env_fp[1]]);
-                    whale_planner::estimate_step_keyed(plan, key, &mut cache)
-                } else {
-                    whale_planner::estimate_step(plan, session.cluster())
-                };
-                estimate.ok().map(|e| e.step_time)
-            })
-        })
-        .collect();
-    let best_estimate = estimates
-        .iter()
-        .flatten()
-        .fold(f64::INFINITY, |a, &b| a.min(b));
-
-    // Candidates that survive pruning go to the simulator (the expensive
-    // phase), again fanned out and merged by index.
-    enum Pending {
-        Done(Candidate),
-        Simulate(String, Arc<ExecutionPlan>),
-    }
-    let pending: Vec<Pending> = planned
-        .into_iter()
-        .zip(estimates)
-        .map(|((name, plan), estimate)| match plan {
-            Err(e) => Pending::Done(Candidate {
-                name,
-                plan: None,
-                stats: None,
-                rejected: Some(RejectReason::PlanError(e)),
-            }),
-            Ok((plan, _)) => match estimate {
-                Some(est) if est > 4.0 * best_estimate && best_estimate.is_finite() => {
-                    // The narrow enumeration's 4x-estimate cut: `bound` is
-                    // this candidate's estimate, `incumbent` the best one.
-                    Pending::Done(Candidate {
-                        name,
-                        plan: Some(plan),
-                        stats: None,
-                        rejected: Some(RejectReason::Pruned {
-                            bound: est,
-                            incumbent: best_estimate,
-                        }),
-                    })
-                }
-                _ => Pending::Simulate(name, plan),
-            },
-        })
-        .collect();
-    let candidates: Vec<Candidate> = fan_out(threads, pending, |p| match p {
-        Pending::Done(c) => c,
-        Pending::Simulate(name, plan) => evaluate_plan(session, &name, plan, opts.reference_sim),
-    });
-
-    // Pick the winner by index, then clone exactly one candidate's fields
-    // (cloning every candidate's name/plan/stats just to run `max_by` would
-    // copy the whole field even for losers).
-    let best = candidates
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.stats.is_some())
-        .max_by(|(_, a), (_, b)| {
-            let (sa, sb) = (a.stats.as_ref().unwrap(), b.stats.as_ref().unwrap());
-            sa.throughput.total_cmp(&sb.throughput)
-        })
-        .map(|(i, _)| i);
-    match best {
-        Some(i) => {
-            let winner = &candidates[i];
-            match (&winner.plan, &winner.stats) {
-                (Some(plan), Some(stats)) => Ok(AutoReport {
-                    chosen: winner.name.clone(),
-                    plan: plan.clone(),
-                    stats: stats.clone(),
-                    candidates,
-                    search: None,
-                }),
-                _ => Err(WhaleError::NoFeasibleStrategy),
-            }
-        }
-        None => Err(WhaleError::NoFeasibleStrategy),
-    }
+    search::drive(
+        session,
+        global_batch,
+        opts,
+        build,
+        search::narrow_structures,
+    )
 }
 
 pub(crate) fn evaluate_plan(

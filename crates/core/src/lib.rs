@@ -45,8 +45,7 @@ pub mod session;
 pub mod strategies;
 
 pub use auto::{
-    auto_parallel, auto_parallel_opts, AutoOptions, AutoReport, Candidate, RejectReason,
-    SearchStats,
+    auto_parallel, auto_parallel_opts, AutoReport, Candidate, RejectReason, SearchStats,
 };
 pub use error::{Result, WhaleError};
 pub use resilient::{RecoveryEvent, RecoveryPolicy, RecoveryStats, ReplanPath, ResilientRun};

@@ -1,25 +1,34 @@
-//! Branch-and-bound auto-parallel search over a nested hybrid strategy
-//! space (ROADMAP item 2; Piper-style two-level decomposition with
-//! DAPPLE-style micro-batch/schedule choice).
+//! Branch-and-bound auto-parallel search (Piper-style two-level
+//! decomposition with DAPPLE-style micro-batch/schedule choice) — the one
+//! driver behind both auto-parallel entry points.
 //!
-//! The narrow enumeration in [`crate::auto`] hand-writes ~7 candidates.
-//! This module instead *generates* the space
+//! A strategy space is a list of level-1 *structures*, each a family of
+//! fully specified leaves. Two generators build one:
 //!
-//! ```text
-//! strategy   ::= structure × micro-batch count × schedule
-//! structure  ::= dp                                    (replica degree n)
-//!              | pipeline(r)      r | n, depth d = n/r (replica × stage)
-//!              | moe(r)           r | n, experts split n/r-wide per group
-//!              | dp+split(op)                          (replica × split)
-//! micro      ::= {2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128}
-//! schedule   ::= backward-first (1F1B) | GPipe flush
-//! ```
+//! * the **wide** space of [`auto_parallel_search`] *generates*
 //!
-//! and prunes it with *admissible* lower bounds from the planner's
-//! closed-form estimator (`whale_planner::estimate`): a node is discarded
-//! only when even its most optimistic step time cannot strictly beat the
-//! incumbent, so the search provably never loses to the enumeration on any
-//! workload whose candidates it contains (all of them).
+//!   ```text
+//!   strategy   ::= structure × micro-batch count × schedule
+//!   structure  ::= dp                                    (replica degree n)
+//!                | pipeline(r)      r | n, depth d = n/r (replica × stage)
+//!                | moe(r)           r | n, experts split n/r-wide per group
+//!                | dp+split(op)                          (replica × split)
+//!   micro      ::= {2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128}
+//!   schedule   ::= backward-first (1F1B) | GPipe flush
+//!   ```
+//!
+//! * the **narrow** preset of [`crate::auto::auto_parallel`] is a fixed
+//!   list of hand-picked leaves in one structure, under the session's
+//!   schedule: `data-parallel`, `pipeline(micro=4|8|16)`,
+//!   `pipeline+dp(micro=8|16)` on multi-node clusters, and the MoE and
+//!   dominant-classifier structures when the graph has them.
+//!
+//! The driver prunes either space with *admissible* lower bounds
+//! (`whale_planner::estimate`, `whale_planner::pipe_balance`): a leaf is
+//! discarded only when even its most optimistic step time cannot strictly
+//! beat the incumbent, so pruning never changes the winner of the space it
+//! searches. Under the default session settings the wide space contains
+//! every narrow leaf's shape, so there it never loses to the narrow preset.
 //!
 //! Two levels, three time gates and a memory gate:
 //!
@@ -35,6 +44,10 @@
 //! 3. **post-plan bound** — [`whale_planner::estimate_step_lower_bound`]
 //!    from the planned stages' real rooflines; prunes before paying for a
 //!    simulation.
+//!
+//! Leaves with more micro batches than per-replica samples are rejected up
+//! front in both spaces, and planned leaves that do not fit device memory
+//! are rejected at the wave drain.
 //!
 //! Determinism: structures and leaves are ordered best-bound-first with
 //! generation-index tie-breaks, leaves are evaluated in fixed-size waves
@@ -61,13 +74,14 @@ use crate::error::{Result, WhaleError};
 use crate::session::Session;
 use crate::strategies;
 
-/// Micro-batch counts the generator sweeps (clipped to the global batch and
-/// [`SearchOptions::max_micro`]). Superset of the narrow enumeration's
-/// {4, 8, 16}, so the widened space contains every old candidate.
+/// Micro-batch counts the wide generator sweeps (clipped to the global
+/// batch and [`SearchOptions::max_micro`]). Superset of the narrow list's
+/// {4, 8, 16}, so the wide space contains every narrow leaf's shape.
 const MICRO_GRID: [usize; 15] = [2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128];
 
-/// Knobs of the branch-and-bound search;
-/// [`SearchOptions::default`] is the production configuration.
+/// Knobs of the branch-and-bound driver, for both the wide search and the
+/// narrow preset; [`SearchOptions::default`] is the production
+/// configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchOptions {
     /// Worker threads for the plan and simulate fan-outs. `0` sizes to
@@ -84,9 +98,12 @@ pub struct SearchOptions {
     /// and the incumbent are re-read serially between waves, never inside
     /// one, so the report does not depend on worker scheduling.
     pub wave: usize,
-    /// Largest micro-batch count the generator proposes.
+    /// Largest micro-batch count the wide generator proposes. Shapes only
+    /// the wide space; the narrow preset's leaves are fixed.
     pub max_micro: usize,
-    /// Include the GPipe flush schedule next to backward-first (1F1B).
+    /// Include the GPipe flush schedule next to backward-first (1F1B) in
+    /// the wide space. Shapes only the wide space; the narrow preset runs
+    /// every leaf under the session's schedule.
     pub gpipe: bool,
     /// Disable every pruning gate — the three time bounds and the memory
     /// floor: plan *and* simulate every leaf. Exists for the admissibility
@@ -139,8 +156,9 @@ struct Leaf {
     degenerate: bool,
 }
 
-/// A level-1 node: a family of leaves sharing replica degree and shape.
-struct Structure {
+/// A level-1 node: a family of leaves sharing replica degree and shape (or,
+/// for the narrow preset, its whole fixed list).
+pub(crate) struct Structure {
     /// Cheapest leaf bound (the structure's own admissible bound).
     lb: f64,
     /// Exploration-order key: `lb` plus a gradient-sync cost heuristic for
@@ -151,6 +169,25 @@ struct Structure {
     /// bad guess costs time, never the optimum.
     key: f64,
     leaves: Vec<Leaf>,
+}
+
+impl Structure {
+    /// A structure over `leaves`, explored at its bound plus `sync_heur`.
+    fn new(leaves: Vec<Leaf>, sync_heur: f64) -> Structure {
+        // The structure's bound covers only leaves it could ever plan;
+        // degenerate leaves are rejected outright, so their (optimistic,
+        // large-micro) bounds must not dilute it.
+        let lb = leaves
+            .iter()
+            .filter(|l| !l.degenerate)
+            .map(|l| l.lb)
+            .fold(f64::INFINITY, f64::min);
+        Structure {
+            lb,
+            key: lb + sync_heur,
+            leaves,
+        }
+    }
 }
 
 fn schedule_label(s: ScheduleKind) -> &'static str {
@@ -205,42 +242,100 @@ fn leaf_session(base: &Session, leaf: &Leaf) -> Session {
     s
 }
 
-/// Explore the nested hybrid strategy space for `graph` and pick the
-/// fastest memory-feasible strategy, pruning with admissible bounds.
-///
-/// Drop-in widening of [`crate::auto::auto_parallel`]: same signature plus
-/// [`SearchOptions`], same [`AutoReport`] (with
-/// [`AutoReport::search`] populated). The search overrides the session's
-/// pipeline schedule per leaf — schedule choice is a search dimension here.
-pub fn auto_parallel_search(
-    session: &Session,
+/// What a structure generator reads: the session, the probed graph, and
+/// the memoized pre-plan bound.
+pub(crate) struct Space<'a, 'c> {
+    session: &'a Session,
     global_batch: usize,
-    opts: &SearchOptions,
-    build: impl Fn() -> Result<Graph> + Sync,
-) -> Result<AutoReport> {
-    if global_batch == 0 {
-        return Err(whale_ir::IrError::ZeroGlobalBatch.into());
+    probe: &'a GraphProbe,
+    fw_flops_per_sample: f64,
+    param_bytes: f64,
+    cache: &'a mut EstimateCache<'c>,
+}
+
+impl Space<'_, '_> {
+    fn num_gpus(&self) -> usize {
+        self.session.cluster().num_gpus()
     }
-    let baseline_session;
-    let session = if opts.memoize {
-        session
-    } else {
-        baseline_session = session.clone().memoize(false);
-        &baseline_session
-    };
-    let n_gpus = session.cluster().num_gpus();
 
-    let probe = build()?;
-    let GraphProbe {
-        has_moe,
-        dominant_fc,
-    } = probe_graph(&probe);
-    let probe_stats = whale_graph::graph_stats(&probe);
-    let fw_flops_per_sample = probe_stats.forward_flops / global_batch.max(1) as f64;
-    let param_bytes = probe_stats.params as f64 * 4.0;
-    let mem_prefix = MemoryPrefix::new(&probe);
-    let template = opts.memoize.then(|| probe.clone());
+    /// One leaf with its admissible pre-plan bound
+    /// ([`whale_planner::structural_lower_bound`]) and the degenerate-micro
+    /// rule: a pipeline replica group owning `global_batch / replicas`
+    /// samples cannot feed more micro batches than that.
+    fn leaf(&mut self, name: String, kind: LeafKind, schedule: ScheduleKind) -> Leaf {
+        let n = self.num_gpus();
+        // (replicas, depth, micro batches, stage width) of the leaf's shape.
+        let (replicas, depth, num_micro, stage_width) = match &kind {
+            LeafKind::Dp => (n, 1, 1, 1),
+            LeafKind::Pipeline { replicas, micro } => (*replicas, n / replicas, *micro, 1),
+            LeafKind::Moe { replicas } => (*replicas, 1, 1, n / replicas),
+            LeafKind::Split { .. } => (1, 1, 1, n),
+        };
+        let cfg = self.session.planner_config();
+        let lb = structural_lower_bound_keyed(
+            &StructuralBound {
+                fw_flops_per_sample: self.fw_flops_per_sample,
+                global_batch: self.global_batch,
+                replicas,
+                depth,
+                num_micro,
+                stage_width,
+                amp: cfg.training.amp,
+                recompute: cfg.training.recompute,
+                efficiency: cfg.efficiency,
+            },
+            self.cache,
+        );
+        Leaf {
+            name,
+            degenerate: matches!(kind, LeafKind::Pipeline { .. })
+                && num_micro > self.global_batch / replicas,
+            kind,
+            schedule,
+            lb,
+        }
+    }
+}
 
+/// The narrow preset: the hand-picked candidates of paper Example 6, in
+/// report order, as one structure under the session's schedule.
+pub(crate) fn narrow_structures(sp: &mut Space<'_, '_>, _: &SearchOptions) -> Vec<Structure> {
+    let cfg = sp.session.planner_config();
+    let (schedule, outer_dp) = (cfg.schedule, cfg.outer_dp);
+    let n_gpus = sp.num_gpus();
+    let n_nodes = sp.session.cluster().num_nodes();
+    let mut leaves = vec![sp.leaf("data-parallel".into(), LeafKind::Dp, schedule)];
+    if n_gpus > 1 {
+        for micro in [4, 8, 16] {
+            let kind = LeafKind::Pipeline { replicas: 1, micro };
+            leaves.push(sp.leaf(format!("pipeline(micro={micro})"), kind, schedule));
+        }
+    }
+    if n_nodes > 1 && n_gpus.is_multiple_of(n_nodes) && n_gpus / n_nodes > 1 {
+        // The plan-level DP degree the planner infers: one replica per node
+        // unless the session set one.
+        let replicas = if outer_dp == 0 { n_nodes } else { outer_dp };
+        for micro in [8, 16] {
+            let kind = LeafKind::Pipeline { replicas, micro };
+            leaves.push(sp.leaf(format!("pipeline+dp(micro={micro})"), kind, schedule));
+        }
+    }
+    if sp.probe.has_moe && n_gpus > 1 {
+        let kind = LeafKind::Moe { replicas: 1 };
+        leaves.push(sp.leaf("moe(split experts + dp)".into(), kind, schedule));
+    }
+    if let (Some(fc), true) = (&sp.probe.dominant_fc, n_gpus > 1) {
+        let kind = LeafKind::Split { marker: fc.clone() };
+        leaves.push(sp.leaf(format!("dp+split({fc})"), kind, schedule));
+    }
+    vec![Structure::new(leaves, 0.0)]
+}
+
+/// The wide space: every structure of the grammar in the module docs.
+fn wide_structures(sp: &mut Space<'_, '_>, opts: &SearchOptions) -> Vec<Structure> {
+    let cluster = sp.session.cluster();
+    let n_gpus = cluster.num_gpus();
+    let global_batch = sp.global_batch;
     // Slowest pairwise link in the cluster, as an effective bandwidth: the
     // denominator of the exploration-order sync heuristic (see
     // [`Structure::key`]). Measured through the same `p2p_time` model the
@@ -248,9 +343,9 @@ pub fn auto_parallel_search(
     let sync_bw = {
         let probe_bytes: u64 = 64 << 20;
         let mut worst = 0.0_f64;
-        for a in session.cluster().gpus() {
-            for b in session.cluster().gpus() {
-                worst = worst.max(session.cluster().interconnect.p2p_time(a, b, probe_bytes));
+        for a in cluster.gpus() {
+            for b in cluster.gpus() {
+                worst = worst.max(cluster.interconnect.p2p_time(a, b, probe_bytes));
             }
         }
         if worst > 0.0 {
@@ -261,6 +356,7 @@ pub fn auto_parallel_search(
     };
     // Ring-allreduce wire time for one replica group's gradients: each of
     // the `depth` stage groups syncs `params/depth`, groups in parallel.
+    let param_bytes = sp.param_bytes;
     let sync_heur = |replicas: usize, depth: usize| -> f64 {
         if replicas < 2 {
             return 0.0;
@@ -269,27 +365,6 @@ pub fn auto_parallel_search(
         2.0 * (r - 1.0) / r * param_bytes / (depth.max(1) as f64 * sync_bw)
     };
 
-    let cfg = session.planner_config();
-    let (amp, recompute, efficiency) = (cfg.training.amp, cfg.training.recompute, cfg.efficiency);
-    let mut cache = EstimateCache::new(session.cluster());
-    let mut bound_for = |replicas: usize, depth: usize, num_micro: usize, stage_width: usize| {
-        structural_lower_bound_keyed(
-            &StructuralBound {
-                fw_flops_per_sample,
-                global_batch,
-                replicas,
-                depth,
-                num_micro,
-                stage_width,
-                amp,
-                recompute,
-                efficiency,
-            },
-            &mut cache,
-        )
-    };
-
-    // ---- generate the space -------------------------------------------
     let mut schedules = vec![ScheduleKind::BackwardFirst];
     if opts.gpipe {
         schedules.push(ScheduleKind::GPipe);
@@ -300,19 +375,9 @@ pub fn auto_parallel_search(
         .filter(|&m| m <= opts.max_micro && m <= global_batch)
         .collect();
 
-    let mut structures: Vec<Structure> = Vec::new();
     // Pure DP (replica degree n, no pipeline, no schedule dimension).
-    structures.push(Structure {
-        lb: bound_for(n_gpus, 1, 1, 1),
-        key: bound_for(n_gpus, 1, 1, 1) + sync_heur(n_gpus, 1),
-        leaves: vec![Leaf {
-            name: "dp".into(),
-            kind: LeafKind::Dp,
-            schedule: ScheduleKind::BackwardFirst,
-            lb: bound_for(n_gpus, 1, 1, 1),
-            degenerate: false,
-        }],
-    });
+    let dp = sp.leaf("dp".into(), LeafKind::Dp, ScheduleKind::BackwardFirst);
+    let mut structures = vec![Structure::new(vec![dp], sync_heur(n_gpus, 1))];
     // Pipelines: one structure per replica degree r | n with depth n/r ≥ 2.
     if n_gpus > 1 {
         for r in divisors(n_gpus) {
@@ -336,76 +401,100 @@ pub fn auto_parallel_search(
                     } else {
                         format!("pipeline(micro={micro},{})", schedule_label(schedule))
                     };
-                    leaves.push(Leaf {
-                        name,
-                        kind: LeafKind::Pipeline { replicas: r, micro },
-                        schedule,
-                        lb: bound_for(r, depth, micro, 1),
-                        // A replica group owning `global_batch / r` samples
-                        // cannot feed more micro batches than that.
-                        degenerate: micro > global_batch / r,
-                    });
+                    let kind = LeafKind::Pipeline { replicas: r, micro };
+                    leaves.push(sp.leaf(name, kind, schedule));
                 }
             }
-            if leaves.is_empty() {
-                continue;
+            if !leaves.is_empty() {
+                structures.push(Structure::new(leaves, sync_heur(r, depth)));
             }
-            // The structure's bound covers only leaves it could ever plan;
-            // degenerate leaves are rejected outright, so their (optimistic,
-            // large-micro) bounds must not dilute it.
-            let lb = leaves
-                .iter()
-                .filter(|l| !l.degenerate)
-                .map(|l| l.lb)
-                .fold(f64::INFINITY, f64::min);
-            let key = lb + sync_heur(r, depth);
-            structures.push(Structure { lb, key, leaves });
         }
     }
     // MoE: one structure per expert-parallel degree n/r ≥ 2.
-    if has_moe && n_gpus > 1 {
+    if sp.probe.has_moe && n_gpus > 1 {
         for r in divisors(n_gpus) {
             let ep = n_gpus / r;
             if ep < 2 || r > global_batch {
                 continue;
             }
-            let lb = bound_for(r, 1, 1, ep);
-            let key = lb + sync_heur(r, 1);
             let name = if r > 1 {
                 format!("moe+dp(r={r},ep={ep})")
             } else {
                 format!("moe(ep={ep})")
             };
-            structures.push(Structure {
-                lb,
-                key,
-                leaves: vec![Leaf {
-                    name,
-                    kind: LeafKind::Moe { replicas: r },
-                    schedule: ScheduleKind::BackwardFirst,
-                    lb,
-                    degenerate: false,
-                }],
-            });
+            let leaf = sp.leaf(
+                name,
+                LeafKind::Moe { replicas: r },
+                ScheduleKind::BackwardFirst,
+            );
+            structures.push(Structure::new(vec![leaf], sync_heur(r, 1)));
         }
     }
     // Dominant-classifier split.
-    if let Some(fc) = dominant_fc {
-        if n_gpus > 1 {
-            let lb = bound_for(1, 1, 1, n_gpus);
-            structures.push(Structure {
-                lb,
-                key: lb + sync_heur(n_gpus, 1),
-                leaves: vec![Leaf {
-                    name: format!("dp+split({fc})"),
-                    kind: LeafKind::Split { marker: fc },
-                    schedule: ScheduleKind::BackwardFirst,
-                    lb,
-                    degenerate: false,
-                }],
-            });
-        }
+    if let (Some(fc), true) = (&sp.probe.dominant_fc, n_gpus > 1) {
+        let kind = LeafKind::Split { marker: fc.clone() };
+        let leaf = sp.leaf(format!("dp+split({fc})"), kind, ScheduleKind::BackwardFirst);
+        structures.push(Structure::new(vec![leaf], sync_heur(n_gpus, 1)));
     }
+    structures
+}
+
+/// Explore the nested hybrid strategy space for `graph` and pick the
+/// fastest memory-feasible strategy, pruning with admissible bounds.
+///
+/// Drop-in widening of [`crate::auto::auto_parallel`]: same signature plus
+/// [`SearchOptions`], same [`AutoReport`]. The search overrides the
+/// session's pipeline schedule per leaf — schedule choice is a search
+/// dimension here.
+pub fn auto_parallel_search(
+    session: &Session,
+    global_batch: usize,
+    opts: &SearchOptions,
+    build: impl Fn() -> Result<Graph> + Sync,
+) -> Result<AutoReport> {
+    drive(session, global_batch, opts, build, wide_structures)
+}
+
+/// Run the strategy space `generate` builds (its level-1 structures)
+/// through the branch-and-bound gates and pick the fastest memory-feasible
+/// leaf.
+pub(crate) fn drive(
+    session: &Session,
+    global_batch: usize,
+    opts: &SearchOptions,
+    build: impl Fn() -> Result<Graph> + Sync,
+    generate: fn(&mut Space<'_, '_>, &SearchOptions) -> Vec<Structure>,
+) -> Result<AutoReport> {
+    if global_batch == 0 {
+        return Err(whale_ir::IrError::ZeroGlobalBatch.into());
+    }
+    let baseline_session;
+    let session = if opts.memoize {
+        session
+    } else {
+        baseline_session = session.clone().memoize(false);
+        &baseline_session
+    };
+
+    let probe = build()?;
+    let probe_stats = whale_graph::graph_stats(&probe);
+    let mem_prefix = MemoryPrefix::new(&probe);
+    // Leaves clone the probe (an O(1) Arc bump) instead of re-running the
+    // model constructor; the unmemoized baseline rebuilds per leaf.
+    let template = opts.memoize.then(|| probe.clone());
+
+    let mut cache = EstimateCache::new(session.cluster());
+    let structures = generate(
+        &mut Space {
+            session,
+            global_batch,
+            probe: &probe_graph(&probe),
+            fw_flops_per_sample: probe_stats.forward_flops / global_batch as f64,
+            param_bytes: probe_stats.params as f64 * 4.0,
+            cache: &mut cache,
+        },
+        opts,
+    );
 
     // ---- order best-key-first with index tie-breaks -------------------
     let mut order: Vec<usize> = (0..structures.len()).collect();
@@ -442,16 +531,10 @@ pub fn auto_parallel_search(
     let probe_of: Vec<usize> = structures
         .iter()
         .map(|st| {
-            let min_lb = st
-                .leaves
-                .iter()
-                .filter(|l| !l.degenerate)
-                .map(|l| l.lb)
-                .fold(f64::INFINITY, f64::min);
             let mut best = 0;
             let mut best_cost = f64::INFINITY;
             for (i, l) in st.leaves.iter().enumerate() {
-                if l.degenerate || l.lb > min_lb * 1.05 {
+                if l.degenerate || l.lb > st.lb * 1.05 {
                     continue;
                 }
                 let cost = match &l.kind {
@@ -822,8 +905,8 @@ pub fn auto_parallel_search(
 }
 
 impl Session {
-    /// [`auto_parallel_search`] on this session — the wide, bounded search
-    /// (the narrow enumeration stays available as
+    /// [`auto_parallel_search`] on this session — the wide space (the
+    /// narrow preset runs through the same driver as
     /// [`crate::auto_parallel`]).
     pub fn auto_search(
         &self,

@@ -1,11 +1,15 @@
-//! Analytic step-time estimation — the planner's internal cost model.
+//! Admissible lower bounds on a plan's simulated step time — the pruning
+//! cost model of the auto-parallel driver (`whale::search`).
 //!
-//! Whale's planner reasons about candidate plans without executing them; this
-//! module provides the same ability: a closed-form step-time estimate from
-//! the plan's own cost metadata. It is intentionally simpler than the
-//! discrete-event simulator (no task interleaving) but tracks it closely
-//! enough to rank strategies, which lets `auto_parallel` prune candidates
-//! before paying for a full simulation.
+//! Whale's planner reasons about candidate strategies without executing
+//! them. This module prices a strategy twice: before planning, from
+//! cluster aggregates ([`structural_lower_bound`]), and after planning,
+//! from the plan's own stages ([`estimate_step_lower_bound`]). Both drop
+//! only time the discrete-event simulator adds, so neither ever exceeds the
+//! simulated step; the driver prunes a leaf only when its bound cannot
+//! beat the incumbent, which keeps the winner exact. There is no
+//! closed-form step estimate: ranking by an inadmissible estimate could
+//! discard the true winner, and the simulator decides every winner.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -19,7 +23,7 @@ use crate::plan::{ExecutionPlan, PlannedStage};
 
 /// FNV-1a. The cache keys are short vectors of numeric words produced by the
 /// planner itself, so SipHash's collision-attack resistance buys nothing and
-/// costs measurably in `auto_parallel`'s estimate phase.
+/// costs measurably in the search's bound phase.
 #[derive(Clone)]
 struct Fnv(u64);
 
@@ -45,55 +49,36 @@ impl std::hash::Hasher for Fnv {
 
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv>>;
 
-/// Closed-form estimate of one training step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepEstimate {
-    /// Estimated pipeline/compute span, seconds.
-    pub compute: f64,
-    /// Estimated pipeline bubble fraction (0 for single-stage plans).
-    pub bubble: f64,
-    /// Serialized gradient-sync time, seconds.
-    pub sync: f64,
-    /// Estimated step time (compute stretched by bubble; sync assumed
-    /// overlapped like the simulator's default).
-    pub step_time: f64,
-}
-
-/// Memoized sub-terms of [`estimate_step`], shared across the many plans of
-/// one `auto_parallel` search.
+/// Memoized sub-terms of the bounds, shared across the many leaves of one
+/// auto-parallel search.
 ///
 /// Candidate plans frequently repeat whole stages (the same devices running
 /// the same per-micro work) and gradient-sync collectives; the cache keys
 /// each stage by its full cost signature — device set, per-device FLOP and
 /// traffic terms, collectives, AMP/recompute/efficiency — so a hit returns
 /// a value computed by the identical arithmetic on identical inputs.
-/// Estimates are therefore bit-identical with or without the cache.
+/// Bounds are therefore bit-identical with or without the cache.
 pub struct EstimateCache<'c> {
     cluster: &'c Cluster,
     comm: CommModel<'c>,
     stage_terms: FnvMap<Vec<u64>, (f64, f64)>,
-    sync_terms: FnvMap<Vec<u64>, f64>,
     /// [`estimate_step_lower_bound`]'s fully-priced sync durations
-    /// (collective × ZeRO factor + quantize passes). Separate from
-    /// `sync_terms` because the stored quantity differs; a pipeline
-    /// structure's grad syncs are identical across its whole micro/schedule
-    /// sweep, so the search hits this map on every leaf after the first.
+    /// (collective × ZeRO factor + quantize passes); a pipeline structure's
+    /// grad syncs are identical across its whole micro/schedule sweep, so
+    /// the search hits this map on every leaf after the first.
     sync_durs: FnvMap<Vec<u64>, f64>,
-    steps: FnvMap<Fingerprint, StepEstimate>,
     bounds: FnvMap<Fingerprint, f64>,
 }
 
 impl<'c> EstimateCache<'c> {
     /// Empty cache over `cluster` (also pre-builds the communication model
-    /// once instead of once per estimate).
+    /// once instead of once per bound).
     pub fn new(cluster: &'c Cluster) -> EstimateCache<'c> {
         EstimateCache {
             cluster,
             comm: CommModel::new(cluster),
             stage_terms: FnvMap::default(),
-            sync_terms: FnvMap::default(),
             sync_durs: FnvMap::default(),
-            steps: FnvMap::default(),
             bounds: FnvMap::default(),
         }
     }
@@ -105,11 +90,7 @@ impl<'c> EstimateCache<'c> {
 
     /// Number of memoized sub-terms (diagnostics).
     pub fn len(&self) -> usize {
-        self.stage_terms.len()
-            + self.sync_terms.len()
-            + self.sync_durs.len()
-            + self.steps.len()
-            + self.bounds.len()
+        self.stage_terms.len() + self.sync_durs.len() + self.bounds.len()
     }
 
     /// Whether nothing has been memoized yet.
@@ -179,133 +160,6 @@ fn stage_fw_bw(
         comm_t += comm.collective(c.kind, &c.group, per_rank)?;
     }
     Ok((t * (1.0 + bw_factor) + comm_t * 2.0, t + comm_t))
-}
-
-/// Estimate `plan`'s step time on `cluster`.
-///
-/// Model: per-stage task time `tᵢ = max_device(flops/(GF·α·amp) +
-/// traffic/BW) + collectives`; steady-state span `M·max(tᵢ)·3` (fw+bw)
-/// stretched by the 1F1B bubble factor `(S−1)/(S−1+M)`; sync fully
-/// overlapped (matching the simulator's default), except latency floors.
-pub fn estimate_step(plan: &ExecutionPlan, cluster: &Cluster) -> Result<StepEstimate> {
-    estimate_step_cached(plan, &mut EstimateCache::new(cluster))
-}
-
-/// [`estimate_step_cached`] with a whole-step memo keyed by a content
-/// fingerprint.
-///
-/// `key` must uniquely identify the `(plan, cluster)` pair — compose it from
-/// the content fingerprints that determined the plan, e.g.
-/// `whale_fp::compose` over `(ir.fingerprint(), cluster.fingerprint(),
-/// config.fingerprint())` (the planner is deterministic, so that triple pins
-/// the plan). Because the inputs are incremental fingerprints, a
-/// `ClusterDelta` or single-layer edit re-hashes only the touched blocks and
-/// every untouched candidate's estimate is a map lookup. A miss falls
-/// through to [`estimate_step_cached`] and stores the result, so keyed
-/// estimates are bit-identical to unkeyed ones.
-pub fn estimate_step_keyed(
-    plan: &ExecutionPlan,
-    key: Fingerprint,
-    cache: &mut EstimateCache<'_>,
-) -> Result<StepEstimate> {
-    if let Some(&e) = cache.steps.get(&key) {
-        return Ok(e);
-    }
-    let e = estimate_step_cached(plan, cache)?;
-    cache.steps.insert(key, e);
-    Ok(e)
-}
-
-/// [`estimate_step`] against a shared [`EstimateCache`]; `auto_parallel`
-/// reuses one cache across every candidate of a search.
-pub fn estimate_step_cached(
-    plan: &ExecutionPlan,
-    cache: &mut EstimateCache<'_>,
-) -> Result<StepEstimate> {
-    let s = plan.stages.len().max(1);
-    let m = plan.num_micro_batches.max(1);
-    let amp = plan.training.amp;
-    let bw_factor = if plan.training.recompute { 3.0 } else { 2.0 };
-
-    let mut bottleneck: f64 = 0.0;
-    let mut total_stage_time = 0.0;
-    let mut key: Vec<u64> = Vec::new();
-    for stage in plan.stages.iter() {
-        stage_key_into(&mut key, stage, amp, bw_factor, plan.efficiency);
-        let (fw_bw, _) = match cache.stage_terms.get(key.as_slice()) {
-            Some(&t) => t,
-            None => {
-                let t = stage_fw_bw(
-                    stage,
-                    cache.cluster,
-                    &cache.comm,
-                    amp,
-                    bw_factor,
-                    plan.efficiency,
-                )?;
-                cache.stage_terms.insert(key.clone(), t);
-                t
-            }
-        };
-        bottleneck = bottleneck.max(fw_bw);
-        total_stage_time += fw_bw;
-    }
-
-    // Pipelined stages overlap; co-located sequential TaskGraphs (same
-    // device sets) serialize instead.
-    let pipelined = s > 1 && plan.num_micro_batches > 1 && {
-        let first = plan.stages[0].gpu_ids();
-        plan.stages.iter().skip(1).any(|st| st.gpu_ids() != first)
-    };
-    let (compute, bubble) = if pipelined {
-        let bubble = (s as f64 - 1.0) / (s as f64 - 1.0 + m as f64);
-        let steady = m as f64 * bottleneck;
-        (steady / (1.0 - bubble), bubble)
-    } else {
-        (m as f64 * total_stage_time, 0.0)
-    };
-
-    // Mixed-precision schedules shrink each sync's wire bytes and pay the
-    // quantize/dequantize passes; fp32 plans (and plans with no schedule)
-    // price the logical bytes exactly as before. The memo key carries both
-    // byte counts so scaled and unscaled estimates never collide.
-    let wire_sched = plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled());
-    let mut sync = 0.0;
-    for (sync_index, c) in plan.grad_syncs.iter().enumerate() {
-        let wire = wire_sched
-            .and_then(|s| s.wire_bytes_of(sync_index))
-            .unwrap_or(c.bytes);
-        key.clear();
-        key.push(c.kind as u64);
-        key.push(c.bytes);
-        key.push(wire);
-        key.extend(c.group.iter().map(|&g| g as u64));
-        let t = match cache.sync_terms.get(key.as_slice()) {
-            Some(&t) => t,
-            None => {
-                let mut t = cache.comm.collective(c.kind, &c.group, wire)?;
-                if wire_sched.is_some() && c.group.len() > 1 {
-                    t += cache
-                        .comm
-                        .allreduce_selector(&c.group)?
-                        .quantize_cost(c.bytes, wire);
-                }
-                cache.sync_terms.insert(key.clone(), t);
-                t
-            }
-        };
-        sync += t;
-    }
-    // Default overlap hides sync behind backward; expose only what exceeds
-    // the backward window (≈ compute·bw/(1+bw)).
-    let bw_window = compute * bw_factor / (1.0 + bw_factor);
-    let exposed = (sync - bw_window).max(0.0);
-    Ok(StepEstimate {
-        compute,
-        bubble,
-        sync,
-        step_time: compute + exposed,
-    })
 }
 
 /// Structural description of one auto-search node *before* planning —
@@ -532,9 +386,6 @@ pub fn estimate_step_lower_bound(
     let mut releases: Vec<f64> = Vec::with_capacity(plan.stages.len());
     let mut key: Vec<u64> = Vec::new();
     for (s, stage) in plan.stages.iter().enumerate() {
-        // Shares [`estimate_step_cached`]'s memoized term (same key), so a
-        // bound computed before an estimate makes the estimate free and
-        // vice versa.
         stage_key_into(&mut key, stage, amp, bw_factor, plan.efficiency);
         let (fw_bw, fw) = match cache.stage_terms.get(key.as_slice()) {
             Some(&t) => t,
@@ -587,11 +438,16 @@ pub fn estimate_step_lower_bound(
     let mut sync_finish = 0.0_f64;
     if !bucketed {
         let zero_factor = plan.training.zero.comm_factor();
-        let wire_sched = plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled());
+        let wire_of = plan
+            .grad_sync_schedule
+            .as_ref()
+            .filter(|s| s.wire_scaled())
+            .map(|s| s.wire_bytes_per_sync(plan.grad_syncs.len()));
         let mut syncs: Vec<(f64, f64)> = Vec::with_capacity(plan.grad_syncs.len());
         for (sync_index, c) in plan.grad_syncs.iter().enumerate() {
-            let wire = wire_sched
-                .and_then(|s| s.wire_bytes_of(sync_index))
+            let wire = wire_of
+                .as_ref()
+                .and_then(|w| w[sync_index])
                 .filter(|_| c.group.len() > 1);
             key.clear();
             key.push(c.kind as u64);
@@ -669,86 +525,10 @@ mod tests {
     use whale_graph::models;
     use whale_ir::Annotator;
 
-    // The estimator lives below whale-sim in the dependency order, so the
-    // agreement tests against the real simulator live in the workspace-level
-    // `tests/estimator_agreement.rs`; here we check internal consistency.
-
-    fn dp_plan(cluster: &Cluster, batch: usize) -> ExecutionPlan {
-        let g = models::resnet50(batch).unwrap();
-        let ir = Annotator::new(g, batch)
-            .replicate_all()
-            .unwrap()
-            .finish()
-            .unwrap();
-        plan(&ir, cluster, &PlannerConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn estimate_scales_with_batch() {
-        let cluster = Cluster::parse("1x(4xV100)").unwrap();
-        let small = estimate_step(&dp_plan(&cluster, 64), &cluster).unwrap();
-        let big = estimate_step(&dp_plan(&cluster, 256), &cluster).unwrap();
-        let ratio = big.step_time / small.step_time;
-        assert!((3.0..5.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn hetero_baseline_estimates_slower() {
-        let cluster = Cluster::parse("4xV100,4xP100").unwrap();
-        let g = models::resnet50(256).unwrap();
-        let ir = Annotator::new(g, 256)
-            .replicate_all()
-            .unwrap()
-            .finish()
-            .unwrap();
-        let aware = plan(&ir, &cluster, &PlannerConfig::default()).unwrap();
-        let base = plan(
-            &ir,
-            &cluster,
-            &PlannerConfig {
-                hardware_aware: false,
-                ..PlannerConfig::default()
-            },
-        )
-        .unwrap();
-        let ea = estimate_step(&aware, &cluster).unwrap();
-        let eb = estimate_step(&base, &cluster).unwrap();
-        assert!(eb.step_time > ea.step_time * 1.2);
-    }
-
-    #[test]
-    fn cached_estimates_are_bit_identical() {
-        let cluster = Cluster::parse("4xV100,4xP100").unwrap();
-        let mut cache = EstimateCache::new(&cluster);
-        for batch in [64usize, 256] {
-            let p = dp_plan(&cluster, batch);
-            let fresh = estimate_step(&p, &cluster).unwrap();
-            let first = estimate_step_cached(&p, &mut cache).unwrap();
-            let hit = estimate_step_cached(&p, &mut cache).unwrap();
-            assert_eq!(fresh, first, "cold cache must match the plain path");
-            assert_eq!(first, hit, "warm hit must return the stored terms");
-        }
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn keyed_estimates_are_bit_identical() {
-        let cluster = Cluster::parse("4xV100,4xP100").unwrap();
-        let mut cache = EstimateCache::new(&cluster);
-        for (i, batch) in [64usize, 256].into_iter().enumerate() {
-            let p = dp_plan(&cluster, batch);
-            let key = whale_fp::Fingerprinter::new("test-step-key")
-                .push_usize(i)
-                .finish();
-            let fresh = estimate_step(&p, &cluster).unwrap();
-            let miss = estimate_step_keyed(&p, key, &mut cache).unwrap();
-            let before = cache.len();
-            let hit = estimate_step_keyed(&p, key, &mut cache).unwrap();
-            assert_eq!(fresh, miss, "keyed miss must match the plain path");
-            assert_eq!(miss, hit, "keyed hit must return the stored estimate");
-            assert_eq!(cache.len(), before, "a hit must not grow the cache");
-        }
-    }
+    // The bounds live below whale-sim in the dependency order, so their
+    // admissibility against the real simulator is checked in the
+    // workspace-level `tests/estimator_agreement.rs`; here we check
+    // internal consistency.
 
     #[test]
     fn lower_bounds_are_ordered() {
@@ -809,20 +589,5 @@ mod tests {
         // More micro batches can only lower the pre-plan bound's chain term.
         let wider = StructuralBound { num_micro: 32, ..b };
         assert!(structural_lower_bound(&wider, &cluster) <= plain);
-    }
-
-    #[test]
-    fn pipeline_bubble_matches_closed_form() {
-        let cluster = Cluster::parse("1x(4xV100)").unwrap();
-        let g = models::bert_base(64, 64).unwrap();
-        let ir = Annotator::new(g, 64)
-            .auto_pipeline(12)
-            .unwrap()
-            .finish()
-            .unwrap();
-        let p = plan(&ir, &cluster, &PlannerConfig::default()).unwrap();
-        let e = estimate_step(&p, &cluster).unwrap();
-        assert!((e.bubble - 3.0 / 15.0).abs() < 1e-12);
-        assert!(e.compute > 0.0);
     }
 }

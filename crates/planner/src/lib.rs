@@ -55,8 +55,7 @@ pub use commopt::{
 pub use dp_balance::{dp_partition, dp_partition_traced, DpPartition};
 pub use error::{PlanError, Result};
 pub use estimate::{
-    estimate_step, estimate_step_cached, estimate_step_keyed, estimate_step_lower_bound,
-    structural_lower_bound, structural_lower_bound_keyed, EstimateCache, StepEstimate,
+    estimate_step_lower_bound, structural_lower_bound, structural_lower_bound_keyed, EstimateCache,
     StructuralBound,
 };
 pub use ledger::{LedgerComponent, LedgerEntry, MemoryLedger, LOSS_SCALING_STATE_BYTES};

@@ -24,17 +24,15 @@ use crate::rng::SplitMix64;
 /// Most events an exponential generator may be asked to draw in
 /// expectation: 2²⁰, the same cap `whale_hardware::MAX_GPUS` puts on a
 /// cluster spec. A constant, not an option.
-pub const MAX_EXPECTED_EVENTS: f64 = (1u64 << 20) as f64;
+pub(crate) const MAX_EXPECTED_EVENTS: f64 = (1u64 << 20) as f64;
 
 /// Refuse an exponential event stream that cannot be drawn in bounded time
 /// and memory: its mean gap must be positive and finite, and its expected
 /// event count `horizon / mean` at most [`MAX_EXPECTED_EVENTS`].
 ///
 /// `FleetSim` runs it on its job arrivals and, through
-/// [`FaultModel::check`], on its pool faults before drawing either; the
-/// CLI's `faults` command runs [`FaultModel::check`] before
-/// [`FaultTrace::generate`].
-pub fn check_event_stream(what: &str, mean: f64, horizon: f64) -> Result<()> {
+/// [`FaultModel::check`], on its pool faults before drawing either.
+pub(crate) fn check_event_stream(what: &str, mean: f64, horizon: f64) -> Result<()> {
     if !(mean > 0.0 && mean.is_finite()) {
         return Err(SimError::BadPlan(format!(
             "{what} must be positive and finite, got {mean}"
@@ -123,9 +121,11 @@ pub struct FaultModel {
 
 impl FaultModel {
     /// Check that this model generates over `horizon` in bounded time and
-    /// memory: [`check_event_stream`] on the fault arrivals, and a positive,
-    /// finite MTTR. Heals follow their faults one for one, so the MTTR
-    /// bounds no event count; a zero horizon checks only the mean.
+    /// memory, before [`FaultTrace::generate`] runs: the MTBF must be
+    /// positive and finite with at most 2²⁰ faults expected (`horizon /
+    /// MTBF`), and the MTTR positive and finite. Heals follow their faults
+    /// one for one, so the MTTR bounds no event count; a zero horizon
+    /// checks only the mean.
     pub fn check(&self, horizon: f64) -> Result<()> {
         check_event_stream("mtbf", self.mtbf_samples, horizon)?;
         check_event_stream("mttr", self.mttr_samples, 0.0)

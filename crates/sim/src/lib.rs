@@ -47,9 +47,7 @@ pub mod trainer;
 
 pub use engine::{simulate_step, simulate_step_reference, SimConfig, StepOutcome, TaskRecord};
 pub use error::{Result, SimError};
-pub use faults::{
-    check_event_stream, FaultEvent, FaultKind, FaultModel, FaultTrace, MAX_EXPECTED_EVENTS,
-};
+pub use faults::{FaultEvent, FaultKind, FaultModel, FaultTrace};
 pub use fleet::{default_templates, FleetConfig, FleetReport, FleetSim, FleetStats, JobTemplate};
 pub use json::JsonValue;
 pub use metrics::{GpuStat, StepStats};

@@ -6,11 +6,12 @@
 #   BENCH_comm.json   — comm-optimizer sweep; cells keyed by (model, cluster)
 #                       for the fp32 sweep and (model, cluster, dtype) for the
 #                       mixed-precision sweep, compared on step seconds.
-#   BENCH_search.json — branch-and-bound strategy search; cells keyed by
-#                       (model, cluster), compared on best-found seconds per
-#                       sample (inverse throughput), so a cell whose search
-#                       stops finding its winner is caught even when the
-#                       aggregate gates still pass.
+#   BENCH_search.json — auto-parallel driver; cells keyed by (model,
+#                       cluster) for the wide search and (model, cluster,
+#                       [narrow]) for the narrow preset, both compared on
+#                       best-found seconds per sample (inverse throughput),
+#                       so a cell whose arm stops finding its winner is
+#                       caught even when the aggregate gates still pass.
 #
 # Usage:
 #   scripts/bench_diff.sh                      # re-run both benches, diff vs HEAD
@@ -98,6 +99,8 @@ if git show HEAD:BENCH_search.json > "$search_baseline" 2>/dev/null; then
   diff_cells "$search_baseline" "$search_fresh" '
     [ (d.cells // [])[]
         | {key: "\(.model) @ \(.cluster)", value: (1 / .search.throughput)} ]
+    + [ (d.cells // [])[]
+        | {key: "\(.model) @ \(.cluster) [narrow]", value: (1 / .narrow.throughput)} ]
     | from_entries' || status=1
 else
   echo "bench_diff: no committed BENCH_search.json at HEAD (skipping)" >&2

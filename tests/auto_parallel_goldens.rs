@@ -27,9 +27,7 @@
 
 use std::fmt::{self, Write};
 
-use whale::{
-    auto_parallel_opts, auto_parallel_search, models, AutoOptions, SearchOptions, Session,
-};
+use whale::{auto_parallel_opts, auto_parallel_search, models, SearchOptions, Session};
 use whale_fp::Fingerprinter;
 
 const ZOO: [(&str, usize); 6] = [
@@ -53,84 +51,84 @@ const GOLDENS: &[(&str, &str, &str, &str, &str)] = &[
         "resnet50@256 on 2x(8xV100)+2x(8xP100)",
         "d28852a6ea96bb3c",
         "dcdfa440af5e333f",
-        "829a745b91699eb8",
+        "a8fee7bfa30e0ab2",
         "4681a621d21a04f7",
     ),
     (
         "bert-base@256 on 2x(8xV100)+2x(8xP100)",
         "c015b2784b3d07c3",
         "dcdfa440af5e333f",
-        "c98dfacb4eb47fde",
+        "d176e3f185340a46",
         "6e0790c47917742f",
     ),
     (
         "bert-large@128 on 2x(8xV100)+2x(8xP100)",
         "5bda9b3ce597acae",
         "dcdfa440af5e333f",
-        "ef9759bd13ee72db",
+        "9adff0b0bd8d00fb",
         "fa45b9072a6e4ae2",
     ),
     (
         "gpt2-xl@64 on 2x(8xV100)+2x(8xP100)",
         "003c8e9a71701d92",
         "dcdfa440af5e333f",
-        "cd8da447ded4df7e",
+        "823bb600d901d01b",
         "6996d420845ff66d",
     ),
     (
         "t5-large@64 on 2x(8xV100)+2x(8xP100)",
         "df156c8f65668eb2",
         "dcdfa440af5e333f",
-        "3d4c38d1fe9b1e21",
+        "6be9d3f96b3d9bd6",
         "5c34dbe394aa0a80",
     ),
     (
         "m6-10b@32 on 2x(8xV100)+2x(8xP100)",
         "c4c10c3eb0d1bee4",
         "dcdfa440af5e333f",
-        "306524003abf6b36",
+        "407b1591c50ad656",
         "0262ba141abe0b67",
     ),
     (
         "resnet50@256 on 1x(8xV100)+1x(8xP100)",
         "dbd252750fd623c2",
         "dcdfa440af5e333f",
-        "9acb0606f33bb875",
+        "b61331afcf459526",
         "d5d9c65ba4f616f1",
     ),
     (
         "bert-base@256 on 1x(8xV100)+1x(8xP100)",
         "f8c252e39fda96ae",
         "dcdfa440af5e333f",
-        "381dc7abd35e71fa",
+        "4bbd39b735083914",
         "c2a79deca77f7e75",
     ),
     (
         "bert-large@128 on 1x(8xV100)+1x(8xP100)",
         "f090b772cd48d8f8",
         "dcdfa440af5e333f",
-        "c4b1006b303e51ee",
+        "3383aca90f24ad33",
         "b592bd03d45a44cf",
     ),
     (
         "gpt2-xl@64 on 1x(8xV100)+1x(8xP100)",
         "5810d97086fc7438",
         "dcdfa440af5e333f",
-        "926109fb51390702",
+        "55d743e8ae790695",
         "041b1a2813e7768f",
     ),
     (
         "t5-large@64 on 1x(8xV100)+1x(8xP100)",
         "43a33449dc20f20a",
         "dcdfa440af5e333f",
-        "b63565ed61e3cc76",
+        "54b7c264bdf6abc0",
         "bd7a27c962ac4c7a",
     ),
     (
         "m6-10b@32 on 1x(8xV100)+1x(8xP100)",
         "c7d60c288d77a1a3",
         "dcdfa440af5e333f",
-        "9e0037c3f6196f40",
+        "e6cf1d162238329d",
         "108741500b68315c",
     ),
     (
@@ -144,7 +142,7 @@ const GOLDENS: &[(&str, &str, &str, &str, &str)] = &[
         "gpt2-xl@256 on 4x(8xV100)",
         "1ab6e612df74f1c4",
         "dcdfa440af5e333f",
-        "2a88f0a2cd888345",
+        "d6ff43cf35a8f6ac",
         "11aacd706b5b86f7",
     ),
 ];
@@ -186,24 +184,16 @@ fn corpus_digests() -> Vec<(String, [String; 4])> {
     let mut out = Vec::with_capacity(14);
     for (model, batch, spec) in cells {
         let name = format!("{model}@{batch} on {spec}");
-        let narrow = auto_parallel_opts(
-            &Session::on_cluster(spec).unwrap(),
-            batch,
-            &AutoOptions {
-                search_threads: 1,
-                ..AutoOptions::default()
-            },
-            || build(model, batch),
-        );
-        let wide = auto_parallel_search(
-            &Session::on_cluster(spec).unwrap(),
-            batch,
-            &SearchOptions {
-                search_threads: 1,
-                ..SearchOptions::default()
-            },
-            || build(model, batch),
-        );
+        let opts = SearchOptions {
+            search_threads: 1,
+            ..SearchOptions::default()
+        };
+        let narrow = auto_parallel_opts(&Session::on_cluster(spec).unwrap(), batch, &opts, || {
+            build(model, batch)
+        });
+        let wide = auto_parallel_search(&Session::on_cluster(spec).unwrap(), batch, &opts, || {
+            build(model, batch)
+        });
         let winner = match &narrow {
             Ok(r) => fingerprint("auto/winner", &(&r.chosen, &r.plan, &r.stats)),
             Err(e) => fingerprint("auto/winner", &e.to_string()),

@@ -7,7 +7,7 @@
 //! * gradient-sync serialization does not depend on the insertion order of
 //!   equal-ready-time collectives (the explicit min-gpu-id tie-break).
 
-use whale::{auto_parallel_opts, models, strategies, AutoOptions, Session};
+use whale::{auto_parallel_opts, models, strategies, SearchOptions, Session};
 use whale_graph::TrainingConfig;
 use whale_hardware::Collective;
 use whale_planner::{CollectiveTask, DeviceWork, ExecutionPlan, PlannedStage};
@@ -29,9 +29,9 @@ fn auto_parallel_report_is_thread_count_invariant() {
     let serial = auto_parallel_opts(
         &session,
         128,
-        &AutoOptions {
+        &SearchOptions {
             search_threads: 1,
-            ..AutoOptions::default()
+            ..SearchOptions::default()
         },
         build,
     )
@@ -39,9 +39,9 @@ fn auto_parallel_report_is_thread_count_invariant() {
     let parallel = auto_parallel_opts(
         &session,
         128,
-        &AutoOptions {
+        &SearchOptions {
             search_threads: 8,
-            ..AutoOptions::default()
+            ..SearchOptions::default()
         },
         build,
     )
@@ -66,10 +66,10 @@ fn memoization_does_not_perturb_the_search() {
     let fast = auto_parallel_opts(
         &session,
         64,
-        &AutoOptions {
+        &SearchOptions {
             search_threads: 1,
             memoize: true,
-            ..AutoOptions::default()
+            ..SearchOptions::default()
         },
         build,
     )
@@ -77,10 +77,10 @@ fn memoization_does_not_perturb_the_search() {
     let baseline = auto_parallel_opts(
         &session,
         64,
-        &AutoOptions {
+        &SearchOptions {
             search_threads: 1,
             memoize: false,
-            ..AutoOptions::default()
+            ..SearchOptions::default()
         },
         build,
     )

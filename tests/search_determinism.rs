@@ -12,8 +12,8 @@
 //! * every report's leaf counters partition its leaves.
 
 use whale::{
-    auto_parallel, auto_parallel_opts, auto_parallel_search, models, strategies, AutoOptions,
-    AutoReport, RejectReason, SearchOptions, Session,
+    auto_parallel, auto_parallel_opts, auto_parallel_search, models, strategies, AutoReport,
+    RejectReason, SearchOptions, Session,
 };
 use whale_graph::{Graph, TrainingConfig, ZeroStage};
 use whale_hardware::Cluster;
@@ -359,11 +359,6 @@ fn reports_do_not_depend_on_memoization() {
         memoize: on,
         ..opts(1)
     };
-    let narrow_memo = |on: bool| AutoOptions {
-        search_threads: 1,
-        memoize: on,
-        ..AutoOptions::default()
-    };
     for cluster in ["2x(8xV100)+2x(8xP100)", "1x(8xV100)+1x(8xP100)"] {
         let session = Session::on_cluster(cluster).unwrap();
         for (name, batch, build) in builds {
@@ -371,8 +366,9 @@ fn reports_do_not_depend_on_memoization() {
             let off = auto_parallel_search(&session, batch, &memo(false), build).unwrap();
             assert_partition(&on, &format!("{name} on {cluster}"));
             assert_eq!(on, off, "{name} on {cluster}: memoize changed the search");
-            let on = auto_parallel_opts(&session, batch, &narrow_memo(true), build).unwrap();
-            let off = auto_parallel_opts(&session, batch, &narrow_memo(false), build).unwrap();
+            let on = auto_parallel_opts(&session, batch, &memo(true), build).unwrap();
+            let off = auto_parallel_opts(&session, batch, &memo(false), build).unwrap();
+            assert_partition(&on, &format!("narrow {name} on {cluster}"));
             assert_eq!(
                 on, off,
                 "{name} on {cluster}: memoize changed the narrow report"
