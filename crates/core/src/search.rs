@@ -126,7 +126,7 @@ impl Default for SearchOptions {
     }
 }
 
-/// How a leaf builds its IR (the generator's closed strategy vocabulary).
+/// How a leaf builds its IR (the generators' closed strategy vocabulary).
 #[derive(Debug, Clone)]
 enum LeafKind {
     /// Whole-model replication over every GPU.
@@ -324,9 +324,11 @@ pub(crate) fn narrow_structures(sp: &mut Space<'_, '_>, _: &SearchOptions) -> Ve
         let kind = LeafKind::Moe { replicas: 1 };
         leaves.push(sp.leaf("moe(split experts + dp)".into(), kind, schedule));
     }
-    if let (Some(fc), true) = (&sp.probe.dominant_fc, n_gpus > 1) {
-        let kind = LeafKind::Split { marker: fc.clone() };
-        leaves.push(sp.leaf(format!("dp+split({fc})"), kind, schedule));
+    if let Some(fc) = &sp.probe.dominant_fc {
+        if n_gpus > 1 {
+            let kind = LeafKind::Split { marker: fc.clone() };
+            leaves.push(sp.leaf(format!("dp+split({fc})"), kind, schedule));
+        }
     }
     vec![Structure::new(leaves, 0.0)]
 }
@@ -431,10 +433,12 @@ fn wide_structures(sp: &mut Space<'_, '_>, opts: &SearchOptions) -> Vec<Structur
         }
     }
     // Dominant-classifier split.
-    if let (Some(fc), true) = (&sp.probe.dominant_fc, n_gpus > 1) {
-        let kind = LeafKind::Split { marker: fc.clone() };
-        let leaf = sp.leaf(format!("dp+split({fc})"), kind, ScheduleKind::BackwardFirst);
-        structures.push(Structure::new(vec![leaf], sync_heur(n_gpus, 1)));
+    if let Some(fc) = &sp.probe.dominant_fc {
+        if n_gpus > 1 {
+            let kind = LeafKind::Split { marker: fc.clone() };
+            let leaf = sp.leaf(format!("dp+split({fc})"), kind, ScheduleKind::BackwardFirst);
+            structures.push(Structure::new(vec![leaf], sync_heur(n_gpus, 1)));
+        }
     }
     structures
 }
