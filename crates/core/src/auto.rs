@@ -422,6 +422,18 @@ mod tests {
     }
 
     #[test]
+    fn auto_parallel_keeps_the_only_strategy_that_fits() {
+        // Only pipeline(micro=16) fits m6-10b@64 on this cluster. Cutting
+        // candidates by a step estimate relative to one that later fails
+        // for memory would lose it; the admissible bounds cannot.
+        let s = Session::on_cluster("2x(8xV100)+2x(8xP100)").unwrap();
+        let report = auto_parallel(&s, 64, || Ok(models::m6_10b(64).unwrap())).unwrap();
+        assert_eq!(report.chosen, "pipeline(micro=16)");
+        let simulated = report.candidates.iter().filter(|c| c.stats.is_some());
+        assert_eq!(simulated.count(), 1);
+    }
+
+    #[test]
     fn auto_parallel_rejects_oom_candidates_for_giant_models() {
         // M6-10B replicas cannot fit on a single 32 GB V100: pure DP must be
         // rejected and a pipeline chosen.

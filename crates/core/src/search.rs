@@ -198,6 +198,17 @@ fn schedule_label(s: ScheduleKind) -> &'static str {
     }
 }
 
+/// Whether the time bounds may price a leaf run under `schedule`. They
+/// model flush schedules, where every step fills and drains the pipeline
+/// and co-located stages run back to back. The async no-flush schedule
+/// (reachable only through the narrow preset, which runs the session's
+/// schedule) charges just the slowest stage's work, so no bound applies and
+/// such a leaf is never bounded away on time; the memory floor and the
+/// degenerate-micro rule still apply.
+fn time_bounded(schedule: ScheduleKind) -> bool {
+    schedule != ScheduleKind::AsyncNoFlush
+}
+
 /// Ascending divisors of `n`.
 fn divisors(n: usize) -> Vec<usize> {
     (1..=n).filter(|d| n.is_multiple_of(*d)).collect()
@@ -272,20 +283,24 @@ impl Space<'_, '_> {
             LeafKind::Split { .. } => (1, 1, 1, n),
         };
         let cfg = self.session.planner_config();
-        let lb = structural_lower_bound_keyed(
-            &StructuralBound {
-                fw_flops_per_sample: self.fw_flops_per_sample,
-                global_batch: self.global_batch,
-                replicas,
-                depth,
-                num_micro,
-                stage_width,
-                amp: cfg.training.amp,
-                recompute: cfg.training.recompute,
-                efficiency: cfg.efficiency,
-            },
-            self.cache,
-        );
+        let lb = if time_bounded(schedule) {
+            structural_lower_bound_keyed(
+                &StructuralBound {
+                    fw_flops_per_sample: self.fw_flops_per_sample,
+                    global_batch: self.global_batch,
+                    replicas,
+                    depth,
+                    num_micro,
+                    stage_width,
+                    amp: cfg.training.amp,
+                    recompute: cfg.training.recompute,
+                    efficiency: cfg.efficiency,
+                },
+                self.cache,
+            )
+        } else {
+            0.0
+        };
         Leaf {
             name,
             degenerate: matches!(kind, LeafKind::Pipeline { .. })
@@ -692,16 +707,18 @@ pub(crate) fn drive(
                             );
                             continue;
                         }
-                        let refined = pipeline_leaf_bound(
-                            &probe,
-                            session.cluster(),
-                            session.planner_config(),
-                            *replicas,
-                            *micro,
-                            gpipe,
-                            global_batch,
-                        );
-                        if let Ok(Some(r)) = refined {
+                        let refined = time_bounded(leaf.schedule).then(|| {
+                            pipeline_leaf_bound(
+                                &probe,
+                                session.cluster(),
+                                session.planner_config(),
+                                *replicas,
+                                *micro,
+                                gpipe,
+                                global_batch,
+                            )
+                        });
+                        if let Some(Ok(Some(r))) = refined {
                             lb = lb.max(r);
                         }
                     }
@@ -777,8 +794,12 @@ pub(crate) fn drive(
                     }
                     Ok(plan) => {
                         stats.nodes_planned += 1;
-                        let lb = estimate_step_lower_bound(&plan, &mut cache)
-                            .map_err(|e| WhaleError::Plan(e.to_string()))?;
+                        let lb = if time_bounded(leaf.schedule) {
+                            estimate_step_lower_bound(&plan, &mut cache)
+                                .map_err(|e| WhaleError::Plan(e.to_string()))?
+                        } else {
+                            0.0
+                        };
                         frontier.push(SimLeaf {
                             index: i,
                             lb,

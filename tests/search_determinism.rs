@@ -376,3 +376,27 @@ fn reports_do_not_depend_on_memoization() {
         }
     }
 }
+
+#[test]
+fn async_sessions_are_never_bounded_on_time() {
+    // The time bounds model flush schedules. Under the async no-flush
+    // schedule the narrow preset runs every leaf it can plan: it must pick
+    // what exhaustive evaluation picks and carry no `Pruned` row.
+    let session = Session::on_cluster("2x(4xV100)")
+        .unwrap()
+        .schedule(ScheduleKind::AsyncNoFlush);
+    let build = || Ok(models::resnet50(16).expect("build"));
+    let pruned = auto_parallel_opts(&session, 16, &opts(1), build).unwrap();
+    let exhaustive = auto_parallel_opts(&session, 16, &exhaustive(), build).unwrap();
+    assert_partition(&pruned, "async");
+    assert!(
+        pruned
+            .candidates
+            .iter()
+            .all(|c| !matches!(c.rejected, Some(RejectReason::Pruned { .. }))),
+        "{:?}",
+        pruned.candidates
+    );
+    assert_eq!(pruned.chosen, exhaustive.chosen);
+    assert_eq!(pruned.stats, exhaustive.stats);
+}
