@@ -282,8 +282,8 @@ impl Space<'_, '_> {
             LeafKind::Moe { replicas } => (*replicas, 1, 1, n / replicas),
             LeafKind::Split { .. } => (1, 1, 1, n),
         };
-        let cfg = self.session.planner_config();
         let lb = if time_bounded(schedule) {
+            let cfg = self.session.planner_config();
             structural_lower_bound_keyed(
                 &StructuralBound {
                     fw_flops_per_sample: self.fw_flops_per_sample,
