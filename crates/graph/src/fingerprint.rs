@@ -191,26 +191,32 @@ impl Graph {
     ///
     /// Representation-independent (interned and flat builds of the same ops
     /// agree) and subgraph-incremental: interned graphs reuse memoized
-    /// per-block subtotals, so re-fingerprinting an unchanged or
-    /// one-block-edited graph does not re-walk the untouched blocks.
+    /// per-block subtotals, so the first fingerprint of a one-block-edited
+    /// graph does not re-walk the untouched blocks. The result is memoized
+    /// per graph value: clones share it and [`Graph::add_op`] clears it, so
+    /// every later call on the same graph is a load.
     pub fn fingerprint(&self) -> Fingerprint {
-        let sum = match self.rep() {
-            Rep::Flat(ops) => ops_content_sum(ops),
-            Rep::Interned { segments, flat } => segments
-                .iter()
-                .map(|segment| match segment {
-                    Segment::Literal { start, len } => ops_content_sum(&flat[*start..start + len]),
-                    Segment::Block(inst) => {
-                        inst.content_sum(&flat[inst.base].name[..inst.prefix_len])
-                    }
-                })
-                .fold(0u64, u64::wrapping_add),
-        };
-        let mut fp = Fingerprinter::new("whale-graph");
-        fp.push_str(self.name());
-        fp.push_len(self.len());
-        fp.push_u64(sum);
-        fp.finish()
+        *self.fingerprint_memo().get_or_init(|| {
+            let sum = match self.rep() {
+                Rep::Flat(ops) => ops_content_sum(ops),
+                Rep::Interned { segments, flat } => segments
+                    .iter()
+                    .map(|segment| match segment {
+                        Segment::Literal { start, len } => {
+                            ops_content_sum(&flat[*start..start + len])
+                        }
+                        Segment::Block(inst) => {
+                            inst.content_sum(&flat[inst.base].name[..inst.prefix_len])
+                        }
+                    })
+                    .fold(0u64, u64::wrapping_add),
+            };
+            let mut fp = Fingerprinter::new("whale-graph");
+            fp.push_str(self.name());
+            fp.push_len(self.len());
+            fp.push_u64(sum);
+            fp.finish()
+        })
     }
 }
 

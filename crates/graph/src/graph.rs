@@ -20,6 +20,7 @@ use crate::tensor::TensorMeta;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+use whale_fp::Fingerprint;
 
 /// Identifier of an operation within a [`Graph`]; dense in `0..graph.len()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -253,10 +254,11 @@ pub(crate) enum Rep {
 /// copies the op list first (and collapses an interned graph to its flat
 /// form, since an arbitrary append invalidates block structure).
 ///
-/// Adjacency ([`Graph::consumers`], [`Graph::sources`], [`Graph::sinks`]) is
-/// memoized behind a [`OnceLock`] and shared by clones; appending an op
-/// invalidates it. For interned graphs the per-block half of that work is
-/// additionally shared across *all* graphs containing the block. Equality
+/// Adjacency ([`Graph::consumers`], [`Graph::sources`], [`Graph::sinks`]) and
+/// the [`Graph::fingerprint`] are memoized behind [`OnceLock`]s and shared
+/// by clones; appending an op invalidates both. For interned graphs the
+/// per-block half of that work is additionally shared across *all* graphs
+/// containing the block. Equality
 /// and ordering look only at the semantic `(name, ops)` content — caches
 /// and representation are invisible: two graphs holding the same ops
 /// compare equal whether interned or flat, with a segment/pointer fast
@@ -265,7 +267,15 @@ pub(crate) enum Rep {
 pub struct Graph {
     name: String,
     rep: Rep,
-    adj: Arc<OnceLock<AdjCache>>,
+    memo: Arc<Memo>,
+}
+
+/// What a graph derives from its ops on first use. One cell holds both
+/// memos, so building a graph allocates one `Arc` for them.
+#[derive(Debug, Default)]
+struct Memo {
+    adj: OnceLock<AdjCache>,
+    fingerprint: OnceLock<Fingerprint>,
 }
 
 fn segment_eq(a: &Segment, a_flat: &[Op], b: &Segment, b_flat: &[Op]) -> bool {
@@ -363,7 +373,7 @@ impl Graph {
         Graph {
             name: name.into(),
             rep: Rep::Flat(Arc::new(Vec::new())),
-            adj: Arc::new(OnceLock::new()),
+            memo: Arc::default(),
         }
     }
 
@@ -393,7 +403,7 @@ impl Graph {
                 segments: Arc::new(segments),
                 flat: Arc::new(flat),
             },
-            adj: Arc::new(OnceLock::new()),
+            memo: Arc::default(),
         }
     }
 
@@ -403,7 +413,7 @@ impl Graph {
         Graph {
             name,
             rep: Rep::Flat(Arc::new(ops)),
-            adj: Arc::new(OnceLock::new()),
+            memo: Arc::default(),
         }
     }
 
@@ -491,14 +501,13 @@ impl Graph {
             phase,
             layer,
         });
-        // Invalidate the memoized adjacency. A uniquely owned, still-empty
-        // cell is cleared in place (no allocation on the builder hot path);
-        // a cell shared with clones is detached so their view stays valid.
-        match Arc::get_mut(&mut self.adj) {
-            Some(cell) => {
-                cell.take();
-            }
-            None => self.adj = Arc::new(OnceLock::new()),
+        // Invalidate the memoized adjacency and fingerprint. A uniquely
+        // owned cell is cleared in place (no allocation on the builder hot
+        // path); a cell shared with clones is detached so their view stays
+        // valid.
+        match Arc::get_mut(&mut self.memo) {
+            Some(memo) => *memo = Memo::default(),
+            None => self.memo = Arc::default(),
         }
         Ok(id)
     }
@@ -577,8 +586,13 @@ impl Graph {
         ))
     }
 
+    /// The fingerprint memo, filled by [`Graph::fingerprint`].
+    pub(crate) fn fingerprint_memo(&self) -> &OnceLock<Fingerprint> {
+        &self.memo.fingerprint
+    }
+
     fn adjacency(&self) -> &AdjCache {
-        self.adj.get_or_init(|| match &self.rep {
+        self.memo.adj.get_or_init(|| match &self.rep {
             Rep::Flat(ops) => AdjCache::build(ops),
             Rep::Interned { segments, flat } => AdjCache::build_from_segments(segments, flat),
         })
@@ -784,6 +798,58 @@ mod tests {
         assert_eq!(g.sinks(), vec![OpId(3), OpId(4)]);
         // Equality ignores the cache.
         assert_eq!(clone, clone.clone());
+    }
+
+    /// Replay `g`'s ops through [`Graph::new`] and [`Graph::add_op`]: the
+    /// same content, flat and never fingerprinted.
+    fn replay(g: &Graph) -> Graph {
+        let mut out = Graph::new(g.name());
+        for op in g.ops() {
+            out.add_op(
+                op.name.clone(),
+                op.kind.clone(),
+                op.inputs.clone(),
+                op.output.clone(),
+                op.phase,
+                op.layer,
+            )
+            .unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn fingerprint_is_memoized_and_invalidated_on_append() {
+        let interned = mk_encoder("enc", 2, true);
+        assert!(interned.block_count() > 0);
+        for original in [mk_chain(5), interned] {
+            let before = original.fingerprint();
+            let mut grown = original.clone();
+            assert_eq!(grown.fingerprint(), before);
+            // The first append detaches the memo the clone shares with the
+            // original; the second clears the clone's own memo in place.
+            for i in 0..2 {
+                let last = OpId(grown.len() - 1);
+                grown
+                    .add_op(
+                        format!("tail{i}"),
+                        OpKind::Elementwise {
+                            elems: 4,
+                            flops_per_elem: 1,
+                        },
+                        vec![last],
+                        TensorMeta::f32(&[4]),
+                        Phase::Forward,
+                        None,
+                    )
+                    .unwrap();
+                assert_eq!(grown.block_count(), 0, "an append collapses to flat");
+                assert_eq!(grown.fingerprint(), replay(&grown).fingerprint());
+                assert_ne!(grown.fingerprint(), before);
+            }
+            assert_eq!(original.fingerprint(), before);
+            assert_eq!(before, replay(&original).fingerprint());
+        }
     }
 
     #[test]

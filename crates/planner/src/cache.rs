@@ -50,6 +50,15 @@ impl PlanKey {
         }
     }
 
+    /// The key of the same IR and config on `cluster`. A replan derives
+    /// its post-delta key with this, so it hashes the IR and config once.
+    pub(crate) fn on_cluster(self, cluster: &Cluster) -> PlanKey {
+        PlanKey {
+            cluster: cluster.fingerprint(),
+            ..self
+        }
+    }
+
     /// Stable 64-bit mix of the three fingerprints, used to pick a
     /// [`crate::service::PlanService`] shard. FNV-style multiply-xor so
     /// keys differing in any one input land on uncorrelated shards.
@@ -232,7 +241,7 @@ impl PlanCache {
         let old_key = PlanKey::new(ir, cluster, config);
         let mut after = cluster.clone();
         after.apply_delta(delta)?;
-        let new_key = PlanKey::new(ir, &after, config);
+        let new_key = old_key.on_cluster(&after);
 
         if let Some(state) = self.lookup(&new_key) {
             return Ok((state.plan_arc(), after));
@@ -368,10 +377,41 @@ pub fn replan_from_seed(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use whale_graph::models;
+    use whale_hardware::{GpuModel, LinkKind};
     use whale_ir::Annotator;
+
+    /// One `(pre-delta cluster, delta)` per delta kind. The restore starts
+    /// from a degraded GPU, so every delta changes the cluster.
+    pub(crate) fn every_delta_kind() -> Vec<(Cluster, ClusterDelta)> {
+        let healthy = Cluster::parse("2x(2xV100)").unwrap();
+        let mut degraded = healthy.clone();
+        degraded.degrade_gpu(1, 0.5).unwrap();
+        vec![
+            (
+                healthy.clone(),
+                ClusterDelta::GpuDegraded { id: 0, scale: 0.5 },
+            ),
+            (degraded, ClusterDelta::GpuRestored { id: 1 }),
+            (
+                healthy.clone(),
+                ClusterDelta::LinkBandwidth {
+                    kind: LinkKind::Network,
+                    bytes_per_sec: 1e9,
+                },
+            ),
+            (healthy.clone(), ClusterDelta::GpuRemoved { id: 3 }),
+            (
+                healthy,
+                ClusterDelta::GpuAdded {
+                    node: 1,
+                    model: GpuModel::P100_16GB,
+                },
+            ),
+        ]
+    }
 
     fn resnet_ir(batch: usize) -> WhaleIr {
         let g = models::resnet50(batch).unwrap();
@@ -447,6 +487,29 @@ mod tests {
         let again = cache.plan(&ir, &after, &cfg).unwrap();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(again, replanned);
+    }
+
+    #[test]
+    fn every_delta_kind_leaves_a_pure_hit_on_the_post_delta_cluster() {
+        let ir = resnet_ir(64);
+        let cfg = PlannerConfig::default();
+        for (cluster, delta) in every_delta_kind() {
+            let mut cache = PlanCache::default();
+            cache.plan(&ir, &cluster, &cfg).unwrap();
+            let (replanned, after) = cache.replan(&ir, &cluster, &cfg, delta).unwrap();
+            assert_ne!(after.fingerprint(), cluster.fingerprint(), "{delta:?}");
+            let before = cache.stats();
+            let again = cache.plan(&ir, &after, &cfg).unwrap();
+            assert!(Arc::ptr_eq(&replanned, &again), "{delta:?}");
+            assert_eq!(
+                cache.stats(),
+                CacheStats {
+                    hits: before.hits + 1,
+                    ..before
+                },
+                "{delta:?}: planning the post-delta cluster is a pure hit"
+            );
+        }
     }
 
     #[test]

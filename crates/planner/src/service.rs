@@ -370,7 +370,7 @@ impl PlanService {
         let old_key = PlanKey::new(ir, cluster, config);
         let mut after = cluster.clone();
         after.apply_delta(delta)?;
-        let new_key = PlanKey::new(ir, &after, config);
+        let new_key = old_key.on_cluster(&after);
 
         match self.admit(new_key) {
             Admission::Hit(state) => Ok((state.plan_arc(), after)),
@@ -714,5 +714,27 @@ mod tests {
         let again = service.plan(&ir, &after, &cfg).unwrap();
         assert!(Arc::ptr_eq(&replanned, &again), "post-delta key is hot");
         assert_eq!(service.stats().hits, 1);
+    }
+
+    #[test]
+    fn every_delta_kind_leaves_a_pure_hit_across_shards() {
+        let ir = resnet_ir(64);
+        let cfg = PlannerConfig::default();
+        for (cluster, delta) in crate::cache::tests::every_delta_kind() {
+            let service = PlanService::new(2, 64);
+            service.plan(&ir, &cluster, &cfg).unwrap();
+            let (replanned, after) = service.replan(&ir, &cluster, &cfg, delta).unwrap();
+            let before = service.stats();
+            let again = service.plan(&ir, &after, &cfg).unwrap();
+            assert!(Arc::ptr_eq(&replanned, &again), "{delta:?}");
+            assert_eq!(
+                service.stats(),
+                CacheStats {
+                    hits: before.hits + 1,
+                    ..before
+                },
+                "{delta:?}: planning the post-delta cluster is a pure hit"
+            );
+        }
     }
 }
