@@ -857,9 +857,9 @@ impl FleetSim {
         };
         let local = binding.num_gpus() - 1; // highest pool id == last local id
         let freed = *binding.gpu_ids().last().expect("non-empty binding");
-        let ir = self.templates[self.jobs[id].template].ir.clone();
+        let ir = &self.templates[self.jobs[id].template].ir;
         let delta = ClusterDelta::GpuRemoved { id: local };
-        let Ok((plan, after)) = self.service.replan(&ir, &sub, &self.planner_cfg, delta) else {
+        let Ok((plan, after)) = self.service.replan(ir, &sub, &self.planner_cfg, delta) else {
             return None;
         };
         let report = check_replan(&plan, &plan, &after, &self.sim_cfg);
@@ -897,11 +897,11 @@ impl FleetSim {
         let mut ids: Vec<usize> = binding.gpu_ids().to_vec();
         ids.push(gpu);
         ids.sort_unstable();
-        let ir = self.templates[self.jobs[id].template].ir.clone();
+        let ir = &self.templates[self.jobs[id].template].ir;
         let Ok(sub) = self.pool.subcluster(&ids) else {
             return false;
         };
-        let Ok(plan) = self.service.plan(&ir, &sub, &self.planner_cfg) else {
+        let Ok(plan) = self.service.plan(ir, &sub, &self.planner_cfg) else {
             return false;
         };
         let Ok(out) = simulate_step(&plan, &sub, &self.sim_cfg) else {
@@ -920,14 +920,14 @@ impl FleetSim {
     /// Bind a queued job to `gpu_ids` and start (or resume) it.
     fn bind(&mut self, id: usize, mut gpu_ids: Vec<usize>) {
         gpu_ids.sort_unstable();
-        let ir = self.templates[self.jobs[id].template].ir.clone();
+        let ir = &self.templates[self.jobs[id].template].ir;
         let planned = self
             .pool
             .subcluster(&gpu_ids)
             .map_err(|e| e.to_string())
             .and_then(|sub| {
                 self.service
-                    .plan(&ir, &sub, &self.planner_cfg)
+                    .plan(ir, &sub, &self.planner_cfg)
                     .map_err(|e| e.to_string())
                     .map(|plan| (sub, plan))
             })
@@ -1067,7 +1067,7 @@ impl FleetSim {
     /// retry/backoff; the baseline rides it out on the static plan and
     /// merely re-measures its (straggling) throughput.
     fn recover_rate(&mut self, job: usize, ev: FaultEvent, local_delta: ClusterDelta) {
-        let ir = self.templates[self.jobs[job].template].ir.clone();
+        let ir = &self.templates[self.jobs[job].template].ir;
         if !self.cfg.elastic {
             // Static runtime: same plan, slower hardware underneath.
             let j = &mut self.jobs[job];
@@ -1093,7 +1093,7 @@ impl FleetSim {
             let before = self.service.stats();
             match self
                 .service
-                .replan(&ir, &sub, &self.planner_cfg, local_delta)
+                .replan(ir, &sub, &self.planner_cfg, local_delta)
             {
                 Ok((plan, after)) => {
                     break Some((plan, after, classify(&before, &self.service.stats())))
@@ -1119,7 +1119,7 @@ impl FleetSim {
         let (plan, outcome) = if report.is_consistent() {
             (plan, report.outcome.expect("consistent reports simulate"))
         } else {
-            let Ok(cold) = cold_plan(&ir, &after, &self.planner_cfg).map(Arc::new) else {
+            let Ok(cold) = cold_plan(ir, &after, &self.planner_cfg).map(Arc::new) else {
                 self.fail_job(job, "rate-fault recovery failed to recompile".into());
                 return;
             };
@@ -1221,12 +1221,12 @@ impl FleetSim {
         }
 
         // Replan the surviving slice via the delta fast path.
-        let ir = self.templates[self.jobs[job].template].ir.clone();
+        let ir = &self.templates[self.jobs[job].template].ir;
         let sub = self.jobs[job].sub.clone().expect("running job has a slice");
         let before = self.service.stats();
         let delta = ClusterDelta::GpuRemoved { id: local };
         let mut path;
-        let (plan, after) = match self.service.replan(&ir, &sub, &self.planner_cfg, delta) {
+        let (plan, after) = match self.service.replan(ir, &sub, &self.planner_cfg, delta) {
             Ok((plan, after)) => {
                 path = classify(&before, &self.service.stats());
                 (plan, after)
@@ -1239,7 +1239,7 @@ impl FleetSim {
                     self.fail_job(job, "surviving slice is not a legal sub-cluster".into());
                     return;
                 };
-                match cold_plan(&ir, &after, &self.planner_cfg) {
+                match cold_plan(ir, &after, &self.planner_cfg) {
                     Ok(plan) => {
                         path = ReplanPath::Full;
                         (Arc::new(plan), after)
@@ -1257,7 +1257,7 @@ impl FleetSim {
         let (plan, outcome) = if report.is_consistent() {
             (plan, report.outcome.expect("consistent reports simulate"))
         } else {
-            let Ok(cold) = cold_plan(&ir, &after, &self.planner_cfg).map(Arc::new) else {
+            let Ok(cold) = cold_plan(ir, &after, &self.planner_cfg).map(Arc::new) else {
                 self.fail_job(job, "crash recovery failed to recompile".into());
                 return;
             };
