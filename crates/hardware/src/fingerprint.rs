@@ -36,7 +36,7 @@ impl Cluster {
             fp.push_usize(g.id)
                 .push_usize(g.node)
                 .push_usize(g.local_rank)
-                .push_str(&g.model.to_string())
+                .push_str(g.model.name())
                 .push_f64(g.throughput_scale);
         }
         fp.push_len(self.num_nodes());

@@ -126,11 +126,10 @@ impl GpuModel {
             _ => None,
         }
     }
-}
 
-impl fmt::Display for GpuModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// Display name; the cluster fingerprint hashes it without allocating.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
             GpuModel::V100_32GB => "V100-32GB",
             GpuModel::V100_16GB => "V100-16GB",
             GpuModel::P100_16GB => "P100-16GB",
@@ -138,8 +137,13 @@ impl fmt::Display for GpuModel {
             GpuModel::T4 => "T4",
             GpuModel::A100_40GB => "A100-40GB",
             GpuModel::A100_80GB => "A100-80GB",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for GpuModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
