@@ -131,35 +131,6 @@ impl Fingerprinter {
     }
 }
 
-/// Compose already-finished fingerprints into one, under a fresh domain.
-///
-/// This is the primitive behind subgraph-incremental keys: a container
-/// fingerprints each part once (and memoizes it), then derives its own
-/// fingerprint from the part fingerprints instead of re-walking the parts.
-/// The parts are length-prefixed, so `compose("k", [a, b])` and
-/// `compose("k", [a])` followed by `b` elsewhere cannot collide by
-/// concatenation.
-///
-/// ```
-/// use whale_fp::{compose, Fingerprinter};
-///
-/// let graph = Fingerprinter::new("graph").push_u64(7).finish();
-/// let cluster = Fingerprinter::new("cluster").push_u64(9).finish();
-/// let key = compose("plan-key", [graph, cluster]);
-/// assert_eq!(key, compose("plan-key", [graph, cluster]));
-/// assert_ne!(key, compose("plan-key", [cluster, graph]));
-/// ```
-pub fn compose(domain: &str, parts: impl IntoIterator<Item = Fingerprint>) -> Fingerprint {
-    let mut fp = Fingerprinter::new(domain);
-    let mut n = 0usize;
-    for part in parts {
-        fp.push_fingerprint(part);
-        n += 1;
-    }
-    fp.push_len(n);
-    fp.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,16 +181,6 @@ mod tests {
     #[test]
     fn display_is_hex() {
         assert_eq!(Fingerprint(0xdead_beef).to_string(), "00000000deadbeef");
-    }
-
-    #[test]
-    fn compose_is_order_and_arity_sensitive() {
-        let a = Fingerprinter::new("a").finish();
-        let b = Fingerprinter::new("b").finish();
-        assert_eq!(compose("k", [a, b]), compose("k", [a, b]));
-        assert_ne!(compose("k", [a, b]), compose("k", [b, a]));
-        assert_ne!(compose("k", [a]), compose("k", [a, a]));
-        assert_ne!(compose("k", [a]), compose("j", [a]));
     }
 
     #[test]
