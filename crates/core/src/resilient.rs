@@ -16,11 +16,12 @@
 //!   seconds after it strikes; that time is pure downtime.
 //! * **rollback** — training restarts from the last periodic checkpoint;
 //!   every sample committed since is lost and must be re-earned.
-//! * **replan** — the delta is applied through the session's delta-
-//!   invalidation fast path (only the invalidated compile-pass suffix
-//!   re-runs). The replanned plan is verified with
-//!   [`whale_sim::check_replan`]; if verification fails, the runtime falls
-//!   back to a full from-scratch recompile. Recovery attempts for
+//! * **replan** — [`whale_sim::recovery::replan_verified`], the step the
+//!   fleet simulator shares: the delta is applied through the session's
+//!   delta-invalidation fast path (only the invalidated compile-pass suffix
+//!   re-runs), the replanned plan is verified with
+//!   [`whale_sim::check_replan`], and if verification fails the runtime
+//!   falls back to a full from-scratch recompile. Recovery attempts for
 //!   *transient* faults (degradation, congestion, restore) are retried with
 //!   bounded exponential backoff; permanent faults fail fast.
 //! * **resume** — training continues under the new plan. If the surviving
@@ -37,7 +38,8 @@
 use std::sync::Arc;
 
 use whale_ir::WhaleIr;
-use whale_planner::{plan as cold_plan, CacheStats, ExecutionPlan};
+use whale_planner::{plan as cold_plan, ExecutionPlan, PlanService};
+use whale_sim::recovery::{ratio, replan_verified};
 use whale_sim::{check_replan, simulate_training, FaultEvent, FaultTrace, LossModel, TrainPoint};
 
 use crate::error::{Result, WhaleError};
@@ -80,8 +82,6 @@ struct LoopState {
     lost: f64,
     points: Vec<TrainPoint>,
     faults: Vec<RecoveryEvent>,
-    replans_cached: u64,
-    replans_full: u64,
 }
 
 impl LoopState {
@@ -95,12 +95,11 @@ impl LoopState {
             lost: 0.0,
             points: Vec::new(),
             faults: Vec::new(),
-            replans_cached: 0,
-            replans_full: 0,
         }
     }
 
     fn into_stats(self) -> RecoveryStats {
+        let replans = |path| self.faults.iter().filter(|e| e.replan == path).count() as u64;
         RecoveryStats {
             committed_samples: self.committed,
             processed_samples: self.processed,
@@ -111,18 +110,10 @@ impl LoopState {
             goodput: ratio(self.committed, self.wall_s),
             raw_throughput: ratio(self.processed, self.training_s),
             availability: ratio(self.training_s, self.wall_s),
-            replans_cached: self.replans_cached,
-            replans_full: self.replans_full,
+            replans_cached: replans(ReplanPath::CachedSuffix),
+            replans_full: replans(ReplanPath::Full),
             faults: self.faults,
         }
-    }
-}
-
-fn ratio(a: f64, b: f64) -> f64 {
-    if b > 0.0 {
-        a / b
-    } else {
-        0.0
     }
 }
 
@@ -133,8 +124,10 @@ impl Session {
     /// simulator is seedless here (curve points carry no noise), so equal
     /// inputs give bit-identical [`RecoveryStats`].
     ///
-    /// The session's cluster tracks every applied delta; after the run it
-    /// reflects the final topology.
+    /// The session's cluster tracks every recovered delta; after the run it
+    /// reflects the final topology. When a recovery fails, the run returns
+    /// the error and the session keeps the cluster it had before that
+    /// fault.
     pub fn train_resilient(
         &mut self,
         ir: &WhaleIr,
@@ -264,7 +257,11 @@ impl Session {
         Ok(())
     }
 
-    /// The resilient recovery state machine for one fault event.
+    /// The resilient recovery state machine for one fault event: roll back
+    /// to the last checkpoint, then replan, verify and fall back through
+    /// [`replan_verified`]. A session without a plan cache recovers through
+    /// a throwaway service, whose replan is the cold compile its
+    /// [`Session::replan`] would run, counted [`ReplanPath::Full`].
     fn recover(
         &mut self,
         ir: &WhaleIr,
@@ -272,81 +269,36 @@ impl Session {
         policy: &RecoveryPolicy,
         state: &mut LoopState,
     ) -> Result<Arc<ExecutionPlan>> {
-        let old_plan = self.plan(ir)?;
-        let mut downtime = policy.detection_latency_s;
-
-        // Rollback: committed progress returns to the last checkpoint.
-        let interval = policy.checkpoint_interval.max(1.0);
-        let checkpoint = (state.committed / interval).floor() * interval;
-        let lost = state.committed - checkpoint;
-        state.committed = checkpoint;
+        // A rate fault's replan is checked against the pre-fault plan.
+        let pre_fault = self.plan(ir)?;
+        let lost = policy.rollback(&mut state.committed);
         state.lost += lost;
 
-        // Replan through the delta-invalidation fast path, retrying
-        // transient faults with bounded exponential backoff.
-        let mut retries = 0u32;
-        let (new_plan, mut path) = loop {
-            let before = self.cache_stats();
-            match self.replan(ir, event.delta) {
-                Ok(p) => break (p, classify(before, self.cache_stats())),
-                Err(e) => {
-                    if event.kind.is_transient() && retries < policy.max_retries {
-                        retries += 1;
-                        downtime += policy.backoff_s(retries);
-                    } else {
-                        state.wall_s += downtime;
-                        state.downtime_s += downtime;
-                        return Err(e);
-                    }
-                }
+        let scratch;
+        let service = match self.plan_service() {
+            Some(service) => service.as_ref(),
+            None => {
+                scratch = PlanService::new(1, 1);
+                &scratch
             }
         };
-
-        // Verify the shortcut; fall back to a full recompile if it broke
-        // the plan. Structural deltas legitimately change stage shapes, so
-        // they are checked for executability rather than against the old
-        // plan.
-        let reference = if event.delta.is_structural() {
-            &new_plan
-        } else {
-            &old_plan
-        };
-        let report = check_replan(reference, &new_plan, self.cluster(), self.sim_config());
-        let (final_plan, outcome) = if report.is_consistent() {
-            (
-                new_plan,
-                report.outcome.expect("consistent reports simulate"),
-            )
-        } else {
-            let cold = Arc::new(cold_plan(ir, self.cluster(), self.planner_config())?);
-            let audit = check_replan(&cold, &cold, self.cluster(), self.sim_config());
-            if !audit.is_consistent() {
-                state.wall_s += downtime;
-                state.downtime_s += downtime;
-                return Err(WhaleError::Plan(format!(
-                    "recovery failed verification even after a full recompile:\n{audit}"
-                )));
-            }
-            path = ReplanPath::Full;
-            (cold, audit.outcome.expect("consistent reports simulate"))
-        };
-
-        match path {
-            ReplanPath::CachedSuffix => state.replans_cached += 1,
-            ReplanPath::Full => state.replans_full += 1,
-        }
-        state.wall_s += downtime;
-        state.downtime_s += downtime;
-        state.faults.push(RecoveryEvent {
-            kind: event.kind,
-            at_samples: event.at_samples,
-            samples_lost: lost,
-            downtime_s: downtime,
-            time_to_recover_s: downtime + ratio(lost, outcome.stats.throughput),
-            retries,
-            replan: path,
-        });
-        Ok(final_plan)
+        let r = replan_verified(
+            service,
+            ir,
+            self.cluster(),
+            self.planner_config(),
+            self.sim_config(),
+            policy,
+            *event,
+            &pre_fault,
+        )?;
+        state.wall_s += r.downtime_s;
+        state.downtime_s += r.downtime_s;
+        state
+            .faults
+            .push(r.event(event.kind, event.at_samples, lost));
+        *self.cluster_mut() = r.cluster;
+        Ok(r.plan)
     }
 
     /// The static baseline's reaction: straggle through rate faults,
@@ -381,7 +333,6 @@ impl Session {
             .as_ref()
             .map(|o| o.stats.throughput)
             .unwrap_or(0.0);
-        state.replans_full += 1;
         state.faults.push(RecoveryEvent {
             kind: event.kind,
             at_samples: event.at_samples,
@@ -392,18 +343,6 @@ impl Session {
             replan: ReplanPath::Full,
         });
         Ok(plan)
-    }
-}
-
-/// Decide which path a `Session::replan` took from the cache counters: a
-/// partial hit (suffix re-run) or a pure hit (post-delta state already
-/// cached, e.g. a restore back to a known topology) count as the fast path.
-fn classify(before: Option<CacheStats>, after: Option<CacheStats>) -> ReplanPath {
-    match (before, after) {
-        (Some(b), Some(a)) if a.partial_hits > b.partial_hits || a.hits > b.hits => {
-            ReplanPath::CachedSuffix
-        }
-        _ => ReplanPath::Full,
     }
 }
 

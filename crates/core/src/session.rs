@@ -171,7 +171,9 @@ impl Session {
     }
 
     /// Mutate the cluster directly, bypassing the replan path — the
-    /// restart-from-scratch baseline needs a runtime that *doesn't* replan.
+    /// restart-from-scratch baseline needs a runtime that *doesn't* replan,
+    /// and the resilient runtime installs the post-delta cluster its
+    /// recovery step returns.
     pub(crate) fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
     }

@@ -30,7 +30,10 @@
 //!    `FleetSim` scheduler reacts at step boundaries: degradations and
 //!    congestion trigger cached replans of the affected tenants; a removal
 //!    inside a binding runs the full rollback-to-checkpoint recovery; a
-//!    heal or join re-expands shrunken tenants and drains the queue.
+//!    heal or join re-expands shrunken tenants and drains the queue. Both
+//!    recoveries replan, verify and fall back through
+//!    [`crate::recovery::replan_verified`], the step the single-job
+//!    resilient trainer also runs; a tenant whose step fails is failed.
 //! 5. **Elastic resizing.** On capacity loss the scheduler shrinks victims
 //!    — lowest priority first — issuing [`ClusterDelta`]s and cached
 //!    replans through the service rather than killing jobs; on capacity
@@ -51,13 +54,15 @@ use std::sync::Arc;
 
 use whale_hardware::{Cluster, ClusterDelta, VirtualDevice};
 use whale_ir::WhaleIr;
-use whale_planner::{plan as cold_plan, CacheStats, ExecutionPlan, PlanService, PlannerConfig};
+use whale_planner::{CacheStats, ExecutionPlan, PlanService, PlannerConfig};
 
 use crate::engine::{simulate_step, SimConfig};
 use crate::error::{Result, SimError};
 use crate::faults::{check_event_stream, exponential, FaultEvent, FaultModel, FaultTrace};
 use crate::json::{num, obj, JsonValue};
-use crate::recovery::{RecoveryEvent, RecoveryPolicy, RecoveryStats, ReplanPath};
+use crate::recovery::{
+    ratio, replan_verified, RecoveryEvent, RecoveryPolicy, RecoveryStats, ReplanPath,
+};
 use crate::replan::check_replan;
 use crate::rng::SplitMix64;
 
@@ -1067,7 +1072,6 @@ impl FleetSim {
     /// retry/backoff; the baseline rides it out on the static plan and
     /// merely re-measures its (straggling) throughput.
     fn recover_rate(&mut self, job: usize, ev: FaultEvent, local_delta: ClusterDelta) {
-        let ir = &self.templates[self.jobs[job].template].ir;
         if !self.cfg.elastic {
             // Static runtime: same plan, slower hardware underneath.
             let j = &mut self.jobs[job];
@@ -1082,71 +1086,14 @@ impl FleetSim {
             }
             return;
         }
-        let Some(sub) = self.jobs[job].sub.clone() else {
-            return;
-        };
-        let old_plan = self.jobs[job].plan.clone();
-        let policy = self.cfg.policy;
-        let mut downtime = policy.detection_latency_s;
-        let mut retries = 0u32;
-        let replanned = loop {
-            let before = self.service.stats();
-            match self
-                .service
-                .replan(ir, &sub, &self.planner_cfg, local_delta)
-            {
-                Ok((plan, after)) => {
-                    break Some((plan, after, classify(&before, &self.service.stats())))
-                }
-                Err(e) => {
-                    if ev.kind.is_transient() && retries < policy.max_retries {
-                        retries += 1;
-                        downtime += policy.backoff_s(retries);
-                    } else {
-                        self.fail_job(job, format!("replan failed: {e}"));
-                        return;
-                    }
-                }
-            }
-        };
-        let Some((plan, after, mut path)) = replanned else {
-            return;
-        };
-        // Verify the fast path against the old plan (rate faults preserve
-        // stage shapes); fall back to a cold compile if it broke the plan.
-        let reference = old_plan.as_deref().unwrap_or(&plan);
-        let report = check_replan(reference, &plan, &after, &self.sim_cfg);
-        let (plan, outcome) = if report.is_consistent() {
-            (plan, report.outcome.expect("consistent reports simulate"))
-        } else {
-            let Ok(cold) = cold_plan(ir, &after, &self.planner_cfg).map(Arc::new) else {
-                self.fail_job(job, "rate-fault recovery failed to recompile".into());
-                return;
-            };
-            let audit = check_replan(&cold, &cold, &after, &self.sim_cfg);
-            let Some(outcome) = audit.outcome else {
-                self.fail_job(job, "recovery failed verification after recompile".into());
-                return;
-            };
-            path = ReplanPath::Full;
-            (cold, outcome)
-        };
-        let now = self.now;
-        let j = &mut self.jobs[job];
-        j.sub = Some(after);
-        j.plan = Some(plan);
-        j.throughput = outcome.stats.throughput;
-        j.paused_until = j.paused_until.max(now + downtime);
-        j.downtime_s += downtime;
-        j.recoveries.push(RecoveryEvent {
-            kind: ev.kind,
-            at_samples: j.processed,
-            samples_lost: 0.0,
-            downtime_s: downtime,
-            time_to_recover_s: downtime,
-            retries,
-            replan: path,
-        });
+        self.replan_job(
+            job,
+            FaultEvent {
+                delta: local_delta,
+                ..ev
+            },
+            0.0,
+        );
     }
 
     /// A crash removed a GPU out of a tenant's binding (already remapped).
@@ -1184,24 +1131,17 @@ impl FleetSim {
         }
 
         // Elastic: rollback to checkpoint.
-        let interval = policy.checkpoint_interval.max(1.0);
-        let (lost, downtime) = {
-            let j = &mut self.jobs[job];
-            let checkpoint = (j.committed / interval).floor() * interval;
-            let lost = j.committed - checkpoint;
-            j.committed = checkpoint;
-            j.lost += lost;
-            (lost, policy.detection_latency_s)
-        };
+        let j = &mut self.jobs[job];
+        let lost = policy.rollback(&mut j.committed);
+        j.lost += lost;
 
-        if self.jobs[job].binding.is_none() {
+        if j.binding.is_none() {
             // The binding dissolved entirely: queue for reacquisition
             // rather than failing — `rebalance` will find capacity (or
             // count an insufficient event and wait for a heal).
-            let now = self.now;
-            let j = &mut self.jobs[job];
+            let downtime = policy.detection_latency_s;
             j.phase = JobPhase::Queued;
-            j.queued_since = now;
+            j.queued_since = self.now;
             j.sub = None;
             j.plan = None;
             j.throughput = 0.0;
@@ -1220,71 +1160,42 @@ impl FleetSim {
             return;
         }
 
-        // Replan the surviving slice via the delta fast path.
-        let ir = &self.templates[self.jobs[job].template].ir;
-        let sub = self.jobs[job].sub.clone().expect("running job has a slice");
-        let before = self.service.stats();
         let delta = ClusterDelta::GpuRemoved { id: local };
-        let mut path;
-        let (plan, after) = match self.service.replan(ir, &sub, &self.planner_cfg, delta) {
-            Ok((plan, after)) => {
-                path = classify(&before, &self.service.stats());
-                (plan, after)
-            }
-            Err(_) => {
-                // Graceful degradation: cached path failed, compile the
-                // surviving slice from scratch.
-                let binding = self.jobs[job].binding.clone().expect("non-empty binding");
-                let Ok(after) = self.pool.subcluster(binding.gpu_ids()) else {
-                    self.fail_job(job, "surviving slice is not a legal sub-cluster".into());
-                    return;
-                };
-                match cold_plan(ir, &after, &self.planner_cfg) {
-                    Ok(plan) => {
-                        path = ReplanPath::Full;
-                        (Arc::new(plan), after)
-                    }
-                    Err(e) => {
-                        self.fail_job(job, format!("crash recovery failed: {e}"));
-                        return;
-                    }
-                }
-            }
+        self.replan_job(job, FaultEvent { delta, ..ev }, lost);
+    }
+
+    /// The elastic runtime's recovery: replan `job`'s slice through the
+    /// shared [`replan_verified`] step (`fault.delta` in slice-local ids)
+    /// and resume it under the verified plan after the downtime, or fail
+    /// the job with the step's error. `lost` is the rollback's cost.
+    fn replan_job(&mut self, job: usize, fault: FaultEvent, lost: f64) {
+        let j = &self.jobs[job];
+        let (Some(sub), Some(pre_fault)) = (&j.sub, &j.plan) else {
+            return;
         };
-        // Structural deltas legitimately change stage shapes: verify
-        // executability, not equivalence with the old plan.
-        let report = check_replan(&plan, &plan, &after, &self.sim_cfg);
-        let (plan, outcome) = if report.is_consistent() {
-            (plan, report.outcome.expect("consistent reports simulate"))
-        } else {
-            let Ok(cold) = cold_plan(ir, &after, &self.planner_cfg).map(Arc::new) else {
-                self.fail_job(job, "crash recovery failed to recompile".into());
-                return;
-            };
-            let audit = check_replan(&cold, &cold, &after, &self.sim_cfg);
-            let Some(outcome) = audit.outcome else {
-                self.fail_job(job, "crash recovery failed verification".into());
-                return;
-            };
-            path = ReplanPath::Full;
-            (cold, outcome)
-        };
+        let recovered = replan_verified(
+            &self.service,
+            &self.templates[j.template].ir,
+            sub,
+            &self.planner_cfg,
+            &self.sim_cfg,
+            &self.cfg.policy,
+            fault,
+            pre_fault,
+        );
         let now = self.now;
-        let j = &mut self.jobs[job];
-        j.sub = Some(after);
-        j.plan = Some(plan);
-        j.throughput = outcome.stats.throughput;
-        j.paused_until = j.paused_until.max(now + downtime);
-        j.downtime_s += downtime;
-        j.recoveries.push(RecoveryEvent {
-            kind: ev.kind,
-            at_samples: j.processed,
-            samples_lost: lost,
-            downtime_s: downtime,
-            time_to_recover_s: downtime + ratio(lost, outcome.stats.throughput),
-            retries: 0,
-            replan: path,
-        });
+        match recovered {
+            Ok(r) => {
+                let j = &mut self.jobs[job];
+                j.recoveries.push(r.event(fault.kind, j.processed, lost));
+                j.paused_until = j.paused_until.max(now + r.downtime_s);
+                j.downtime_s += r.downtime_s;
+                j.throughput = r.throughput;
+                j.sub = Some(r.cluster);
+                j.plan = Some(r.plan);
+            }
+            Err(e) => self.fail_job(job, format!("recovery failed: {e}")),
+        }
     }
 
     fn fail_job(&mut self, job: usize, error: String) {
@@ -1419,24 +1330,6 @@ impl FleetSim {
             vds.push(VirtualDevice::new(self.free.clone()).expect("non-empty free list"));
         }
         whale_hardware::validate_partition(&self.pool, &vds).map_err(|e| e.to_string())
-    }
-}
-
-fn ratio(a: f64, b: f64) -> f64 {
-    if b > 0.0 {
-        a / b
-    } else {
-        0.0
-    }
-}
-
-/// Which path a sequential `PlanService::replan` took, read off the shared
-/// counters: a hit or partial hit means cached artifacts served it.
-fn classify(before: &CacheStats, after: &CacheStats) -> ReplanPath {
-    if after.partial_hits > before.partial_hits || after.hits > before.hits {
-        ReplanPath::CachedSuffix
-    } else {
-        ReplanPath::Full
     }
 }
 

@@ -1,14 +1,26 @@
-//! Recovery accounting shared by the resilient trainer and the fleet.
+//! Recovery shared by the resilient trainer and the fleet.
 //!
-//! [`RecoveryPolicy`], [`ReplanPath`], [`RecoveryEvent`], and
-//! [`RecoveryStats`] started life in `whale::resilient` (the single-job
-//! recovery state machine). The fleet simulator ([`crate::fleet`]) runs the
-//! same detect → rollback → replan → resume loop per tenant, so the data
-//! types live here in the sim crate where both consumers can reach them;
-//! `whale::resilient` re-exports them under the original paths.
+//! Both runtimes walk the same detect → rollback → replan → resume loop:
+//! `whale::resilient` for one job, [`crate::fleet`] for each tenant. This
+//! module holds what they share: the data types ([`RecoveryPolicy`],
+//! [`ReplanPath`], [`RecoveryEvent`], [`RecoveryStats`]), the checkpoint
+//! rollback ([`RecoveryPolicy::rollback`]) and the replan → verify → fall
+//! back step ([`replan_verified`]). `whale::resilient` re-exports the data
+//! types under their original paths. The foils (the restart baseline and
+//! the fleet's kill-and-requeue mode) never replan and do not use the step.
 
-use crate::faults::FaultKind;
+use std::sync::Arc;
+
+use whale_hardware::Cluster;
+use whale_ir::WhaleIr;
+use whale_planner::{
+    plan as cold_plan, CacheStats, ExecutionPlan, PlanError, PlanService, PlannerConfig,
+};
+
+use crate::engine::SimConfig;
+use crate::faults::{FaultEvent, FaultKind};
 use crate::json::{num, obj, s, JsonValue};
+use crate::replan::check_replan;
 
 /// Knobs of the recovery state machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,6 +61,136 @@ impl RecoveryPolicy {
     /// `backoff_cap_s`.
     pub fn backoff_s(&self, retry: u32) -> f64 {
         (self.backoff_base_s * 2f64.powi(retry.saturating_sub(1) as i32)).min(self.backoff_cap_s)
+    }
+
+    /// Roll `committed` back to the last periodic checkpoint and return the
+    /// samples lost. An interval below one sample counts as one.
+    pub fn rollback(&self, committed: &mut f64) -> f64 {
+        let interval = self.checkpoint_interval.max(1.0);
+        let checkpoint = (*committed / interval).floor() * interval;
+        let lost = *committed - checkpoint;
+        *committed = checkpoint;
+        lost
+    }
+}
+
+/// `a / b`, or 0 when `b` is not positive: the rate over an empty interval.
+pub fn ratio(a: f64, b: f64) -> f64 {
+    if b > 0.0 {
+        a / b
+    } else {
+        0.0
+    }
+}
+
+/// A plan that survived [`replan_verified`], with what the recovery cost.
+#[derive(Debug)]
+pub struct VerifiedPlan {
+    /// The plan to resume under.
+    pub plan: Arc<ExecutionPlan>,
+    /// The post-delta cluster `plan` runs on.
+    pub cluster: Cluster,
+    /// Simulated throughput of `plan` on `cluster`, samples per second.
+    pub throughput: f64,
+    /// Replan attempts retried after transient errors.
+    pub retries: u32,
+    /// Detection latency plus backoff waits, seconds.
+    pub downtime_s: f64,
+    /// Whether the cached fast path or a full compile produced `plan`.
+    pub path: ReplanPath,
+}
+
+impl VerifiedPlan {
+    /// The accounting row of this recovery for a fault of `kind` that
+    /// struck at `at_samples` and rolled back `samples_lost` samples, which
+    /// are re-earned at the verified throughput.
+    pub fn event(&self, kind: FaultKind, at_samples: f64, samples_lost: f64) -> RecoveryEvent {
+        RecoveryEvent {
+            kind,
+            at_samples,
+            samples_lost,
+            downtime_s: self.downtime_s,
+            time_to_recover_s: self.downtime_s + ratio(samples_lost, self.throughput),
+            retries: self.retries,
+            replan: self.path,
+        }
+    }
+}
+
+/// The recovery step both runtimes share: replan → verify → fall back.
+///
+/// 1. **Replan** `fault.delta` (in `cluster`'s GPU ids) through `service`'s
+///    delta fast path. A transient fault's replan error is retried up to
+///    `policy.max_retries` times, each retry charging
+///    [`RecoveryPolicy::backoff_s`] of downtime on top of the detection
+///    latency; any other error comes back unchanged.
+/// 2. **Verify** the result with [`check_replan`]: a rate delta against
+///    `pre_fault`, a structural delta, whose stage shapes legitimately
+///    change, only for executability.
+/// 3. **Fall back** when the check fails: compile cold on the post-delta
+///    cluster, counted [`ReplanPath::Full`]. That plan must pass the same
+///    check against itself, or the step fails with
+///    [`PlanError::Internal`].
+#[allow(clippy::too_many_arguments)]
+pub fn replan_verified(
+    service: &PlanService,
+    ir: &WhaleIr,
+    cluster: &Cluster,
+    config: &PlannerConfig,
+    sim: &SimConfig,
+    policy: &RecoveryPolicy,
+    fault: FaultEvent,
+    pre_fault: &ExecutionPlan,
+) -> std::result::Result<VerifiedPlan, PlanError> {
+    let mut downtime_s = policy.detection_latency_s;
+    let mut retries = 0;
+    let (mut plan, after, mut path) = loop {
+        let before = service.stats();
+        match service.replan(ir, cluster, config, fault.delta) {
+            Ok((plan, after)) => break (plan, after, classify(&before, &service.stats())),
+            Err(_) if fault.kind.is_transient() && retries < policy.max_retries => {
+                retries += 1;
+                downtime_s += policy.backoff_s(retries);
+            }
+            Err(e) => return Err(e),
+        }
+    };
+    let reference = if fault.delta.is_structural() {
+        &plan
+    } else {
+        pre_fault
+    };
+    let mut report = check_replan(reference, &plan, &after, sim);
+    if !report.is_consistent() {
+        plan = Arc::new(cold_plan(ir, &after, config)?);
+        report = check_replan(&plan, &plan, &after, sim);
+        if !report.is_consistent() {
+            return Err(PlanError::Internal(format!(
+                "recovery failed verification even after a full recompile:\n{report}"
+            )));
+        }
+        path = ReplanPath::Full;
+    }
+    let outcome = report.outcome.expect("consistent reports simulate");
+    Ok(VerifiedPlan {
+        plan,
+        cluster: after,
+        throughput: outcome.stats.throughput,
+        retries,
+        downtime_s,
+        path,
+    })
+}
+
+/// Which path a sequential [`PlanService::replan`] took, read off the
+/// service's counters: a partial hit (only the invalidated pass suffix
+/// re-ran) or a pure hit (the post-delta plan was already cached, e.g. a
+/// restore back to a known topology) is the fast path.
+fn classify(before: &CacheStats, after: &CacheStats) -> ReplanPath {
+    if after.partial_hits > before.partial_hits || after.hits > before.hits {
+        ReplanPath::CachedSuffix
+    } else {
+        ReplanPath::Full
     }
 }
 
