@@ -605,4 +605,34 @@ mod tests {
         assert_eq!(a, b, "same seed ⇒ identical run and RecoveryStats");
         assert!(!a.stats.faults.is_empty());
     }
+
+    #[test]
+    fn an_uncached_session_recovers_the_same_run_through_full_compiles() {
+        let ir = dp_ir(64);
+        let loss = LossModel::for_params(25e6);
+        let cluster = whale_hardware::Cluster::parse("2x(4xV100)").unwrap();
+        for seed in [1234, 1, 2, 3] {
+            let model = FaultModel {
+                mtbf_samples: 4e4,
+                mttr_samples: 2e4,
+                seed,
+            };
+            let trace = FaultTrace::generate(&cluster, &model, 3e5);
+            let run = |cached| {
+                Session::new(cluster.clone())
+                    .plan_cache(cached)
+                    .train_resilient(&ir, &loss, 3e5, &trace, &policy())
+                    .unwrap()
+            };
+            let mut cached = run(true);
+            let uncached = run(false);
+            assert!(cached.stats.replans_cached > 0, "seed {seed}");
+            for fault in &mut cached.stats.faults {
+                fault.replan = ReplanPath::Full;
+            }
+            cached.stats.replans_full += cached.stats.replans_cached;
+            cached.stats.replans_cached = 0;
+            assert_eq!(cached, uncached, "seed {seed}");
+        }
+    }
 }

@@ -346,6 +346,134 @@ impl RecoveryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::simulate_step;
+    use whale_graph::models;
+    use whale_hardware::ClusterDelta;
+    use whale_ir::Annotator;
+
+    fn dp_ir(batch: usize) -> WhaleIr {
+        let g = models::resnet50(batch).unwrap();
+        Annotator::new(g, batch)
+            .replicate_all()
+            .unwrap()
+            .finish()
+            .unwrap()
+    }
+
+    fn fault(kind: FaultKind, delta: ClusterDelta) -> FaultEvent {
+        FaultEvent {
+            at_samples: 0.0,
+            kind,
+            delta,
+        }
+    }
+
+    fn after(cluster: &Cluster, delta: ClusterDelta) -> Cluster {
+        let mut after = cluster.clone();
+        after.apply_delta(delta).unwrap();
+        after
+    }
+
+    #[test]
+    fn a_rate_fault_on_a_warm_service_takes_the_cached_suffix() {
+        let (ir, cluster) = (dp_ir(64), Cluster::parse("4xV100").unwrap());
+        let (config, sim, policy) = (
+            PlannerConfig::default(),
+            SimConfig::default(),
+            RecoveryPolicy::default(),
+        );
+        let service = PlanService::default();
+        let pre_fault = service.plan(&ir, &cluster, &config).unwrap();
+        let partial_hits = service.stats().partial_hits;
+        let delta = ClusterDelta::GpuDegraded { id: 1, scale: 0.5 };
+
+        let r = replan_verified(
+            &service,
+            &ir,
+            &cluster,
+            &config,
+            &sim,
+            &policy,
+            fault(FaultKind::Degrade, delta),
+            &pre_fault,
+        )
+        .unwrap();
+        assert_eq!(r.path, ReplanPath::CachedSuffix);
+        assert_eq!(r.retries, 0);
+        assert_eq!(r.downtime_s, policy.detection_latency_s);
+        assert_eq!(r.cluster, after(&cluster, delta));
+        assert_eq!(service.stats().partial_hits, partial_hits + 1);
+        let step = simulate_step(&r.plan, &r.cluster, &sim).unwrap();
+        assert_eq!(r.throughput, step.stats.throughput);
+    }
+
+    #[test]
+    fn a_replan_that_fails_its_check_falls_back_to_a_cold_compile() {
+        let (ir, cluster) = (dp_ir(64), Cluster::parse("4xV100").unwrap());
+        let (config, sim) = (PlannerConfig::default(), SimConfig::default());
+        let service = PlanService::default();
+        service.plan(&ir, &cluster, &config).unwrap();
+        // A reference with another global batch fails every replan's check.
+        let other_batch = cold_plan(&dp_ir(32), &cluster, &config).unwrap();
+        let delta = ClusterDelta::GpuDegraded { id: 1, scale: 0.5 };
+
+        let r = replan_verified(
+            &service,
+            &ir,
+            &cluster,
+            &config,
+            &sim,
+            &RecoveryPolicy::default(),
+            fault(FaultKind::Degrade, delta),
+            &other_batch,
+        )
+        .unwrap();
+        let after = after(&cluster, delta);
+        let cold = cold_plan(&ir, &after, &config).unwrap();
+        assert_eq!(r.path, ReplanPath::Full);
+        assert_eq!(*r.plan, cold);
+        assert_eq!(r.cluster, after);
+        let step = simulate_step(&cold, &after, &sim).unwrap();
+        assert_eq!(r.throughput, step.stats.throughput);
+    }
+
+    #[test]
+    fn a_replan_error_comes_back_unchanged() {
+        // Two plan replicas of a 4-stage pipeline cannot split 3 GPUs.
+        let g = models::bert_base(16, 128).unwrap();
+        let ir = Annotator::new(g, 16)
+            .outer_replica()
+            .auto_pipeline(4)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let cluster = Cluster::parse("2x(2xV100)").unwrap();
+        let config = PlannerConfig::default();
+        let service = PlanService::default();
+        let pre_fault = service.plan(&ir, &cluster, &config).unwrap();
+        let delta = ClusterDelta::GpuRemoved { id: 3 };
+
+        let err = replan_verified(
+            &service,
+            &ir,
+            &cluster,
+            &config,
+            &SimConfig::default(),
+            &RecoveryPolicy::default(),
+            fault(FaultKind::Crash, delta),
+            &pre_fault,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            cold_plan(&ir, &after(&cluster, delta), &config).unwrap_err()
+        );
+        assert!(
+            err.to_string()
+                .contains("3 GPUs not divisible into 2 plan replicas"),
+            "{err}"
+        );
+    }
 
     fn event(ttr: f64) -> RecoveryEvent {
         RecoveryEvent {
