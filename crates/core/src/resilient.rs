@@ -178,6 +178,7 @@ impl Session {
         policy: &RecoveryPolicy,
         mode: RecoveryMode,
     ) -> Result<ResilientRun> {
+        policy.check()?;
         let capacity0 = self.cluster().total_flops();
         let mut plan = self.plan(ir)?;
         let mut state = LoopState::new();
@@ -497,6 +498,31 @@ mod tests {
         assert!(s
             .train_resilient(&ir, &loss, 1e5, &trace, &policy())
             .is_err());
+    }
+
+    #[test]
+    fn unbounded_retries_are_refused_before_the_first_plan() {
+        let ir = dp_ir(64);
+        let loss = LossModel::for_params(25e6);
+        // Each retry of this restore fails the same way; u32::MAX of them
+        // would spin for hours.
+        let bad = event(
+            1e4,
+            FaultKind::Restore,
+            ClusterDelta::GpuRestored { id: 17 },
+        );
+        let unbounded = RecoveryPolicy {
+            max_retries: u32::MAX,
+            ..policy()
+        };
+        let mut s = Session::on_cluster("4xV100").unwrap();
+        let trace = FaultTrace { events: vec![bad] };
+        let err = s
+            .train_resilient(&ir, &loss, 1e5, &trace, &unbounded)
+            .unwrap_err();
+        assert!(matches!(err, WhaleError::Sim(_)), "{err}");
+        assert!(err.to_string().contains("max_retries"), "{err}");
+        assert_eq!(s.cache_stats(), Some(whale_planner::CacheStats::default()));
     }
 
     #[test]

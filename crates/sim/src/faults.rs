@@ -26,6 +26,12 @@ use crate::rng::SplitMix64;
 /// cluster spec. A constant, not an option.
 pub(crate) const MAX_EXPECTED_EVENTS: f64 = (1u64 << 20) as f64;
 
+/// Most retries a [`crate::recovery::RecoveryPolicy`] may ask for. Each
+/// retry re-runs a deterministic replan, so a delta that cannot apply spins
+/// through all of them; at a few microseconds per attempt, 64 of them cost
+/// well under a millisecond. A constant, not an option.
+pub(crate) const MAX_RETRIES: u32 = 64;
+
 /// Refuse an exponential event stream that cannot be drawn in bounded time
 /// and memory: its mean gap must be positive and finite, and its expected
 /// event count `horizon / mean` at most [`MAX_EXPECTED_EVENTS`].

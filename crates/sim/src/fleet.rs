@@ -491,6 +491,7 @@ impl FleetSim {
         // counts before either runs.
         check_event_stream("arrival mean", cfg.arrival_mean_s, cfg.horizon_s)?;
         cfg.faults.check(cfg.horizon_s)?;
+        cfg.policy.check()?;
         let planner_cfg = PlannerConfig::default();
         let sim_cfg = SimConfig::default();
 
@@ -1494,6 +1495,19 @@ mod tests {
             default_templates(),
             FleetConfig {
                 horizon_s: 0.0,
+                ..quick_cfg()
+            },
+        )
+        .is_err());
+        let unbounded = RecoveryPolicy {
+            max_retries: u32::MAX,
+            ..quick_cfg().policy
+        };
+        assert!(FleetSim::new(
+            pool(),
+            default_templates(),
+            FleetConfig {
+                policy: unbounded,
                 ..quick_cfg()
             },
         )

@@ -18,7 +18,8 @@ use whale_planner::{
 };
 
 use crate::engine::SimConfig;
-use crate::faults::{FaultEvent, FaultKind};
+use crate::error::{Result, SimError};
+use crate::faults::{FaultEvent, FaultKind, MAX_RETRIES};
 use crate::json::{num, obj, s, JsonValue};
 use crate::replan::check_replan;
 
@@ -31,7 +32,8 @@ pub struct RecoveryPolicy {
     /// Seconds between a fault striking and the runtime noticing it.
     pub detection_latency_s: f64,
     /// Recovery attempts for transient faults before giving up (a permanent
-    /// fault that cannot be recovered fails immediately).
+    /// fault that cannot be recovered fails immediately). At most 64; see
+    /// [`RecoveryPolicy::check`].
     pub max_retries: u32,
     /// Backoff before the first retry, seconds; doubles per attempt.
     pub backoff_base_s: f64,
@@ -61,6 +63,33 @@ impl RecoveryPolicy {
     /// `backoff_cap_s`.
     pub fn backoff_s(&self, retry: u32) -> f64 {
         (self.backoff_base_s * 2f64.powi(retry.saturating_sub(1) as i32)).min(self.backoff_cap_s)
+    }
+
+    /// Refuse a policy the recovery loop cannot run in bounded time. Each
+    /// retry re-runs a deterministic replan, so a transient fault whose
+    /// delta cannot apply spins through every retry: `max_retries` must be
+    /// at most 64, and the latency and backoff times finite and
+    /// non-negative.
+    pub fn check(&self) -> Result<()> {
+        if self.max_retries > MAX_RETRIES {
+            return Err(SimError::BadPlan(format!(
+                "max_retries {} exceeds {MAX_RETRIES}",
+                self.max_retries
+            )));
+        }
+        for (what, value) in [
+            ("detection_latency_s", self.detection_latency_s),
+            ("backoff_base_s", self.backoff_base_s),
+            ("backoff_cap_s", self.backoff_cap_s),
+        ] {
+            // NaN fails the comparison too.
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err(SimError::BadPlan(format!(
+                    "{what} must be finite and non-negative, got {value}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Roll `committed` back to the last periodic checkpoint and return the
@@ -534,6 +563,47 @@ mod tests {
         assert_eq!(parsed.get("ttr_p50_s").as_f64(), Some(20.0));
         assert_eq!(parsed.get("ttr_p99_s").as_f64(), Some(40.0));
         assert_eq!(parsed.get("faults").as_array().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn policies_are_bounded_before_they_run() {
+        let policy = RecoveryPolicy::default();
+        for (max_retries, ok) in [
+            (0, true),
+            (MAX_RETRIES, true),
+            (MAX_RETRIES + 1, false),
+            (u32::MAX, false),
+        ] {
+            let p = RecoveryPolicy {
+                max_retries,
+                ..policy
+            };
+            assert_eq!(p.check().is_ok(), ok, "{p:?}");
+        }
+        let times = |t| {
+            [
+                RecoveryPolicy {
+                    detection_latency_s: t,
+                    ..policy
+                },
+                RecoveryPolicy {
+                    backoff_base_s: t,
+                    ..policy
+                },
+                RecoveryPolicy {
+                    backoff_cap_s: t,
+                    ..policy
+                },
+            ]
+        };
+        for p in times(0.0) {
+            assert!(p.check().is_ok(), "{p:?}");
+        }
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            for p in times(bad) {
+                assert!(p.check().is_err(), "{p:?}");
+            }
+        }
     }
 
     #[test]
