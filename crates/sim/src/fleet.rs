@@ -617,12 +617,10 @@ impl FleetSim {
     fn next_event(&self) -> NextEvent {
         let mut best = NextEvent::Horizon;
         let mut best_t = self.cfg.horizon_s;
-        if let Some(i) = self.next_arrival.checked_sub(0) {
-            if let Some(a) = self.arrivals.get(i) {
-                if a.at_s < best_t {
-                    best_t = a.at_s;
-                    best = NextEvent::Arrival(a.at_s);
-                }
+        if let Some(a) = self.arrivals.get(self.next_arrival) {
+            if a.at_s < best_t {
+                best_t = a.at_s;
+                best = NextEvent::Arrival(a.at_s);
             }
         }
         if let Some(f) = self.trace.events.get(self.next_fault) {
