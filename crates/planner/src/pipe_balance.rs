@@ -939,14 +939,85 @@ mod tests {
         assert_eq!(total, g.len());
     }
 
-    #[test]
-    fn memoized_partition_is_bit_identical_to_uncached() {
-        // Sweep configurations with and without memory pressure (the large
-        // micro batches push the P100 stages into PSVF) and require the
-        // exact same cuts and PSVF trace from the cached and uncached paths.
+    /// `whale_fp` digest of a partition outcome: the `{:?}` of the
+    /// `PipePartition` (cuts and PSVF report), or the error text.
+    fn partition_digest(outcome: &Result<PipePartition>) -> String {
+        let text = match outcome {
+            Ok(part) => format!("{part:?}"),
+            Err(e) => e.to_string(),
+        };
+        Fingerprinter::new("pipe-partition/outcome")
+            .push_str(&text)
+            .finish()
+            .to_string()
+    }
+
+    /// Compare `got` against a golden `(case, digest)` table, in order.
+    fn assert_goldens(got: &[(String, String)], goldens: &[(&str, &str)]) {
+        assert_eq!(got.len(), goldens.len(), "sweep size changed");
+        for ((case, digest), &(g_case, g_digest)) in got.iter().zip(goldens) {
+            assert_eq!(case, g_case, "sweep order changed");
+            assert_eq!(digest, g_digest, "{case}: golden digest moved");
+        }
+    }
+
+    /// Golden digests of `partition_sweep`. After an intended output
+    /// change, regenerate with
+    /// `cargo test --offline -p whale-planner -- --ignored --nocapture print_partition_goldens`
+    /// and paste the printed rows.
+    const PARTITION_GOLDENS: &[(&str, &str)] = &[
+        ("aware=false mb=1 m=4 gpipe=false", "dda46608aeb89b11"),
+        ("aware=false mb=8 m=8 gpipe=false", "dda46608aeb89b11"),
+        ("aware=false mb=16 m=8 gpipe=true", "dda46608aeb89b11"),
+        ("aware=true mb=1 m=4 gpipe=false", "2e97abf31696c51b"),
+        ("aware=true mb=8 m=8 gpipe=false", "2e97abf31696c51b"),
+        ("aware=true mb=16 m=8 gpipe=true", "2e97abf31696c51b"),
+    ];
+
+    /// Golden digests of `memo_hit_sweep`. After an intended output
+    /// change, regenerate with
+    /// `cargo test --offline -p whale-planner -- --ignored --nocapture print_memo_hit_goldens`
+    /// and paste the printed rows.
+    const MEMO_HIT_GOLDENS: &[(&str, &str)] = &[
+        ("mb=1 m=1 gpipe=false", "2e97abf31696c51b"),
+        ("mb=1 m=1 gpipe=true", "2e97abf31696c51b"),
+        ("mb=4 m=1 gpipe=false", "2e97abf31696c51b"),
+        ("mb=4 m=1 gpipe=true", "2e97abf31696c51b"),
+        ("mb=16 m=1 gpipe=false", "2e97abf31696c51b"),
+        ("mb=16 m=1 gpipe=true", "2e97abf31696c51b"),
+        ("mb=1 m=2 gpipe=false", "2e97abf31696c51b"),
+        ("mb=1 m=2 gpipe=true", "2e97abf31696c51b"),
+        ("mb=4 m=2 gpipe=false", "2e97abf31696c51b"),
+        ("mb=4 m=2 gpipe=true", "2e97abf31696c51b"),
+        ("mb=16 m=2 gpipe=false", "2e97abf31696c51b"),
+        ("mb=16 m=2 gpipe=true", "2e97abf31696c51b"),
+        ("mb=1 m=4 gpipe=false", "2e97abf31696c51b"),
+        ("mb=1 m=4 gpipe=true", "2e97abf31696c51b"),
+        ("mb=4 m=4 gpipe=false", "2e97abf31696c51b"),
+        ("mb=4 m=4 gpipe=true", "2e97abf31696c51b"),
+        ("mb=16 m=4 gpipe=false", "2e97abf31696c51b"),
+        ("mb=16 m=4 gpipe=true", "2e97abf31696c51b"),
+        ("mb=1 m=8 gpipe=false", "2e97abf31696c51b"),
+        ("mb=1 m=8 gpipe=true", "2e97abf31696c51b"),
+        ("mb=4 m=8 gpipe=false", "2e97abf31696c51b"),
+        ("mb=4 m=8 gpipe=true", "2e97abf31696c51b"),
+        ("mb=16 m=8 gpipe=false", "2e97abf31696c51b"),
+        ("mb=16 m=8 gpipe=true", "2e97abf31696c51b"),
+        ("mb=1 m=16 gpipe=false", "2e97abf31696c51b"),
+        ("mb=1 m=16 gpipe=true", "2e97abf31696c51b"),
+        ("mb=4 m=16 gpipe=false", "2e97abf31696c51b"),
+        ("mb=4 m=16 gpipe=true", "2e97abf31696c51b"),
+        ("mb=16 m=16 gpipe=false", "2e97abf31696c51b"),
+        ("mb=16 m=16 gpipe=true", "201a333e9c44e3af"),
+    ];
+
+    /// Three leaf shapes, hardware-aware and FLOP-even, on a P100+V100
+    /// pipeline.
+    fn partition_sweep() -> Vec<(String, String)> {
         let g = models::bert_large(8, 128).unwrap();
         let c = Cluster::parse("2xP100,2xV100").unwrap();
         let cfg = TrainingConfig::default();
+        let mut out = Vec::new();
         for aware in [false, true] {
             for (micro_batch, num_micro, gpipe) in [(1, 4, false), (8, 8, false), (16, 8, true)] {
                 let fast = pipeline_partition_opts(
@@ -971,25 +1042,29 @@ mod tests {
                     aware,
                     false,
                 );
-                match (fast, slow) {
-                    (Ok(f), Ok(s)) => assert_eq!(f, s, "aware={aware} mb={micro_batch}"),
+                match (&fast, slow) {
+                    (Ok(f), Ok(s)) => assert_eq!(*f, s, "aware={aware} mb={micro_batch}"),
                     (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string()),
                     (f, s) => panic!("divergent outcomes: {f:?} vs {s:?}"),
                 }
+                out.push((
+                    format!("aware={aware} mb={micro_batch} m={num_micro} gpipe={gpipe}"),
+                    partition_digest(&fast),
+                ));
             }
         }
+        out
     }
 
-    #[test]
-    fn cross_plan_memo_hits_are_bit_identical() {
-        // The search's leaf pattern: one (graph, cluster) pair swept over
-        // many (micro_batch, num_micro, schedule) leaves. After the first
-        // call every memoized call is a memo hit; each must equal the
-        // uncached compute bit-for-bit, including leaves whose memory
-        // pressure forces the PSVF fall-through.
+    /// The search's leaf pattern: one (graph, cluster) pair swept over many
+    /// (micro_batch, num_micro, schedule) leaves. After the first call every
+    /// call is a memo hit, including leaves whose memory pressure forces
+    /// the PSVF fall-through.
+    fn memo_hit_sweep() -> Vec<(String, String)> {
         let g = models::bert_large(8, 128).unwrap();
         let c = Cluster::parse("2xP100,2xV100").unwrap();
         let cfg = TrainingConfig::default();
+        let mut out = Vec::new();
         for num_micro in [1usize, 2, 4, 8, 16] {
             for micro_batch in [1usize, 4, 16] {
                 for gpipe in [false, true] {
@@ -1028,8 +1103,39 @@ mod tests {
                         let ops: Vec<OpId> = hit.0.stage_ops(k);
                         assert_eq!(*p, CostProfile::from_ops(&g, &ops, 8));
                     }
+                    out.push((
+                        format!("mb={micro_batch} m={num_micro} gpipe={gpipe}"),
+                        partition_digest(&Ok(hit.0)),
+                    ));
                 }
             }
+        }
+        out
+    }
+
+    #[test]
+    fn memoized_partition_is_bit_identical_to_uncached() {
+        assert_goldens(&partition_sweep(), PARTITION_GOLDENS);
+    }
+
+    #[test]
+    fn cross_plan_memo_hits_are_bit_identical() {
+        assert_goldens(&memo_hit_sweep(), MEMO_HIT_GOLDENS);
+    }
+
+    #[test]
+    #[ignore = "prints PARTITION_GOLDENS; run it to regenerate after an intended change"]
+    fn print_partition_goldens() {
+        for (case, digest) in partition_sweep() {
+            println!("        (\"{case}\", \"{digest}\"),");
+        }
+    }
+
+    #[test]
+    #[ignore = "prints MEMO_HIT_GOLDENS; run it to regenerate after an intended change"]
+    fn print_memo_hit_goldens() {
+        for (case, digest) in memo_hit_sweep() {
+            println!("        (\"{case}\", \"{digest}\"),");
         }
     }
 

@@ -8,7 +8,10 @@
 //! re-runs only the invalidated suffix while agreeing with a cold plan
 //! wherever the elastic approximation promises it.
 
+use std::fmt::{self, Write};
+
 use whale::{models, strategies, Cluster, ClusterDelta, PlannerConfig, ScheduleKind, Session};
+use whale_fp::Fingerprinter;
 use whale_planner::{digest, plan, planner::plan_reference, CompilePipeline, PassId, PlanCache};
 use whale_sim::{check_replan, SimConfig};
 
@@ -54,6 +57,11 @@ fn model_zoo() -> Vec<IrCase> {
             )
             .unwrap(),
         ),
+        (
+            "moe_hybrid_ep",
+            strategies::moe_hybrid_ep(models::m6_moe(models::MoeConfig::tiny(), 32).unwrap(), 32)
+                .unwrap(),
+        ),
     ]
 }
 
@@ -79,13 +87,6 @@ fn configs() -> Vec<(&'static str, PlannerConfig)> {
             "gpipe",
             PlannerConfig {
                 schedule: ScheduleKind::GPipe,
-                ..base.clone()
-            },
-        ),
-        (
-            "unmemoized",
-            PlannerConfig {
-                memoize: false,
                 ..base
             },
         ),
@@ -95,10 +96,18 @@ fn configs() -> Vec<(&'static str, PlannerConfig)> {
 #[test]
 fn pipeline_matches_reference_planner_bit_for_bit() {
     let mut compared = 0;
+    let mut configs = configs();
+    configs.push((
+        "unmemoized",
+        PlannerConfig {
+            memoize: false,
+            ..PlannerConfig::default()
+        },
+    ));
     for cluster_spec in CLUSTERS {
         let cluster = Cluster::parse(cluster_spec).unwrap();
         for (name, ir) in &model_zoo() {
-            for (cfg_name, config) in &configs() {
+            for (cfg_name, config) in &configs {
                 let label = format!("{name} @ {cluster_spec} [{cfg_name}]");
                 let reference = plan_reference(ir, &cluster, config);
                 let staged = plan(ir, &cluster, config);
@@ -117,6 +126,389 @@ fn pipeline_matches_reference_planner_bit_for_bit() {
         }
     }
     assert!(compared >= 100, "matrix shrank: only {compared} plans");
+}
+
+/// `(cell, digest)` for every cell of the zoo × cluster × config matrix, in
+/// matrix order. A digest is `whale_fp` over the cell's `{:?}` plan, or
+/// over its error text when the planner refuses the cell. After an
+/// intended output change, regenerate the table with
+///
+/// ```text
+/// cargo test --offline --test compile_pipeline -- --ignored --nocapture print_goldens
+/// ```
+///
+/// and paste the printed rows over `GOLDENS`.
+const GOLDENS: &[(&str, &str)] = &[
+    ("resnet50/dp @ 4xV100 [default]", "40200a7ccbbb5d63"),
+    ("resnet50/dp @ 4xV100 [baseline]", "40200a7ccbbb5d63"),
+    ("resnet50/dp @ 4xV100 [gpipe]", "40200a7ccbbb5d63"),
+    ("bert_base/dp @ 4xV100 [default]", "5276966c6d5cd58e"),
+    ("bert_base/dp @ 4xV100 [baseline]", "5276966c6d5cd58e"),
+    ("bert_base/dp @ 4xV100 [gpipe]", "5276966c6d5cd58e"),
+    (
+        "bert_large/pipeline_dp @ 4xV100 [default]",
+        "0391d1e616d06225",
+    ),
+    (
+        "bert_large/pipeline_dp @ 4xV100 [baseline]",
+        "0391d1e616d06225",
+    ),
+    (
+        "bert_large/pipeline_dp @ 4xV100 [gpipe]",
+        "a2afee5a42bb8b16",
+    ),
+    ("gpt2_xl/pipeline @ 4xV100 [default]", "15c0103fa119701b"),
+    ("gpt2_xl/pipeline @ 4xV100 [baseline]", "15c0103fa119701b"),
+    ("gpt2_xl/pipeline @ 4xV100 [gpipe]", "2153f6c5801b29d4"),
+    (
+        "t5_large/pipeline_dp @ 4xV100 [default]",
+        "23b8160ae2e112db",
+    ),
+    (
+        "t5_large/pipeline_dp @ 4xV100 [baseline]",
+        "23b8160ae2e112db",
+    ),
+    ("t5_large/pipeline_dp @ 4xV100 [gpipe]", "cf5287b433d34b8f"),
+    ("m6_10b/pipeline_dp @ 4xV100 [default]", "9dcca9061eeea352"),
+    ("m6_10b/pipeline_dp @ 4xV100 [baseline]", "81b2abbd89b31362"),
+    ("m6_10b/pipeline_dp @ 4xV100 [gpipe]", "9a6a57bf08b81710"),
+    ("moe_hybrid @ 4xV100 [default]", "2e0fce39ac0d9644"),
+    ("moe_hybrid @ 4xV100 [baseline]", "2e0fce39ac0d9644"),
+    ("moe_hybrid @ 4xV100 [gpipe]", "2e0fce39ac0d9644"),
+    (
+        "imagenet/split_classifier @ 4xV100 [default]",
+        "5f51c1c8eebd4d7b",
+    ),
+    (
+        "imagenet/split_classifier @ 4xV100 [baseline]",
+        "5f51c1c8eebd4d7b",
+    ),
+    (
+        "imagenet/split_classifier @ 4xV100 [gpipe]",
+        "5f51c1c8eebd4d7b",
+    ),
+    ("moe_hybrid_ep @ 4xV100 [default]", "5265c68b0599eb37"),
+    ("moe_hybrid_ep @ 4xV100 [baseline]", "5265c68b0599eb37"),
+    ("moe_hybrid_ep @ 4xV100 [gpipe]", "5265c68b0599eb37"),
+    ("resnet50/dp @ 8xV100+8xP100 [default]", "be1f099fb1e0a99e"),
+    ("resnet50/dp @ 8xV100+8xP100 [baseline]", "615c8af9bed4a5b8"),
+    ("resnet50/dp @ 8xV100+8xP100 [gpipe]", "be1f099fb1e0a99e"),
+    ("bert_base/dp @ 8xV100+8xP100 [default]", "671f00542a8cb265"),
+    (
+        "bert_base/dp @ 8xV100+8xP100 [baseline]",
+        "dfce26ec20c777a1",
+    ),
+    ("bert_base/dp @ 8xV100+8xP100 [gpipe]", "671f00542a8cb265"),
+    (
+        "bert_large/pipeline_dp @ 8xV100+8xP100 [default]",
+        "0f285c5b5541452c",
+    ),
+    (
+        "bert_large/pipeline_dp @ 8xV100+8xP100 [baseline]",
+        "89679555c9865eae",
+    ),
+    (
+        "bert_large/pipeline_dp @ 8xV100+8xP100 [gpipe]",
+        "b661aceda59a5936",
+    ),
+    (
+        "gpt2_xl/pipeline @ 8xV100+8xP100 [default]",
+        "6450a3ef62b9b447",
+    ),
+    (
+        "gpt2_xl/pipeline @ 8xV100+8xP100 [baseline]",
+        "25b120faa72f9740",
+    ),
+    (
+        "gpt2_xl/pipeline @ 8xV100+8xP100 [gpipe]",
+        "3c9fbac3aab48088",
+    ),
+    (
+        "t5_large/pipeline_dp @ 8xV100+8xP100 [default]",
+        "3949faa4cb5bd9b3",
+    ),
+    (
+        "t5_large/pipeline_dp @ 8xV100+8xP100 [baseline]",
+        "5156559458a621d6",
+    ),
+    (
+        "t5_large/pipeline_dp @ 8xV100+8xP100 [gpipe]",
+        "4a6f81bd36594483",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 8xV100+8xP100 [default]",
+        "c3f5a0a4e0cbd4e9",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 8xV100+8xP100 [baseline]",
+        "dc99805cb65dd276",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 8xV100+8xP100 [gpipe]",
+        "327122512d1f671e",
+    ),
+    ("moe_hybrid @ 8xV100+8xP100 [default]", "e617f73ca1b8d1d3"),
+    ("moe_hybrid @ 8xV100+8xP100 [baseline]", "b8d7babd5e84f8c5"),
+    ("moe_hybrid @ 8xV100+8xP100 [gpipe]", "e617f73ca1b8d1d3"),
+    (
+        "imagenet/split_classifier @ 8xV100+8xP100 [default]",
+        "710b925a4b7e1635",
+    ),
+    (
+        "imagenet/split_classifier @ 8xV100+8xP100 [baseline]",
+        "89ddc3ba5e0b7ca7",
+    ),
+    (
+        "imagenet/split_classifier @ 8xV100+8xP100 [gpipe]",
+        "710b925a4b7e1635",
+    ),
+    (
+        "moe_hybrid_ep @ 8xV100+8xP100 [default]",
+        "f4a0d6421dd6aa3d",
+    ),
+    (
+        "moe_hybrid_ep @ 8xV100+8xP100 [baseline]",
+        "b2ebeb580d724447",
+    ),
+    ("moe_hybrid_ep @ 8xV100+8xP100 [gpipe]", "f4a0d6421dd6aa3d"),
+    (
+        "resnet50/dp @ 2x(8xV100)+2x(8xP100) [default]",
+        "883b85ed0b5a38b4",
+    ),
+    (
+        "resnet50/dp @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "fc66f318a9d8c012",
+    ),
+    (
+        "resnet50/dp @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "883b85ed0b5a38b4",
+    ),
+    (
+        "bert_base/dp @ 2x(8xV100)+2x(8xP100) [default]",
+        "76082a64b7d5e67f",
+    ),
+    (
+        "bert_base/dp @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "d221f5498109bff3",
+    ),
+    (
+        "bert_base/dp @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "76082a64b7d5e67f",
+    ),
+    (
+        "bert_large/pipeline_dp @ 2x(8xV100)+2x(8xP100) [default]",
+        "0a925f9d51bbef3e",
+    ),
+    (
+        "bert_large/pipeline_dp @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "b089a719f07aeb4b",
+    ),
+    (
+        "bert_large/pipeline_dp @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "8e4ac6e5986b5922",
+    ),
+    (
+        "gpt2_xl/pipeline @ 2x(8xV100)+2x(8xP100) [default]",
+        "32e38ebeb1ef1be4",
+    ),
+    (
+        "gpt2_xl/pipeline @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "2d216e011cd381d8",
+    ),
+    (
+        "gpt2_xl/pipeline @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "e85115e5e8144ef5",
+    ),
+    (
+        "t5_large/pipeline_dp @ 2x(8xV100)+2x(8xP100) [default]",
+        "551b1fada1485d83",
+    ),
+    (
+        "t5_large/pipeline_dp @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "1440e89156730e49",
+    ),
+    (
+        "t5_large/pipeline_dp @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "3a8a16d696971d5d",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 2x(8xV100)+2x(8xP100) [default]",
+        "d872e789cc75bf3e",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "4a96554af435367a",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "d28030770b2cc812",
+    ),
+    (
+        "moe_hybrid @ 2x(8xV100)+2x(8xP100) [default]",
+        "51d337c27705d4f9",
+    ),
+    (
+        "moe_hybrid @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "d22aff822fd455db",
+    ),
+    (
+        "moe_hybrid @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "51d337c27705d4f9",
+    ),
+    (
+        "imagenet/split_classifier @ 2x(8xV100)+2x(8xP100) [default]",
+        "56676a39d160d435",
+    ),
+    (
+        "imagenet/split_classifier @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "83ba300df3b1af6b",
+    ),
+    (
+        "imagenet/split_classifier @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "56676a39d160d435",
+    ),
+    (
+        "moe_hybrid_ep @ 2x(8xV100)+2x(8xP100) [default]",
+        "fbf485a8e4323bc1",
+    ),
+    (
+        "moe_hybrid_ep @ 2x(8xV100)+2x(8xP100) [baseline]",
+        "de708e9f83a45f83",
+    ),
+    (
+        "moe_hybrid_ep @ 2x(8xV100)+2x(8xP100) [gpipe]",
+        "fbf485a8e4323bc1",
+    ),
+    ("resnet50/dp @ 2x(4xV100) [default]", "3de9b61fce8eaabf"),
+    ("resnet50/dp @ 2x(4xV100) [baseline]", "3de9b61fce8eaabf"),
+    ("resnet50/dp @ 2x(4xV100) [gpipe]", "3de9b61fce8eaabf"),
+    ("bert_base/dp @ 2x(4xV100) [default]", "16d8551492d0dc1e"),
+    ("bert_base/dp @ 2x(4xV100) [baseline]", "16d8551492d0dc1e"),
+    ("bert_base/dp @ 2x(4xV100) [gpipe]", "16d8551492d0dc1e"),
+    (
+        "bert_large/pipeline_dp @ 2x(4xV100) [default]",
+        "ba5d09cde470aab0",
+    ),
+    (
+        "bert_large/pipeline_dp @ 2x(4xV100) [baseline]",
+        "ba5d09cde470aab0",
+    ),
+    (
+        "bert_large/pipeline_dp @ 2x(4xV100) [gpipe]",
+        "b07f9ff95bbd16b8",
+    ),
+    (
+        "gpt2_xl/pipeline @ 2x(4xV100) [default]",
+        "cc166924a1c11b9c",
+    ),
+    (
+        "gpt2_xl/pipeline @ 2x(4xV100) [baseline]",
+        "cc166924a1c11b9c",
+    ),
+    ("gpt2_xl/pipeline @ 2x(4xV100) [gpipe]", "9719825ca76b49bc"),
+    (
+        "t5_large/pipeline_dp @ 2x(4xV100) [default]",
+        "26f2e8df2a2a15ac",
+    ),
+    (
+        "t5_large/pipeline_dp @ 2x(4xV100) [baseline]",
+        "26f2e8df2a2a15ac",
+    ),
+    (
+        "t5_large/pipeline_dp @ 2x(4xV100) [gpipe]",
+        "8973168911f8a100",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 2x(4xV100) [default]",
+        "9dcca9061eeea352",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 2x(4xV100) [baseline]",
+        "4a4bf29404219145",
+    ),
+    (
+        "m6_10b/pipeline_dp @ 2x(4xV100) [gpipe]",
+        "9a6a57bf08b81710",
+    ),
+    ("moe_hybrid @ 2x(4xV100) [default]", "4c226a01d89d1f6c"),
+    ("moe_hybrid @ 2x(4xV100) [baseline]", "4c226a01d89d1f6c"),
+    ("moe_hybrid @ 2x(4xV100) [gpipe]", "4c226a01d89d1f6c"),
+    (
+        "imagenet/split_classifier @ 2x(4xV100) [default]",
+        "caa857101db16e33",
+    ),
+    (
+        "imagenet/split_classifier @ 2x(4xV100) [baseline]",
+        "caa857101db16e33",
+    ),
+    (
+        "imagenet/split_classifier @ 2x(4xV100) [gpipe]",
+        "caa857101db16e33",
+    ),
+    ("moe_hybrid_ep @ 2x(4xV100) [default]", "ac9b251833718568"),
+    ("moe_hybrid_ep @ 2x(4xV100) [baseline]", "ac9b251833718568"),
+    ("moe_hybrid_ep @ 2x(4xV100) [gpipe]", "ac9b251833718568"),
+];
+
+/// Streams `{:?}` output straight into a fingerprint.
+struct FpWriter(Fingerprinter);
+
+impl Write for FpWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.push_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+fn fingerprint(domain: &str, value: &dyn fmt::Debug) -> String {
+    let mut w = FpWriter(Fingerprinter::new(domain));
+    write!(w, "{value:?}").unwrap();
+    w.0.finish().to_string()
+}
+
+/// Every matrix cell's name and digest, in matrix order.
+fn matrix_digests() -> Vec<(String, String)> {
+    let zoo = model_zoo();
+    let mut out = Vec::with_capacity(GOLDENS.len());
+    for cluster_spec in CLUSTERS {
+        let cluster = Cluster::parse(cluster_spec).unwrap();
+        for (name, ir) in &zoo {
+            for (cfg_name, config) in &configs() {
+                let digest = match plan(ir, &cluster, config) {
+                    Ok(p) => fingerprint("compile-matrix/plan", &p),
+                    Err(e) => fingerprint("compile-matrix/error", &e.to_string()),
+                };
+                out.push((format!("{name} @ {cluster_spec} [{cfg_name}]"), digest));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn compile_matrix_matches_its_golden_fingerprints() {
+    let got = matrix_digests();
+    assert_eq!(got.len(), GOLDENS.len(), "matrix size changed");
+    let mut diffs = Vec::new();
+    for ((name, digest), &(g_name, g_digest)) in got.iter().zip(GOLDENS) {
+        assert_eq!(name, g_name, "matrix order changed");
+        if digest != g_digest {
+            diffs.push(format!("{name}: {digest} != golden {g_digest}"));
+        }
+    }
+    assert!(
+        diffs.is_empty(),
+        "golden digests moved:\n{}",
+        diffs.join("\n")
+    );
+}
+
+#[test]
+#[ignore = "prints the GOLDENS table; run it to regenerate after an intended change"]
+fn print_goldens() {
+    for (name, digest) in matrix_digests() {
+        println!("    (\"{name}\", \"{digest}\"),");
+    }
 }
 
 #[test]

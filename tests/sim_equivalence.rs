@@ -4,19 +4,145 @@
 //! pipeline schedule. The polling scheduler stays alive only as this
 //! oracle (and as `fastpath_bench`'s "before" arm) and is deleted once the
 //! heap engine has soaked for a few PRs.
+//!
+//! Each case also pins a `whale_fp` digest of its `StepOutcome`'s `{:?}`
+//! (step stats, per-GPU stats and the task timeline; `{:?}` prints every
+//! `f64` in its shortest round-trip form, so the digest moves if and only
+//! if some output bit moves). After an intended output change, regenerate
+//! the table with
+//!
+//! ```text
+//! cargo test --offline --test sim_equivalence -- --ignored --nocapture print_goldens
+//! ```
+//!
+//! and paste the printed rows over `GOLDENS`.
+
+use std::fmt::{self, Write};
 
 use whale::{models, strategies, ScheduleKind, Session, WhaleIr};
+use whale_fp::Fingerprinter;
 
-/// Plan `ir` on `session`, then simulate it through both schedulers and
-/// demand identical outcomes.
-fn assert_schedulers_agree(session: &Session, ir: &WhaleIr, label: &str) {
-    let plan = session
-        .plan(ir)
+/// `(case, StepOutcome digest)`, in the order `all_cases` lists them.
+const GOLDENS: &[(&str, &str)] = &[
+    ("dp resnet50 aware=true", "718ac05df2cce909"),
+    ("dp resnet50 aware=false", "3c3e506f21b1a3c2"),
+    ("pipeline bert_base BackwardFirst", "110b0e923a2e361f"),
+    ("pipeline bert_base GPipe", "2d739ee54432e8eb"),
+    ("pipeline bert_base AsyncNoFlush", "f6d701d4791ed72a"),
+    ("deep hetero pipeline bert_large", "c29cc01632e4a371"),
+    ("hybrid pipeline×DP bert_base", "bc6ddb469f20ba76"),
+    ("moe hybrid m6_moe tiny", "05a7bcc84761f616"),
+    ("vanilla model parallel bert_base", "42250419e60cdcef"),
+];
+
+/// One simulated step: the session it plans and steps on, and its IR.
+struct Case {
+    label: String,
+    session: Session,
+    ir: WhaleIr,
+}
+
+fn dp_cases() -> Vec<Case> {
+    [true, false]
+        .into_iter()
+        .map(|aware| Case {
+            label: format!("dp resnet50 aware={aware}"),
+            session: Session::on_cluster("8xV100+8xP100")
+                .unwrap()
+                .hardware_aware(aware),
+            ir: strategies::data_parallel(models::resnet50(128).unwrap(), 128).unwrap(),
+        })
+        .collect()
+}
+
+fn pipeline_cases() -> Vec<Case> {
+    [
+        ScheduleKind::BackwardFirst,
+        ScheduleKind::GPipe,
+        ScheduleKind::AsyncNoFlush,
+    ]
+    .into_iter()
+    .map(|schedule| Case {
+        label: format!("pipeline bert_base {schedule:?}"),
+        session: Session::on_cluster("4xV100").unwrap().schedule(schedule),
+        ir: strategies::pipeline_only(models::bert_base(32, 64).unwrap(), 32, 8).unwrap(),
+    })
+    .collect()
+}
+
+/// Many stages × many micro batches: where the polling scheduler's rescan
+/// cost explodes, and where a subtle ordering bug would surface.
+fn deep_heterogeneous_case() -> Case {
+    Case {
+        label: "deep hetero pipeline bert_large".into(),
+        session: Session::on_cluster("8xV100+8xP100").unwrap(),
+        ir: strategies::pipeline_only(models::bert_large(64, 128).unwrap(), 64, 32).unwrap(),
+    }
+}
+
+fn hybrid_case() -> Case {
+    Case {
+        label: "hybrid pipeline×DP bert_base".into(),
+        session: Session::on_cluster("2x(4xV100)").unwrap().outer_dp(2),
+        ir: strategies::pipeline_with_dp(models::bert_base(64, 64).unwrap(), 64, 4).unwrap(),
+    }
+}
+
+fn moe_case() -> Case {
+    let g = models::m6_moe(models::MoeConfig::tiny(), 16).unwrap();
+    Case {
+        label: "moe hybrid m6_moe tiny".into(),
+        session: Session::on_cluster("4xV100").unwrap(),
+        ir: strategies::moe_hybrid(g, 16).unwrap(),
+    }
+}
+
+fn vanilla_case() -> Case {
+    let g = models::bert_base(16, 64).unwrap();
+    let cut = g.len() / 2;
+    Case {
+        label: "vanilla model parallel bert_base".into(),
+        session: Session::on_cluster("2xV100").unwrap(),
+        ir: strategies::vanilla_model_parallel(g, 16, cut).unwrap(),
+    }
+}
+
+fn all_cases() -> Vec<Case> {
+    let mut cases = dp_cases();
+    cases.extend(pipeline_cases());
+    cases.extend([
+        deep_heterogeneous_case(),
+        hybrid_case(),
+        moe_case(),
+        vanilla_case(),
+    ]);
+    cases
+}
+
+/// Streams `{:?}` output straight into a fingerprint.
+struct FpWriter(Fingerprinter);
+
+impl Write for FpWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.push_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Plan the case, simulate it through both schedulers, demand identical
+/// outcomes, and return the outcome's digest.
+fn step_digest(case: &Case) -> String {
+    let label = &case.label;
+    let plan = case
+        .session
+        .plan(&case.ir)
         .unwrap_or_else(|e| panic!("{label}: plan failed: {e}"));
-    let heap = session
+    let heap = case
+        .session
         .step_plan(&plan)
         .unwrap_or_else(|e| panic!("{label}: heap sim failed: {e}"));
-    let polling = session
+    let polling = case
+        .session
         .step_plan_reference(&plan)
         .unwrap_or_else(|e| panic!("{label}: polling sim failed: {e}"));
     assert_eq!(
@@ -27,61 +153,61 @@ fn assert_schedulers_agree(session: &Session, ir: &WhaleIr, label: &str) {
         heap.stats, polling.stats,
         "{label}: stats diverge between heap and polling schedulers"
     );
+    let mut w = FpWriter(Fingerprinter::new("sim-step/outcome"));
+    write!(w, "{heap:?}").unwrap();
+    w.0.finish().to_string()
+}
+
+fn assert_golden(cases: Vec<Case>) {
+    for case in cases {
+        let want = GOLDENS
+            .iter()
+            .find(|(label, _)| *label == case.label)
+            .unwrap_or_else(|| panic!("{}: no golden row", case.label))
+            .1;
+        assert_eq!(
+            step_digest(&case),
+            want,
+            "{}: golden digest moved",
+            case.label
+        );
+    }
 }
 
 #[test]
 fn data_parallel_plans_match() {
-    for aware in [true, false] {
-        let session = Session::on_cluster("8xV100+8xP100")
-            .unwrap()
-            .hardware_aware(aware);
-        let ir = strategies::data_parallel(models::resnet50(128).unwrap(), 128).unwrap();
-        assert_schedulers_agree(&session, &ir, &format!("dp resnet50 aware={aware}"));
-    }
+    assert_golden(dp_cases());
 }
 
 #[test]
 fn pipeline_plans_match_under_every_schedule() {
-    for schedule in [
-        ScheduleKind::BackwardFirst,
-        ScheduleKind::GPipe,
-        ScheduleKind::AsyncNoFlush,
-    ] {
-        let session = Session::on_cluster("4xV100").unwrap().schedule(schedule);
-        let ir = strategies::pipeline_only(models::bert_base(32, 64).unwrap(), 32, 8).unwrap();
-        assert_schedulers_agree(&session, &ir, &format!("pipeline bert_base {schedule:?}"));
-    }
+    assert_golden(pipeline_cases());
 }
 
 #[test]
 fn deep_heterogeneous_pipeline_matches() {
-    // Many stages × many micro batches is where the polling scheduler's
-    // rescan cost explodes — and where a subtle ordering bug would surface.
-    let session = Session::on_cluster("8xV100+8xP100").unwrap();
-    let ir = strategies::pipeline_only(models::bert_large(64, 128).unwrap(), 64, 32).unwrap();
-    assert_schedulers_agree(&session, &ir, "deep hetero pipeline bert_large");
+    assert_golden(vec![deep_heterogeneous_case()]);
 }
 
 #[test]
 fn hybrid_pipeline_with_outer_dp_matches() {
-    let session = Session::on_cluster("2x(4xV100)").unwrap().outer_dp(2);
-    let ir = strategies::pipeline_with_dp(models::bert_base(64, 64).unwrap(), 64, 4).unwrap();
-    assert_schedulers_agree(&session, &ir, "hybrid pipeline×DP bert_base");
+    assert_golden(vec![hybrid_case()]);
 }
 
 #[test]
 fn moe_hybrid_matches() {
-    let session = Session::on_cluster("4xV100").unwrap();
-    let g = models::m6_moe(models::MoeConfig::tiny(), 16).unwrap();
-    let ir = strategies::moe_hybrid(g, 16).unwrap();
-    assert_schedulers_agree(&session, &ir, "moe hybrid m6_moe tiny");
+    assert_golden(vec![moe_case()]);
 }
 
 #[test]
 fn vanilla_model_parallel_matches() {
-    let session = Session::on_cluster("2xV100").unwrap();
-    let g = models::bert_base(16, 64).unwrap();
-    let cut = g.len() / 2;
-    let ir = strategies::vanilla_model_parallel(g, 16, cut).unwrap();
-    assert_schedulers_agree(&session, &ir, "vanilla model parallel bert_base");
+    assert_golden(vec![vanilla_case()]);
+}
+
+#[test]
+#[ignore = "prints the GOLDENS table; run it to regenerate after an intended change"]
+fn print_goldens() {
+    for case in all_cases() {
+        println!("    (\"{}\", \"{}\"),", case.label, step_digest(&case));
+    }
 }
