@@ -5,21 +5,20 @@
 //! the IR for the cache key, and run the planner. This benchmark times that
 //! end-to-end path twice per zoo member:
 //!
-//! * **baseline** — the pre-refactor pipeline, reproduced faithfully:
-//!   graph construction with interning disabled
-//!   ([`whale_graph::set_default_interning`]), the original O(layers × ops)
-//!   MoE annotation (retained below as `moe_hybrid_quadratic`), a flat
-//!   whole-graph fingerprint walk, and the retained monolithic
-//!   `plan_reference`.
+//! * **baseline** — the pre-refactor graph core: graph construction with
+//!   interning disabled ([`whale_graph::set_default_interning`]), the
+//!   original O(layers × ops) MoE annotation (retained below as
+//!   `moe_hybrid_quadratic`), and a flat whole-graph fingerprint walk,
+//!   planned with `plan()`.
 //! * **interned** — the current path: structurally shared graph blocks
 //!   (identical layers intern to one allocation, fingerprinted once),
-//!   linear annotation, memoized per-block fingerprints, and the staged
-//!   `plan()` pipeline with the Balance memo.
+//!   linear annotation, memoized per-block fingerprints, and `plan()`.
 //!
-//! Both arms must produce **bit-identical plans and fingerprints** — the
-//! refactor buys time and allocations, never different output — and the
-//! interned arm must allocate **strictly fewer** heap blocks (counted by a
-//! wrapping global allocator, not inferred from timings).
+//! Both arms run the same planner, so the speedup measures the graph core
+//! alone. Both arms must produce **bit-identical plans and fingerprints** —
+//! the refactor buys time and allocations, never different output — and
+//! the interned arm must allocate **strictly fewer** heap blocks (counted
+//! by a wrapping global allocator, not inferred from timings).
 //!
 //! The headline gate is the **median cold-compile speedup across the
 //! trillion-parameter zoo members** (`m6-moe-1t`, `m6-moe-1t-deep`): ≥4×.
@@ -202,11 +201,7 @@ fn cold_compile(
         (Strat::DataParallel, _) => strategies::data_parallel(graph, m.batch).expect("annotate"),
     };
     let fp = ir.fingerprint();
-    let plan = if baseline {
-        whale_planner::planner::plan_reference(&ir, cluster, config).expect("plan")
-    } else {
-        whale_planner::plan(&ir, cluster, config).expect("plan")
-    };
+    let plan = whale_planner::plan(&ir, cluster, config).expect("plan");
     set_default_interning(was);
     (plan, fp.0)
 }
@@ -252,7 +247,7 @@ fn main() {
         );
         assert_eq!(
             base_plan, fast_plan,
-            "{}: interned-path plan must be bit-identical to plan_reference",
+            "{}: interned-path plan must be bit-identical to the flat-graph plan",
             m.name
         );
         drop((base_plan, fast_plan));

@@ -550,7 +550,6 @@ fn cmd_auto(args: &Args) -> Result<(), String> {
             max_micro: args.get_num("max-micro", whale::SearchOptions::default().max_micro)?,
             gpipe: !args.flag("no-gpipe"),
             exhaustive: args.flag("exhaustive"),
-            ..whale::SearchOptions::default()
         };
         whale::auto_parallel_search(&session, batch, &opts, build)
     } else {

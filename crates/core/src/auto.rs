@@ -311,8 +311,8 @@ pub(crate) fn fan_out<T: Send, R: Send>(
 /// Explore the narrow preset of strategies for `graph` on the session's
 /// cluster and pick the fastest memory-feasible one.
 ///
-/// `build` must be able to rebuild the graph for each candidate (annotation
-/// consumes it); a closure over the model constructor does this naturally.
+/// `build` constructs the graph once; each candidate annotates an O(1)
+/// clone of it.
 pub fn auto_parallel(
     session: &Session,
     global_batch: usize,
@@ -338,18 +338,8 @@ pub fn auto_parallel_opts(
     )
 }
 
-pub(crate) fn evaluate_plan(
-    session: &Session,
-    name: &str,
-    plan: Arc<ExecutionPlan>,
-    reference_sim: bool,
-) -> Candidate {
-    let outcome = if reference_sim {
-        session.step_plan_reference(&plan)
-    } else {
-        session.step_plan(&plan)
-    };
-    let outcome = match outcome {
+pub(crate) fn evaluate_plan(session: &Session, name: &str, plan: Arc<ExecutionPlan>) -> Candidate {
+    let outcome = match session.step_plan(&plan) {
         Ok(o) => o,
         Err(e) => {
             return Candidate {

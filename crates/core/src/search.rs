@@ -88,12 +88,6 @@ pub struct SearchOptions {
     /// [`std::thread::available_parallelism`]; any value returns an
     /// identical report.
     pub search_threads: usize,
-    /// Memoize planner cost terms and reuse one built graph template across
-    /// leaves (bit-identical results either way).
-    pub memoize: bool,
-    /// Simulate with the polling reference scheduler instead of the
-    /// event-driven one.
-    pub reference_sim: bool,
     /// Leaves evaluated per wave. The wave is the determinism unit: bounds
     /// and the incumbent are re-read serially between waves, never inside
     /// one, so the report does not depend on worker scheduling.
@@ -116,8 +110,6 @@ impl Default for SearchOptions {
     fn default() -> Self {
         Self {
             search_threads: 0,
-            memoize: true,
-            reference_sim: false,
             wave: 8,
             max_micro: 128,
             gpipe: true,
@@ -487,20 +479,11 @@ pub(crate) fn drive(
     if global_batch == 0 {
         return Err(whale_ir::IrError::ZeroGlobalBatch.into());
     }
-    let baseline_session;
-    let session = if opts.memoize {
-        session
-    } else {
-        baseline_session = session.clone().memoize(false);
-        &baseline_session
-    };
-
+    // Leaves clone the probe (an O(1) Arc bump) instead of re-running the
+    // model constructor.
     let probe = build()?;
     let probe_stats = whale_graph::graph_stats(&probe);
     let mem_prefix = MemoryPrefix::new(&probe);
-    // Leaves clone the probe (an O(1) Arc bump) instead of re-running the
-    // model constructor; the unmemoized baseline rebuilds per leaf.
-    let template = opts.memoize.then(|| probe.clone());
 
     let mut cache = EstimateCache::new(session.cluster());
     let structures = generate(
@@ -753,12 +736,7 @@ pub(crate) fn drive(
                 std::result::Result<Arc<ExecutionPlan>, String>,
             );
             let planned: Vec<PlanOut> = fan_out(threads, to_plan, |(i, leaf, ls)| {
-                let graph = match &template {
-                    Some(g) => Ok(g.clone()),
-                    None => build(),
-                };
-                let plan = graph
-                    .and_then(|g| build_ir(&leaf.kind, g, global_batch))
+                let plan = build_ir(&leaf.kind, probe.clone(), global_batch)
                     .and_then(|ir| ls.plan(&ir))
                     .map_err(|e| e.to_string());
                 (i, leaf, ls, plan)
@@ -860,10 +838,7 @@ pub(crate) fn drive(
                 }
                 let threads = effective_threads(opts.search_threads, batch_leaves.len());
                 let evaluated: Vec<(usize, Candidate)> = fan_out(threads, batch_leaves, |l| {
-                    (
-                        l.index,
-                        evaluate_plan(&l.session, &l.name, l.plan, opts.reference_sim),
-                    )
+                    (l.index, evaluate_plan(&l.session, &l.name, l.plan))
                 });
                 // Serial merge in wave order: the incumbent moves only here.
                 for (i, cand) in evaluated {

@@ -14,10 +14,7 @@ use whale_planner::{
     plan, CacheStats, CommConfig, DeviceAssignment, ExecutionPlan, PlanService, PlannerConfig,
     ScheduleKind,
 };
-use whale_sim::{
-    simulate_step, simulate_step_reference, simulate_training, LossModel, SimConfig, StepOutcome,
-    TrainingRun,
-};
+use whale_sim::{simulate_step, simulate_training, LossModel, SimConfig, StepOutcome, TrainingRun};
 
 use crate::error::{Result, WhaleError};
 
@@ -134,14 +131,6 @@ impl Session {
         self
     }
 
-    /// Toggle the planner's per-stage cost memoization (on by default;
-    /// results are bit-identical either way — `off` exists so benchmarks
-    /// can measure the pre-fast-path planner).
-    pub fn memoize(mut self, on: bool) -> Session {
-        self.planner.memoize = on;
-        self
-    }
-
     /// Toggle the content-addressed plan cache (on by default). `off`
     /// exists for benchmarks that must measure cold planning on every call.
     pub fn plan_cache(mut self, on: bool) -> Session {
@@ -230,14 +219,6 @@ impl Session {
     /// Simulate one step of an existing plan.
     pub fn step_plan(&self, p: &ExecutionPlan) -> Result<StepOutcome> {
         Ok(simulate_step(p, &self.cluster, &self.sim)?)
-    }
-
-    /// [`Session::step_plan`] through the polling reference scheduler — the
-    /// golden baseline the equivalence tests and `fastpath_bench` compare
-    /// the event-driven engine against.
-    #[doc(hidden)]
-    pub fn step_plan_reference(&self, p: &ExecutionPlan) -> Result<StepOutcome> {
-        Ok(simulate_step_reference(p, &self.cluster, &self.sim)?)
     }
 
     /// Plan and simulate a training run to `total_samples`.

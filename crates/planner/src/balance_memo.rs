@@ -2,14 +2,10 @@
 //!
 //! The Balance pass plans every TaskGraph once per plan replica. Deep
 //! interleaved models (the MoE zoo) multiply hundreds of TaskGraphs by tens
-//! of replica groups, and the monolithic helpers re-derive the same pure
-//! results — [`dp_partition`] batch assignments and [`match_split_pattern`]
-//! shard plans — for every `(TaskGraph, group)` pair even though the inputs
-//! repeat almost verbatim across groups.
-//!
-//! This module is a transplant of [`crate::planner::plan_taskgraph`] /
-//! [`crate::planner::build_grad_groups`] that threads a per-Balance-run
-//! [`BalanceMemo`]:
+//! of replica groups, and the pure per-TaskGraph results —
+//! [`dp_partition`] batch assignments and [`match_split_pattern`] shard
+//! plans — repeat almost verbatim across groups. [`balance_taskgraph`]
+//! threads a per-Balance-run [`BalanceMemo`] through them:
 //!
 //! * `dp_partition` results are memoized on their **exact** inputs — the
 //!   bit patterns of the `CostProfile` fields, the batch, the activation
@@ -24,12 +20,12 @@
 //!   degree)` — the pattern depends only on the graph, the TaskGraph's ops,
 //!   and the shard count, all fixed across groups.
 //!
-//! The monolithic [`crate::planner::plan_reference`] keeps calling the
-//! unmemoized originals: it is the golden reference the pipeline is compared
-//! against, so its hot path stays untouched.
+//! [`build_grad_syncs`] assembles each TaskGraph's gradient-sync groups
+//! directly as the plan's AllReduce tasks.
 //!
-//! Bit-identity of the pipeline against the reference is pinned by the
-//! zoo × cluster golden matrix in `tests/compile_pipeline.rs`.
+//! The zoo × cluster × config golden matrix in `tests/compile_pipeline.rs`
+//! pins the plans these helpers produce, including split and replica
+//! TaskGraphs over several V100+P100 plan replicas (`moe_hybrid_ep`).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -134,11 +130,10 @@ impl BalanceMemo {
     }
 }
 
-/// Memoizing transplant of [`crate::planner::plan_taskgraph`]: plan one
-/// TaskGraph on one plan replica's virtual device. Byte-for-byte the same
-/// control flow; the two `dp_partition` call sites and the
-/// `match_split_pattern` site go through `memo`.
-pub(crate) fn plan_taskgraph_memo(
+/// Plan one TaskGraph on one plan replica's virtual device: per-device
+/// work for its strategy, plus the collectives a split pattern launches.
+/// The `dp_partition` and `match_split_pattern` calls go through `memo`.
+pub(crate) fn balance_taskgraph(
     a: PlanTgArgs<'_>,
     memo: &mut BalanceMemo,
     devices: &mut Vec<DeviceWork>,
@@ -179,7 +174,7 @@ pub(crate) fn plan_taskgraph_memo(
         }
         // Tensor model parallelism.
         [Primitive::Split] => {
-            shard_onto_memo(
+            shard_taskgraph(
                 &a,
                 memo,
                 a.vd_gpus,
@@ -214,7 +209,7 @@ pub(crate) fn plan_taskgraph_memo(
             let (s, r) = nested_degrees(k);
             let sub_batches = proportional_split(a.group_batch, &vec![1.0; r])?;
             for (rep, chunk) in a.vd_gpus.chunks(s).enumerate() {
-                shard_onto_memo(
+                shard_taskgraph(
                     &a,
                     memo,
                     chunk,
@@ -267,8 +262,8 @@ pub(crate) fn plan_taskgraph_memo(
     Ok(())
 }
 
-/// Memoizing transplant of [`crate::planner::shard_onto`].
-fn shard_onto_memo(
+/// Shard one TaskGraph over `shard_gpus` processing `batch` samples.
+fn shard_taskgraph(
     a: &PlanTgArgs<'_>,
     memo: &mut BalanceMemo,
     shard_gpus: &[usize],
@@ -322,13 +317,9 @@ fn shard_onto_memo(
     Ok(())
 }
 
-/// Transplant of [`crate::planner::build_grad_groups`] that assembles the
-/// common replica/split/stage groups directly instead of materializing the
-/// per-GPU `positions` table first, and emits them as the plan's
-/// AllReduce tasks. Every group it keeps is element-for-element the
-/// reference's `(label, group, bytes, stage)`: the direct loops visit the
-/// same `(gpu, group)` pairs in the same order, and the replica-path sort
-/// sees the same multiset. Groups of one GPU are never built (see
+/// Append the gradient-sync AllReduce tasks of one TaskGraph: the GPUs at
+/// the same replica or shard position across plan replicas, or across DP
+/// replicas within a group. Groups of one GPU are never built (see
 /// [`push_grad_sync`]).
 pub(crate) fn build_grad_syncs(
     tg: &whale_ir::TaskGraph,
@@ -461,95 +452,4 @@ fn push_grad_sync(
         label: label(),
         stage: Some(stage),
     });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::planner::{build_grad_groups, plan_taskgraph, PlannerConfig};
-    use whale_hardware::Cluster;
-    use whale_ir::Annotator;
-
-    /// The memoized TaskGraph planner must reproduce the unmemoized helper
-    /// bit-for-bit on a heterogeneous cluster with multiple plan replicas.
-    #[test]
-    fn memoized_taskgraph_planning_is_bit_identical() {
-        let graph =
-            whale_graph::models::m6_moe(whale_graph::models::MoeConfig::tiny(), 32).unwrap();
-        let moe_ops: Vec<whale_graph::OpId> = graph
-            .ops()
-            .iter()
-            .filter(|op| op.name.ends_with("/moe_ffn"))
-            .map(|op| op.id)
-            .collect();
-        let mut annot = Annotator::new(graph, 32)
-            .outer_replica()
-            .set_default(Primitive::Replica);
-        for id in moe_ops {
-            annot = annot
-                .annotate_ops(vec![id], vec![Primitive::Split])
-                .unwrap();
-        }
-        let ir = annot.finish().unwrap();
-        let cluster = Cluster::parse("2x(4xV100)+2x(4xP100)").unwrap();
-        let config = PlannerConfig::default();
-        let state = crate::pipeline::compile(&ir, &cluster, &config).unwrap();
-        let d = state.degrees.as_ref().unwrap();
-        let p = state.placement.as_ref().unwrap();
-        let num_stages = p.task_graphs.len();
-
-        let mut memo = BalanceMemo::default();
-        for (tg_idx, tg) in p.task_graphs.iter().enumerate() {
-            let profile = match &p.stage_profiles {
-                Some(ps) => ps[tg_idx].clone(),
-                None => tg.profile(&ir.graph, ir.global_batch.max(1)),
-            };
-            for (g, group) in d.groups.iter().enumerate() {
-                let offset = group[0];
-                let vd_gpus: Vec<usize> = p.vds0[tg_idx]
-                    .gpu_ids()
-                    .iter()
-                    .map(|&id| id - d.groups[0][0] + offset)
-                    .collect();
-                let args = || PlanTgArgs {
-                    ir: &ir,
-                    cluster: &cluster,
-                    config: &config,
-                    tg,
-                    profile: &profile,
-                    vd_gpus: &vd_gpus,
-                    group_batch: d.group_batches[g],
-                    num_micro: d.num_micro,
-                    stage_index: tg_idx,
-                    num_stages,
-                    gpipe: d.gpipe,
-                    outer_dp: d.outer_dp,
-                };
-                let (mut dev_a, mut col_a) = (Vec::new(), Vec::new());
-                let (mut dev_b, mut col_b) = (Vec::new(), Vec::new());
-                plan_taskgraph(args(), &mut dev_a, &mut col_a).unwrap();
-                plan_taskgraph_memo(args(), &mut memo, &mut dev_b, &mut col_b).unwrap();
-                assert_eq!(dev_a, dev_b, "devices diverge on tg {tg_idx} group {g}");
-                assert_eq!(col_a, col_b, "collectives diverge on tg {tg_idx} group {g}");
-            }
-            // Balance keeps only groups of two or more GPUs; the fast
-            // builder never makes the others.
-            let mut gg_a = Vec::new();
-            let mut gg_b = Vec::new();
-            build_grad_groups(tg, &profile, &p.vds0[tg_idx], &d.groups, &config, &mut gg_a);
-            build_grad_syncs(tg, &profile, &p.vds0[tg_idx], &d.groups, &config, &mut gg_b);
-            let kept: Vec<CollectiveTask> = gg_a
-                .into_iter()
-                .filter(|(_, group, _, _)| group.len() > 1)
-                .map(|(label, group, bytes, stage)| CollectiveTask {
-                    kind: Collective::AllReduce,
-                    group,
-                    bytes,
-                    label,
-                    stage: Some(stage),
-                })
-                .collect();
-            assert_eq!(kept, gg_b, "grad groups diverge on tg {tg_idx}");
-        }
-    }
 }

@@ -37,7 +37,7 @@ use whale_ir::TaskGraph;
 
 use crate::error::Result;
 use crate::pipeline::{CompileState, PassContext, PassId, PlannerPass};
-use crate::plan::{CollectiveTask, ExecutionPlan};
+use crate::plan::CollectiveTask;
 
 /// Default fusion-bucket cap: 25 MB, Horovod's long-standing default
 /// (`HOROVOD_FUSION_THRESHOLD`) and the paper's reference stack.
@@ -218,7 +218,7 @@ pub enum SyncMode {
 /// One gradient fusion bucket.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradBucket {
-    /// Index into [`ExecutionPlan::grad_syncs`] of the group this bucket
+    /// Index into [`crate::ExecutionPlan::grad_syncs`] of the group this bucket
     /// belongs to.
     pub sync_index: usize,
     /// Logical payload bytes (the buckets of one sync sum exactly to its
@@ -240,7 +240,7 @@ pub struct GradBucket {
     pub layers: (usize, usize),
 }
 
-/// The full grad-sync schedule attached to an [`ExecutionPlan`] by the
+/// The full grad-sync schedule attached to an [`crate::ExecutionPlan`] by the
 /// [`CommOpt`] pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradSyncSchedule {
@@ -303,8 +303,7 @@ impl GradSyncSchedule {
 }
 
 /// Build the grad-sync schedule for `grad_syncs` against the model's layer
-/// structure and the cluster topology. Shared by the [`CommOpt`] pipeline
-/// pass and the monolithic `plan_reference`, so both emit identical plans.
+/// structure and the cluster topology.
 ///
 /// Cost: one pass over `task_graphs` to index them, one pass over each
 /// owning stage's ops (its layer table is built once and shared by every
@@ -511,25 +510,6 @@ fn bucket_sync(
     });
 }
 
-/// Attach the grad-sync schedule to a finished plan (the monolithic
-/// reference planner's entry point; the pipeline uses [`CommOpt`]).
-pub(crate) fn attach_schedule(
-    plan: &mut ExecutionPlan,
-    task_graphs: &[TaskGraph],
-    graph: &Graph,
-    cluster: &Cluster,
-    cfg: &CommConfig,
-) -> Result<()> {
-    plan.grad_sync_schedule = Some(build_grad_sync_schedule(
-        &plan.grad_syncs,
-        task_graphs,
-        graph,
-        cluster,
-        cfg,
-    )?);
-    Ok(())
-}
-
 /// Pass 6: derive the bucketed grad-sync schedule from the scheduled plan
 /// and the placement's layer structure, and attach it to the plan.
 ///
@@ -584,6 +564,7 @@ impl PlannerPass for CommOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ExecutionPlan;
     use whale_graph::models;
     use whale_hardware::Cluster;
     use whale_ir::Annotator;

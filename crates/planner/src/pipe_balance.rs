@@ -122,10 +122,10 @@ pub fn in_flight_micro_batches(
 }
 
 /// Memoized per-stage cost terms. Every PSVF iteration queries the memory
-/// ratio of *all* stages; without the cache each query re-profiles the
-/// stage's whole op range, making one PSVF step O(stages × ops). The cache
-/// stores the (memory, flops) pair per stage and a `shift` refreshes only
-/// the stages whose boundaries moved, so steady-state queries are O(1).
+/// ratio of *all* stages; re-profiling the stage's whole op range per query
+/// would make one PSVF step O(stages × ops). The cache stores the (memory,
+/// flops) pair per stage and a `shift` refreshes only the stages whose
+/// boundaries moved, so steady-state queries are O(1).
 struct StageCostCache {
     mem: Vec<u64>,
     flops: Vec<f64>,
@@ -134,6 +134,12 @@ struct StageCostCache {
     /// ranges at the same reference batch), so the partition hands them
     /// back and the planner skips its own re-profiling pass.
     profiles: Vec<CostProfile>,
+}
+
+/// Cost profile of stage `i` of `cuts` at `ref_batch`.
+fn stage_profile(graph: &Graph, cuts: &[usize], i: usize, ref_batch: usize) -> CostProfile {
+    let ops: Vec<OpId> = (cuts[i]..cuts[i + 1]).map(OpId).collect();
+    CostProfile::from_ops(graph, &ops, ref_batch)
 }
 
 /// The `shift_op` workload over stage cut points.
@@ -146,49 +152,16 @@ struct PipeWorkload<'a> {
     num_micro: usize,
     gpipe: bool,
     ref_batch: usize,
-    /// `None` disables memoization (the planner-baseline path that
-    /// `fastpath_bench` measures the speedup against).
-    cache: Option<StageCostCache>,
+    cache: StageCostCache,
 }
 
 impl<'a> PipeWorkload<'a> {
+    /// The workload over `cuts`, its stage-cost cache built from
+    /// `profiles`: the per-stage profiles of `cuts` at `ref_batch`, freshly
+    /// computed or replayed from the cross-plan memo (`stage_profile` is
+    /// deterministic, so the two are bit-identical).
     #[allow(clippy::too_many_arguments)]
     fn new(
-        graph: &'a Graph,
-        cuts: Vec<usize>,
-        cfg: &'a TrainingConfig,
-        gpus: &'a [Gpu],
-        micro_batch: usize,
-        num_micro: usize,
-        gpipe: bool,
-        ref_batch: usize,
-        memoize: bool,
-    ) -> PipeWorkload<'a> {
-        let mut w = PipeWorkload {
-            graph,
-            cuts,
-            cfg,
-            gpus,
-            micro_batch,
-            num_micro,
-            gpipe,
-            ref_batch,
-            cache: None,
-        };
-        if memoize {
-            let profiles = (0..w.gpus.len()).map(|i| w.stage_profile(i)).collect();
-            w.install_cache(profiles);
-        }
-        w
-    }
-
-    /// [`PipeWorkload::new`] with the initial per-stage profiles supplied by
-    /// the caller (a cross-plan memo hit) instead of recomputed from the op
-    /// ranges. The profiles must correspond to `cuts` at `ref_batch`;
-    /// `stage_profile` is deterministic, so the seeded workload is
-    /// bit-identical to a freshly profiled one.
-    #[allow(clippy::too_many_arguments)]
-    fn seeded(
         graph: &'a Graph,
         cuts: Vec<usize>,
         cfg: &'a TrainingConfig,
@@ -208,39 +181,26 @@ impl<'a> PipeWorkload<'a> {
             num_micro,
             gpipe,
             ref_batch,
-            cache: None,
+            cache: StageCostCache {
+                mem: Vec::new(),
+                flops: Vec::new(),
+                profiles: Vec::new(),
+            },
         };
-        w.install_cache(profiles);
-        w
-    }
-
-    /// Build the stage-cost cache from the given per-stage profiles,
-    /// deriving the (memory, flops) pairs through the same `stage_cost_of`
-    /// the direct queries use.
-    fn install_cache(&mut self, profiles: Vec<CostProfile>) {
-        let n = self.gpus.len();
-        let mut mem = vec![0; n];
-        let mut flops = vec![0.0; n];
-        for (i, p) in profiles.iter().enumerate() {
-            let (m, f) = self.stage_cost_of(i, p);
-            mem[i] = m;
-            flops[i] = f;
-        }
-        self.cache = Some(StageCostCache {
+        let (mem, flops) = profiles
+            .iter()
+            .enumerate()
+            .map(|(i, p)| w.stage_cost_of(i, p))
+            .unzip();
+        w.cache = StageCostCache {
             mem,
             flops,
             profiles,
-        });
+        };
+        w
     }
 
-    fn stage_profile(&self, i: usize) -> CostProfile {
-        let ops: Vec<OpId> = (self.cuts[i]..self.cuts[i + 1]).map(OpId).collect();
-        CostProfile::from_ops(self.graph, &ops, self.ref_batch)
-    }
-
-    /// (memory, flops) of stage `i` given its profile — the single source of
-    /// truth both the direct queries and the cache refresh go through, so
-    /// cached and uncached runs are bit-identical.
+    /// (memory, flops) of stage `i` given its profile.
     fn stage_cost_of(&self, i: usize, p: &CostProfile) -> (u64, f64) {
         let act_mult =
             in_flight_micro_batches(i, self.gpus.len(), self.num_micro, self.gpipe) as f64;
@@ -250,24 +210,14 @@ impl<'a> PipeWorkload<'a> {
         )
     }
 
-    /// Uncached (memory, flops) of stage `i`.
-    fn stage_cost(&self, i: usize) -> (u64, f64) {
-        let p = self.stage_profile(i);
-        self.stage_cost_of(i, &p)
-    }
-
     /// Refresh the cache for stages whose op ranges changed.
     fn refresh(&mut self, lo: usize, hi: usize) {
-        if self.cache.is_none() {
-            return;
-        }
         for i in lo..=hi {
-            let p = self.stage_profile(i);
+            let p = stage_profile(self.graph, &self.cuts, i, self.ref_batch);
             let (m, f) = self.stage_cost_of(i, &p);
-            let cache = self.cache.as_mut().expect("checked above");
-            cache.mem[i] = m;
-            cache.flops[i] = f;
-            cache.profiles[i] = p;
+            self.cache.mem[i] = m;
+            self.cache.flops[i] = f;
+            self.cache.profiles[i] = p;
         }
     }
 }
@@ -277,19 +227,13 @@ impl Workload for PipeWorkload<'_> {
         self.gpus.len()
     }
     fn mem_bytes(&self, i: usize) -> u64 {
-        match &self.cache {
-            Some(c) => c.mem[i],
-            None => self.stage_cost(i).0,
-        }
+        self.cache.mem[i]
     }
     fn mem_capacity(&self, i: usize) -> u64 {
         self.gpus[i].memory_bytes()
     }
     fn flops(&self, i: usize) -> f64 {
-        match &self.cache {
-            Some(c) => c.flops[i],
-            None => self.stage_cost(i).1,
-        }
+        self.cache.flops[i]
     }
     fn flops_capacity(&self, i: usize) -> f64 {
         self.gpus[i].flops()
@@ -347,35 +291,6 @@ pub fn pipeline_partition(
     ref_batch: usize,
     hardware_aware: bool,
 ) -> Result<PipePartition> {
-    pipeline_partition_opts(
-        graph,
-        cfg,
-        gpus,
-        micro_batch,
-        num_micro,
-        gpipe,
-        ref_batch,
-        hardware_aware,
-        true,
-    )
-}
-
-/// [`pipeline_partition`] with the per-stage cost memoization made explicit.
-/// `memoize = false` recomputes every profile query from scratch — the
-/// pre-fast-path behavior kept for benchmarking; results are bit-identical
-/// either way.
-#[allow(clippy::too_many_arguments)]
-pub fn pipeline_partition_opts(
-    graph: &Graph,
-    cfg: &TrainingConfig,
-    gpus: &[Gpu],
-    micro_batch: usize,
-    num_micro: usize,
-    gpipe: bool,
-    ref_batch: usize,
-    hardware_aware: bool,
-    memoize: bool,
-) -> Result<PipePartition> {
     pipeline_partition_profiled(
         graph,
         cfg,
@@ -385,21 +300,19 @@ pub fn pipeline_partition_opts(
         gpipe,
         ref_batch,
         hardware_aware,
-        memoize,
     )
     .map(|(part, _)| part)
 }
 
-/// [`pipeline_partition_opts`] that also returns the memoized per-stage
-/// [`CostProfile`]s for the final cuts (`None` when `memoize` is off). The
-/// profiles equal `CostProfile::from_ops` over each stage's op range at
-/// `ref_batch` — exactly what the planner's stage loop would recompute — so
-/// callers can skip that second profiling pass.
+/// [`pipeline_partition`] that also returns the per-stage [`CostProfile`]s
+/// for the final cuts. The profiles equal `CostProfile::from_ops` over each
+/// stage's op range at `ref_batch` — exactly what the planner's stage loop
+/// would recompute — so callers can skip that second profiling pass.
 ///
-/// With `memoize` on, the balanced cut and reference profiles come from the
-/// cross-plan partition memo when a previous call already computed them for
-/// the same (graph, config, stage GPUs, reference batch, awareness) key —
-/// see the module docs. Results are bit-identical with or without a hit.
+/// The balanced cut and reference profiles come from the cross-plan
+/// partition memo when a previous call already computed them for the same
+/// (graph, config, stage GPUs, reference batch, awareness) key — see the
+/// module docs. Results are bit-identical with or without a hit.
 #[allow(clippy::too_many_arguments)]
 pub fn pipeline_partition_profiled(
     graph: &Graph,
@@ -410,63 +323,38 @@ pub fn pipeline_partition_profiled(
     gpipe: bool,
     ref_batch: usize,
     hardware_aware: bool,
-    memoize: bool,
-) -> Result<(PipePartition, Option<Vec<CostProfile>>)> {
+) -> Result<(PipePartition, Vec<CostProfile>)> {
     if gpus.is_empty() {
         return Err(PlanError::BadConfig(
             "pipeline needs at least one stage GPU".into(),
         ));
     }
-    let key = memoize.then(|| partition_key(graph, cfg, gpus, ref_batch, hardware_aware));
-    if let Some(key) = key {
-        let seed = lock_memo().get(&key).cloned();
-        if let Some(seed) = seed {
-            let (cuts, profiles) = &*seed;
-            // Replay the cold path's overflow check from the cached
-            // profiles — the only place the leaf's micro/schedule enters.
-            let overflow = hardware_aware
-                && gpus.iter().enumerate().any(|(i, g)| {
-                    let act = in_flight_micro_batches(i, gpus.len(), num_micro, gpipe) as f64;
-                    cfg.memory_bytes(&profiles[i], micro_batch, act) > g.memory_bytes()
-                });
-            if !overflow {
-                return Ok((
-                    PipePartition {
-                        cuts: cuts.clone(),
-                        psvf: None,
-                    },
-                    Some(profiles.clone()),
-                ));
+    let key = partition_key(graph, cfg, gpus, ref_batch, hardware_aware);
+    let seed = lock_memo().get(&key).cloned();
+    let (cuts, profiles) = match seed {
+        Some(seed) => (*seed).clone(),
+        None => {
+            let costs: Vec<f64> = graph.ops().iter().map(|op| op.forward_flops()).collect();
+            let weights: Vec<f64> = if hardware_aware {
+                gpus.iter().map(|g| g.flops()).collect()
+            } else {
+                vec![1.0; gpus.len()]
+            };
+            let cuts = balanced_cuts(&costs, &weights)?;
+            let profiles: Vec<CostProfile> = (0..gpus.len())
+                .map(|i| stage_profile(graph, &cuts, i, ref_batch))
+                .collect();
+            // Snapshot the pre-PSVF state: exactly what a future hit replays.
+            let mut memo = lock_memo();
+            if memo.len() >= PARTITION_MEMO_CAP {
+                memo.clear();
             }
-            let mut w = PipeWorkload::seeded(
-                graph,
-                cuts.clone(),
-                cfg,
-                gpus,
-                micro_batch,
-                num_micro,
-                gpipe,
-                ref_batch,
-                profiles.clone(),
-            );
-            let report = Some(psvf(&mut w)?);
-            let profiles = w.cache.map(|c| c.profiles);
-            return Ok((
-                PipePartition {
-                    cuts: w.cuts,
-                    psvf: report,
-                },
-                profiles,
-            ));
+            memo.insert(key, Arc::new((cuts.clone(), profiles.clone())));
+            (cuts, profiles)
         }
-    }
-    let costs: Vec<f64> = graph.ops().iter().map(|op| op.forward_flops()).collect();
-    let weights: Vec<f64> = if hardware_aware {
-        gpus.iter().map(|g| g.flops()).collect()
-    } else {
-        vec![1.0; gpus.len()]
     };
-    let cuts = balanced_cuts(&costs, &weights)?;
+    // The leaf's micro batch, micro count and schedule enter only here,
+    // through the overflow check that decides whether PSVF runs.
     let mut w = PipeWorkload::new(
         graph,
         cuts,
@@ -476,33 +364,16 @@ pub fn pipeline_partition_profiled(
         num_micro,
         gpipe,
         ref_batch,
-        memoize,
+        profiles,
     );
-    if let (Some(key), Some(cache)) = (key, &w.cache) {
-        // Snapshot the pre-PSVF state: exactly what a future hit replays.
-        let mut memo = lock_memo();
-        if memo.len() >= PARTITION_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(key, Arc::new((w.cuts.clone(), cache.profiles.clone())));
-    }
-    let report = if hardware_aware {
-        let overflow = (0..w.len()).any(|i| w.mem_bytes(i) > w.mem_capacity(i));
-        if overflow {
-            Some(psvf(&mut w)?)
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-    let profiles = w.cache.map(|c| c.profiles);
+    let overflow = hardware_aware && (0..w.len()).any(|i| w.mem_bytes(i) > w.mem_capacity(i));
+    let report = if overflow { Some(psvf(&mut w)?) } else { None };
     Ok((
         PipePartition {
             cuts: w.cuts,
             psvf: report,
         },
-        profiles,
+        w.cache.profiles,
     ))
 }
 
@@ -536,10 +407,9 @@ pub fn stage_flops(graph: &Graph, part: &PipePartition) -> Vec<f64> {
 /// dropped (each only adds time in the engine), and only replica 0's
 /// devices are priced (the plan's per-stage time is a max over every
 /// replica's), so the value never exceeds the leaf's true simulated step
-/// time. The partition call always runs memoized, whatever
-/// `config.memoize` says: its result is bit-identical memoized or cold, so
-/// the bound — and hence the search report it gates — depends neither on
-/// memo warmth nor on the memoize switch.
+/// time. The partition is bit-identical whether the memo is warm or cold,
+/// so the bound — and hence the search report it gates — does not depend
+/// on memo warmth.
 ///
 /// Returns `Ok(None)` when the leaf cannot be priced this way: the cluster
 /// does not tile into `replicas` groups of depth ≥ 2, or the group batch is
@@ -573,10 +443,8 @@ pub fn pipeline_leaf_bound(
         gpipe,
         global_batch.max(1),
         config.hardware_aware,
-        true,
     )?;
-    let profiles = profiles.expect("a memoized partition returns its stage profiles");
-    // Price replica 0's stages the way `plan_taskgraph` + the estimator's
+    // Price replica 0's stages the way `balance_taskgraph` + the estimator's
     // `stage_fw_bw` do, minus everything additive.
     let amp = config.training.amp;
     let bw_factor = if config.training.recompute { 3.0 } else { 2.0 };
@@ -1020,36 +888,11 @@ mod tests {
         let mut out = Vec::new();
         for aware in [false, true] {
             for (micro_batch, num_micro, gpipe) in [(1, 4, false), (8, 8, false), (16, 8, true)] {
-                let fast = pipeline_partition_opts(
-                    &g,
-                    &cfg,
-                    c.gpus(),
-                    micro_batch,
-                    num_micro,
-                    gpipe,
-                    8,
-                    aware,
-                    true,
-                );
-                let slow = pipeline_partition_opts(
-                    &g,
-                    &cfg,
-                    c.gpus(),
-                    micro_batch,
-                    num_micro,
-                    gpipe,
-                    8,
-                    aware,
-                    false,
-                );
-                match (&fast, slow) {
-                    (Ok(f), Ok(s)) => assert_eq!(*f, s, "aware={aware} mb={micro_batch}"),
-                    (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string()),
-                    (f, s) => panic!("divergent outcomes: {f:?} vs {s:?}"),
-                }
+                let part =
+                    pipeline_partition(&g, &cfg, c.gpus(), micro_batch, num_micro, gpipe, 8, aware);
                 out.push((
                     format!("aware={aware} mb={micro_batch} m={num_micro} gpipe={gpipe}"),
-                    partition_digest(&fast),
+                    partition_digest(&part),
                 ));
             }
         }
@@ -1068,7 +911,7 @@ mod tests {
         for num_micro in [1usize, 2, 4, 8, 16] {
             for micro_batch in [1usize, 4, 16] {
                 for gpipe in [false, true] {
-                    let hit = pipeline_partition_profiled(
+                    let (part, profiles) = pipeline_partition_profiled(
                         &g,
                         &cfg,
                         c.gpus(),
@@ -1077,35 +920,17 @@ mod tests {
                         gpipe,
                         8,
                         true,
-                        true,
                     )
                     .unwrap();
-                    let cold = pipeline_partition_profiled(
-                        &g,
-                        &cfg,
-                        c.gpus(),
-                        micro_batch,
-                        num_micro,
-                        gpipe,
-                        8,
-                        true,
-                        false,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        hit.0, cold.0,
-                        "mb={micro_batch} m={num_micro} gpipe={gpipe}"
-                    );
-                    // The memoized path must also hand back the profiles the
-                    // planner's stage loop needs, for the repaired cuts.
-                    let profiles = hit.1.expect("memoized call returns profiles");
+                    // A hit must also hand back the profiles the planner's
+                    // stage loop needs, for the repaired cuts.
                     for (k, p) in profiles.iter().enumerate() {
-                        let ops: Vec<OpId> = hit.0.stage_ops(k);
+                        let ops: Vec<OpId> = part.stage_ops(k);
                         assert_eq!(*p, CostProfile::from_ops(&g, &ops, 8));
                     }
                     out.push((
                         format!("mb={micro_batch} m={num_micro} gpipe={gpipe}"),
-                        partition_digest(&Ok(hit.0)),
+                        partition_digest(&Ok(part)),
                     ));
                 }
             }
@@ -1114,12 +939,12 @@ mod tests {
     }
 
     #[test]
-    fn memoized_partition_is_bit_identical_to_uncached() {
+    fn partitions_match_their_golden_digests() {
         assert_goldens(&partition_sweep(), PARTITION_GOLDENS);
     }
 
     #[test]
-    fn cross_plan_memo_hits_are_bit_identical() {
+    fn cross_plan_memo_hits_match_their_golden_digests() {
         assert_goldens(&memo_hit_sweep(), MEMO_HIT_GOLDENS);
     }
 
@@ -1285,29 +1110,34 @@ mod tests {
         );
     }
 
+    /// The workload over `cuts` at micro batch 1, 4 micro batches, 1F1B
+    /// and reference batch 2.
+    fn workload<'a>(
+        g: &'a Graph,
+        cuts: Vec<usize>,
+        config: &'a TrainingConfig,
+        gpus: &'a [Gpu],
+    ) -> PipeWorkload<'a> {
+        let profiles = (0..gpus.len())
+            .map(|i| stage_profile(g, &cuts, i, 2))
+            .collect();
+        PipeWorkload::new(g, cuts, config, gpus, 1, 4, false, 2, profiles)
+    }
+
     #[test]
     fn shift_op_preserves_coverage() {
         let g = models::bert_base(2, 64).unwrap();
         let c = Cluster::parse("4xV100").unwrap();
         let config = cfg();
-        let mut w = PipeWorkload::new(
-            &g,
-            balanced_cuts(
-                &g.ops()
-                    .iter()
-                    .map(|o| o.forward_flops())
-                    .collect::<Vec<_>>(),
-                &[1.0; 4],
-            )
-            .unwrap(),
-            &config,
-            c.gpus(),
-            1,
-            4,
-            false,
-            2,
-            true,
-        );
+        let cuts = balanced_cuts(
+            &g.ops()
+                .iter()
+                .map(|o| o.forward_flops())
+                .collect::<Vec<_>>(),
+            &[1.0; 4],
+        )
+        .unwrap();
+        let mut w = workload(&g, cuts, &config, c.gpus());
         let before = w.cuts.clone();
         // Fig. 11: shift one op from stage 0 to stage 2.
         assert!(w.shift(0, 2));
@@ -1327,17 +1157,7 @@ mod tests {
         let n = g.len();
         let config = cfg();
         // Stage 1 has exactly one op.
-        let mut w = PipeWorkload::new(
-            &g,
-            vec![0, 1, 2, n],
-            &config,
-            c.gpus(),
-            1,
-            4,
-            false,
-            2,
-            true,
-        );
+        let mut w = workload(&g, vec![0, 1, 2, n], &config, c.gpus());
         // Moving from stage 0 through stage 1 would empty stage 0 (one op).
         assert!(!w.shift(0, 2));
         assert_eq!(

@@ -15,13 +15,11 @@
 //! | `Schedule`        | `ExecutionPlan`      | assembled, validated plan |
 //! | `CommOpt`         | (plan rewrite)       | bucketed grad-sync schedule + collective algorithms |
 //!
-//! The decomposition is **bit-identical** to the retained monolith
-//! ([`crate::planner::plan_reference`]): every pass body is transplanted
-//! code, and the only reordering — computing bridge collectives *before*
-//! per-device balancing instead of after — is sound because bridges read
-//! only placement artifacts, and the Schedule pass appends them to the
-//! per-stage collective lists in the monolith's exact `(source stage, plan
-//! replica)` order.
+//! Bridge collectives are computed *before* per-device balancing: bridges
+//! read only placement artifacts, and Balance appends them to the
+//! per-stage collective lists in `(source stage, plan replica)` order.
+//! `tests/compile_pipeline.rs` pins the output of the zoo × cluster ×
+//! config matrix with golden digests.
 //!
 //! Why bother: passes become individually cacheable and re-runnable. A
 //! [`crate::cache::PlanCache`] stores the whole [`CompileState`] keyed on
@@ -110,13 +108,14 @@ pub struct InferredDegrees {
 pub struct PlacedTaskGraphs {
     /// Stage TaskGraphs in execution order (auto-partitioned if requested).
     pub task_graphs: Vec<TaskGraph>,
-    /// Per-stage cost profiles handed back by the memoized auto-partition
-    /// (`None` when stages were given explicitly — Balance re-profiles).
+    /// Per-stage cost profiles handed back by the auto-partition (`None`
+    /// when stages were given explicitly — Balance re-profiles).
     pub stage_profiles: Option<Vec<CostProfile>>,
     /// Virtual device of each TaskGraph within plan replica 0.
     pub vds0: Vec<VirtualDevice>,
-    /// Memoized per-stage exit-tensor byte totals (`None` when memoization
-    /// is off or TaskGraphs overlap; consumers fall back to `exit_tensors`).
+    /// Per-stage exit-tensor byte totals from one sweep over the graph's
+    /// edges (`None` when TaskGraphs overlap; consumers then fall back to
+    /// `exit_tensors`).
     pub boundary_sums: Option<Vec<u64>>,
 }
 
@@ -127,9 +126,8 @@ pub struct BridgedPlan {
     /// Per-stage activation bytes sent to the next stage per micro batch
     /// (0 for the last stage).
     pub send_bytes: Vec<u64>,
-    /// Bridge collectives as `(target stage, task)`, in the monolith's
-    /// insertion order: outer loop over source stage, inner over plan
-    /// replica.
+    /// Bridge collectives as `(target stage, task)`, in insertion order:
+    /// outer loop over source stage, inner over plan replica.
     pub bridges: Vec<(usize, CollectiveTask)>,
 }
 
@@ -313,13 +311,13 @@ impl PlannerPass for Placement {
             .as_ref()
             .ok_or_else(|| CompileState::missing(PassId::DegreeInference, self.id()))?;
 
-        // The memoized partition hands back the per-stage profiles it
-        // already computed for the final cuts; Balance then skips its own
+        // The partition hands back the per-stage profiles it already
+        // computed for the final cuts; Balance then skips its own
         // re-profiling pass (bit-identical: same op ranges, same reference
         // batch).
         let (task_graphs, stage_profiles): (Vec<TaskGraph>, Option<Vec<CostProfile>>) =
             if ir.auto_partition && ir.task_graphs.is_empty() {
-                auto_stages(
+                let (tgs, profiles) = auto_stages(
                     ir,
                     cluster,
                     config,
@@ -327,7 +325,8 @@ impl PlannerPass for Placement {
                     d.group_batches[0],
                     d.num_micro,
                     d.gpipe,
-                )?
+                )?;
+                (tgs, Some(profiles))
             } else {
                 (ir.task_graphs.clone(), None)
             };
@@ -339,14 +338,10 @@ impl PlannerPass for Placement {
 
         // Boundary bytes: `exit_tensors` rescans the whole graph per
         // TaskGraph, an O(stages × ops) term that dominates deep-pipeline
-        // planning. The memoized path replaces those scans with one pass
-        // over the graph's edges; per-producer byte sums are u64, so the two
-        // computations are exactly equal, not just approximately.
-        let boundary_sums = if config.memoize {
-            stage_boundary_bytes(&ir.graph, &task_graphs)
-        } else {
-            None
-        };
+        // planning. One pass over the graph's edges replaces those scans;
+        // per-producer byte sums are u64, so the two computations are
+        // exactly equal, not just approximately.
+        let boundary_sums = stage_boundary_bytes(&ir.graph, &task_graphs);
 
         state.placement = Some(PlacedTaskGraphs {
             task_graphs,
@@ -558,7 +553,7 @@ impl PlannerPass for Balance {
                         )));
                     }
                 }
-                crate::balance_memo::plan_taskgraph_memo(
+                crate::balance_memo::balance_taskgraph(
                     PlanTgArgs {
                         ir,
                         cluster,
@@ -803,7 +798,6 @@ pub fn replan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::plan_reference;
     use whale_graph::models;
     use whale_ir::Annotator;
 
@@ -814,16 +808,6 @@ mod tests {
             .unwrap()
             .finish()
             .unwrap()
-    }
-
-    #[test]
-    fn pipeline_matches_reference_plan() {
-        let ir = bert_ir();
-        let cluster = Cluster::parse("4xV100").unwrap();
-        let cfg = PlannerConfig::default();
-        let a = crate::planner::plan(&ir, &cluster, &cfg).unwrap();
-        let b = plan_reference(&ir, &cluster, &cfg).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -15,15 +15,11 @@
 //!    (including plan-level outer data parallelism).
 
 use whale_graph::{CostProfile, TrainingConfig};
-use whale_hardware::{Cluster, Collective, VirtualDevice};
+use whale_hardware::{Cluster, VirtualDevice};
 use whale_ir::{Primitive, TaskGraph, WhaleIr};
 
-use crate::bridge::{chain_bytes, connect};
-use crate::dp_balance::dp_partition;
 use crate::error::{PlanError, Result};
-use crate::pipe_balance::in_flight_micro_batches;
-use crate::plan::{CollectiveTask, DeviceWork, ExecutionPlan, PlannedStage};
-use crate::shard::match_split_pattern;
+use crate::plan::ExecutionPlan;
 
 /// Pipeline schedule flavor (affects activation memory and the simulator's
 /// task ordering).
@@ -72,11 +68,6 @@ pub struct PlannerConfig {
     /// Communication-optimizer options (gradient fusion buckets + collective
     /// algorithm selection). Default = disabled (legacy sync model).
     pub comm: crate::commopt::CommConfig,
-    /// Memoize per-stage cost terms inside the load balancers (PSVF delta
-    /// updates instead of full re-profiles). Results are bit-identical with
-    /// or without; `false` exists so `fastpath_bench` can measure the
-    /// pre-fast-path planner.
-    pub memoize: bool,
 }
 
 impl Default for PlannerConfig {
@@ -89,7 +80,6 @@ impl Default for PlannerConfig {
             schedule: ScheduleKind::BackwardFirst,
             devices: DeviceAssignment::Auto,
             comm: crate::commopt::CommConfig::default(),
-            memoize: true,
         }
     }
 }
@@ -121,8 +111,7 @@ impl PlannerConfig {
                 }
             }
         }
-        fp.push_bool(self.memoize)
-            .push_u64(self.comm.fusion_bytes)
+        fp.push_u64(self.comm.fusion_bytes)
             .push_bool(self.comm.auto_algorithm)
             .push_tag(match self.comm.grad_dtype {
                 crate::commopt::GradDtype::Fp32 => 0,
@@ -135,11 +124,9 @@ impl PlannerConfig {
 }
 
 /// Plan `ir` onto `cluster` by running the staged compile pipeline
-/// (`DegreeInference → Placement → BridgeInsertion → Balance → Schedule`).
-///
-/// Produces output bit-identical to the retained monolithic
-/// [`plan_reference`]; the pipeline exists so passes can be cached and
-/// selectively re-run (see [`crate::pipeline`] and [`crate::cache`]).
+/// (`DegreeInference → Placement → BridgeInsertion → Balance → Schedule →
+/// CommOpt`). The passes can be cached and selectively re-run (see
+/// [`crate::pipeline`] and [`crate::cache`]).
 pub fn plan(ir: &WhaleIr, cluster: &Cluster, config: &PlannerConfig) -> Result<ExecutionPlan> {
     let state = crate::pipeline::compile(ir, cluster, config)?;
     let arc = state
@@ -148,265 +135,6 @@ pub fn plan(ir: &WhaleIr, cluster: &Cluster, config: &PlannerConfig) -> Result<E
     // The state is freshly compiled and unshared, so this unwrap never
     // clones.
     Ok(std::sync::Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
-}
-
-/// The pre-pipeline monolithic planner, retained verbatim as the golden
-/// reference for the pass decomposition: `plan()` must produce bit-identical
-/// output (asserted by the `pipeline_goldens` integration test across the
-/// model zoo × cluster matrix). Not part of the public API surface.
-#[doc(hidden)]
-pub fn plan_reference(
-    ir: &WhaleIr,
-    cluster: &Cluster,
-    config: &PlannerConfig,
-) -> Result<ExecutionPlan> {
-    ir.validate()?;
-    let num_gpus = cluster.num_gpus();
-    if num_gpus == 0 {
-        return Err(PlanError::BadConfig("empty cluster".into()));
-    }
-
-    // 1. Plan-level data parallelism: split the cluster into `outer_dp`
-    // contiguous groups.
-    let outer_dp = if ir.outer_replica {
-        let r = if config.outer_dp == 0 {
-            cluster.num_nodes()
-        } else {
-            config.outer_dp
-        };
-        if r == 0 || !num_gpus.is_multiple_of(r) {
-            return Err(PlanError::BadConfig(format!(
-                "{num_gpus} GPUs not divisible into {r} plan replicas"
-            )));
-        }
-        r
-    } else {
-        1
-    };
-    let group_size = num_gpus / outer_dp;
-    let groups: Vec<Vec<usize>> = (0..outer_dp)
-        .map(|g| (g * group_size..(g + 1) * group_size).collect())
-        .collect();
-
-    // 2. Split the global batch across plan replicas.
-    let group_weights: Vec<f64> = if config.hardware_aware {
-        groups
-            .iter()
-            .map(|g| g.iter().map(|&id| cluster.gpus()[id].flops()).sum())
-            .collect()
-    } else {
-        vec![1.0; outer_dp]
-    };
-    let group_batches = crate::partition::proportional_split(ir.global_batch, &group_weights)?;
-
-    let num_micro = ir.pipeline.map(|p| p.num_micro_batches).unwrap_or(1);
-    let gpipe = config.schedule == ScheduleKind::GPipe;
-
-    // 3. Resolve TaskGraphs (auto-partition pipelines first). The memoized
-    // partition hands back the per-stage profiles it already computed for
-    // the final cuts; the stage loop below then skips its own re-profiling
-    // pass (bit-identical: same op ranges, same reference batch).
-    let (task_graphs, stage_profiles): (Vec<TaskGraph>, Option<Vec<CostProfile>>) =
-        if ir.auto_partition && ir.task_graphs.is_empty() {
-            auto_stages(
-                ir,
-                cluster,
-                config,
-                &groups[0],
-                group_batches[0],
-                num_micro,
-                gpipe,
-            )?
-        } else {
-            (ir.task_graphs.clone(), None)
-        };
-    if task_graphs.is_empty() {
-        return Err(PlanError::BadIr("no TaskGraphs to plan".into()));
-    }
-    let num_stages = task_graphs.len();
-
-    // 4. Virtual devices per TaskGraph within plan replica 0.
-    let vds0 = resolve_devices(config, &groups[0], &task_graphs, ir.pipeline.is_some())?;
-
-    // 5. Plan each TaskGraph once per plan replica and merge the per-replica
-    // device work into shared stages.
-    //
-    // Boundary bytes: `exit_tensors` rescans the whole graph per TaskGraph,
-    // an O(stages × ops) term that dominates deep-pipeline planning. The
-    // memoized path replaces those scans with one pass over the graph's
-    // edges (`stage_boundary_bytes`); per-producer byte sums are u64, so
-    // the two computations are exactly equal, not just approximately.
-    let boundary_sums: Option<Vec<u64>> = if config.memoize {
-        stage_boundary_bytes(&ir.graph, &task_graphs)
-    } else {
-        None
-    };
-    let mut stages: Vec<PlannedStage> = Vec::with_capacity(num_stages);
-    let mut grad_groups: Vec<(String, Vec<usize>, u64, usize)> = Vec::new();
-
-    for (tg_idx, tg) in task_graphs.iter().enumerate() {
-        let profile = match &stage_profiles {
-            Some(ps) => ps[tg_idx].clone(),
-            None => tg.profile(&ir.graph, ir.global_batch.max(1)),
-        };
-        let mut devices = Vec::new();
-        let mut collectives = Vec::new();
-
-        for (g, group) in groups.iter().enumerate() {
-            let offset = group[0];
-            let vd_gpus: Vec<usize> = vds0[tg_idx]
-                .gpu_ids()
-                .iter()
-                .map(|&id| id - groups[0][0] + offset)
-                .collect();
-            for &id in &vd_gpus {
-                if !group.contains(&id) {
-                    return Err(PlanError::BadDeviceAssignment(format!(
-                        "virtual device GPU {id} outside plan replica {g}"
-                    )));
-                }
-            }
-            plan_taskgraph(
-                PlanTgArgs {
-                    ir,
-                    cluster,
-                    config,
-                    tg,
-                    profile: &profile,
-                    vd_gpus: &vd_gpus,
-                    group_batch: group_batches[g],
-                    num_micro,
-                    stage_index: tg_idx,
-                    num_stages,
-                    gpipe,
-                    outer_dp,
-                },
-                &mut devices,
-                &mut collectives,
-            )?;
-        }
-
-        // Gradient-sync groups: GPUs at the same (replica/shard) position
-        // across plan replicas, or across DP replicas within a group.
-        build_grad_groups(
-            tg,
-            &profile,
-            &vds0[tg_idx],
-            &groups,
-            config,
-            &mut grad_groups,
-        );
-
-        // Inter-stage boundary bytes per micro batch (at the first group's
-        // batch; groups are symmetric by construction).
-        let boundary: u64 = match &boundary_sums {
-            Some(v) => v[tg_idx],
-            None => tg
-                .exit_tensors(&ir.graph)
-                .iter()
-                .map(|(_, bytes)| bytes)
-                .sum(),
-        };
-        let micro_scale = if ir.global_batch > 0 {
-            group_batches[0] as f64 / (num_micro as f64 * ir.global_batch as f64)
-        } else {
-            0.0
-        };
-        let send_bytes = if tg_idx + 1 < num_stages {
-            (boundary as f64 * micro_scale) as u64
-        } else {
-            0
-        };
-
-        let dp_degree = match tg.strategies.as_slice() {
-            [] | [Primitive::Replica] => vds0[tg_idx].num_gpus() * outer_dp,
-            [Primitive::Split] => outer_dp,
-            _ => outer_dp,
-        }
-        .max(1);
-        stages.push(PlannedStage {
-            index: tg_idx,
-            devices,
-            send_bytes_per_micro: send_bytes,
-            collectives_per_micro: collectives,
-            param_bytes: profile.param_bytes,
-            dp_degree,
-        });
-    }
-
-    // 6. Bridges between consecutive TaskGraphs (only meaningful outside
-    // strict stage→stage pipelines, where the pattern is Identity anyway).
-    for i in 0..num_stages.saturating_sub(1) {
-        let (a, b) = (&task_graphs[i], &task_graphs[i + 1]);
-        let deg_a = vds0[i].num_gpus();
-        let deg_b = vds0[i + 1].num_gpus();
-        // Same virtual device at equal degree: the tensor is already
-        // distributed exactly as the consumer expects (the MoE layout —
-        // replica output feeds the co-located shard directly; the split
-        // pattern's own AllToAll performs any redistribution), so the
-        // Gather/Partition pair fuses away entirely (Fig. 8).
-        if deg_a == deg_b && vds0[i] == vds0[i + 1] {
-            continue;
-        }
-        let chain = connect(a.innermost(), deg_a, b.innermost(), deg_b);
-        if chain.is_empty() {
-            continue;
-        }
-        let boundary: u64 = match &boundary_sums {
-            Some(v) => v[i],
-            None => a.exit_tensors(&ir.graph).iter().map(|(_, b)| b).sum(),
-        };
-        let micro_scale =
-            group_batches[0] as f64 / (num_micro as f64 * ir.global_batch.max(1) as f64);
-        let moved = (chain_bytes(&chain, boundary) as f64 * micro_scale) as u64;
-        if moved == 0 {
-            continue;
-        }
-        for (g, group) in groups.iter().enumerate() {
-            let offset = group[0] - groups[0][0];
-            let mut union: Vec<usize> = vds0[i]
-                .gpu_ids()
-                .iter()
-                .chain(vds0[i + 1].gpu_ids())
-                .map(|&id| id + offset)
-                .collect();
-            union.sort_unstable();
-            union.dedup();
-            stages[i + 1].collectives_per_micro.push(CollectiveTask {
-                kind: Collective::Broadcast,
-                group: union,
-                bytes: moved,
-                label: format!("bridge tg{i}→tg{} (replica {g})", i + 1),
-                stage: Some(i + 1),
-            });
-        }
-    }
-
-    let grad_syncs = grad_groups
-        .into_iter()
-        .filter(|(_, group, _, _)| group.len() > 1)
-        .map(|(label, group, bytes, stage)| CollectiveTask {
-            kind: Collective::AllReduce,
-            group,
-            bytes,
-            label,
-            stage: Some(stage),
-        })
-        .collect();
-
-    let mut plan = ExecutionPlan {
-        name: ir.graph.name().to_string(),
-        global_batch: ir.global_batch,
-        num_micro_batches: num_micro,
-        stages: std::sync::Arc::new(stages),
-        grad_syncs: std::sync::Arc::new(grad_syncs),
-        grad_sync_schedule: None,
-        training: config.training,
-        efficiency: config.efficiency,
-    };
-    plan.validate(cluster)?;
-    crate::commopt::attach_schedule(&mut plan, &task_graphs, &ir.graph, cluster, &config.comm)?;
-    Ok(plan)
 }
 
 /// Exit-tensor byte totals for every TaskGraph in a single sweep over the
@@ -450,7 +178,8 @@ pub(crate) fn stage_boundary_bytes(
 }
 
 /// Auto-partition a pipeline into one stage per GPU of a plan replica
-/// (Example 4: "the stage number is set to the number of virtual devices").
+/// (Example 4: "the stage number is set to the number of virtual devices"),
+/// returning the stage TaskGraphs and each stage's cost profile.
 pub(crate) fn auto_stages(
     ir: &WhaleIr,
     cluster: &Cluster,
@@ -459,7 +188,7 @@ pub(crate) fn auto_stages(
     group_batch: usize,
     num_micro: usize,
     gpipe: bool,
-) -> Result<(Vec<TaskGraph>, Option<Vec<CostProfile>>)> {
+) -> Result<(Vec<TaskGraph>, Vec<CostProfile>)> {
     let gpus: Vec<whale_hardware::Gpu> = group
         .iter()
         .map(|&id| Ok(*cluster.gpu(id)?))
@@ -474,7 +203,6 @@ pub(crate) fn auto_stages(
         gpipe,
         ir.global_batch.max(1),
         config.hardware_aware,
-        config.memoize,
     )?;
     let tgs = (0..part.num_stages())
         .map(|k| TaskGraph::new(k, part.stage_ops(k), vec![Primitive::Stage]))
@@ -550,180 +278,6 @@ pub(crate) struct PlanTgArgs<'a> {
     pub(crate) outer_dp: usize,
 }
 
-/// Plan one TaskGraph on one plan replica's virtual device.
-pub(crate) fn plan_taskgraph(
-    a: PlanTgArgs<'_>,
-    devices: &mut Vec<DeviceWork>,
-    collectives: &mut Vec<CollectiveTask>,
-) -> Result<()> {
-    let in_flight = in_flight_micro_batches(a.stage_index, a.num_stages, a.num_micro, a.gpipe);
-    let act_mult = in_flight as f64 / a.num_micro as f64;
-    let k = a.vd_gpus.len();
-    let fw_per_sample = a.profile.forward_flops_per_sample;
-
-    match a.tg.strategies.as_slice() {
-        // Pure data parallelism (possibly via default scope).
-        [] | [Primitive::Replica] => {
-            let gpus: Vec<whale_hardware::Gpu> = a
-                .vd_gpus
-                .iter()
-                .map(|&id| Ok(*a.cluster.gpu(id)?))
-                .collect::<Result<_>>()?;
-            // ZeRO shards across every replica of this TaskGraph: in-group
-            // replicas times plan-level copies.
-            let mut tcfg = a.config.training;
-            tcfg.dp_shards = (k * a.outer_dp).max(1);
-            let dp = dp_partition(
-                a.profile,
-                &tcfg,
-                &gpus,
-                a.group_batch,
-                act_mult,
-                a.config.hardware_aware,
-            )?;
-            for (i, &gpu) in a.vd_gpus.iter().enumerate() {
-                let bs = dp.batch_sizes[i];
-                devices.push(DeviceWork {
-                    gpu,
-                    fw_flops_per_micro: fw_per_sample * bs as f64 / a.num_micro as f64,
-                    mem_traffic_per_micro: a.profile.memory_traffic_bytes_per_sample * bs as f64
-                        / a.num_micro as f64,
-                    mem_bytes: tcfg.memory_bytes(a.profile, bs, act_mult),
-                    samples_per_step: bs,
-                });
-            }
-        }
-        // Tensor model parallelism.
-        [Primitive::Split] => {
-            shard_onto(&a, a.vd_gpus, a.group_batch, act_mult, devices, collectives)?;
-        }
-        // Manual grouping: the TaskGraph runs whole on one GPU per replica.
-        [Primitive::Stage] => {
-            if k != 1 {
-                return Err(PlanError::BadDeviceAssignment(format!(
-                    "stage TaskGraph {} needs a 1-GPU virtual device, got {k}",
-                    a.tg.index
-                )));
-            }
-            let mut tcfg = a.config.training;
-            tcfg.dp_shards = a.outer_dp.max(1);
-            devices.push(DeviceWork {
-                gpu: a.vd_gpus[0],
-                fw_flops_per_micro: fw_per_sample * a.group_batch as f64 / a.num_micro as f64,
-                mem_traffic_per_micro: a.profile.memory_traffic_bytes_per_sample
-                    * a.group_batch as f64
-                    / a.num_micro as f64,
-                mem_bytes: tcfg.memory_bytes(a.profile, a.group_batch, act_mult),
-                samples_per_step: a.group_batch,
-            });
-        }
-        // Fig. 6 TG4: split nested inside replica — shard groups replicated.
-        [Primitive::Split, Primitive::Replica] => {
-            let (s, r) = nested_degrees(k);
-            let sub_batches = crate::partition::proportional_split(a.group_batch, &vec![1.0; r])?;
-            for (rep, chunk) in a.vd_gpus.chunks(s).enumerate() {
-                shard_onto(&a, chunk, sub_batches[rep], act_mult, devices, collectives)?;
-            }
-        }
-        // Replica nested inside split: replica groups each own a shard.
-        [Primitive::Replica, Primitive::Split] => {
-            let (s, r) = nested_degrees(k);
-            for shard_gpus in a.vd_gpus.chunks(r) {
-                let gpus: Vec<whale_hardware::Gpu> = shard_gpus
-                    .iter()
-                    .map(|&id| Ok(*a.cluster.gpu(id)?))
-                    .collect::<Result<_>>()?;
-                let dp = dp_partition(
-                    a.profile,
-                    &a.config.training,
-                    &gpus,
-                    a.group_batch,
-                    act_mult / s as f64,
-                    a.config.hardware_aware,
-                )?;
-                for (i, &gpu) in shard_gpus.iter().enumerate() {
-                    let bs = dp.batch_sizes[i];
-                    devices.push(DeviceWork {
-                        gpu,
-                        fw_flops_per_micro: fw_per_sample * bs as f64
-                            / (a.num_micro as f64 * s as f64),
-                        mem_traffic_per_micro: a.profile.memory_traffic_bytes_per_sample
-                            * bs as f64
-                            / (a.num_micro as f64 * s as f64),
-                        mem_bytes: a.config.training.memory_bytes(
-                            a.profile,
-                            bs,
-                            act_mult / s as f64,
-                        ),
-                        samples_per_step: bs,
-                    });
-                }
-            }
-        }
-        other => {
-            return Err(PlanError::BadIr(format!(
-                "unsupported strategy nesting {other:?} on TaskGraph {}",
-                a.tg.index
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Shard one TaskGraph over `shard_gpus` processing `batch` samples.
-pub(crate) fn shard_onto(
-    a: &PlanTgArgs<'_>,
-    shard_gpus: &[usize],
-    batch: usize,
-    act_mult: f64,
-    devices: &mut Vec<DeviceWork>,
-    collectives: &mut Vec<CollectiveTask>,
-) -> Result<()> {
-    let k = shard_gpus.len();
-    let split = match_split_pattern(&a.ir.graph, &a.tg.ops, k)?;
-    let fw_per_sample = a.profile.forward_flops_per_sample;
-    // Shard-local profile: parameters and activations divided across shards.
-    let shard_profile = CostProfile {
-        param_count: (a.profile.param_count as f64 * split.param_fraction) as u64,
-        param_bytes: (a.profile.param_bytes as f64 * split.param_fraction) as u64,
-        forward_flops_per_sample: fw_per_sample * split.flops_fraction,
-        activation_bytes_per_sample: a.profile.activation_bytes_per_sample * split.flops_fraction,
-        checkpoint_bytes_per_sample: a.profile.checkpoint_bytes_per_sample * split.flops_fraction,
-        memory_traffic_bytes_per_sample: a.profile.memory_traffic_bytes_per_sample
-            * split.flops_fraction,
-        ref_batch: a.profile.ref_batch,
-    };
-    for &gpu in shard_gpus {
-        devices.push(DeviceWork {
-            gpu,
-            fw_flops_per_micro: fw_per_sample * split.flops_fraction * batch as f64
-                / a.num_micro as f64,
-            mem_traffic_per_micro: shard_profile.memory_traffic_bytes_per_sample * batch as f64
-                / a.num_micro as f64,
-            mem_bytes: a
-                .config
-                .training
-                .memory_bytes(&shard_profile, batch, act_mult),
-            samples_per_step: batch,
-        });
-    }
-    let micro_scale = batch as f64 / (a.num_micro as f64 * a.ir.global_batch.max(1) as f64);
-    for (kind, bytes) in &split.collectives {
-        let scaled = (*bytes as f64 * micro_scale) as u64;
-        if scaled == 0 || k < 2 {
-            continue;
-        }
-        collectives.push(CollectiveTask {
-            kind: *kind,
-            group: shard_gpus.to_vec(),
-            bytes: scaled,
-            label: format!("{:?} split tg{}", split.pattern, a.tg.index),
-            stage: Some(a.stage_index),
-        });
-    }
-    Ok(())
-}
-
 /// Pick nesting degrees `(split, replica)` with `split·replica = k`,
 /// preferring the most balanced divisor pair.
 pub(crate) fn nested_degrees(k: usize) -> (usize, usize) {
@@ -742,110 +296,11 @@ pub(crate) fn nested_degrees(k: usize) -> (usize, usize) {
     best
 }
 
-/// Assemble gradient-sync groups for one TaskGraph.
-pub(crate) fn build_grad_groups(
-    tg: &TaskGraph,
-    profile: &CostProfile,
-    vd0: &VirtualDevice,
-    groups: &[Vec<usize>],
-    config: &PlannerConfig,
-    out: &mut Vec<(String, Vec<usize>, u64, usize)>,
-) {
-    let grad_bytes_full = if config.training.amp {
-        profile.param_count * 2
-    } else {
-        profile.param_bytes
-    };
-    let k = vd0.num_gpus();
-    let positions: Vec<Vec<usize>> = vd0
-        .gpu_ids()
-        .iter()
-        .map(|&id0| {
-            groups
-                .iter()
-                .map(|g| id0 - groups[0][0] + g[0])
-                .collect::<Vec<usize>>()
-        })
-        .collect();
-    match tg.strategies.as_slice() {
-        // Replicas hold full copies: one big group over every replica of
-        // every plan copy.
-        [] | [Primitive::Replica] => {
-            let mut group: Vec<usize> = positions.into_iter().flatten().collect();
-            group.sort_unstable();
-            out.push((
-                format!("dp sync tg{}", tg.index),
-                group,
-                grad_bytes_full,
-                tg.index,
-            ));
-        }
-        // Shards are unique; only plan-level copies need syncing.
-        [Primitive::Split] => {
-            let per_shard = grad_bytes_full / k.max(1) as u64;
-            for (i, pos) in positions.into_iter().enumerate() {
-                out.push((
-                    format!("split sync tg{} shard{i}", tg.index),
-                    pos,
-                    per_shard,
-                    tg.index,
-                ));
-            }
-        }
-        [Primitive::Stage] => {
-            let pos = positions.into_iter().flatten().collect();
-            out.push((
-                format!("stage sync tg{}", tg.index),
-                pos,
-                grad_bytes_full,
-                tg.index,
-            ));
-        }
-        [Primitive::Split, Primitive::Replica] => {
-            let (s, _r) = nested_degrees(k);
-            // Shard j is replicated in every chunk and every plan copy.
-            for j in 0..s {
-                let mut group = Vec::new();
-                for (idx, pos) in positions.iter().enumerate() {
-                    if idx % s == j {
-                        group.extend_from_slice(pos);
-                    }
-                }
-                group.sort_unstable();
-                out.push((
-                    format!("nested sync tg{} shard{j}", tg.index),
-                    group,
-                    grad_bytes_full / s as u64,
-                    tg.index,
-                ));
-            }
-        }
-        [Primitive::Replica, Primitive::Split] => {
-            let (s, r) = nested_degrees(k);
-            for shard in 0..s {
-                let mut group = Vec::new();
-                for (idx, pos) in positions.iter().enumerate() {
-                    if idx / r == shard {
-                        group.extend_from_slice(pos);
-                    }
-                }
-                group.sort_unstable();
-                out.push((
-                    format!("nested sync tg{} shard{shard}", tg.index),
-                    group,
-                    grad_bytes_full / s as u64,
-                    tg.index,
-                ));
-            }
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use whale_graph::models;
+    use whale_hardware::Collective;
     use whale_ir::Annotator;
 
     #[test]

@@ -12,7 +12,7 @@ use whale_planner::{ExecutionPlan, PlannedStage, ScheduleKind, SyncMode};
 
 use crate::error::{Result, SimError};
 use crate::metrics::{GpuStat, StepStats};
-use crate::schedule::{data_deps, stage_order, TaskKind};
+use crate::schedule::{stage_order, TaskKind};
 
 /// Simulator options.
 #[derive(Debug, Clone, Copy)]
@@ -134,7 +134,7 @@ fn inter_stage_transfer(
 }
 
 /// Per-stage task durations and inter-stage transfer lags, computed once per
-/// simulated step and shared by both schedulers.
+/// simulated step.
 struct StageTimes {
     /// Duration of one forward micro-task of each stage: the slowest
     /// device's compute plus the stage's per-micro collectives.
@@ -231,23 +231,19 @@ fn stage_times(
 /// Event-driven scheduler: an indegree-counted ready queue over the task
 /// DAG, one visit per task, one relaxation per edge.
 ///
-/// Produces bit-identical timelines to [`schedule_tasks_polling`]: task start
-/// is `max(control-predecessor finish, data-dep finish + transfer lag)`, an
-/// order-independent fold of `f64::max` over the same finish values, so the
-/// traversal order cannot change any timestamp. That same order-independence
-/// is why the ready queue is a plain LIFO stack rather than a `BinaryHeap`
-/// keyed on ready time: a time-ordered heap costs `O(log n)` comparisons per
-/// task to maintain an ordering the timestamps never observe (a heap-based
-/// variant measured ~20% *slower* end to end than the polling rescan on a
-/// 16×64 pipeline; the stack variant is >2× faster). Indegrees, task kinds,
-/// and dependency edges all come from index arithmetic — the scheduler
-/// allocates only its flat arrays, never a per-task `Vec`.
-///
-/// The win over polling is asymptotic and constant-factor at once: the
-/// polling scheduler rescans stage cursors sweep after sweep (O(stages ×
-/// tasks) on deep pipelines) and re-derives each task's dependency list via
-/// `data_deps` on every readiness probe, while this one touches each DAG
-/// edge exactly once.
+/// A task starts at `max(control-predecessor finish, data-dep finish +
+/// transfer lag)` over the edges [`stage_order`] and
+/// [`data_deps`](crate::schedule::data_deps) define: an order-independent
+/// fold of `f64::max` over the same finish values, so the traversal order
+/// cannot change any timestamp. That order-independence is why the ready
+/// queue is a plain LIFO stack rather than a `BinaryHeap` keyed on ready
+/// time: a time-ordered heap costs `O(log n)` comparisons per task to
+/// maintain an ordering the timestamps never observe (a heap-based variant
+/// measured ~20% *slower* end to end than a polling rescan of stage cursors
+/// on a 16×64 pipeline; the stack variant is >2× faster than that rescan).
+/// Indegrees, task kinds, and dependency edges all come from index
+/// arithmetic — the scheduler allocates only its flat arrays, never a
+/// per-task `Vec` — and it touches each DAG edge exactly once.
 fn schedule_tasks_event(
     num_stages: usize,
     num_micro: usize,
@@ -319,9 +315,9 @@ fn schedule_tasks_event(
         });
         scheduled += 1;
 
-        // Release the control successor and the data dependents. Lags mirror
-        // the polling scheduler: activations pay `xfer[s]` flowing into
-        // stage s+1, gradients pay `xfer[s−1]` flowing back into stage s−1.
+        // Release the control successor and the data dependents.
+        // Activations pay `xfer[s]` flowing into stage s+1, gradients pay
+        // `xfer[s−1]` flowing back into stage s−1 over the same link.
         let mut release = |dep_idx: usize, arrival: f64| {
             if arrival > ready_acc[dep_idx] {
                 ready_acc[dep_idx] = arrival;
@@ -354,92 +350,6 @@ fn schedule_tasks_event(
         return Err(SimError::Schedule(
             "task DAG deadlocked (cyclic dependencies?)".into(),
         ));
-    }
-    Ok((finish, records))
-}
-
-/// The original polling scheduler, kept verbatim as the golden reference for
-/// the event-driven one (see `tests/sim_equivalence.rs`) and as the "seed"
-/// arm `fastpath_bench` measures against. Scheduled for deletion once the
-/// event-driven scheduler has soaked for a few PRs.
-fn schedule_tasks_polling(
-    num_stages: usize,
-    num_micro: usize,
-    times: &StageTimes,
-    schedule: ScheduleKind,
-) -> Result<(Vec<f64>, Vec<Option<TaskRecord>>)> {
-    // Per-stage control order, then a fixed-point pass over the task DAG.
-    let orders: Vec<Vec<TaskKind>> = (0..num_stages)
-        .map(|s| stage_order(s, num_stages, num_micro, schedule))
-        .collect();
-
-    let n_tasks = num_stages * 2 * num_micro;
-    let mut finish = vec![f64::NAN; n_tasks];
-    let mut records: Vec<Option<TaskRecord>> = vec![None; n_tasks];
-    // Iterate stage orders round-robin until all tasks schedule; because the
-    // control order within a stage and data deps across stages are acyclic,
-    // each sweep schedules at least one task.
-    let mut cursor = vec![0usize; num_stages];
-    let mut stage_free = vec![0.0f64; num_stages];
-    let mut scheduled = 0usize;
-    while scheduled < n_tasks {
-        let mut progressed = false;
-        for s in 0..num_stages {
-            while cursor[s] < orders[s].len() {
-                let kind = orders[s][cursor[s]];
-                // All data deps done?
-                let deps = data_deps(kind, num_stages);
-                let mut ready_at = stage_free[s];
-                let mut blocked = false;
-                for dep in deps {
-                    let di = task_index(dep, num_micro);
-                    if finish[di].is_nan() {
-                        blocked = true;
-                        break;
-                    }
-                    // Add the tensor transfer on cross-stage edges.
-                    let lag = match (dep, kind) {
-                        (TaskKind::Forward { stage: ds, .. }, TaskKind::Forward { .. })
-                            if ds != s =>
-                        {
-                            times.xfer[ds]
-                        }
-                        (TaskKind::Backward { stage: ds, .. }, TaskKind::Backward { .. })
-                            if ds != s =>
-                        {
-                            // Gradient tensor flows back over the same link.
-                            times.xfer[s]
-                        }
-                        _ => 0.0,
-                    };
-                    ready_at = ready_at.max(finish[di] + lag);
-                }
-                if blocked {
-                    break;
-                }
-                let dur = if kind.is_backward() {
-                    times.bw[s]
-                } else {
-                    times.fw[s]
-                };
-                let idx = task_index(kind, num_micro);
-                finish[idx] = ready_at + dur;
-                stage_free[s] = finish[idx];
-                records[idx] = Some(TaskRecord {
-                    kind,
-                    start: ready_at,
-                    end: finish[idx],
-                });
-                cursor[s] += 1;
-                scheduled += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return Err(SimError::Schedule(
-                "task DAG deadlocked (cyclic dependencies?)".into(),
-            ));
-        }
     }
     Ok((finish, records))
 }
@@ -505,28 +415,6 @@ pub fn simulate_step(
     cluster: &Cluster,
     config: &SimConfig,
 ) -> Result<StepOutcome> {
-    simulate_step_impl(plan, cluster, config, false)
-}
-
-/// [`simulate_step`] driven by the original polling scheduler instead of the
-/// event-driven one. Exists so the golden-equivalence tests and
-/// `fastpath_bench` can compare against the seed behavior; will be removed
-/// once the event-driven scheduler has soaked for a few PRs.
-#[doc(hidden)]
-pub fn simulate_step_reference(
-    plan: &ExecutionPlan,
-    cluster: &Cluster,
-    config: &SimConfig,
-) -> Result<StepOutcome> {
-    simulate_step_impl(plan, cluster, config, true)
-}
-
-fn simulate_step_impl(
-    plan: &ExecutionPlan,
-    cluster: &Cluster,
-    config: &SimConfig,
-    use_polling: bool,
-) -> Result<StepOutcome> {
     plan.validate(cluster)?;
     // Every collective, sync and bucket below prices through one topology
     // per distinct group.
@@ -535,11 +423,7 @@ fn simulate_step_impl(
     let num_micro = plan.num_micro_batches;
 
     let times = stage_times(plan, cluster, &mut groups)?;
-    let (finish, records) = if use_polling {
-        schedule_tasks_polling(num_stages, num_micro, &times, config.schedule)?
-    } else {
-        schedule_tasks_event(num_stages, num_micro, &times, config.schedule)?
-    };
+    let (finish, records) = schedule_tasks_event(num_stages, num_micro, &times, config.schedule)?;
     let fw_time = &times.fw;
     let bw_time = &times.bw;
 
@@ -814,22 +698,9 @@ fn simulate_step_impl(
     // Records sit in task-index order: per stage, the forward block then the
     // backward block, each nondecreasing in start time (the control order
     // forces that within a stage). The comparator `(start, task_index)` is a
-    // strict total order, so any correct sort yields one unique sequence —
-    // and it matches what the seed's stable start-only sort produced on
-    // index-ordered input. The fast path k-way-merges the 2·stages presorted
-    // runs instead of sorting from scratch; the reference path keeps the
-    // seed's sort. `tests/sim_equivalence.rs` pins the two together.
-    let timeline = if use_polling {
-        let mut timeline: Vec<TaskRecord> = records.into_iter().flatten().collect();
-        timeline.sort_by(|a, b| {
-            a.start
-                .total_cmp(&b.start)
-                .then_with(|| task_index(a.kind, num_micro).cmp(&task_index(b.kind, num_micro)))
-        });
-        timeline
-    } else {
-        merge_timeline(records, num_micro)
-    };
+    // strict total order, so the timeline is one unique sequence; merging
+    // the 2·stages presorted runs yields it without sorting from scratch.
+    let timeline = merge_timeline(records, num_micro);
 
     Ok(StepOutcome {
         stats: StepStats {

@@ -45,7 +45,7 @@ pub mod schedule;
 pub mod trace;
 pub mod trainer;
 
-pub use engine::{simulate_step, simulate_step_reference, SimConfig, StepOutcome, TaskRecord};
+pub use engine::{simulate_step, SimConfig, StepOutcome, TaskRecord};
 pub use error::{Result, SimError};
 pub use faults::{FaultEvent, FaultKind, FaultModel, FaultTrace};
 pub use fleet::{default_templates, FleetConfig, FleetReport, FleetSim, FleetStats, JobTemplate};

@@ -1,18 +1,18 @@
-//! The staged compile pipeline against the monolithic reference planner.
+//! The staged compile pipeline across the model zoo × cluster × config
+//! matrix.
 //!
-//! The PR that introduced the pass pipeline (DegreeInference → Placement →
-//! BridgeInsertion → Balance → Schedule) kept the original single-function
-//! planner as `plan_reference`; these goldens pin bit-identical output
-//! across the model zoo × cluster matrix. The cache/replan tests pin the
-//! operational claims: a content hit runs zero passes, and a delta-replan
-//! re-runs only the invalidated suffix while agreeing with a cold plan
-//! wherever the elastic approximation promises it.
+//! Golden digests pin every cell's plan (or error) bit for bit; they were
+//! recorded while the original single-function planner still asserted
+//! equality beside them. The cache/replan tests pin the operational claims:
+//! a content hit runs zero passes, and a delta-replan re-runs only the
+//! invalidated suffix while agreeing with a cold plan wherever the elastic
+//! approximation promises it.
 
 use std::fmt::{self, Write};
 
 use whale::{models, strategies, Cluster, ClusterDelta, PlannerConfig, ScheduleKind, Session};
 use whale_fp::Fingerprinter;
-use whale_planner::{digest, plan, planner::plan_reference, CompilePipeline, PassId, PlanCache};
+use whale_planner::{plan, CompilePipeline, PassId, PlanCache};
 use whale_sim::{check_replan, SimConfig};
 
 type IrCase = (&'static str, whale::WhaleIr);
@@ -91,41 +91,6 @@ fn configs() -> Vec<(&'static str, PlannerConfig)> {
             },
         ),
     ]
-}
-
-#[test]
-fn pipeline_matches_reference_planner_bit_for_bit() {
-    let mut compared = 0;
-    let mut configs = configs();
-    configs.push((
-        "unmemoized",
-        PlannerConfig {
-            memoize: false,
-            ..PlannerConfig::default()
-        },
-    ));
-    for cluster_spec in CLUSTERS {
-        let cluster = Cluster::parse(cluster_spec).unwrap();
-        for (name, ir) in &model_zoo() {
-            for (cfg_name, config) in &configs {
-                let label = format!("{name} @ {cluster_spec} [{cfg_name}]");
-                let reference = plan_reference(ir, &cluster, config);
-                let staged = plan(ir, &cluster, config);
-                match (reference, staged) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, b, "{label}: staged pipeline diverged");
-                        assert_eq!(digest(&a), digest(&b), "{label}: digest diverged");
-                        compared += 1;
-                    }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a.to_string(), b.to_string(), "{label}: errors diverged");
-                    }
-                    (a, b) => panic!("{label}: one planner failed: ref {a:?} vs staged {b:?}"),
-                }
-            }
-        }
-    }
-    assert!(compared >= 100, "matrix shrank: only {compared} plans");
 }
 
 /// `(cell, digest)` for every cell of the zoo × cluster × config matrix, in

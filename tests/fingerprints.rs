@@ -134,10 +134,6 @@ fn every_planner_config_field_is_keyed() {
             ..base.clone()
         },
         PlannerConfig {
-            memoize: !base.memoize,
-            ..base.clone()
-        },
-        PlannerConfig {
             training: whale::TrainingConfig {
                 amp: true,
                 ..base.training
