@@ -194,20 +194,20 @@ impl Session {
 
     /// Apply a cluster change and re-plan, re-running only the compile
     /// passes the delta invalidates (see `whale_planner::invalidation_start`
-    /// for the matrix). The session's cluster is updated to the post-delta
-    /// topology.
+    /// for the matrix). On success the session's cluster becomes the
+    /// post-delta topology; on an error it stays as it was, with or without
+    /// the plan cache.
     pub fn replan(&mut self, ir: &WhaleIr, delta: ClusterDelta) -> Result<Arc<ExecutionPlan>> {
-        match &self.cache {
-            Some(service) => {
-                let (p, after) = service.replan(ir, &self.cluster, &self.planner, delta)?;
-                self.cluster = after;
-                Ok(p)
-            }
+        let (p, after) = match &self.cache {
+            Some(service) => service.replan(ir, &self.cluster, &self.planner, delta)?,
             None => {
-                self.cluster.apply_delta(delta)?;
-                Ok(Arc::new(plan(ir, &self.cluster, &self.planner)?))
+                let mut after = self.cluster.clone();
+                after.apply_delta(delta)?;
+                (Arc::new(plan(ir, &after, &self.planner)?), after)
             }
-        }
+        };
+        self.cluster = after;
+        Ok(p)
     }
 
     /// Plan and simulate one training step.
@@ -339,6 +339,40 @@ mod tests {
         );
         let stats = s.cache_stats().unwrap();
         assert_eq!(stats.partial_hits, 1);
+    }
+
+    #[test]
+    fn replan_moves_the_cluster_only_on_success() {
+        // Two plan replicas on 8 GPUs: removing GPU 7 leaves 7 GPUs, which
+        // do not divide into the replicas; degrading it plans fine.
+        let ir =
+            crate::strategies::pipeline_with_dp(models::bert_base(64, 64).unwrap(), 64, 4).unwrap();
+        let mut errors = Vec::new();
+        for cached in [true, false] {
+            let mut s = Session::on_cluster("2x(4xV100)")
+                .unwrap()
+                .outer_dp(2)
+                .plan_cache(cached);
+            s.plan(&ir).unwrap();
+            let before = s.cluster().clone();
+            let err = s
+                .replan(&ir, ClusterDelta::GpuRemoved { id: 7 })
+                .unwrap_err();
+            assert_eq!(*s.cluster(), before, "cached={cached}");
+            errors.push(err.to_string());
+
+            let delta = ClusterDelta::GpuDegraded { id: 7, scale: 0.5 };
+            let mut expected = before;
+            expected.apply_delta(delta).unwrap();
+            s.replan(&ir, delta).unwrap();
+            assert_eq!(*s.cluster(), expected, "cached={cached}");
+        }
+        assert_eq!(errors[0], errors[1]);
+        assert!(
+            errors[0].contains("7 GPUs not divisible into 2 plan replicas"),
+            "{}",
+            errors[0]
+        );
     }
 
     #[test]
