@@ -901,6 +901,93 @@ mod tests {
         assert_eq!(out.timeline.len(), 4 * 2 * 4);
     }
 
+    /// The event scheduler against the task-DAG spec on seeded random stage
+    /// times: every task starts exactly when the last of its `stage_order`
+    /// predecessor and its `data_deps` (plus transfer lag) ends, and the
+    /// merged timeline lists every task once in `(start, task_index)` order.
+    #[test]
+    fn event_schedule_matches_the_dag_spec() {
+        use crate::rng::SplitMix64;
+        use crate::schedule::data_deps;
+
+        let mut rng = SplitMix64::seed_from_u64(0x05EE_DDA6);
+        for num_stages in 1..=6 {
+            for num_micro in 1..=9 {
+                for schedule in [
+                    ScheduleKind::BackwardFirst,
+                    ScheduleKind::GPipe,
+                    ScheduleKind::AsyncNoFlush,
+                ] {
+                    let case = format!("{num_stages}x{num_micro} {schedule:?}");
+                    // The scheduler reads only `fw`, `bw` and `xfer`.
+                    let mut draw = || -> Vec<f64> {
+                        (0..num_stages).map(|_| rng.range_f64(0.1, 2.0)).collect()
+                    };
+                    let times = StageTimes {
+                        fw: draw(),
+                        bw: draw(),
+                        xfer: draw(),
+                        rows: Vec::new(),
+                        row_start: Vec::new(),
+                        bw_max: Vec::new(),
+                    };
+                    let (finish, records) =
+                        schedule_tasks_event(num_stages, num_micro, &times, schedule).unwrap();
+                    let end = |k: TaskKind| records[task_index(k, num_micro)].as_ref().unwrap().end;
+                    for s in 0..num_stages {
+                        let mut prev_end = 0.0f64;
+                        for kind in stage_order(s, num_stages, num_micro, schedule) {
+                            let idx = task_index(kind, num_micro);
+                            let r = records[idx].as_ref().unwrap();
+                            let dur = if kind.is_backward() {
+                                times.bw[s]
+                            } else {
+                                times.fw[s]
+                            };
+                            assert_eq!(r.end.to_bits(), (r.start + dur).to_bits(), "{case}");
+                            assert_eq!(finish[idx].to_bits(), r.end.to_bits(), "{case}");
+                            // Activations flow into forward stage s over
+                            // link s−1; gradients flow back into backward
+                            // stage s over link s.
+                            let want = data_deps(kind, num_stages).into_iter().fold(
+                                prev_end,
+                                |acc, dep| {
+                                    let lag = match (dep, kind) {
+                                        (TaskKind::Forward { .. }, TaskKind::Forward { .. }) => {
+                                            times.xfer[s - 1]
+                                        }
+                                        (TaskKind::Backward { .. }, TaskKind::Backward { .. }) => {
+                                            times.xfer[s]
+                                        }
+                                        _ => 0.0,
+                                    };
+                                    acc.max(end(dep) + lag)
+                                },
+                            );
+                            assert_eq!(r.start.to_bits(), want.to_bits(), "{case}: {kind:?}");
+                            prev_end = r.end;
+                        }
+                    }
+
+                    let n_tasks = num_stages * 2 * num_micro;
+                    let timeline = merge_timeline(records, num_micro);
+                    let mut seen = vec![false; n_tasks];
+                    for r in &timeline {
+                        let idx = task_index(r.kind, num_micro);
+                        assert!(!seen[idx], "{case}: {:?} listed twice", r.kind);
+                        seen[idx] = true;
+                    }
+                    assert_eq!(timeline.len(), n_tasks, "{case}");
+                    for w in timeline.windows(2) {
+                        let a = (w[0].start, task_index(w[0].kind, num_micro));
+                        let b = (w[1].start, task_index(w[1].kind, num_micro));
+                        assert!(a.0 < b.0 || (a.0 == b.0 && a.1 < b.1), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn task_kind_round_trips_through_task_index() {
         for num_micro in [1usize, 3, 8] {
