@@ -9,7 +9,7 @@ cargo build --release --offline
 cargo test --workspace -q --offline
 cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --document-private-items
 
 # Concurrent-serving smoke test: small workload, asserts single-flight and
 # counter consistency; no performance threshold (see EXPERIMENTS.md for the
