@@ -172,6 +172,7 @@ impl<'a> PipeWorkload<'a> {
         ref_batch: usize,
         profiles: Vec<CostProfile>,
     ) -> PipeWorkload<'a> {
+        let n = profiles.len();
         let mut w = PipeWorkload {
             graph,
             cuts,
@@ -182,21 +183,16 @@ impl<'a> PipeWorkload<'a> {
             gpipe,
             ref_batch,
             cache: StageCostCache {
-                mem: Vec::new(),
-                flops: Vec::new(),
-                profiles: Vec::new(),
+                mem: vec![0; n],
+                flops: vec![0.0; n],
+                profiles,
             },
         };
-        let (mem, flops) = profiles
-            .iter()
-            .enumerate()
-            .map(|(i, p)| w.stage_cost_of(i, p))
-            .unzip();
-        w.cache = StageCostCache {
-            mem,
-            flops,
-            profiles,
-        };
+        for i in 0..n {
+            let (m, f) = w.stage_cost_of(i, &w.cache.profiles[i]);
+            w.cache.mem[i] = m;
+            w.cache.flops[i] = f;
+        }
         w
     }
 
@@ -355,6 +351,14 @@ pub fn pipeline_partition_profiled(
     };
     // The leaf's micro batch, micro count and schedule enter only here,
     // through the overflow check that decides whether PSVF runs.
+    let overflow = hardware_aware
+        && gpus.iter().zip(&profiles).enumerate().any(|(i, (g, p))| {
+            let act = in_flight_micro_batches(i, gpus.len(), num_micro, gpipe) as f64;
+            cfg.memory_bytes(p, micro_batch, act) > g.memory_bytes()
+        });
+    if !overflow {
+        return Ok((PipePartition { cuts, psvf: None }, profiles));
+    }
     let mut w = PipeWorkload::new(
         graph,
         cuts,
@@ -366,12 +370,11 @@ pub fn pipeline_partition_profiled(
         ref_batch,
         profiles,
     );
-    let overflow = hardware_aware && (0..w.len()).any(|i| w.mem_bytes(i) > w.mem_capacity(i));
-    let report = if overflow { Some(psvf(&mut w)?) } else { None };
+    let report = psvf(&mut w)?;
     Ok((
         PipePartition {
             cuts: w.cuts,
-            psvf: report,
+            psvf: Some(report),
         },
         w.cache.profiles,
     ))
