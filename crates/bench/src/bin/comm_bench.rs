@@ -33,7 +33,7 @@
 //! 10 GbE, ~1 MiB buckets) must record at least one ring → tree flip
 //! attributable purely to dtype scaling.
 //!
-//! A further gate holds the planner honest: with the plan cache enabled
+//! A further gate holds the planner honest: through a session's plan cache
 //! (the production planning path — comm config is part of every `PlanKey`,
 //! so cached entries stay valid), enabling CommOpt must keep planning
 //! wall-clock within 5% of the fusion-off pipeline. The cold-compile delta
@@ -450,16 +450,13 @@ fn main() {
         });
         overheads.push(t_on.median_s / t_off.median_s);
 
-        // Context: one uncached compile per arm.
-        let cold_off = Session::new(overhead_cluster.clone()).plan_cache(false);
-        let cold_on = Session::new(overhead_cluster.clone())
-            .plan_cache(false)
-            .comm(CommConfig::fused());
+        // Context: one uncached compile per arm, on each session's cluster
+        // and config.
         let c_off = time_fn(&format!("{name}/cold comm-off"), warmup, iters, || {
-            cold_off.plan(&ir).expect("plan")
+            whale_planner::plan(&ir, off.cluster(), off.planner_config()).expect("plan")
         });
         let c_on = time_fn(&format!("{name}/cold comm-on"), warmup, iters, || {
-            cold_on.plan(&ir).expect("plan")
+            whale_planner::plan(&ir, on.cluster(), on.planner_config()).expect("plan")
         });
         cold_deltas.push((c_on.median_s - c_off.median_s).max(0.0));
     }

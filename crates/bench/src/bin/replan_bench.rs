@@ -2,13 +2,13 @@
 //!
 //! Scenario: the auto-parallel evaluation cluster (2×(8×V100) + 2×(8×P100),
 //! §7) loses part of one GPU's throughput mid-training (a
-//! `ClusterDelta::GpuDegraded`). Reacting from scratch runs all five compile
-//! passes on the new topology; the delta path (`PlanCache::replan`) clones
-//! the cached artifacts and re-runs only Balance + Schedule. Both arms are
-//! timed at the pipeline layer, on the *post-delta* cluster, so they differ
-//! in exactly one thing: the passes executed. Content-addressing (the
-//! `PlanKey` fingerprints) costs the same on either path and is reported as
-//! a context row, not folded into the speedup.
+//! `ClusterDelta::GpuDegraded`). Reacting from scratch runs all six compile
+//! passes on the new topology; the delta path (`PlanService::replan`)
+//! clones the cached artifacts and re-runs only Balance, Schedule and
+//! CommOpt. Both arms are timed at the pipeline layer, on the *post-delta*
+//! cluster, so they differ in exactly one thing: the passes executed.
+//! Content-addressing (the `PlanKey` fingerprints) costs the same on either
+//! path and is reported as a context row, not folded into the speedup.
 //!
 //! For pure-DP plans Balance *is* most of the planner, so there is little
 //! to skip — that case is reported honestly. The acceptance target (≥ 2×)
@@ -18,7 +18,7 @@
 
 use std::hint::black_box;
 
-use whale::{models, strategies, Cluster, ClusterDelta, PlanCache, PlannerConfig, WhaleIr};
+use whale::{models, strategies, Cluster, ClusterDelta, PlanService, PlannerConfig, WhaleIr};
 use whale_bench::{header, row, time_fn, Timing};
 use whale_planner::{compile, invalidation_start, CompilePipeline, PassContext, PlanKey};
 use whale_sim::json::{num, obj, s, JsonValue};
@@ -79,9 +79,11 @@ fn main() {
         // Sanity: the cache-level replan conserves every stage's sample
         // total and the result still simulates on the degraded cluster.
         {
-            let mut cache = PlanCache::default();
-            let old = cache.plan(&ir, &cluster, &config).expect("plan");
-            let (new, degraded) = cache.replan(&ir, &cluster, &config, delta).expect("replan");
+            let service = PlanService::default();
+            let old = service.plan(&ir, &cluster, &config).expect("plan");
+            let (new, degraded) = service
+                .replan(&ir, &cluster, &config, delta)
+                .expect("replan");
             let report =
                 whale_sim::check_replan(&old, &new, &degraded, &whale::SimConfig::default());
             assert!(
@@ -97,7 +99,7 @@ fn main() {
         });
 
         // Delta: clone the artifacts cached for the pre-delta cluster
-        // (exactly what `PlanCache::replan` does on a partial hit), then
+        // (exactly what `PlanService::replan` does on a partial hit), then
         // re-run only the passes the degradation invalidates.
         let cached = compile(&ir, &cluster, &config).expect("compile");
         let cx = PassContext {

@@ -18,7 +18,7 @@
 
 use std::hint::black_box;
 
-use whale::{auto_parallel, auto_parallel_search, models, SearchOptions, Session};
+use whale::{auto_parallel, auto_parallel_search, models, Cluster, SearchOptions, Session};
 use whale_bench::{header, row, time_fn, Timing};
 use whale_sim::json::{num, obj, s, JsonValue};
 
@@ -75,15 +75,15 @@ fn main() {
     let mut regressed = false;
 
     for cluster in &clusters {
-        // The content-addressed plan cache would serve iterations 2+
-        // without planning; disable it so both arms measure cold search.
-        let session = Session::on_cluster(cluster)
-            .expect("cluster")
-            .plan_cache(false);
+        // A session's plan cache would serve iterations 2+ without
+        // planning, so every call gets a fresh session and both arms
+        // measure cold search.
+        let parsed = Cluster::parse(cluster).expect("cluster");
+        let session = || Session::new(parsed.clone());
         for (name, batch, build) in &zoo {
-            let narrow = auto_parallel(&session, *batch, || Ok(build())).expect("narrow");
+            let narrow = auto_parallel(&session(), *batch, || Ok(build())).expect("narrow");
             let wide =
-                auto_parallel_search(&session, *batch, &opts, || Ok(build())).expect("search");
+                auto_parallel_search(&session(), *batch, &opts, || Ok(build())).expect("search");
             let stats = wide.search.expect("search stats");
             let n_tp = narrow.stats.throughput;
             let w_tp = wide.stats.throughput;
@@ -98,10 +98,10 @@ fn main() {
             min_bounded_fraction = min_bounded_fraction.min(stats.bounded_fraction());
 
             let t_narrow = time_fn(&format!("narrow/{name}"), warmup, iters, || {
-                black_box(auto_parallel(&session, *batch, || Ok(build())).unwrap())
+                black_box(auto_parallel(&session(), *batch, || Ok(build())).unwrap())
             });
             let t_search = time_fn(&format!("search/{name}"), warmup, iters, || {
-                black_box(auto_parallel_search(&session, *batch, &opts, || Ok(build())).unwrap())
+                black_box(auto_parallel_search(&session(), *batch, &opts, || Ok(build())).unwrap())
             });
             narrow_total += t_narrow.median_s;
             search_total += t_search.median_s;

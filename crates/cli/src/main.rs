@@ -341,10 +341,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     }
 
     if args.flag("cache-stats") {
-        match session.cache_stats() {
-            Some(stats) => println!("\ncache: {stats}"),
-            None => println!("\ncache: disabled"),
-        }
+        println!("\ncache: {}", session.plan_service().stats());
     }
     Ok(())
 }

@@ -65,8 +65,7 @@ pub use whale_hardware::{Cluster, ClusterDelta, CommModel, GpuModel, VirtualDevi
 pub use whale_ir::{Annotator, PipelineSpec, Primitive, ScopedBuilder, TaskGraph, WhaleIr};
 pub use whale_planner::{
     CacheStats, CommConfig, DeviceAssignment, ExecutionPlan, GradDtype, GradSyncSchedule,
-    LedgerComponent, MemoryLedger, PassId, PlanCache, PlanService, PlannerConfig, ScheduleKind,
-    SyncMode,
+    LedgerComponent, MemoryLedger, PassId, PlanService, PlannerConfig, ScheduleKind, SyncMode,
 };
 pub use whale_sim::{
     ascii_timeline, simulate_step, simulate_training, LossModel, SimConfig, StepOutcome, StepStats,

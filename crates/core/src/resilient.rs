@@ -38,7 +38,7 @@
 use std::sync::Arc;
 
 use whale_ir::WhaleIr;
-use whale_planner::{plan as cold_plan, ExecutionPlan, PlanService};
+use whale_planner::{plan as cold_plan, ExecutionPlan};
 use whale_sim::recovery::{ratio, replan_verified};
 use whale_sim::{check_replan, simulate_training, FaultEvent, FaultTrace, LossModel, TrainPoint};
 
@@ -260,9 +260,7 @@ impl Session {
 
     /// The resilient recovery state machine for one fault event: roll back
     /// to the last checkpoint, then replan, verify and fall back through
-    /// [`replan_verified`]. A session without a plan cache recovers through
-    /// a throwaway service, whose replan is the cold compile its
-    /// [`Session::replan`] would run, counted [`ReplanPath::Full`].
+    /// [`replan_verified`] on the session's plan service.
     fn recover(
         &mut self,
         ir: &WhaleIr,
@@ -275,16 +273,8 @@ impl Session {
         let lost = policy.rollback(&mut state.committed);
         state.lost += lost;
 
-        let scratch;
-        let service = match self.plan_service() {
-            Some(service) => service.as_ref(),
-            None => {
-                scratch = PlanService::new(1, 1);
-                &scratch
-            }
-        };
         let r = replan_verified(
-            service,
+            self.plan_service(),
             ir,
             self.cluster(),
             self.planner_config(),
@@ -630,35 +620,5 @@ mod tests {
         let b = run(());
         assert_eq!(a, b, "same seed ⇒ identical run and RecoveryStats");
         assert!(!a.stats.faults.is_empty());
-    }
-
-    #[test]
-    fn an_uncached_session_recovers_the_same_run_through_full_compiles() {
-        let ir = dp_ir(64);
-        let loss = LossModel::for_params(25e6);
-        let cluster = whale_hardware::Cluster::parse("2x(4xV100)").unwrap();
-        for seed in [1234, 1, 2, 3] {
-            let model = FaultModel {
-                mtbf_samples: 4e4,
-                mttr_samples: 2e4,
-                seed,
-            };
-            let trace = FaultTrace::generate(&cluster, &model, 3e5);
-            let run = |cached| {
-                Session::new(cluster.clone())
-                    .plan_cache(cached)
-                    .train_resilient(&ir, &loss, 3e5, &trace, &policy())
-                    .unwrap()
-            };
-            let mut cached = run(true);
-            let uncached = run(false);
-            assert!(cached.stats.replans_cached > 0, "seed {seed}");
-            for fault in &mut cached.stats.faults {
-                fault.replan = ReplanPath::Full;
-            }
-            cached.stats.replans_full += cached.stats.replans_cached;
-            cached.stats.replans_cached = 0;
-            assert_eq!(cached, uncached, "seed {seed}");
-        }
     }
 }

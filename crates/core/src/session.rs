@@ -11,7 +11,7 @@ use whale_graph::TrainingConfig;
 use whale_hardware::{Cluster, ClusterDelta};
 use whale_ir::WhaleIr;
 use whale_planner::{
-    plan, CacheStats, CommConfig, DeviceAssignment, ExecutionPlan, PlanService, PlannerConfig,
+    CacheStats, CommConfig, DeviceAssignment, ExecutionPlan, PlanService, PlannerConfig,
     ScheduleKind,
 };
 use whale_sim::{simulate_step, simulate_training, LossModel, SimConfig, StepOutcome, TrainingRun};
@@ -33,7 +33,7 @@ pub struct Session {
     cluster: Cluster,
     planner: PlannerConfig,
     sim: SimConfig,
-    cache: Option<Arc<PlanService>>,
+    service: Arc<PlanService>,
 }
 
 impl Session {
@@ -43,7 +43,7 @@ impl Session {
             cluster,
             planner: PlannerConfig::default(),
             sim: SimConfig::default(),
-            cache: Some(Arc::new(PlanService::default())),
+            service: Arc::new(PlanService::default()),
         }
     }
 
@@ -131,22 +131,11 @@ impl Session {
         self
     }
 
-    /// Toggle the content-addressed plan cache (on by default). `off`
-    /// exists for benchmarks that must measure cold planning on every call.
-    pub fn plan_cache(mut self, on: bool) -> Session {
-        self.cache = if on {
-            Some(Arc::new(PlanService::default()))
-        } else {
-            None
-        };
-        self
-    }
-
-    /// The shared plan service behind this session's clone family (`None`
-    /// when the cache is disabled). Exposed so serving front ends can issue
-    /// keyed requests or inspect shard occupancy directly.
-    pub fn plan_service(&self) -> Option<&Arc<PlanService>> {
-        self.cache.as_ref()
+    /// The shared plan service behind this session's clone family. Exposed
+    /// so serving front ends can issue keyed requests or inspect shard
+    /// occupancy directly.
+    pub fn plan_service(&self) -> &Arc<PlanService> {
+        &self.service
     }
 
     /// The active planner configuration.
@@ -167,45 +156,32 @@ impl Session {
         &mut self.cluster
     }
 
-    /// Plan-cache counters (`None` when the cache is disabled). Clones of a
-    /// session share one cache, so auto-parallel searches report here too.
+    /// Plan-cache counters. Clones of a session share one cache, so
+    /// auto-parallel searches report here too. Always `Some`: the request
+    /// benchmark (`reqbench/`) reads it with `.unwrap_or_default()`, so the
+    /// `Option` stays until it reads [`Session::plan_service`]'s `stats()`,
+    /// the same counters unwrapped.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Zero the plan-cache counters, keeping cached entries.
-    pub fn reset_cache_stats(&self) {
-        if let Some(c) = &self.cache {
-            c.reset_stats();
-        }
+        Some(self.service.stats())
     }
 
     /// Produce the distributed execution plan for `ir`.
     ///
-    /// With the cache enabled (default), a repeated request for the same
-    /// (model, cluster, config) content returns a shared handle to the
-    /// stored plan — an `Arc` refcount bump, no compile pass and no copy.
+    /// A repeated request for the same (model, cluster, config) content
+    /// returns a shared handle to the stored plan — an `Arc` refcount bump,
+    /// no compile pass and no copy.
     pub fn plan(&self, ir: &WhaleIr) -> Result<Arc<ExecutionPlan>> {
-        match &self.cache {
-            Some(service) => Ok(service.plan(ir, &self.cluster, &self.planner)?),
-            None => Ok(Arc::new(plan(ir, &self.cluster, &self.planner)?)),
-        }
+        Ok(self.service.plan(ir, &self.cluster, &self.planner)?)
     }
 
     /// Apply a cluster change and re-plan, re-running only the compile
     /// passes the delta invalidates (see `whale_planner::invalidation_start`
     /// for the matrix). On success the session's cluster becomes the
-    /// post-delta topology; on an error it stays as it was, with or without
-    /// the plan cache.
+    /// post-delta topology; on an error it stays as it was.
     pub fn replan(&mut self, ir: &WhaleIr, delta: ClusterDelta) -> Result<Arc<ExecutionPlan>> {
-        let (p, after) = match &self.cache {
-            Some(service) => service.replan(ir, &self.cluster, &self.planner, delta)?,
-            None => {
-                let mut after = self.cluster.clone();
-                after.apply_delta(delta)?;
-                (Arc::new(plan(ir, &after, &self.planner)?), after)
-            }
-        };
+        let (p, after) = self
+            .service
+            .replan(ir, &self.cluster, &self.planner, delta)?;
         self.cluster = after;
         Ok(p)
     }
@@ -313,8 +289,6 @@ mod tests {
         let clone = s.clone();
         clone.plan(&ir).unwrap();
         assert_eq!(s.cache_stats().unwrap().hits, 2);
-        // Disabling the cache reports no stats.
-        assert!(s.plan_cache(false).cache_stats().is_none());
     }
 
     #[test]
@@ -347,31 +321,44 @@ mod tests {
         // do not divide into the replicas; degrading it plans fine.
         let ir =
             crate::strategies::pipeline_with_dp(models::bert_base(64, 64).unwrap(), 64, 4).unwrap();
-        let mut errors = Vec::new();
-        for cached in [true, false] {
-            let mut s = Session::on_cluster("2x(4xV100)")
-                .unwrap()
-                .outer_dp(2)
-                .plan_cache(cached);
-            s.plan(&ir).unwrap();
-            let before = s.cluster().clone();
-            let err = s
-                .replan(&ir, ClusterDelta::GpuRemoved { id: 7 })
-                .unwrap_err();
-            assert_eq!(*s.cluster(), before, "cached={cached}");
-            errors.push(err.to_string());
+        let mut s = Session::on_cluster("2x(4xV100)").unwrap().outer_dp(2);
+        s.plan(&ir).unwrap();
+        let before = s.cluster().clone();
+        let cold = CacheStats {
+            misses: 1,
+            passes_run: 6,
+            ..CacheStats::default()
+        };
+        assert_eq!(s.plan_service().stats(), cold);
+        let entries = s.plan_service().len();
 
-            let delta = ClusterDelta::GpuDegraded { id: 7, scale: 0.5 };
-            let mut expected = before;
-            expected.apply_delta(delta).unwrap();
-            s.replan(&ir, delta).unwrap();
-            assert_eq!(*s.cluster(), expected, "cached={cached}");
-        }
-        assert_eq!(errors[0], errors[1]);
+        let err = s
+            .replan(&ir, ClusterDelta::GpuRemoved { id: 7 })
+            .unwrap_err();
+        assert_eq!(*s.cluster(), before);
         assert!(
-            errors[0].contains("7 GPUs not divisible into 2 plan replicas"),
-            "{}",
-            errors[0]
+            err.to_string()
+                .contains("7 GPUs not divisible into 2 plan replicas"),
+            "{err}"
+        );
+        // The failed replan counts one more miss, adds no passes and caches
+        // nothing.
+        assert_eq!(s.plan_service().stats(), CacheStats { misses: 2, ..cold });
+        assert_eq!(s.plan_service().len(), entries);
+
+        let delta = ClusterDelta::GpuDegraded { id: 7, scale: 0.5 };
+        let mut expected = before;
+        expected.apply_delta(delta).unwrap();
+        s.replan(&ir, delta).unwrap();
+        assert_eq!(*s.cluster(), expected);
+        assert_eq!(
+            s.plan_service().stats(),
+            CacheStats {
+                misses: 2,
+                partial_hits: 1,
+                passes_run: 9,
+                ..CacheStats::default()
+            }
         );
     }
 

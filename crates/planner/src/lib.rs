@@ -48,7 +48,7 @@ pub mod render;
 pub mod service;
 pub mod shard;
 
-pub use cache::{replan_from_seed, CacheStats, PlanCache, PlanKey};
+pub use cache::{CacheStats, PlanKey};
 pub use commopt::{
     CommConfig, CommOpt, GradBucket, GradDtype, GradSyncSchedule, SyncMode, DEFAULT_FUSION_BYTES,
 };

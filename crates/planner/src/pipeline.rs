@@ -21,11 +21,12 @@
 //! `tests/compile_pipeline.rs` pins the output of the zoo × cluster ×
 //! config matrix with golden digests.
 //!
-//! Why bother: passes become individually cacheable and re-runnable. A
-//! [`crate::cache::PlanCache`] stores the whole [`CompileState`] keyed on
-//! content fingerprints, and [`replan`] re-runs only the passes a
+//! Why bother: passes become individually cacheable and re-runnable. The
+//! [`crate::service::PlanService`] stores the whole [`CompileState`] keyed
+//! on content fingerprints, and [`replan`] re-runs only the passes a
 //! [`ClusterDelta`] invalidates — a GPU degradation keeps degrees, placement
-//! and bridges, re-running just Balance + Schedule on the new device rates.
+//! and bridges, re-running just Balance, Schedule and CommOpt on the new
+//! device rates.
 
 use std::sync::Arc;
 

@@ -1,7 +1,12 @@
-//! Concurrent compile service: a sharded, single-flight plan cache.
+//! The plan cache: a sharded, single-flight store of compile states.
 //!
-//! [`crate::cache::PlanCache`] is single-threaded by design. Funneling a
-//! multi-tenant planning service through one `Mutex<PlanCache>` has two
+//! [`PlanService`] keys full [`CompileState`]s on [`PlanKey`], so a repeated
+//! request runs no pass and a delta-replan can reuse the cached artifacts
+//! of the pre-delta cluster. Entries live behind [`Arc`], so a hit is a
+//! refcount bump: no artifact or plan is ever deep-cloned on the read path
+//! (see `CompileState::plan_arc`).
+//!
+//! Funneling a multi-tenant planning service through one lock has two
 //! costs that grow with client count:
 //!
 //! 1. **a global serial section** — every request, hit or miss, queues on
@@ -9,14 +14,13 @@
 //! 2. **redundant compiles** — N concurrent misses for the same key run N
 //!    identical compiles, N−1 of which are thrown away.
 //!
-//! [`PlanService`] removes both. The key space is split by
+//! The service removes both. The key space is split by
 //! [`PlanKey::shard_hash`] across `S` independently locked shards, each a
-//! plain `PlanCache`, so requests for different keys proceed in parallel
-//! and a hit holds its shard lock only for a map lookup plus an `Arc`
-//! refcount bump (the plan itself is never copied — see
-//! `CompileState::plan_arc`). Misses are **single-flight**: the first
-//! requester for a key becomes the *leader*, registers an in-flight ticket
-//! in the shard, and compiles *outside* the lock; every concurrent
+//! bounded FIFO of entries with its own counters, so requests for different
+//! keys proceed in parallel and a hit holds its shard lock only for a map
+//! lookup plus an `Arc` refcount bump. Misses are **single-flight**: the
+//! first requester for a key becomes the *leader*, registers an in-flight
+//! ticket in the shard, and compiles *outside* the lock; every concurrent
 //! requester for the same key finds the ticket, blocks on its condvar, and
 //! receives the leader's result — including the error path, where all
 //! waiters see a clone of the leader's [`PlanError`]. Coalesced requests
@@ -27,15 +31,17 @@
 //! cannot deadlock and slow compiles on one key never delay hits on
 //! another.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use whale_hardware::{Cluster, ClusterDelta};
 use whale_ir::WhaleIr;
 
-use crate::cache::{replan_from_seed, CacheStats, PlanCache, PlanKey};
+use crate::cache::{CacheStats, PlanKey};
 use crate::error::{PlanError, Result};
-use crate::pipeline::{compile, CompileState};
+use crate::pipeline::{
+    compile, invalidation_start, CompilePipeline, CompileState, PassContext, PassId,
+};
 use crate::plan::ExecutionPlan;
 use crate::planner::PlannerConfig;
 
@@ -76,11 +82,31 @@ impl Flight {
     }
 }
 
-/// One shard: a bounded cache plus the in-flight tickets for keys that
-/// hash here.
+/// One shard: a bounded FIFO of compile states, its counters, and the
+/// in-flight tickets for keys that hash here.
 struct Shard {
-    cache: PlanCache,
+    entries: HashMap<PlanKey, Arc<CompileState>>,
+    order: VecDeque<PlanKey>,
+    capacity: usize,
+    stats: CacheStats,
     inflight: HashMap<PlanKey, Arc<Flight>>,
+}
+
+impl Shard {
+    /// Store `state` under `key`, evicting the oldest entries past
+    /// capacity.
+    fn insert(&mut self, key: PlanKey, state: Arc<CompileState>) {
+        if self.entries.insert(key, state).is_none() {
+            self.order.push_back(key);
+        }
+        while self.entries.len() > self.capacity {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            self.entries.remove(&oldest);
+            self.stats.evictions += 1;
+        }
+    }
 }
 
 /// What the admission check under the shard lock decided for this request.
@@ -137,7 +163,7 @@ impl Drop for LeaderGuard<'_> {
         {
             let mut shard = lock_ignoring_poison(self.service.shard_for(&self.key));
             shard.inflight.remove(&self.key);
-            shard.cache.note_failed_miss();
+            shard.stats.misses += 1;
         }
         self.flight.resolve(Err(PlanError::Internal(
             "compile leader panicked before publishing a result".into(),
@@ -148,7 +174,8 @@ impl Drop for LeaderGuard<'_> {
 /// Sharded, single-flight, zero-copy-hit plan cache for concurrent use.
 ///
 /// Cheap to share: `Session` clones hold one `PlanService` behind an `Arc`.
-/// All methods take `&self`; internal locking is per shard.
+/// All methods take `&self`; internal locking is per shard. Each shard
+/// holds at most its capacity of entries and evicts the oldest first.
 ///
 /// # Examples
 ///
@@ -177,7 +204,7 @@ pub struct PlanService {
 
 impl Default for PlanService {
     fn default() -> Self {
-        PlanService::new(PlanService::DEFAULT_SHARDS, PlanCache::DEFAULT_CAPACITY)
+        PlanService::new(PlanService::DEFAULT_SHARDS, PlanService::DEFAULT_CAPACITY)
     }
 }
 
@@ -194,15 +221,22 @@ impl PlanService {
     /// negligible.
     pub const DEFAULT_SHARDS: usize = 16;
 
+    /// Default entry bound per shard, so a default service holds at most
+    /// `DEFAULT_SHARDS × DEFAULT_CAPACITY` (8,192) compile states.
+    pub const DEFAULT_CAPACITY: usize = 512;
+
     /// Create a service with `shards` independently locked shards (min 1),
-    /// each bounded to `capacity_per_shard` entries.
+    /// each bounded to `capacity_per_shard` entries (min 1).
     pub fn new(shards: usize, capacity_per_shard: usize) -> PlanService {
         let shards = shards.max(1);
         PlanService {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(Shard {
-                        cache: PlanCache::new(capacity_per_shard),
+                        entries: HashMap::new(),
+                        order: VecDeque::new(),
+                        capacity: capacity_per_shard.max(1),
+                        stats: CacheStats::default(),
                         inflight: HashMap::new(),
                     })
                 })
@@ -219,7 +253,7 @@ impl PlanService {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| lock_ignoring_poison(s).cache.len())
+            .map(|s| lock_ignoring_poison(s).entries.len())
             .sum()
     }
 
@@ -235,21 +269,14 @@ impl PlanService {
     pub fn stats(&self) -> CacheStats {
         self.shards
             .iter()
-            .map(|s| lock_ignoring_poison(s).cache.stats())
+            .map(|s| lock_ignoring_poison(s).stats)
             .fold(CacheStats::default(), |acc, s| acc.merge(&s))
     }
 
     /// Zero every shard's counters, keeping entries.
     pub fn reset_stats(&self) {
         for shard in self.shards.iter() {
-            lock_ignoring_poison(shard).cache.reset_stats();
-        }
-    }
-
-    /// Drop all entries (counters survive).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            lock_ignoring_poison(shard).cache.clear();
+            lock_ignoring_poison(shard).stats = CacheStats::default();
         }
     }
 
@@ -279,7 +306,16 @@ impl PlanService {
         cluster: &Cluster,
         config: &PlannerConfig,
     ) -> Result<Arc<ExecutionPlan>> {
-        let state = self.state_keyed(key, ir, cluster, config)?;
+        let state = match self.admit(key) {
+            Admission::Hit(state) => state,
+            Admission::Coalesce(flight) => flight.wait()?,
+            Admission::Lead(flight) => {
+                let guard = LeaderGuard::new(self, key, flight.clone());
+                let compiled = compile(ir, cluster, config).map(Arc::new);
+                guard.disarm();
+                self.settle_miss(key, &flight, compiled)?
+            }
+        };
         Ok(state.plan_arc())
     }
 
@@ -334,29 +370,20 @@ impl PlanService {
             .collect()
     }
 
-    /// Like [`PlanService::plan_keyed`] but returns the full artifact
-    /// state (shared), so callers can inspect per-pass artifacts.
-    pub fn state_keyed(
-        &self,
-        key: PlanKey,
-        ir: &WhaleIr,
-        cluster: &Cluster,
-        config: &PlannerConfig,
-    ) -> Result<Arc<CompileState>> {
-        match self.admit(key) {
-            Admission::Hit(state) => Ok(state),
-            Admission::Coalesce(flight) => Ok(flight.wait()?),
-            Admission::Lead(flight) => {
-                let guard = LeaderGuard::new(self, key, flight.clone());
-                let compiled = compile(ir, cluster, config).map(Arc::new);
-                guard.disarm();
-                self.settle_miss(key, &flight, compiled)
-            }
-        }
-    }
-
-    /// Re-plan after `delta`, reusing cached pre-delta artifacts where
-    /// possible (see [`PlanCache::replan`] for the caching semantics).
+    /// Re-plan after `delta`, reusing cached artifacts where possible.
+    ///
+    /// `cluster` is the **pre-delta** cluster (the one prior plans were
+    /// keyed on); the updated cluster is returned alongside the new plan.
+    /// A cached post-delta key is a pure hit. Otherwise, if the pre-delta
+    /// state is cached, only the passes the delta invalidates re-run (a
+    /// degradation re-runs Balance, Schedule and CommOpt) and the request
+    /// counts as a partial hit; if not, this degenerates to a cold compile
+    /// on the post-delta cluster, counted as a miss. The result is stored
+    /// under the post-delta key, so a later [`PlanService::plan`] against
+    /// the updated cluster is a pure hit. A replan whose passes fail counts
+    /// one miss and stores nothing; a delta that does not apply to
+    /// `cluster` is refused before any counter moves.
+    ///
     /// Concurrent replans (and plans) for the same **post-delta** key are
     /// single-flight: one leader runs the invalidated pass suffix, the rest
     /// coalesce onto its result.
@@ -381,7 +408,7 @@ impl PlanService {
                 // thread only ever holds one shard lock at a time.
                 let seed = {
                     let shard = lock_ignoring_poison(self.shard_for(&old_key));
-                    shard.cache.peek(&old_key).cloned()
+                    shard.entries.get(&old_key).cloned()
                 };
                 let outcome = replan_from_seed(seed, ir, &after, config, &delta);
                 guard.disarm();
@@ -394,11 +421,12 @@ impl PlanService {
     /// The admission check: one shard lock, three-way outcome.
     fn admit(&self, key: PlanKey) -> Admission {
         let mut shard = lock_ignoring_poison(self.shard_for(&key));
-        if let Some(state) = shard.cache.lookup(&key) {
+        if let Some(state) = shard.entries.get(&key).cloned() {
+            shard.stats.hits += 1;
             return Admission::Hit(state);
         }
         if let Some(flight) = shard.inflight.get(&key).cloned() {
-            shard.cache.note_coalesced();
+            shard.stats.coalesced += 1;
             return Admission::Coalesce(flight);
         }
         let flight = Arc::new(Flight::new());
@@ -417,9 +445,10 @@ impl PlanService {
         {
             let mut shard = lock_ignoring_poison(self.shard_for(&key));
             shard.inflight.remove(&key);
-            match &compiled {
-                Ok(state) => shard.cache.admit_miss(key, state.clone()),
-                Err(_) => shard.cache.note_failed_miss(),
+            shard.stats.misses += 1;
+            if let Ok(state) = &compiled {
+                shard.stats.passes_run += state.passes_run.len() as u64;
+                shard.insert(key, state.clone());
             }
         }
         flight.resolve(compiled.clone());
@@ -439,11 +468,17 @@ impl PlanService {
             shard.inflight.remove(&key);
             match outcome {
                 Ok((state, ran, partial)) => {
-                    shard.cache.admit_replan(key, state.clone(), ran, partial);
+                    shard.stats.passes_run += ran as u64;
+                    if partial {
+                        shard.stats.partial_hits += 1;
+                    } else {
+                        shard.stats.misses += 1;
+                    }
+                    shard.insert(key, state.clone());
                     Ok(state)
                 }
                 Err(e) => {
-                    shard.cache.note_failed_miss();
+                    shard.stats.misses += 1;
                     Err(e)
                 }
             }
@@ -451,6 +486,32 @@ impl PlanService {
         flight.resolve(compiled.clone());
         compiled
     }
+}
+
+/// Run the delta-replan pipeline outside any shard lock: clone the cached
+/// pre-delta artifacts (or start cold), re-run the invalidated suffix on
+/// the **post-delta** cluster, and report `(state, passes_ran, partial)`.
+fn replan_from_seed(
+    seed: Option<Arc<CompileState>>,
+    ir: &WhaleIr,
+    after: &Cluster,
+    config: &PlannerConfig,
+    delta: &ClusterDelta,
+) -> Result<(Arc<CompileState>, usize, bool)> {
+    let (mut state, start) = match seed {
+        Some(cached) => ((*cached).clone(), invalidation_start(delta)),
+        None => (CompileState::default(), PassId::DegreeInference),
+    };
+    let passes_before = state.passes_run.len();
+    let cx = PassContext {
+        ir,
+        cluster: after,
+        config,
+    };
+    CompilePipeline::standard().run_from(&cx, &mut state, start)?;
+    let ran = state.passes_run.len() - passes_before;
+    let partial = start > PassId::DegreeInference;
+    Ok((Arc::new(state), ran, partial))
 }
 
 impl std::fmt::Debug for PlanService {
@@ -466,9 +527,39 @@ impl std::fmt::Debug for PlanService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PassId;
     use whale_graph::models;
+    use whale_hardware::{GpuModel, LinkKind};
     use whale_ir::Annotator;
+
+    /// One `(pre-delta cluster, delta)` per delta kind. The restore starts
+    /// from a degraded GPU, so every delta changes the cluster.
+    fn every_delta_kind() -> Vec<(Cluster, ClusterDelta)> {
+        let healthy = Cluster::parse("2x(2xV100)").unwrap();
+        let mut degraded = healthy.clone();
+        degraded.degrade_gpu(1, 0.5).unwrap();
+        vec![
+            (
+                healthy.clone(),
+                ClusterDelta::GpuDegraded { id: 0, scale: 0.5 },
+            ),
+            (degraded, ClusterDelta::GpuRestored { id: 1 }),
+            (
+                healthy.clone(),
+                ClusterDelta::LinkBandwidth {
+                    kind: LinkKind::Network,
+                    bytes_per_sec: 1e9,
+                },
+            ),
+            (healthy.clone(), ClusterDelta::GpuRemoved { id: 3 }),
+            (
+                healthy,
+                ClusterDelta::GpuAdded {
+                    node: 1,
+                    model: GpuModel::P100_16GB,
+                },
+            ),
+        ]
+    }
 
     fn resnet_ir(batch: usize) -> WhaleIr {
         let g = models::resnet50(batch).unwrap();
@@ -486,12 +577,57 @@ mod tests {
         let cfg = PlannerConfig::default();
         let service = PlanService::default();
         let a = service.plan(&ir, &cluster, &cfg).unwrap();
+        assert_eq!(service.stats().passes_run, PassId::ALL.len() as u64);
         let b = service.plan(&ir, &cluster, &cfg).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let s = service.stats();
         assert_eq!((s.hits, s.misses, s.coalesced), (1, 1, 0));
+        assert_eq!(
+            s.passes_run,
+            PassId::ALL.len() as u64,
+            "a hit must not run any pass"
+        );
         assert_eq!(s.requests(), 2);
         assert_eq!(service.len(), 1);
+    }
+
+    #[test]
+    fn different_inputs_are_different_entries() {
+        let cluster = Cluster::parse("4xV100").unwrap();
+        let cfg = PlannerConfig::default();
+        let service = PlanService::default();
+        service.plan(&resnet_ir(64), &cluster, &cfg).unwrap();
+        service.plan(&resnet_ir(32), &cluster, &cfg).unwrap();
+        let other = Cluster::parse("2xV100").unwrap();
+        service.plan(&resnet_ir(64), &other, &cfg).unwrap();
+        let hw_off = PlannerConfig {
+            hardware_aware: false,
+            ..PlannerConfig::default()
+        };
+        service.plan(&resnet_ir(64), &cluster, &hw_off).unwrap();
+        assert_eq!(service.len(), 4);
+        assert_eq!(service.stats().misses, 4);
+        assert_eq!(service.stats().hits, 0);
+    }
+
+    #[test]
+    fn capacity_bound_evicts_fifo() {
+        let cluster = Cluster::parse("4xV100").unwrap();
+        let cfg = PlannerConfig::default();
+        let service = PlanService::new(1, 2);
+        service.plan(&resnet_ir(16), &cluster, &cfg).unwrap();
+        service.plan(&resnet_ir(32), &cluster, &cfg).unwrap();
+        service.plan(&resnet_ir(64), &cluster, &cfg).unwrap();
+        assert_eq!(service.len(), 2);
+        assert_eq!(service.stats().evictions, 1);
+        // The oldest entry (batch 16) was evicted: a miss again, which in
+        // turn evicts batch 32 and leaves batch 64 a hit.
+        service.plan(&resnet_ir(16), &cluster, &cfg).unwrap();
+        assert_eq!(service.stats().misses, 4);
+        service.plan(&resnet_ir(64), &cluster, &cfg).unwrap();
+        let s = service.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 4, 2));
+        assert_eq!(service.len(), 2);
     }
 
     #[test]
@@ -505,7 +641,7 @@ mod tests {
         assert_eq!(service.len(), 5);
         assert_eq!(service.stats().misses, 5);
         let occupied = (0..service.num_shards())
-            .filter(|&i| !lock_ignoring_poison(&service.shards[i]).cache.is_empty())
+            .filter(|&i| !lock_ignoring_poison(&service.shards[i]).entries.is_empty())
             .count();
         assert!(occupied > 1, "5 keys should not all land on one shard");
     }
@@ -711,6 +847,11 @@ mod tests {
             6 + 3,
             "suffix replan ran Balance+Schedule+CommOpt"
         );
+        // The degraded GPU 0 now gets the smallest share.
+        let dev = &replanned.stages[0].devices;
+        assert!(dev[1..]
+            .iter()
+            .all(|d| dev[0].samples_per_step < d.samples_per_step));
         let again = service.plan(&ir, &after, &cfg).unwrap();
         assert!(Arc::ptr_eq(&replanned, &again), "post-delta key is hot");
         assert_eq!(service.stats().hits, 1);
@@ -720,10 +861,11 @@ mod tests {
     fn every_delta_kind_leaves_a_pure_hit_across_shards() {
         let ir = resnet_ir(64);
         let cfg = PlannerConfig::default();
-        for (cluster, delta) in crate::cache::tests::every_delta_kind() {
+        for (cluster, delta) in every_delta_kind() {
             let service = PlanService::new(2, 64);
             service.plan(&ir, &cluster, &cfg).unwrap();
             let (replanned, after) = service.replan(&ir, &cluster, &cfg, delta).unwrap();
+            assert_ne!(after, cluster, "{delta:?}");
             let before = service.stats();
             let again = service.plan(&ir, &after, &cfg).unwrap();
             assert!(Arc::ptr_eq(&replanned, &again), "{delta:?}");
@@ -736,5 +878,19 @@ mod tests {
                 "{delta:?}: planning the post-delta cluster is a pure hit"
             );
         }
+    }
+
+    #[test]
+    fn replan_without_cached_state_is_a_cold_compile() {
+        let ir = resnet_ir(64);
+        let cluster = Cluster::parse("4xV100").unwrap();
+        let cfg = PlannerConfig::default();
+        let service = PlanService::default();
+        let delta = ClusterDelta::GpuDegraded { id: 0, scale: 0.5 };
+        let (plan, after) = service.replan(&ir, &cluster, &cfg, delta).unwrap();
+        let s = service.stats();
+        assert_eq!((s.misses, s.partial_hits), (1, 0));
+        assert_eq!(s.passes_run, PassId::ALL.len() as u64);
+        assert_eq!(*plan, crate::planner::plan(&ir, &after, &cfg).unwrap());
     }
 }

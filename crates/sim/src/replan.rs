@@ -152,7 +152,7 @@ mod tests {
     use whale_graph::models;
     use whale_hardware::ClusterDelta;
     use whale_ir::Annotator;
-    use whale_planner::{plan, PlanCache, PlannerConfig};
+    use whale_planner::{plan, PlanService, PlannerConfig};
 
     fn dp_ir(batch: usize) -> whale_ir::WhaleIr {
         let g = models::resnet50(batch).unwrap();
@@ -170,8 +170,7 @@ mod tests {
         let config = PlannerConfig::default();
         let old = plan(&ir, &cluster, &config).unwrap();
 
-        let mut cache = PlanCache::default();
-        let (new, after) = cache
+        let (new, after) = PlanService::default()
             .replan(
                 &ir,
                 &cluster,
@@ -192,8 +191,7 @@ mod tests {
         let config = PlannerConfig::default();
         let old = plan(&ir, &cluster, &config).unwrap();
 
-        let mut cache = PlanCache::default();
-        let (new, after) = cache
+        let (new, after) = PlanService::default()
             .replan(&ir, &cluster, &config, ClusterDelta::GpuRemoved { id: 3 })
             .unwrap();
 

@@ -12,7 +12,7 @@ use std::fmt::{self, Write};
 
 use whale::{models, strategies, Cluster, ClusterDelta, PlannerConfig, ScheduleKind, Session};
 use whale_fp::Fingerprinter;
-use whale_planner::{plan, CompilePipeline, PassId, PlanCache};
+use whale_planner::{plan, CompilePipeline, PassId, PlanService};
 use whale_sim::{check_replan, SimConfig};
 
 type IrCase = (&'static str, whale::WhaleIr);
@@ -496,19 +496,19 @@ fn pass_order_is_declared_and_enforced() {
 fn cache_hit_runs_zero_passes_across_the_zoo() {
     let cluster = Cluster::parse("8xV100+8xP100").unwrap();
     let config = PlannerConfig::default();
-    let mut cache = PlanCache::default();
+    let service = PlanService::default();
     for (name, ir) in &model_zoo() {
-        let cold = cache.plan(ir, &cluster, &config).unwrap();
-        let passes_after_miss = cache.stats().passes_run;
-        let hit = cache.plan(ir, &cluster, &config).unwrap();
+        let cold = service.plan(ir, &cluster, &config).unwrap();
+        let passes_after_miss = service.stats().passes_run;
+        let hit = service.plan(ir, &cluster, &config).unwrap();
         assert_eq!(cold, hit, "{name}: cache returned a different plan");
         assert_eq!(
-            cache.stats().passes_run,
+            service.stats().passes_run,
             passes_after_miss,
             "{name}: a cache hit ran compile passes"
         );
     }
-    let stats = cache.stats();
+    let stats = service.stats();
     assert_eq!(stats.hits as usize, model_zoo().len());
     assert_eq!(stats.misses as usize, model_zoo().len());
 }
@@ -519,9 +519,9 @@ fn structural_replan_equals_cold_plan_on_the_new_cluster() {
     let config = PlannerConfig::default();
     let ir = strategies::data_parallel(models::resnet50(256).unwrap(), 256).unwrap();
 
-    let mut cache = PlanCache::default();
-    cache.plan(&ir, &cluster, &config).unwrap();
-    let (replanned, after) = cache
+    let service = PlanService::default();
+    service.plan(&ir, &cluster, &config).unwrap();
+    let (replanned, after) = service
         .replan(&ir, &cluster, &config, ClusterDelta::GpuRemoved { id: 15 })
         .unwrap();
     assert_eq!(after.num_gpus(), 15);

@@ -207,28 +207,3 @@ fn eviction_churn_keeps_every_request_accounted() {
     );
     assert!(service.len() <= 2, "capacity must be enforced");
 }
-
-#[test]
-fn disabled_cache_still_serves_concurrently() {
-    // With the cache off every plan is a cold compile — no sharing, no
-    // stats, but identical bits.
-    let irs = zoo();
-    let session = Session::on_cluster("4xV100").unwrap().plan_cache(false);
-    let cold: Vec<ExecutionPlan> = irs
-        .iter()
-        .map(|ir| whale::planner::plan(ir, session.cluster(), session.planner_config()).unwrap())
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let session = &session;
-            let irs = &irs;
-            let cold = &cold;
-            scope.spawn(move || {
-                for (ir, reference) in irs.iter().zip(cold) {
-                    assert_eq!(*session.plan(ir).unwrap(), *reference);
-                }
-            });
-        }
-    });
-    assert!(session.cache_stats().is_none());
-}
