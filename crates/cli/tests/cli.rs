@@ -101,6 +101,9 @@ fn bad_inputs_fail_with_messages() {
     let (_, stderr, ok) = run(&["plan", "--zero", "7"]);
     assert!(!ok);
     assert!(stderr.contains("zero"));
+    let (_, stderr, ok) = run(&["faults", "--min-capacity", "nan"]);
+    assert!(!ok);
+    assert!(stderr.contains("min_capacity"), "{stderr}");
 }
 
 #[test]

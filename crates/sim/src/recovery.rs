@@ -41,6 +41,7 @@ pub struct RecoveryPolicy {
     pub backoff_cap_s: f64,
     /// Abort the run when cluster capacity (sum of per-GPU FLOPS, including
     /// degradations) falls below this fraction of the starting capacity.
+    /// In `[0, 1]`; see [`RecoveryPolicy::check`].
     pub min_capacity: f64,
 }
 
@@ -65,16 +66,25 @@ impl RecoveryPolicy {
         (self.backoff_base_s * 2f64.powi(retry.saturating_sub(1) as i32)).min(self.backoff_cap_s)
     }
 
-    /// Refuse a policy the recovery loop cannot run in bounded time. Each
-    /// retry re-runs a deterministic replan, so a transient fault whose
-    /// delta cannot apply spins through every retry: `max_retries` must be
-    /// at most 64, and the latency and backoff times finite and
-    /// non-negative.
+    /// Refuse a policy the recovery loop cannot run as asked. Each retry
+    /// re-runs a deterministic replan, so a transient fault whose delta
+    /// cannot apply spins through every retry: `max_retries` must be at
+    /// most 64, and the latency and backoff times finite and non-negative.
+    /// `min_capacity` is a fraction of the starting capacity, so it must
+    /// lie in `[0, 1]`: below 0 or NaN would switch the floor off, above 1
+    /// would abort at the first fault.
     pub fn check(&self) -> Result<()> {
         if self.max_retries > MAX_RETRIES {
             return Err(SimError::BadPlan(format!(
                 "max_retries {} exceeds {MAX_RETRIES}",
                 self.max_retries
+            )));
+        }
+        // NaN fails the comparison too.
+        if !(0.0..=1.0).contains(&self.min_capacity) {
+            return Err(SimError::BadPlan(format!(
+                "min_capacity must lie in [0, 1], got {}",
+                self.min_capacity
             )));
         }
         for (what, value) in [
@@ -231,7 +241,7 @@ pub enum ReplanPath {
     /// already cached outright).
     CachedSuffix,
     /// A full from-scratch compile: nothing cached for the pre-delta state,
-    /// the cache was disabled, or fast-path verification failed.
+    /// or fast-path verification failed.
     Full,
 }
 
@@ -603,6 +613,21 @@ mod tests {
             for p in times(bad) {
                 assert!(p.check().is_err(), "{p:?}");
             }
+        }
+        for (min_capacity, ok) in [
+            (0.0, true),
+            (0.25, true),
+            (1.0, true),
+            (-0.1, false),
+            (1.5, false),
+            (f64::NAN, false),
+            (f64::INFINITY, false),
+        ] {
+            let p = RecoveryPolicy {
+                min_capacity,
+                ..policy
+            };
+            assert_eq!(p.check().is_ok(), ok, "{p:?}");
         }
     }
 
