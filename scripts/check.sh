@@ -46,11 +46,14 @@ cargo run -q --release --offline -p whale-bench --bin fleet_bench -- --quick
 cargo run -q --release --offline -p whale-bench --bin search_bench -- --quick
 
 # Request benchmark (reqbench/, a Cargo workspace of its own that
-# `cargo test --workspace` does not reach): its unit tests, then a 1 s smoke
-# run of each workload. A run with failed requests still exits 0 and prints
+# `cargo test --workspace`, `cargo fmt` and `cargo clippy --workspace` do not
+# reach): its unit tests and the same style gate, then a 1 s smoke run of
+# each workload. A run with failed requests still exits 0 and prints
 # "correct":false, so each run fails the gate unless its last stdout line
 # (the JSON verdict) reports "correct":true.
 cargo test --offline -q --manifest-path reqbench/Cargo.toml
+cargo fmt --check --manifest-path reqbench/Cargo.toml
+cargo clippy --offline --all-targets --manifest-path reqbench/Cargo.toml -- -D warnings
 for workload in cold-plan auto-search plan-serve fault-recovery; do
   verdict=$(cargo run -q --release --offline --manifest-path reqbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
