@@ -14,11 +14,21 @@
 //!
 //! * every variable-length sequence is prefixed with its length
 //!   ([`Fingerprinter::push_len`]) so `["ab","c"]` and `["a","bc"]` differ;
+//! * a sequence hashed as maximal runs (of equal GPUs in a cluster node, of
+//!   consecutive ids in a TaskGraph's op list) pushes its element count
+//!   first and each run's length, so every run boundary, and with it every
+//!   element, is fixed by the byte stream;
 //! * enums push a discriminant tag before their payload;
 //! * floats hash their IEEE bit pattern ([`Fingerprinter::push_f64`]), so
 //!   `0.45` and `0.4500000001` differ and `-0.0 != 0.0` (exactness matters
 //!   more than float-equality semantics for cache keys);
 //! * `Option`s push a presence byte first.
+//!
+//! Integer pushes cost one multiply per *nonzero* byte: FNV-1a's step for a
+//! zero byte is a bare multiply by the prime, so [`Fingerprinter::push_u64`]
+//! folds each run of `k` zero bytes into one multiply by `FNV_PRIME^k`. The
+//! result is bit-identical to the byte loop, so no fingerprint depends on
+//! which of the two fed it.
 //!
 //! # Examples
 //!
@@ -40,6 +50,17 @@ use std::fmt;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`: the FNV-1a step of `k` zero bytes.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 /// A 64-bit content fingerprint. Stable across processes, platforms, and
 /// builds: it depends only on the byte stream pushed into the
@@ -83,9 +104,24 @@ impl Fingerprinter {
         self
     }
 
-    /// Feed a `u64` (little-endian bytes).
+    /// Feed a `u64` (little-endian bytes). Equal to
+    /// `push_bytes(&v.to_le_bytes())`, but each run of zero bytes costs one
+    /// multiply by a power of the prime instead of one per byte.
     pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        self.push_bytes(&v.to_le_bytes())
+        let mut h = self.state;
+        let mut rest = v;
+        let mut left = 8;
+        while rest != 0 {
+            // Low zero bytes before the next nonzero one: at most 7.
+            let zeros = (rest.trailing_zeros() / 8) as usize;
+            rest >>= 8 * zeros;
+            h = h.wrapping_mul(FNV_PRIME_POW[zeros]) ^ (rest & 0xff);
+            h = h.wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+            left -= zeros + 1;
+        }
+        self.state = h.wrapping_mul(FNV_PRIME_POW[left]);
+        self
     }
 
     /// Feed a `usize` widened to `u64` so 32- and 64-bit builds agree.

@@ -26,6 +26,15 @@ pub struct Node {
 }
 
 /// A physical GPU cluster.
+///
+/// Invariant: every cluster comes out of [`ClusterBuilder::build`]
+/// ([`Cluster::parse`], [`Cluster::homogeneous`], [`Cluster::subcluster`]
+/// and structural deltas all rebuild through it), and `gpus` and `nodes`
+/// are private. So global ids are dense in node order, `gpus()[i].id == i`,
+/// node `k` holds the next `nodes()[k].gpu_ids.len()` ids in local-rank
+/// order, and `id`, `node`, `local_rank` and [`Node::index`] are positions
+/// in the per-node layout. [`Cluster::fingerprint`] relies on this: it
+/// hashes the layout, not the position fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     gpus: Vec<Gpu>,

@@ -5,7 +5,9 @@
 //! models read from a [`Cluster`]: every GPU's model, topology position and
 //! `throughput_scale` (so a degraded device produces a different key than a
 //! healthy one), the node grouping, and all interconnect bandwidths and
-//! latencies.
+//! latencies. Positions are not hashed GPU by GPU: they follow from the
+//! per-node layout, which is hashed as runs of equal GPUs
+//! ([`Cluster::fingerprint`]).
 
 use whale_fp::{Fingerprint, Fingerprinter};
 
@@ -29,21 +31,30 @@ impl Interconnect {
 impl Cluster {
     /// Stable content fingerprint over topology, device specs, degradation
     /// state, and fabric.
+    ///
+    /// Hashes the node count; per node, its GPU count and each maximal run
+    /// of GPUs with the same model and `throughput_scale` bits as its
+    /// length, model name and scale; then the interconnect. Ids, node
+    /// indices and local ranks are positions in that layout (see
+    /// [`Cluster`]'s dense-id invariant), so equal clusters hash equally
+    /// and clusters that differ in any GPU, position or link hash
+    /// differently. A key costs one run per stretch of equal hardware, not
+    /// one record per GPU.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut fp = Fingerprinter::new("whale-cluster");
-        fp.push_len(self.num_gpus());
-        for g in self.gpus() {
-            fp.push_usize(g.id)
-                .push_usize(g.node)
-                .push_usize(g.local_rank)
-                .push_str(g.model.name())
-                .push_f64(g.throughput_scale);
-        }
         fp.push_len(self.num_nodes());
+        // Dense ids in node order: each node's GPUs are the next slice.
+        let mut rest = self.gpus();
         for n in self.nodes() {
-            fp.push_usize(n.index).push_len(n.gpu_ids.len());
-            for &id in &n.gpu_ids {
-                fp.push_usize(id);
+            let (node, tail) = rest.split_at(n.gpu_ids.len());
+            rest = tail;
+            fp.push_len(node.len());
+            for run in node.chunk_by(|a, b| {
+                a.model == b.model && a.throughput_scale.to_bits() == b.throughput_scale.to_bits()
+            }) {
+                fp.push_len(run.len())
+                    .push_str(run[0].model.name())
+                    .push_f64(run[0].throughput_scale);
             }
         }
         fp.push_fingerprint(self.interconnect.fingerprint());

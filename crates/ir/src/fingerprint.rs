@@ -5,6 +5,14 @@
 //! annotation the planner reads: TaskGraph membership and strategies, the
 //! pipeline spec, outer replication, default strategy, global batch, and
 //! auto-partition.
+//!
+//! A TaskGraph's op list is hashed as its length followed by its maximal
+//! runs of consecutive ids, each as `(first id, length)`. Annotated
+//! TaskGraphs are almost always one contiguous id range, so a key costs
+//! two words per TaskGraph instead of one per op. The encoding is exact:
+//! the list's length and each run's length fix every run boundary, so
+//! distinct lists give distinct byte streams. Runs are found with checked
+//! addition, so an id of `usize::MAX` ends its run instead of overflowing.
 
 use whale_fp::{Fingerprint, Fingerprinter};
 
@@ -27,8 +35,8 @@ impl WhaleIr {
         fp.push_len(self.task_graphs.len());
         for tg in &self.task_graphs {
             fp.push_usize(tg.index).push_len(tg.ops.len());
-            for &id in &tg.ops {
-                fp.push_usize(id.0);
+            for run in tg.ops.chunk_by(|a, b| a.0.checked_add(1) == Some(b.0)) {
+                fp.push_usize(run[0].0).push_len(run.len());
             }
             fp.push_len(tg.strategies.len());
             for &s in &tg.strategies {

@@ -6,8 +6,11 @@
 //! efficiency constant — must change the key, or the cache would serve a
 //! stale plan.
 
-use whale::{models, strategies, Cluster, ClusterDelta, PlannerConfig, ScheduleKind};
+use whale::{
+    models, strategies, Cluster, ClusterDelta, PlannerConfig, Primitive, ScheduleKind, TaskGraph,
+};
 use whale_fp::Fingerprint;
+use whale_graph::OpId;
 use whale_planner::PlanKey;
 
 fn dp_ir(batch: usize, seq: usize) -> whale::WhaleIr {
@@ -89,11 +92,70 @@ fn degradation_round_trips_to_the_original_fingerprint() {
 #[test]
 fn one_gpus_memory_changes_the_cluster_fingerprint() {
     // V100-32GB and V100-16GB differ only in memory capacity; swapping one
-    // GPU's variant must re-key the cache.
-    let a = Cluster::parse("4xV100").unwrap();
-    let b = Cluster::parse("3xV100+1xV100_16GB").unwrap();
-    assert_eq!(a.num_gpus(), b.num_gpus());
-    assert_ne!(a.fingerprint(), b.fingerprint());
+    // GPU's variant must re-key the cache. All three are one node of four
+    // GPUs, so only the per-node model runs tell them apart: one run, a
+    // 3+1 split, and the same multiset in the other order.
+    let clusters = ["4xV100", "3xV100,1xV100_16GB", "1xV100_16GB,3xV100"]
+        .map(|spec| Cluster::parse(spec).unwrap());
+    for (i, a) in clusters.iter().enumerate() {
+        for b in &clusters[i + 1..] {
+            assert_eq!((a.num_nodes(), a.num_gpus()), (b.num_nodes(), b.num_gpus()));
+            assert_ne!(a.fingerprint(), b.fingerprint(), "{a:?} vs {b:?}");
+        }
+    }
+}
+
+#[test]
+fn taskgraph_op_lists_key_the_ir_exactly() {
+    // Op lists are hashed as runs of consecutive ids. Moving a run boundary
+    // between TaskGraphs, reordering ids, two lists with the same run starts,
+    // and ids at the top of `usize` (where `id + 1` overflows) must each key
+    // differently; equal lists must key equally.
+    let base = dp_ir(8, 16);
+    let keyed = |lists: &[&[usize]]| {
+        let mut ir = base.clone();
+        ir.task_graphs = lists
+            .iter()
+            .enumerate()
+            .map(|(i, ops)| {
+                let ops = ops.iter().map(|&id| OpId(id)).collect();
+                TaskGraph::new(i, ops, vec![Primitive::Replica])
+            })
+            .collect();
+        ir.fingerprint()
+    };
+    let max = usize::MAX;
+    let cases: [&[&[usize]]; 14] = [
+        &[&[0, 1], &[2]],
+        &[&[0], &[1, 2]],
+        &[&[0, 1, 2]],
+        &[&[0, 2, 1]],
+        &[&[0], &[1], &[2]],
+        &[&[0, 1, 2, 5]],
+        &[&[0, 5, 6, 7]],
+        &[&[max - 1, max]],
+        &[&[max - 1], &[max]],
+        &[&[max, 0]],
+        &[&[max], &[0]],
+        &[&[max, 0, 1]],
+        &[],
+        &[&[]],
+    ];
+    let keys: Vec<Fingerprint> = cases.iter().map(|lists| keyed(lists)).collect();
+    for (i, (a, key)) in cases.iter().zip(&keys).enumerate() {
+        let copy: Vec<Vec<usize>> = a.iter().map(|ops| ops.to_vec()).collect();
+        let copy: Vec<&[usize]> = copy.iter().map(Vec::as_slice).collect();
+        assert_eq!(keyed(&copy), *key, "{a:?}");
+        for (b, other) in cases.iter().zip(&keys).skip(i + 1) {
+            assert_ne!(key, other, "{a:?} vs {b:?}");
+        }
+    }
+    // The annotator's own contiguous TaskGraph keys like the same ids
+    // listed by hand.
+    let mut by_hand = base.clone();
+    by_hand.task_graphs[0].ops = (0..base.graph.len()).map(OpId).collect();
+    assert_eq!(by_hand.task_graphs, base.task_graphs);
+    assert_eq!(by_hand.fingerprint(), base.fingerprint());
 }
 
 #[test]
@@ -204,5 +266,11 @@ fn cluster_topology_is_keyed_not_just_the_gpu_census() {
     let a = Cluster::parse("2x(8xV100)").unwrap();
     let b = Cluster::parse("4x(4xV100)").unwrap();
     assert_eq!(a.num_gpus(), b.num_gpus());
+    assert_ne!(a.fingerprint(), b.fingerprint());
+    // Same node count and the same model runs in order; only where the
+    // node boundary falls differs.
+    let a = Cluster::parse("1xV100,1xP100+1xV100").unwrap();
+    let b = Cluster::parse("1xV100+1xP100,1xV100").unwrap();
+    assert_eq!(a.num_nodes(), b.num_nodes());
     assert_ne!(a.fingerprint(), b.fingerprint());
 }

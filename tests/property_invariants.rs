@@ -6,8 +6,9 @@
 //! constants, so failures reproduce exactly.
 
 use whale::{models, strategies, Session};
+use whale_fp::{Fingerprint, Fingerprinter};
 use whale_graph::{CostProfile, TrainingConfig};
-use whale_hardware::{Cluster, CommModel, GpuModel};
+use whale_hardware::{Cluster, ClusterBuilder, ClusterDelta, CommModel, GpuModel, LinkKind};
 use whale_planner::bridge::{chain_bytes, fuse, Bridge};
 use whale_planner::partition::{balanced_cuts, group_costs, proportional_split};
 use whale_planner::{dp_partition, ScheduleKind};
@@ -171,6 +172,171 @@ fn cluster_census_counts_gpus() {
         assert_eq!(census.get("V100-32GB").copied().unwrap_or(0), nodes * v100s);
         assert_eq!(census.get("P100-16GB").copied().unwrap_or(0), nodes * p100s);
     }
+}
+
+/// `push_u64` folds each run of zero bytes into one multiply by a power of
+/// the prime; the result must be the FNV-1a byte loop's, value by value and
+/// along a stream.
+#[test]
+fn push_u64_equals_pushing_its_little_endian_bytes() {
+    let mut values = vec![
+        0,
+        1,
+        0xFF,
+        1 << 56,
+        u64::MAX,
+        0x0100_0000_0000_0001,
+        0x00FF_0000_FF00_0000,
+        0x0000_FF00_0000_00FF,
+        1.0f64.to_bits(),
+    ];
+    let mut rng = SplitMix64::seed_from_u64(0xF17E);
+    for _ in 0..256 {
+        let v = rng.next_u64();
+        // Clear a random subset of bytes, so zero runs of every length
+        // occur at every offset.
+        let clear = rng.next_u64();
+        let zeroed = (0..8)
+            .filter(|byte| clear >> byte & 1 == 1)
+            .fold(v, |v, byte| v & !(0xFF << (8 * byte)));
+        values.extend([v, zeroed]);
+    }
+    let bytes_of = |fp: &mut Fingerprinter, v: u64| fp.push_bytes(&v.to_le_bytes()).finish();
+    let mut word = Fingerprinter::new("stream");
+    let mut bytes = Fingerprinter::new("stream");
+    for &v in &values {
+        assert_eq!(
+            Fingerprinter::new("one").push_u64(v).finish(),
+            bytes_of(&mut Fingerprinter::new("one"), v),
+            "{v:#018x}"
+        );
+        assert_eq!(
+            word.push_u64(v).finish(),
+            bytes_of(&mut bytes, v),
+            "stream at {v:#018x}"
+        );
+    }
+}
+
+/// Every construction below goes through `ClusterBuilder::build`, so ids
+/// are dense in node order and positions follow from the layout.
+fn assert_dense_ids(c: &Cluster) {
+    let mut next = 0;
+    for (k, node) in c.nodes().iter().enumerate() {
+        assert_eq!(node.index, k);
+        for (rank, &id) in node.gpu_ids.iter().enumerate() {
+            assert_eq!(id, next, "{c:?}");
+            let g = c.gpu(id).unwrap();
+            assert_eq!((g.id, g.node, g.local_rank), (id, k, rank), "{c:?}");
+            next += 1;
+        }
+    }
+    assert_eq!(next, c.num_gpus());
+}
+
+/// The cluster fingerprint hashes per-node model runs instead of every
+/// GPU's record. Over seeded clusters built by `parse`, `homogeneous`,
+/// mixed-node `ClusterBuilder`s, `subcluster`, `degrade_gpu` and every
+/// `ClusterDelta` kind, two clusters are equal exactly when their
+/// fingerprints are, and each keeps the dense-id invariant.
+#[test]
+fn cluster_fingerprints_are_equal_exactly_when_clusters_are() {
+    // A small layout space, so independent constructions often meet.
+    const MODELS: [(GpuModel, &str); 3] = [
+        (GpuModel::V100_32GB, "V100"),
+        (GpuModel::V100_16GB, "V100_16GB"),
+        (GpuModel::P100_16GB, "P100"),
+    ];
+    const SCALES: [f64; 2] = [0.5, 1.0];
+    const LINKS: [LinkKind; 3] = [LinkKind::NvLink, LinkKind::Pcie, LinkKind::Network];
+    let mut rng = SplitMix64::seed_from_u64(0xC1A57E);
+    let mut clusters = Vec::new();
+    for _ in 0..32 {
+        let layout: Vec<Vec<usize>> = (0..rng.range_usize(1, 4))
+            .map(|_| (0..rng.range_usize(1, 4)).map(|_| rng.index(3)).collect())
+            .collect();
+        let spec = layout
+            .iter()
+            .map(|node| {
+                let runs: Vec<String> =
+                    node.iter().map(|&m| format!("1x{}", MODELS[m].1)).collect();
+                runs.join(",")
+            })
+            .collect::<Vec<_>>()
+            .join("+");
+        let parsed = Cluster::parse(&spec).unwrap();
+        let built = layout
+            .iter()
+            .fold(ClusterBuilder::new(), |b, node| {
+                b.add_node(node.iter().map(|&m| MODELS[m].0).collect())
+            })
+            .build();
+        let homogeneous = Cluster::homogeneous(
+            MODELS[rng.index(3)].0,
+            rng.range_usize(1, 3),
+            rng.range_usize(1, 4),
+        );
+        let n = parsed.num_gpus();
+        let picked: Vec<usize> = (0..n).filter(|_| rng.next_u64() & 1 == 1).collect();
+        let sub = parsed
+            .subcluster(if picked.is_empty() { &[0] } else { &picked })
+            .unwrap();
+        let mut degraded = parsed.clone();
+        degraded
+            .degrade_gpu(rng.index(n), SCALES[rng.index(2)])
+            .unwrap();
+        let deltas = [
+            ClusterDelta::GpuDegraded {
+                id: rng.index(n),
+                scale: SCALES[rng.index(2)],
+            },
+            ClusterDelta::GpuRestored { id: rng.index(n) },
+            ClusterDelta::GpuRemoved { id: rng.index(n) },
+            ClusterDelta::GpuAdded {
+                node: rng.index(parsed.num_nodes() + 1),
+                model: MODELS[rng.index(3)].0,
+            },
+            ClusterDelta::LinkBandwidth {
+                kind: LINKS[rng.index(3)],
+                bytes_per_sec: [25e9, 50e9][rng.index(2)],
+            },
+        ];
+        for delta in deltas {
+            let mut after = degraded.clone();
+            match after.apply_delta(delta) {
+                Ok(()) => clusters.push(after),
+                // The only refusal: removing a one-GPU cluster's last GPU.
+                Err(e) => assert!(
+                    matches!(delta, ClusterDelta::GpuRemoved { .. }) && n == 1,
+                    "{delta:?}: {e}"
+                ),
+            }
+        }
+        clusters.extend([parsed, built, homogeneous, sub, degraded]);
+    }
+    let keyed: Vec<(Cluster, Fingerprint)> = clusters
+        .into_iter()
+        .map(|c| {
+            let fp = c.fingerprint();
+            (c, fp)
+        })
+        .collect();
+    let (mut equal, mut distinct) = (0, 0);
+    for (i, (a, fa)) in keyed.iter().enumerate() {
+        assert_dense_ids(a);
+        for (b, fb) in &keyed[i + 1..] {
+            assert_eq!(a == b, fa == fb, "{a:?} vs {b:?}");
+            if a == b {
+                equal += 1;
+            } else {
+                distinct += 1;
+            }
+        }
+    }
+    assert!(
+        equal > 0 && distinct > 0,
+        "{equal} equal, {distinct} distinct"
+    );
 }
 
 /// Planning + simulating pure DP succeeds for arbitrary small clusters and
