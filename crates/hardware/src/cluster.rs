@@ -183,11 +183,10 @@ impl Cluster {
                 "degradation scale must be in (0, 1], got {scale}"
             )));
         }
-        let n = self.gpus.len();
         let gpu = self
             .gpus
             .get_mut(id)
-            .ok_or(HardwareError::UnknownDevice(id.min(n)))?;
+            .ok_or(HardwareError::UnknownDevice(id))?;
         gpu.throughput_scale = scale;
         Ok(())
     }
@@ -553,5 +552,17 @@ mod degradation_tests {
         assert!(c.degrade_gpu(0, 0.0).is_err());
         assert!(c.degrade_gpu(0, 1.5).is_err());
         assert!(c.degrade_gpu(0, 1.0).is_ok());
+        // An unknown id is reported as given, by both entry points.
+        let mut c = Cluster::parse("8xV100").unwrap();
+        for id in [9, usize::MAX] {
+            assert_eq!(
+                c.degrade_gpu(id, 0.5),
+                Err(HardwareError::UnknownDevice(id))
+            );
+        }
+        assert_eq!(
+            c.apply_delta(crate::delta::ClusterDelta::GpuDegraded { id: 9, scale: 0.5 }),
+            Err(HardwareError::UnknownDevice(9))
+        );
     }
 }
