@@ -96,7 +96,7 @@ COMMON OPTIONS:
   --json             (simulate) emit step stats as JSON
 
 COMPILE OPTIONS:
-  --repeat N         plan N times through the cache (default 2)
+  --repeat N         plan N times through the cache, N <= 65536 (default 2)
   --degrade ID:S     then degrade GPU ID to throughput scale S and replan,
                      re-running only the invalidated passes; exits non-zero
                      if the replanned plan fails the consistency check
@@ -290,10 +290,19 @@ fn cmd_plan(args: &Args, simulate: bool) -> Result<(), String> {
     Ok(())
 }
 
+/// Upper bound on `compile --repeat`. Each repeat is a cache hit, but an
+/// unbounded count keeps the process busy until it is killed.
+const MAX_REPEAT: usize = 1 << 16;
+
 fn cmd_compile(args: &Args) -> Result<(), String> {
+    let repeat = args.get_num("repeat", 2usize)?.max(1);
+    if repeat > MAX_REPEAT {
+        return Err(format!(
+            "--repeat expects at most {MAX_REPEAT} plans, got {repeat}"
+        ));
+    }
     let mut session = session_from(args)?;
     let ir = ir_from(args)?;
-    let repeat = args.get_num("repeat", 2usize)?.max(1);
 
     let key = PlanKey::new(&ir, session.cluster(), session.planner_config());
     println!("cache key (ir/cluster/config): {key}");

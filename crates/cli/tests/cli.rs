@@ -275,6 +275,10 @@ fn unbounded_event_generators_exit_nonzero_at_once() {
     for (args, why) in [
         (&["fleet", "--horizon", "1e12"][..], "expects"),
         (&["faults", "--mtbf", "0"][..], "positive and finite"),
+        (
+            &["compile", "--repeat", "18446744073709551615"][..],
+            "--repeat",
+        ),
     ] {
         let start = std::time::Instant::now();
         let (stdout, stderr, ok) = run(args);
