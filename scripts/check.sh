@@ -48,17 +48,23 @@ cargo run -q --release --offline -p whale-bench --bin search_bench -- --quick
 # Request benchmark (reqbench/, a Cargo workspace of its own that
 # `cargo test --workspace`, `cargo fmt` and `cargo clippy --workspace` do not
 # reach): its unit tests and the same style gate, then a 1 s smoke run of
-# each workload. A run with failed requests still exits 0 and prints
-# "correct":false, so each run fails the gate unless its last stdout line
-# (the JSON verdict) reports "correct":true.
+# each workload, untraced and traced. The traced run takes paths the
+# untraced one does not: `cold-plan` compiles through
+# `CompilePipeline::with_passes` and `plan-serve` keys with `PlanKey::new`
+# before `plan_keyed`; its trace file lands in reqbench/out/. A run with
+# failed requests still exits 0 and prints "correct":false, so each run
+# fails the gate unless its last stdout line (the JSON verdict) reports
+# "correct":true.
 cargo test --offline -q --manifest-path reqbench/Cargo.toml
 cargo fmt --check --manifest-path reqbench/Cargo.toml
 cargo clippy --offline --all-targets --manifest-path reqbench/Cargo.toml -- -D warnings
 for workload in cold-plan auto-search plan-serve fault-recovery; do
-  verdict=$(cargo run -q --release --offline --manifest-path reqbench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
-  if ! grep -q '"correct":true' <<<"$verdict"; then
-    echo "reqbench $workload smoke run failed: $verdict" >&2
-    exit 1
-  fi
+  for trace in 0 1; do
+    verdict=$(cargo run -q --release --offline --manifest-path reqbench/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+    if ! grep -q '"correct":true' <<<"$verdict"; then
+      echo "reqbench $workload smoke run (--trace $trace) failed: $verdict" >&2
+      exit 1
+    fi
+  done
 done
