@@ -54,14 +54,10 @@ pub fn derive_training_graph(forward: &Graph) -> Result<TrainingGraph, GraphErro
         if matches!(op.kind, OpKind::Input) {
             continue;
         }
-        let mut inputs: Vec<OpId> = vec![OpId(i)];
-        for &c in &consumers[i] {
-            if let Some(g) = backward_of[c.0] {
-                inputs.push(g);
-            }
-        }
+        let inputs =
+            std::iter::once(OpId(i)).chain(consumers[i].iter().filter_map(|c| backward_of[c.0]));
         let grad_id = graph.add_op(
-            format!("grad({})", op.name),
+            ["grad(", op.name.as_str(), ")"].concat(),
             OpKind::Synthetic {
                 flops: op.kind.backward_flops(),
                 params: 0,
@@ -86,13 +82,13 @@ pub fn derive_training_graph(forward: &Graph) -> Result<TrainingGraph, GraphErro
         }
         let Some(grad) = grad_slot else { continue };
         let update = graph.add_op(
-            format!("update({})", op.name),
+            ["update(", op.name.as_str(), ")"].concat(),
             OpKind::Synthetic {
                 // A few FLOPs per parameter (Adam-style update math).
                 flops: 4.0 * params as f64,
                 params: 0,
             },
-            vec![grad],
+            [grad],
             TensorMeta::f32(&[]),
             Phase::Optimizer,
             op.layer,

@@ -13,6 +13,10 @@
 //! remaining template (see [`crate::intern`]). A 48-layer BERT therefore
 //! carries one encoder-block allocation plus 48 lightweight instantiations,
 //! and downstream fingerprinting/equality/adjacency reuse per-block memos.
+//! Each sealed block is first compared with the one sealed before it, so a
+//! run of equal layers is hashed and looked up in the interner's table once.
+//! Op names are built once at their exact length, and inputs and shapes are
+//! held inline, so recording an op allocates only its name.
 //! Ops emitted outside the layer helpers (embeddings, heads, losses) stay
 //! literal. Interning is purely representational — the finished graph's op
 //! list, fingerprint, and produced plans are identical either way, which
@@ -20,13 +24,16 @@
 //! [`set_default_interning`] switch used by benchmarks) lets tests verify.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use whale_fp::{Fingerprint, Fingerprinter};
 
 use crate::fingerprint::{push_kind, push_phase, push_tensor};
 use crate::graph::{Graph, GraphError, Op, OpId, Segment};
+use crate::inline_list::InlineList;
 use crate::intern::{
-    intern_block_with, BlockInst, BlockTemplate, Externals, TemplateInput, TemplateOp,
+    intern_again, intern_block_with, BlockInst, BlockTemplate, InternedBlock, TemplateInput,
+    TemplateOp,
 };
 use crate::op::{OpKind, Phase};
 use crate::tensor::TensorMeta;
@@ -71,6 +78,8 @@ pub struct GraphBuilder {
     block: Option<OpenBlock>,
     /// Block nesting depth; only the outermost bracket interns.
     depth: usize,
+    /// The interner's canonical `Arc` for the block sealed last.
+    last_block: Option<Arc<InternedBlock>>,
 }
 
 impl GraphBuilder {
@@ -90,6 +99,7 @@ impl GraphBuilder {
             lit_start: 0,
             block: None,
             depth: 0,
+            last_block: None,
         }
     }
 
@@ -141,11 +151,11 @@ impl GraphBuilder {
     }
 
     /// Open a block bracket: ops added until the matching [`end_block`]
-    /// are recorded for interning under `prefix`. Nested brackets merge
-    /// into the outermost one.
+    /// are recorded for interning under a name prefix of `prefix_len`
+    /// bytes. Nested brackets merge into the outermost one.
     ///
     /// [`end_block`]: Self::end_block
-    fn begin_block(&mut self, prefix: &str) {
+    fn begin_block(&mut self, prefix_len: usize) {
         self.depth += 1;
         if self.depth > 1 || !self.interning {
             return;
@@ -158,7 +168,7 @@ impl GraphBuilder {
             self.segments.reserve(64);
         }
         self.block = Some(OpenBlock {
-            prefix_len: prefix.len(),
+            prefix_len,
             base: self.ops.len(),
             layer_base: self.layer,
         });
@@ -176,11 +186,14 @@ impl GraphBuilder {
         }
     }
 
-    /// Seal `ops[block.base..]` as one interned block. The interner lookup
-    /// is allocation-free on a hit (every layer after a model's first):
-    /// the recorded ops are hashed and compared against the canonical
-    /// template in place — suffixes by slicing off the prefix, inputs by
-    /// arithmetic — and a [`BlockTemplate`] is only built on a miss.
+    /// Seal `ops[block.base..]` as one interned block, comparing the
+    /// recorded ops with a template in place — suffixes by slicing off the
+    /// prefix, inputs by arithmetic — so no [`BlockTemplate`] is built
+    /// unless the block is new to the process. The block sealed last is
+    /// tried first: a repeated layer matches it with no hash and no lock.
+    /// Any other block is hashed and looked up in the interner's table.
+    /// Either way the result is the canonical `Arc`, so pointer equality
+    /// still holds exactly when templates are equal.
     fn seal_block(&mut self, block: OpenBlock) {
         let ops = &self.ops[block.base..];
         // Ops that don't fit the template shape (foreign name prefix,
@@ -189,12 +202,17 @@ impl GraphBuilder {
         let Some(externals) = block_externals(ops, &block) else {
             return;
         };
-        let hash = block_hash(ops, &block, &externals);
-        let interned = intern_block_with(
-            hash,
-            |template| block_matches(template, ops, &block, &externals),
-            || build_template(ops, &block, &externals),
-        );
+        let interned = match &self.last_block {
+            Some(last) if block_matches(last.template(), ops, &block, &externals) => {
+                intern_again(last)
+            }
+            _ => intern_block_with(
+                block_hash(ops, &block, &externals),
+                |template| block_matches(template, ops, &block, &externals),
+                || build_template(ops, &block, &externals),
+            ),
+        };
+        self.last_block = Some(Arc::clone(&interned));
         self.segments.push(Segment::Block(BlockInst::new(
             interned,
             block.prefix_len,
@@ -216,7 +234,7 @@ impl GraphBuilder {
         &mut self,
         name: String,
         kind: OpKind,
-        inputs: Vec<OpId>,
+        inputs: InlineList<OpId>,
         output: TensorMeta,
         phase: Phase,
         layer: Option<usize>,
@@ -239,18 +257,19 @@ impl GraphBuilder {
         Ok(id)
     }
 
-    /// Raw op insertion at the current layer.
+    /// Raw op insertion at the current layer. A `String` name is moved in,
+    /// not copied.
     pub fn op(
         &mut self,
         name: impl Into<String>,
         kind: OpKind,
-        inputs: Vec<OpId>,
+        inputs: impl IntoIterator<Item = OpId>,
         output: TensorMeta,
     ) -> Result<OpId, GraphError> {
         self.add(
             name.into(),
             kind,
-            inputs,
+            inputs.into_iter().collect(),
             output,
             Phase::Forward,
             Some(self.layer),
@@ -258,14 +277,14 @@ impl GraphBuilder {
     }
 
     /// Graph input of the given shape.
-    pub fn input(&mut self, name: &str, dims: &[usize]) -> Result<OpId, GraphError> {
-        self.op(name, OpKind::Input, vec![], TensorMeta::f32(dims))
+    pub fn input(&mut self, name: impl Into<String>, dims: &[usize]) -> Result<OpId, GraphError> {
+        self.op(name, OpKind::Input, [], TensorMeta::f32(dims))
     }
 
     /// Dense (fully connected) layer: `[rows, in_dim] → [rows, out_dim]`.
     pub fn dense(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         input: OpId,
         rows: usize,
         in_dim: usize,
@@ -279,7 +298,7 @@ impl GraphBuilder {
                 n: out_dim,
                 has_params: true,
             },
-            vec![input],
+            [input],
             TensorMeta::f32(&[rows, out_dim]),
         )
     }
@@ -289,7 +308,7 @@ impl GraphBuilder {
     #[allow(clippy::too_many_arguments)]
     pub fn matmul(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         a: OpId,
         b: OpId,
         m: usize,
@@ -305,33 +324,39 @@ impl GraphBuilder {
                 n,
                 has_params: false,
             },
-            vec![a, b],
+            [a, b],
             TensorMeta::f32(out_dims),
         )
     }
 
     /// Layer normalization preserving the input shape.
-    pub fn layer_norm(&mut self, name: &str, input: OpId, dim: usize) -> Result<OpId, GraphError> {
+    pub fn layer_norm(
+        &mut self,
+        name: impl Into<String>,
+        input: OpId,
+        dim: usize,
+    ) -> Result<OpId, GraphError> {
         let meta = self.output_of(input)?.clone();
         let elems = meta.shape.num_elements();
-        self.op(name, OpKind::LayerNorm { elems, dim }, vec![input], meta)
+        self.op(name, OpKind::LayerNorm { elems, dim }, [input], meta)
     }
 
     /// Softmax preserving the input shape.
-    pub fn softmax(&mut self, name: &str, input: OpId) -> Result<OpId, GraphError> {
+    pub fn softmax(&mut self, name: impl Into<String>, input: OpId) -> Result<OpId, GraphError> {
         let meta = self.output_of(input)?.clone();
         let elems = meta.shape.num_elements();
-        self.op(name, OpKind::Softmax { elems }, vec![input], meta)
+        self.op(name, OpKind::Softmax { elems }, [input], meta)
     }
 
     /// Elementwise op (GeLU ≈ 8 FLOPs/elem, add = 1) preserving shape of the
     /// first input.
     pub fn elementwise(
         &mut self,
-        name: &str,
-        inputs: Vec<OpId>,
+        name: impl Into<String>,
+        inputs: impl IntoIterator<Item = OpId>,
         flops_per_elem: u32,
     ) -> Result<OpId, GraphError> {
+        let inputs: InlineList<OpId> = inputs.into_iter().collect();
         let meta = self.output_of(inputs[0])?.clone();
         let elems = meta.shape.num_elements();
         self.op(
@@ -340,7 +365,7 @@ impl GraphBuilder {
                 elems,
                 flops_per_elem,
             },
-            inputs,
+            inputs.iter().copied(),
             meta,
         )
     }
@@ -349,7 +374,7 @@ impl GraphBuilder {
     #[allow(clippy::too_many_arguments)]
     pub fn conv2d(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         input: OpId,
         batch: usize,
         in_c: usize,
@@ -366,7 +391,7 @@ impl GraphBuilder {
                 kernel,
                 out_hw,
             },
-            vec![input],
+            [input],
             TensorMeta::f32(&[batch, out_c, out_hw.0, out_hw.1]),
         )
     }
@@ -374,7 +399,7 @@ impl GraphBuilder {
     /// Token embedding lookup: `[batch, seq] → [batch, seq, dim]`.
     pub fn embedding(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         input: OpId,
         vocab: usize,
         dim: usize,
@@ -388,7 +413,7 @@ impl GraphBuilder {
                 dim,
                 tokens: batch * seq,
             },
-            vec![input],
+            [input],
             TensorMeta::f32(&[batch, seq, dim]),
         )
     }
@@ -407,10 +432,10 @@ impl GraphBuilder {
     ) -> Result<OpId, GraphError> {
         let rows = batch * seq;
         let head_dim = hidden / heads;
-        let qkv = self.dense(&format!("{prefix}/qkv"), input, rows, hidden, 3 * hidden)?;
+        let qkv = self.dense([prefix, "/qkv"].concat(), input, rows, hidden, 3 * hidden)?;
         // Scores: per head [seq, head_dim] × [head_dim, seq].
         let scores = self.matmul(
-            &format!("{prefix}/scores"),
+            [prefix, "/scores"].concat(),
             qkv,
             qkv,
             batch * heads * seq,
@@ -418,9 +443,9 @@ impl GraphBuilder {
             seq,
             &[batch, heads, seq, seq],
         )?;
-        let probs = self.softmax(&format!("{prefix}/probs"), scores)?;
+        let probs = self.softmax([prefix, "/probs"].concat(), scores)?;
         let ctx = self.matmul(
-            &format!("{prefix}/context"),
+            [prefix, "/context"].concat(),
             probs,
             qkv,
             batch * heads * seq,
@@ -428,9 +453,9 @@ impl GraphBuilder {
             head_dim,
             &[batch, seq, hidden],
         )?;
-        let proj = self.dense(&format!("{prefix}/out_proj"), ctx, rows, hidden, hidden)?;
-        let residual = self.elementwise(&format!("{prefix}/residual"), vec![proj, input], 1)?;
-        self.layer_norm(&format!("{prefix}/ln"), residual, hidden)
+        let proj = self.dense([prefix, "/out_proj"].concat(), ctx, rows, hidden, hidden)?;
+        let residual = self.elementwise([prefix, "/residual"].concat(), [proj, input], 1)?;
+        self.layer_norm([prefix, "/ln"].concat(), residual, hidden)
     }
 
     /// Cross-attention block: queries from `input`, keys/values from
@@ -449,16 +474,16 @@ impl GraphBuilder {
     ) -> Result<OpId, GraphError> {
         let rows = batch * seq;
         let head_dim = hidden / heads;
-        let q = self.dense(&format!("{prefix}/q"), input, rows, hidden, hidden)?;
+        let q = self.dense([prefix, "/q"].concat(), input, rows, hidden, hidden)?;
         let kv = self.dense(
-            &format!("{prefix}/kv"),
+            [prefix, "/kv"].concat(),
             memory,
             batch * mem_seq,
             hidden,
             2 * hidden,
         )?;
         let scores = self.matmul(
-            &format!("{prefix}/scores"),
+            [prefix, "/scores"].concat(),
             q,
             kv,
             batch * heads * seq,
@@ -466,9 +491,9 @@ impl GraphBuilder {
             mem_seq,
             &[batch, heads, seq, mem_seq],
         )?;
-        let probs = self.softmax(&format!("{prefix}/probs"), scores)?;
+        let probs = self.softmax([prefix, "/probs"].concat(), scores)?;
         let ctx = self.matmul(
-            &format!("{prefix}/context"),
+            [prefix, "/context"].concat(),
             probs,
             kv,
             batch * heads * seq,
@@ -476,9 +501,9 @@ impl GraphBuilder {
             head_dim,
             &[batch, seq, hidden],
         )?;
-        let proj = self.dense(&format!("{prefix}/out_proj"), ctx, rows, hidden, hidden)?;
-        let residual = self.elementwise(&format!("{prefix}/residual"), vec![proj, input], 1)?;
-        self.layer_norm(&format!("{prefix}/ln"), residual, hidden)
+        let proj = self.dense([prefix, "/out_proj"].concat(), ctx, rows, hidden, hidden)?;
+        let residual = self.elementwise([prefix, "/residual"].concat(), [proj, input], 1)?;
+        self.layer_norm([prefix, "/ln"].concat(), residual, hidden)
     }
 
     /// Position-wise feed-forward block with GeLU, residual, and layer norm.
@@ -490,11 +515,11 @@ impl GraphBuilder {
         hidden: usize,
         intermediate: usize,
     ) -> Result<OpId, GraphError> {
-        let up = self.dense(&format!("{prefix}/up"), input, rows, hidden, intermediate)?;
-        let act = self.elementwise(&format!("{prefix}/gelu"), vec![up], 8)?;
-        let down = self.dense(&format!("{prefix}/down"), act, rows, intermediate, hidden)?;
-        let residual = self.elementwise(&format!("{prefix}/residual"), vec![down, input], 1)?;
-        self.layer_norm(&format!("{prefix}/ln"), residual, hidden)
+        let up = self.dense([prefix, "/up"].concat(), input, rows, hidden, intermediate)?;
+        let act = self.elementwise([prefix, "/gelu"].concat(), [up], 8)?;
+        let down = self.dense([prefix, "/down"].concat(), act, rows, intermediate, hidden)?;
+        let residual = self.elementwise([prefix, "/residual"].concat(), [down, input], 1)?;
+        self.layer_norm([prefix, "/ln"].concat(), residual, hidden)
     }
 
     /// Full transformer encoder layer (self-attention + FFN) as one model
@@ -510,12 +535,18 @@ impl GraphBuilder {
         heads: usize,
         intermediate: usize,
     ) -> Result<OpId, GraphError> {
-        self.begin_block(prefix);
+        self.begin_block(prefix.len());
         let result = (|| {
-            let attn =
-                self.self_attention(&format!("{prefix}/attn"), input, batch, seq, hidden, heads)?;
+            let attn = self.self_attention(
+                &[prefix, "/attn"].concat(),
+                input,
+                batch,
+                seq,
+                hidden,
+                heads,
+            )?;
             let out = self.ffn(
-                &format!("{prefix}/ffn"),
+                &[prefix, "/ffn"].concat(),
                 attn,
                 batch * seq,
                 hidden,
@@ -543,10 +574,10 @@ impl GraphBuilder {
         heads: usize,
         intermediate: usize,
     ) -> Result<OpId, GraphError> {
-        self.begin_block(prefix);
+        self.begin_block(prefix.len());
         let result = (|| {
             let self_attn = self.self_attention(
-                &format!("{prefix}/self_attn"),
+                &[prefix, "/self_attn"].concat(),
                 input,
                 batch,
                 seq,
@@ -554,7 +585,7 @@ impl GraphBuilder {
                 heads,
             )?;
             let cross = self.cross_attention(
-                &format!("{prefix}/cross_attn"),
+                &[prefix, "/cross_attn"].concat(),
                 self_attn,
                 memory,
                 batch,
@@ -564,7 +595,7 @@ impl GraphBuilder {
                 heads,
             )?;
             let out = self.ffn(
-                &format!("{prefix}/ffn"),
+                &[prefix, "/ffn"].concat(),
                 cross,
                 batch * seq,
                 hidden,
@@ -593,23 +624,29 @@ impl GraphBuilder {
         experts: usize,
         top_k: usize,
     ) -> Result<OpId, GraphError> {
-        self.begin_block(prefix);
+        self.begin_block(prefix.len());
         let result = (|| {
-            let attn =
-                self.self_attention(&format!("{prefix}/attn"), input, batch, seq, hidden, heads)?;
+            let attn = self.self_attention(
+                &[prefix, "/attn"].concat(),
+                input,
+                batch,
+                seq,
+                hidden,
+                heads,
+            )?;
             let tokens = batch * seq;
             let gates = self.op(
-                format!("{prefix}/gating"),
+                [prefix, "/gating"].concat(),
                 OpKind::Gating {
                     tokens,
                     hidden,
                     experts,
                 },
-                vec![attn],
+                [attn],
                 TensorMeta::f32(&[batch, seq, experts]),
             )?;
             let moe = self.op(
-                format!("{prefix}/moe_ffn"),
+                [prefix, "/moe_ffn"].concat(),
                 OpKind::MoeFfn {
                     tokens,
                     hidden,
@@ -617,11 +654,11 @@ impl GraphBuilder {
                     experts,
                     top_k,
                 },
-                vec![attn, gates],
+                [attn, gates],
                 TensorMeta::f32(&[batch, seq, hidden]),
             )?;
-            let residual = self.elementwise(&format!("{prefix}/residual"), vec![moe, attn], 1)?;
-            let out = self.layer_norm(&format!("{prefix}/ln"), residual, hidden)?;
+            let residual = self.elementwise([prefix, "/residual"].concat(), [moe, attn], 1)?;
+            let out = self.layer_norm([prefix, "/ln"].concat(), residual, hidden)?;
             self.next_layer();
             Ok(out)
         })();
@@ -633,14 +670,15 @@ impl GraphBuilder {
     /// Recorded as one interned block.
     pub fn lstm(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         input: OpId,
         seq: usize,
         batch: usize,
         input_dim: usize,
         hidden: usize,
     ) -> Result<OpId, GraphError> {
-        self.begin_block(name);
+        let name = name.into();
+        self.begin_block(name.len());
         let result = self.op(
             name,
             OpKind::Lstm {
@@ -649,7 +687,7 @@ impl GraphBuilder {
                 input_dim,
                 hidden,
             },
-            vec![input],
+            [input],
             TensorMeta::f32(&[batch, seq, hidden]),
         );
         if result.is_ok() {
@@ -663,7 +701,7 @@ impl GraphBuilder {
     /// scalar-per-batch loss tensor.
     pub fn cross_entropy(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         logits: OpId,
         batch: usize,
         classes: usize,
@@ -671,7 +709,7 @@ impl GraphBuilder {
         self.op(
             name,
             OpKind::CrossEntropy { batch, classes },
-            vec![logits],
+            [logits],
             TensorMeta::f32(&[batch]),
         )
     }
@@ -684,13 +722,13 @@ impl GraphBuilder {
 /// prefix text is the first `prefix_len` bytes of the first op's name —
 /// every op must share it, which is what makes the sliced suffixes
 /// reconstructible.
-fn block_externals(ops: &[Op], block: &OpenBlock) -> Option<Externals> {
+fn block_externals(ops: &[Op], block: &OpenBlock) -> Option<InlineList<OpId>> {
     let first = ops.first()?;
     if !first.name.is_char_boundary(block.prefix_len) {
         return None;
     }
     let prefix = &first.name.as_bytes()[..block.prefix_len];
-    let mut externals = Externals::new();
+    let mut externals = InlineList::new();
     for op in ops {
         // A name starting with the (valid UTF-8) prefix bytes necessarily
         // has a char boundary at `prefix_len`, so suffix slicing is safe.
@@ -712,7 +750,8 @@ fn block_externals(ops: &[Op], block: &OpenBlock) -> Option<Externals> {
 /// Hash a recorded block exactly as [`crate::intern::template_fingerprint`]
 /// hashes the template it factors into, without building that template:
 /// suffixes are name slices past the prefix, input slots are recomputed by
-/// arithmetic and a scan of the (short) external list.
+/// arithmetic and a scan of the (short) external list. Runs only on a block
+/// that differs from the one sealed before it.
 fn block_hash(ops: &[Op], block: &OpenBlock, externals: &[OpId]) -> Fingerprint {
     let mut fp = Fingerprinter::new("block-template");
     fp.push_len(ops.len());
@@ -808,7 +847,174 @@ fn build_template(ops: &[Op], block: &OpenBlock, externals: &[OpId]) -> BlockTem
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Rep;
     use crate::profile::CostProfile;
+
+    /// The interned block of every block segment, in order.
+    fn block_arcs(g: &Graph) -> Vec<Arc<InternedBlock>> {
+        let Rep::Interned { segments, .. } = g.rep() else {
+            return Vec::new();
+        };
+        segments
+            .iter()
+            .filter_map(|s| match s {
+                Segment::Block(inst) => Some(Arc::clone(&inst.block)),
+                Segment::Literal { .. } => None,
+            })
+            .collect()
+    }
+
+    /// One way a test block can differ from the base block.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Change {
+        None,
+        OpCount,
+        Suffix,
+        Kind,
+        OutputDim,
+        Phase,
+        LayerOffset,
+        InternalInput,
+        ExternalWiring,
+        InputCount,
+    }
+
+    /// Record one block under `prefix`: `/a` reads `x`, `/b` reads `/a`
+    /// and `y`, `/c` reads `/b` and `x` — with `change` applied.
+    fn record_block(b: &mut GraphBuilder, prefix: &str, x: OpId, y: OpId, change: Change) {
+        let layer = b.layer();
+        let name = |suffix: &str| [prefix, suffix].concat();
+        let kind = |flops_per_elem| OpKind::Elementwise {
+            elems: 64,
+            flops_per_elem,
+        };
+        let meta = TensorMeta::f32(&[4, 16]);
+        b.begin_block(prefix.len());
+        let a = b
+            .add(
+                name("/a"),
+                kind(1),
+                InlineList::from_slice(&[x]),
+                meta.clone(),
+                Phase::Forward,
+                Some(layer),
+            )
+            .unwrap();
+        let mid = b
+            .add(
+                name(if change == Change::Suffix { "/B" } else { "/b" }),
+                kind(if change == Change::Kind { 2 } else { 1 }),
+                InlineList::from_slice(&[a, y]),
+                if change == Change::OutputDim {
+                    TensorMeta::f32(&[4, 17])
+                } else {
+                    meta.clone()
+                },
+                if change == Change::Phase {
+                    Phase::Backward
+                } else {
+                    Phase::Forward
+                },
+                Some(layer),
+            )
+            .unwrap();
+        let last_inputs: &[OpId] = match change {
+            Change::InternalInput => &[a, x],
+            Change::ExternalWiring => &[mid, y],
+            Change::InputCount => &[mid, x, x],
+            _ => &[mid, x],
+        };
+        let last = b
+            .add(
+                name("/c"),
+                kind(1),
+                InlineList::from_slice(last_inputs),
+                meta.clone(),
+                Phase::Forward,
+                Some(layer + usize::from(change == Change::LayerOffset)),
+            )
+            .unwrap();
+        if change == Change::OpCount {
+            b.add(
+                name("/d"),
+                kind(1),
+                InlineList::from_slice(&[last]),
+                meta,
+                Phase::Forward,
+                Some(layer),
+            )
+            .unwrap();
+        }
+        b.end_block();
+    }
+
+    fn builder_with_externals(name: &str) -> (GraphBuilder, OpId, OpId) {
+        let mut b = GraphBuilder::with_interning(name, true);
+        let x = b.input("x", &[4, 16]).unwrap();
+        let y = b.input("y", &[4, 16]).unwrap();
+        (b, x, y)
+    }
+
+    #[test]
+    fn a_block_that_differs_from_the_one_before_gets_its_own_template() {
+        for change in [
+            Change::OpCount,
+            Change::Suffix,
+            Change::Kind,
+            Change::OutputDim,
+            Change::Phase,
+            Change::LayerOffset,
+            Change::InternalInput,
+            Change::ExternalWiring,
+            Change::InputCount,
+        ] {
+            let (mut b, x, y) = builder_with_externals("changes");
+            record_block(&mut b, "base", x, y, Change::None);
+            record_block(&mut b, "same.0", x, y, Change::None);
+            record_block(&mut b, "changed", x, y, change);
+            let blocks = block_arcs(&b.finish());
+            assert_eq!(blocks.len(), 3, "{change:?}");
+            assert!(Arc::ptr_eq(&blocks[0], &blocks[1]), "{change:?}");
+            assert!(!Arc::ptr_eq(&blocks[1], &blocks[2]), "{change:?}");
+        }
+    }
+
+    #[test]
+    fn a_block_equal_to_an_earlier_one_gets_the_earlier_arc() {
+        // A, B, A: the third block misses the block before it (B) and is
+        // found in the interner's table.
+        let (mut b, x, y) = builder_with_externals("aba");
+        record_block(&mut b, "a.0", x, y, Change::None);
+        record_block(&mut b, "b", x, y, Change::Kind);
+        record_block(&mut b, "a.1", x, y, Change::None);
+        let blocks = block_arcs(&b.finish());
+        assert!(!Arc::ptr_eq(&blocks[0], &blocks[1]));
+        assert!(!Arc::ptr_eq(&blocks[1], &blocks[2]));
+        assert!(Arc::ptr_eq(&blocks[0], &blocks[2]));
+    }
+
+    #[test]
+    fn block_matches_checks_the_external_slot_count() {
+        // A template the builder builds references every one of its
+        // slots, so only a hand-built one can differ in the count alone.
+        let (mut b, x, y) = builder_with_externals("slots");
+        let base = b.graph_len();
+        record_block(&mut b, "blk", x, y, Change::None);
+        let block = OpenBlock {
+            prefix_len: "blk".len(),
+            base,
+            layer_base: b.layer(),
+        };
+        let ops = &b.ops[base..];
+        let externals = block_externals(ops, &block).unwrap();
+        let template = build_template(ops, &block, &externals);
+        assert!(block_matches(&template, ops, &block, &externals));
+        let wider = BlockTemplate {
+            external_slots: template.external_slots + 1,
+            ..template
+        };
+        assert!(!block_matches(&wider, ops, &block, &externals));
+    }
 
     #[test]
     fn encoder_layer_parameter_count() {

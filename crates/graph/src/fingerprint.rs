@@ -39,8 +39,9 @@ pub(crate) fn push_phase(fp: &mut Fingerprinter, phase: Phase) {
 }
 
 pub(crate) fn push_tensor(fp: &mut Fingerprinter, t: &TensorMeta) {
-    fp.push_len(t.shape.0.len());
-    for &d in &t.shape.0 {
+    let dims = t.shape.dims();
+    fp.push_len(dims.len());
+    for &d in dims {
         fp.push_usize(d);
     }
     // Explicit match (not `as u8`) so reordering the enum cannot silently

@@ -14,6 +14,7 @@
 //! and all graphs in the process, and fingerprinting, equality, and
 //! adjacency compose from per-block memos instead of re-walking the ops.
 
+use crate::inline_list::InlineList;
 use crate::intern::{BlockInst, TemplateInput};
 use crate::op::{OpKind, Phase};
 use crate::tensor::TensorMeta;
@@ -23,7 +24,8 @@ use std::sync::{Arc, OnceLock};
 use whale_fp::Fingerprint;
 
 /// Identifier of an operation within a [`Graph`]; dense in `0..graph.len()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// The default, `OpId(0)`, only pads [`InlineList`]s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub usize);
 
 impl fmt::Display for OpId {
@@ -41,8 +43,9 @@ pub struct Op {
     pub name: String,
     /// Semantic kind with cost attributes.
     pub kind: OpKind,
-    /// Data dependencies (producers of this op's inputs).
-    pub inputs: Vec<OpId>,
+    /// Data dependencies (producers of this op's inputs), inline up to
+    /// four.
+    pub inputs: InlineList<OpId>,
     /// Metadata of the (single) output tensor.
     pub output: TensorMeta,
     /// Execution phase.
@@ -350,7 +353,7 @@ fn write_block_ops(inst: &BlockInst, prefix: &str, out: &mut [Op]) {
     for (off, (slot, t)) in out.iter_mut().zip(template.ops.iter()).enumerate() {
         *slot = Op {
             id: OpId(inst.base + off),
-            name: format!("{prefix}{}", t.suffix),
+            name: [prefix, t.suffix.as_str()].concat(),
             kind: t.kind.clone(),
             inputs: t
                 .inputs
@@ -471,12 +474,13 @@ impl Graph {
         &mut self,
         name: impl Into<String>,
         kind: OpKind,
-        inputs: Vec<OpId>,
+        inputs: impl IntoIterator<Item = OpId>,
         output: TensorMeta,
         phase: Phase,
         layer: Option<usize>,
     ) -> Result<OpId, GraphError> {
         let name = name.into();
+        let inputs: InlineList<OpId> = inputs.into_iter().collect();
         let id = OpId(self.len());
         for &input in &inputs {
             if input.0 >= id.0 {
@@ -808,7 +812,7 @@ mod tests {
             out.add_op(
                 op.name.clone(),
                 op.kind.clone(),
-                op.inputs.clone(),
+                op.inputs.iter().copied(),
                 op.output.clone(),
                 op.phase,
                 op.layer,
@@ -931,6 +935,53 @@ mod tests {
 
         assert!(g.with_block_replaced(7, &donor, 0).is_err());
         assert!(g.with_block_replaced(0, &mk_chain(3), 0).is_err());
+    }
+
+    #[test]
+    fn an_op_with_six_inputs_spills_and_keeps_its_value_semantics() {
+        let mut g = mk_chain(6);
+        let inputs: Vec<OpId> = [5, 0, 4, 1, 3, 2].into_iter().map(OpId).collect();
+        let wide = g
+            .add_op(
+                "wide",
+                OpKind::Elementwise {
+                    elems: 4,
+                    flops_per_elem: 1,
+                },
+                inputs.clone(),
+                TensorMeta::f32(&[4]),
+                Phase::Forward,
+                None,
+            )
+            .unwrap();
+        let op = g.op(wide).unwrap();
+        assert!(op.inputs.spilled());
+        assert_eq!(&*op.inputs, inputs.as_slice());
+        assert_eq!(op.inputs, inputs.iter().copied().collect());
+        assert_ne!(op.inputs, inputs[..5].iter().copied().collect());
+        assert_eq!(format!("{:?}", op.inputs), format!("{inputs:?}"));
+        assert_eq!(g.consumers()[5], vec![wide]);
+    }
+
+    #[test]
+    fn op_debug_text_is_unchanged_by_inline_storage() {
+        let g = crate::models::bert_base(8, 128).unwrap();
+        let op = g
+            .ops()
+            .iter()
+            .find(|op| op.name == "encoder.0/attn/scores")
+            .unwrap();
+        assert_eq!(
+            format!("{op:?}"),
+            "Op { id: OpId(3), name: \"encoder.0/attn/scores\", kind: MatMul { m: 12288, \
+             k: 64, n: 128, has_params: false }, inputs: [OpId(2), OpId(2)], output: \
+             TensorMeta { shape: Shape([8, 12, 128, 128]), dtype: F32 }, phase: Forward, \
+             layer: Some(1) }"
+        );
+        assert_eq!(
+            format!("{:?}", op.output),
+            "TensorMeta { shape: Shape([8, 12, 128, 128]), dtype: F32 }"
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@ use whale_fp::{Fingerprint, Fingerprinter};
 
 use crate::fingerprint::{push_kind, push_phase, push_tensor};
 use crate::graph::OpId;
+use crate::inline_list::InlineList;
 use crate::op::{OpKind, Phase};
 use crate::tensor::TensorMeta;
 
@@ -145,92 +146,11 @@ impl InternedBlock {
     }
 }
 
-/// External producers of one block instance. Inline up to four ids (the
-/// common arities: encoder layers take one, decoder layers two) so
-/// instantiating a block allocates nothing; wider blocks spill to a `Vec`.
-#[derive(Debug, Clone)]
-pub enum Externals {
-    /// `buf[..len]` holds the producers; the tail is padding.
-    Inline {
-        /// Number of live entries in `buf`.
-        len: u8,
-        /// Inline storage.
-        buf: [OpId; 4],
-    },
-    /// Spilled storage for blocks with more than four externals.
-    Heap(Vec<OpId>),
-}
-
-impl Externals {
-    /// An empty list (inline, no allocation).
-    pub fn new() -> Externals {
-        Externals::Inline {
-            len: 0,
-            buf: [OpId(0); 4],
-        }
-    }
-
-    /// Append a producer, spilling to the heap past the inline capacity.
-    pub fn push(&mut self, id: OpId) {
-        match self {
-            Externals::Inline { len, buf } => {
-                if (*len as usize) < buf.len() {
-                    buf[*len as usize] = id;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(buf.len() * 2);
-                    v.extend_from_slice(buf);
-                    v.push(id);
-                    *self = Externals::Heap(v);
-                }
-            }
-            Externals::Heap(v) => v.push(id),
-        }
-    }
-
-    /// The live entries.
-    pub fn as_slice(&self) -> &[OpId] {
-        match self {
-            Externals::Inline { len, buf } => &buf[..*len as usize],
-            Externals::Heap(v) => v,
-        }
-    }
-}
-
-impl Default for Externals {
-    fn default() -> Externals {
-        Externals::new()
-    }
-}
-
-impl std::ops::Deref for Externals {
-    type Target = [OpId];
-    fn deref(&self) -> &[OpId] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for Externals {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl FromIterator<OpId> for Externals {
-    fn from_iter<I: IntoIterator<Item = OpId>>(iter: I) -> Externals {
-        let mut e = Externals::new();
-        for id in iter {
-            e.push(id);
-        }
-        e
-    }
-}
-
 /// One placement of an interned block inside a graph: everything the
 /// template factored out. The instance owns no text — the name prefix is
 /// recovered by slicing `prefix_len` bytes off the instantiated first op's
 /// name in the graph's flat storage — so creating one allocates nothing
-/// (inline externals included). Cloning a graph (or splicing one edited
+/// (up to four externals are held inline). Cloning a graph (or splicing one edited
 /// block) copies the untouched instances, memoized fingerprint
 /// contribution included, so per-instance memos survive across graph
 /// versions.
@@ -246,7 +166,7 @@ pub struct BlockInst {
     /// Layer index the template's `layer_rel` values are relative to.
     pub layer_base: usize,
     /// Absolute producers for the template's external slots.
-    pub externals: Externals,
+    pub externals: InlineList<OpId>,
     fp_sum: OnceLock<u64>,
 }
 
@@ -257,7 +177,7 @@ impl BlockInst {
         prefix_len: usize,
         base: usize,
         layer_base: usize,
-        externals: Externals,
+        externals: InlineList<OpId>,
     ) -> BlockInst {
         assert_eq!(
             externals.len(),
@@ -387,8 +307,8 @@ pub fn intern_block(template: BlockTemplate) -> Arc<InternedBlock> {
 }
 
 /// Intern by externally computed key, building the template only on a
-/// miss. This is the builder's allocation-free hot path: on a hit (every
-/// layer after a model's first), recorded ops are verified against the
+/// miss. The builder takes this path for a block that differs from the one
+/// it sealed before: on a hit, recorded ops are verified against the
 /// canonical template in place and no [`BlockTemplate`] is ever built.
 ///
 /// Contract: `fingerprint` must equal [`template_fingerprint`] of the
@@ -423,6 +343,15 @@ pub fn intern_block_with(
     });
     bucket.push(Arc::clone(&block));
     block
+}
+
+/// Intern a block the caller already holds the canonical `Arc` of, having
+/// checked its content against that `Arc`'s template: counted as a hit,
+/// with no hash and no lock on the table. The builder's path for a block
+/// equal to the one it sealed before (every repeated layer).
+pub(crate) fn intern_again(block: &Arc<InternedBlock>) -> Arc<InternedBlock> {
+    counters::INTERN_HITS.fetch_add(1, Ordering::Relaxed);
+    Arc::clone(block)
 }
 
 /// Number of distinct templates currently interned (diagnostics; the table
@@ -539,21 +468,23 @@ mod tests {
 
     #[test]
     fn externals_inline_then_spill() {
-        let mut e = Externals::new();
+        let mut e = InlineList::new();
         assert!(e.is_empty());
         for i in 0..6 {
             e.push(OpId(i));
-            assert!(matches!(&e, Externals::Inline { .. }) == (i < 4));
+            assert_eq!(e.spilled(), i >= 4);
         }
-        assert_eq!(e.as_slice(), (0..6).map(OpId).collect::<Vec<_>>());
-        let same: Externals = (0..6).map(OpId).collect();
+        assert_eq!(&*e, (0..6).map(OpId).collect::<Vec<_>>());
+        let same: InlineList<OpId> = (0..6).map(OpId).collect();
         assert_eq!(e, same);
-        let inline: Externals = (0..3).map(OpId).collect();
+        let inline: InlineList<OpId> = (0..3).map(OpId).collect();
         assert_ne!(e, inline);
         // Equality ignores representation padding.
-        let a: Externals = [OpId(7)].into_iter().collect();
-        let mut b = Externals::new();
+        let a: InlineList<OpId> = [OpId(7)].into_iter().collect();
+        let mut b = InlineList::new();
         b.push(OpId(9));
         assert_ne!(a, b);
+        b[0] = OpId(7);
+        assert_eq!(a, b);
     }
 }

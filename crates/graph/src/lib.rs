@@ -29,6 +29,7 @@ pub mod autodiff;
 pub mod builder;
 pub mod fingerprint;
 pub mod graph;
+pub mod inline_list;
 pub mod intern;
 pub mod models;
 pub mod op;
@@ -39,6 +40,7 @@ pub mod tensor;
 pub use autodiff::{derive_training_graph, TrainingGraph};
 pub use builder::{set_default_interning, GraphBuilder};
 pub use graph::{Graph, GraphError, Op, OpId, Segment};
+pub use inline_list::InlineList;
 pub use op::{OpKind, Phase};
 pub use profile::{CostProfile, Optimizer, TrainingConfig, ZeroStage};
 pub use stats::{graph_stats, GraphStats};

@@ -38,14 +38,14 @@ pub fn gnmt_with_config(config: GnmtConfig, batch: usize, seq: usize) -> Result<
     let mut enc = b.embedding("src_embed", src, config.vocab, h, batch, seq)?;
     b.next_layer();
     for i in 0..config.encoder_layers {
-        enc = b.lstm(&format!("encoder.{i}"), enc, seq, batch, h, h)?;
+        enc = b.lstm(format!("encoder.{i}"), enc, seq, batch, h, h)?;
     }
 
     let tgt = b.input("tgt_tokens", &[batch, seq])?;
     let mut dec = b.embedding("tgt_embed", tgt, config.vocab, h, batch, seq)?;
     b.next_layer();
     for i in 0..config.decoder_layers {
-        dec = b.lstm(&format!("decoder.{i}"), dec, seq, batch, h, h)?;
+        dec = b.lstm(format!("decoder.{i}"), dec, seq, batch, h, h)?;
         if i == 0 {
             // Bahdanau-style attention over encoder states after the first
             // decoder layer.
@@ -68,7 +68,7 @@ pub fn gnmt_with_config(config: GnmtConfig, batch: usize, seq: usize) -> Result<
                 h,
                 &[batch, seq, h],
             )?;
-            dec = b.elementwise("attention/combine", vec![dec, ctx], 1)?;
+            dec = b.elementwise("attention/combine", [dec, ctx], 1)?;
         }
     }
     let logits = b.dense("projection", dec, batch * seq, h, config.vocab)?;

@@ -83,7 +83,7 @@ pub fn m6(config: M6Config, batch: usize) -> Result<Graph, GraphError> {
             elems: (batch * seq * h) as u64,
             flops_per_elem: 1,
         },
-        vec![vis, txt],
+        [vis, txt],
         crate::tensor::TensorMeta::f32(&[batch, seq, h]),
     )?;
     b.next_layer();

@@ -26,7 +26,7 @@ fn features(batch: usize) -> Result<(GraphBuilder, OpId, usize), GraphError> {
         OpKind::Pool {
             elems: (batch * 64 * 112 * 112) as u64,
         },
-        vec![h],
+        [h],
         TensorMeta::f32(&[batch, 64, 56, 56]),
     )?;
     b.next_layer();
@@ -37,7 +37,7 @@ fn features(batch: usize) -> Result<(GraphBuilder, OpId, usize), GraphError> {
             let prefix = format!("stage{}/block{}", stage_idx + 1, blk);
             let identity = h;
             let c1 = b.conv2d(
-                &format!("{prefix}/conv1"),
+                [prefix.as_str(), "/conv1"].concat(),
                 h,
                 batch,
                 in_c,
@@ -46,7 +46,7 @@ fn features(batch: usize) -> Result<(GraphBuilder, OpId, usize), GraphError> {
                 (hw, hw),
             )?;
             let c2 = b.conv2d(
-                &format!("{prefix}/conv2"),
+                [prefix.as_str(), "/conv2"].concat(),
                 c1,
                 batch,
                 mid,
@@ -55,7 +55,7 @@ fn features(batch: usize) -> Result<(GraphBuilder, OpId, usize), GraphError> {
                 (hw, hw),
             )?;
             let c3 = b.conv2d(
-                &format!("{prefix}/conv3"),
+                [prefix.as_str(), "/conv3"].concat(),
                 c2,
                 batch,
                 mid,
@@ -66,7 +66,7 @@ fn features(batch: usize) -> Result<(GraphBuilder, OpId, usize), GraphError> {
             // Projection shortcut on the first block of each stage.
             let skip = if blk == 0 {
                 b.conv2d(
-                    &format!("{prefix}/proj"),
+                    [prefix.as_str(), "/proj"].concat(),
                     identity,
                     batch,
                     in_c,
@@ -77,7 +77,7 @@ fn features(batch: usize) -> Result<(GraphBuilder, OpId, usize), GraphError> {
             } else {
                 identity
             };
-            h = b.elementwise(&format!("{prefix}/add_relu"), vec![c3, skip], 2)?;
+            h = b.elementwise([prefix.as_str(), "/add_relu"].concat(), [c3, skip], 2)?;
             in_c = out_c;
             b.next_layer();
         }
@@ -88,7 +88,7 @@ fn features(batch: usize) -> Result<(GraphBuilder, OpId, usize), GraphError> {
         OpKind::Pool {
             elems: (batch * 2048 * 7 * 7) as u64,
         },
-        vec![h],
+        [h],
         TensorMeta::f32(&[batch, 2048]),
     )?;
     Ok((b, pooled, 2048))

@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use crate::inline_list::InlineList;
+
 /// Element types understood by the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
@@ -50,19 +52,25 @@ impl fmt::Display for DType {
 }
 
 /// A dense tensor shape. Dimension 0 is the batch dimension by convention,
-/// which is what bridge layers partition and gather along (§3.4).
+/// which is what bridge layers partition and gather along (§3.4). Dims are
+/// held inline up to rank four.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Shape(pub Vec<usize>);
+pub struct Shape(InlineList<usize>);
 
 impl Shape {
     /// Scalar shape.
     pub fn scalar() -> Shape {
-        Shape(vec![])
+        Shape(InlineList::new())
     }
 
     /// Build from a slice of dimensions.
     pub fn of(dims: &[usize]) -> Shape {
-        Shape(dims.to_vec())
+        Shape(InlineList::from_slice(dims))
+    }
+
+    /// The dimensions, outermost first.
+    pub fn dims(&self) -> &[usize] {
+        &self.0
     }
 
     /// Number of dimensions.
@@ -183,6 +191,32 @@ mod tests {
         assert!(Shape::of(&[4]).split_batch(0).is_none());
         let one = Shape::of(&[4]).split_batch(1).unwrap();
         assert_eq!(one, vec![Shape::of(&[4])]);
+    }
+
+    #[test]
+    fn rank_five_shapes_spill_and_keep_their_value_semantics() {
+        let dims = [2, 3, 4, 5, 6];
+        let shape = Shape::of(&dims);
+        assert!(shape.0.spilled());
+        assert!(!Shape::of(&dims[..4]).0.spilled());
+        assert_eq!(shape.dims(), dims);
+        assert_eq!(shape.rank(), 5);
+        assert_eq!(shape, Shape::of(&dims));
+        assert_ne!(shape, Shape::of(&dims[..4]));
+        assert_eq!(shape.with_batch(7).dims(), [7, 3, 4, 5, 6]);
+        assert_eq!(format!("{shape:?}"), "Shape([2, 3, 4, 5, 6])");
+        assert_eq!(shape.to_string(), "[2, 3, 4, 5, 6]");
+        let metas: std::collections::HashSet<TensorMeta> = [
+            TensorMeta::f32(&dims),
+            TensorMeta::f32(&dims),
+            TensorMeta::f32(&dims[..4]),
+            TensorMeta::f32(&dims[..4]),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(metas.len(), 2);
+        assert!(metas.contains(&TensorMeta::f32(&dims)));
+        assert!(metas.contains(&TensorMeta::f32(&dims[..4])));
     }
 
     #[test]

@@ -265,8 +265,10 @@ impl Cluster {
 
     /// The global id a
     /// [`GpuAdded`](crate::delta::ClusterDelta::GpuAdded) delta will assign
-    /// to a GPU joining `node`: one past the node's current last GPU, or the
-    /// current GPU count when `node == num_nodes()` appends a new node.
+    /// to a GPU joining `node`: the number of GPUs on nodes `0..=node`,
+    /// since the delta renumbers densely in node order. That is one past
+    /// the node's last GPU, or the ids of the nodes before an empty node,
+    /// or every GPU when `node == num_nodes()` appends a new node.
     /// Existing ids at or above the returned id shift up by one when the
     /// delta applies — callers holding id sets remap with
     /// [`VirtualDevice::remap_inserted`](crate::virtual_device::VirtualDevice::remap_inserted).
@@ -277,14 +279,12 @@ impl Cluster {
                 self.nodes.len()
             )));
         }
-        if node == self.nodes.len() {
-            return Ok(self.gpus.len());
-        }
-        Ok(self.nodes[node]
-            .gpu_ids
-            .last()
-            .copied()
-            .map_or(self.gpus.len(), |last| last + 1))
+        Ok(self
+            .nodes
+            .iter()
+            .take(node + 1)
+            .map(|n| n.gpu_ids.len())
+            .sum())
     }
 }
 
@@ -516,16 +516,29 @@ mod tests {
         assert_eq!(pool.insertion_id(2).unwrap(), 4);
         assert!(pool.insertion_id(3).is_err());
         // Cross-check against an applied delta: the GPU really appears at
-        // the predicted id.
-        for node in 0..=pool.num_nodes() {
-            let at = pool.insertion_id(node).unwrap();
-            let mut c = pool.clone();
-            c.apply_delta(crate::delta::ClusterDelta::GpuAdded {
-                node,
-                model: GpuModel::T4,
-            })
-            .unwrap();
-            assert_eq!(c.gpu(at).unwrap().model, GpuModel::T4, "node {node}");
+        // the predicted id, also on layouts with an empty first, middle or
+        // last node (only `ClusterBuilder` makes those).
+        let layouts: [&[usize]; 4] = [&[0, 1], &[1, 0, 1], &[2, 1, 0], &[0]];
+        let built = layouts.iter().map(|counts| {
+            counts
+                .iter()
+                .fold(ClusterBuilder::new(), |b, &n| {
+                    b.add_node(vec![GpuModel::V100_32GB; n])
+                })
+                .build()
+        });
+        for pool in std::iter::once(pool).chain(built) {
+            for node in 0..=pool.num_nodes() {
+                let at = pool.insertion_id(node).unwrap();
+                let mut c = pool.clone();
+                c.apply_delta(crate::delta::ClusterDelta::GpuAdded {
+                    node,
+                    model: GpuModel::T4,
+                })
+                .unwrap();
+                let landed = c.gpus().iter().position(|g| g.model == GpuModel::T4);
+                assert_eq!(landed, Some(at), "{:?}, node {node}", pool.nodes());
+            }
         }
     }
 }

@@ -129,7 +129,7 @@ mod tests {
         let mut b = GraphBuilder::new("chain");
         let mut prev = b.input("x", &[4, 8]).unwrap();
         for i in 1..n {
-            prev = b.dense(&format!("fc{i}"), prev, 4, 8, 8).unwrap();
+            prev = b.dense(format!("fc{i}"), prev, 4, 8, 8).unwrap();
         }
         b.finish()
     }

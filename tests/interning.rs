@@ -52,6 +52,26 @@ fn identical_layers_intern_to_one_allocation() {
 }
 
 #[test]
+fn a_run_of_equal_layers_is_looked_up_once_per_run() {
+    let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
+
+    // Layers A, B, A, A. A and B are new to the process: two misses. The
+    // second A misses the block before it (B) and hits A in the table;
+    // the third matches the block before it, with no table lookup.
+    let (h0, m0) = (counters::intern_hits(), counters::intern_misses());
+    let mut b = GraphBuilder::with_interning("aba", true);
+    let mut h = b.input("x", &[2, 16, 64]).unwrap();
+    for (i, intermediate) in [416, 448, 416, 416].into_iter().enumerate() {
+        h = b
+            .encoder_layer(&format!("enc.{i}"), h, 2, 16, 64, 4, intermediate)
+            .unwrap();
+    }
+    assert_eq!(b.finish().block_count(), 4);
+    assert_eq!(counters::intern_misses() - m0, 2);
+    assert_eq!(counters::intern_hits() - h0, 2);
+}
+
+#[test]
 fn refingerprint_is_free_and_a_block_edit_rehashes_exactly_one_block() {
     let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
 
@@ -85,7 +105,7 @@ fn refingerprint_is_free_and_a_block_edit_rehashes_exactly_one_block() {
             .add_op(
                 op.name.clone(),
                 op.kind.clone(),
-                op.inputs.clone(),
+                op.inputs.iter().copied(),
                 op.output.clone(),
                 op.phase,
                 op.layer,
