@@ -92,8 +92,8 @@ jq -s . $(for ((i = 0; i < pairs; i++)); do echo "$runs/change-$i.json"; done) >
 
 echo "$workload: $pairs pairs of ${seconds}s, seeds $first_seed-$((first_seed + pairs - 1)), parent $sha vs working tree"
 jq -r --slurpfile parent "$runs/parent.json" --slurpfile change "$runs/change.json" '
-  def q(p): sort as $s | ($s | length - 1) * p as $h | ($h | floor) as $lo
-    | $s[$lo] + ($h - $lo) * (($s[[$lo + 1, ($s | length - 1)] | min]) - $s[$lo]);
+  def q(p): sort as $s | ((($s | length) - 1) * p) as $h | ($h | floor) as $lo
+    | $s[$lo] + ($h - $lo) * ($s[[$lo + 1, ($s | length) - 1] | min] - $s[$lo]);
   def fmt: if . == null then "null" else (. * 10000 | round / 10000 | tostring) end;
   def side(v): "\(v | q(0.5) | fmt) [\(v | q(0.25) | fmt)-\(v | q(0.75) | fmt)]";
   def pad(n): if n > length then . + (" " * (n - length)) else . end;
