@@ -71,7 +71,8 @@ impl<T: Copy + Default> InlineList<T> {
     }
 
     /// Whether the entries live on the heap.
-    pub fn spilled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn spilled(&self) -> bool {
         matches!(self.0, Repr::Heap(_))
     }
 }

@@ -94,7 +94,9 @@ echo "$workload: $pairs pairs of ${seconds}s, seeds $first_seed-$((first_seed + 
 jq -r --slurpfile parent "$runs/parent.json" --slurpfile change "$runs/change.json" '
   def q(p): sort as $s | ((($s | length) - 1) * p) as $h | ($h | floor) as $lo
     | $s[$lo] + ($h - $lo) * ($s[[$lo + 1, ($s | length) - 1] | min] - $s[$lo]);
-  def fmt: if . == null then "null" else (. * 10000 | round / 10000 | tostring) end;
+  # Four decimals, or four significant digits below 1.
+  def fmt: if . == null then "null" elif . == 0 then "0"
+    else pow(10; [4, 3 - (fabs | log10 | floor)] | max) as $m | . * $m | round / $m | tostring end;
   def side(v): "\(v | q(0.5) | fmt) [\(v | q(0.25) | fmt)-\(v | q(0.75) | fmt)]";
   def pad(n): if n > length then . + (" " * (n - length)) else . end;
   [["metric", "unit", "better", "parent median [q1-q3]", "change median [q1-q3]",
