@@ -267,8 +267,8 @@ impl Cluster {
     /// [`GpuAdded`](crate::delta::ClusterDelta::GpuAdded) delta will assign
     /// to a GPU joining `node`: the number of GPUs on nodes `0..=node`,
     /// since the delta renumbers densely in node order. That is one past
-    /// the node's last GPU, or the ids of the nodes before an empty node,
-    /// or every GPU when `node == num_nodes()` appends a new node.
+    /// the node's last GPU; for an empty node, the GPU count of the nodes
+    /// before it; and every GPU when `node == num_nodes()` appends a node.
     /// Existing ids at or above the returned id shift up by one when the
     /// delta applies — callers holding id sets remap with
     /// [`VirtualDevice::remap_inserted`](crate::virtual_device::VirtualDevice::remap_inserted).
