@@ -274,3 +274,82 @@ fn cluster_topology_is_keyed_not_just_the_gpu_census() {
     assert_eq!(a.num_nodes(), b.num_nodes());
     assert_ne!(a.fingerprint(), b.fingerprint());
 }
+
+// --- zoo goldens ---------------------------------------------------------
+
+/// `Graph::fingerprint()` of every `whale-cli models` member, built as
+/// `crates/cli/src/zoo.rs` builds it at batch 2 and sequence 32, then of
+/// bert-base's training graph. Recorded while graphs were still built from
+/// interned layer blocks, so this pins that the flat graph core keys every
+/// member exactly as the interned one did. Regenerate with
+///
+/// ```text
+/// cargo test --offline --test fingerprints -- --ignored --nocapture print_goldens
+/// ```
+///
+/// and paste the printed rows over `ZOO_GOLDENS`.
+const ZOO_GOLDENS: &[(&str, u64)] = &[
+    ("resnet50", 0x0f3ccdb2d22b1340),
+    ("imagenet100k", 0x7977d28722c24d16),
+    ("bert-base", 0xbd198ad9a710b45f),
+    ("bert-large", 0x7717c86ffcb45a3f),
+    ("gnmt", 0xc6219f3b0231fa2e),
+    ("t5-large", 0x47b22a68fe9d7d54),
+    ("vit-large", 0x8399c7ca98ae9256),
+    ("gpt2-xl", 0x0146f9b6b94b064a),
+    ("m6-10b", 0x1e91cc9aba46a017),
+    ("m6-tiny", 0x62afa51179dc656f),
+    ("m6-moe-100b", 0x168b5efd909c01c5),
+    ("m6-moe-1t", 0x2de572f15f04420d),
+    ("m6-moe-1t-deep", 0xae9f0db17f8a30fc),
+    ("moe-tiny", 0xc8ee731c5b65d213),
+    ("bert-base training", 0x39b623647f85fe4f),
+];
+
+fn zoo_fingerprints() -> Vec<(&'static str, Fingerprint)> {
+    let (batch, seq) = (2, 32);
+    let zoo = [
+        ("resnet50", models::resnet50(batch)),
+        ("imagenet100k", models::imagenet_100k(batch)),
+        ("bert-base", models::bert_base(batch, seq)),
+        ("bert-large", models::bert_large(batch, seq)),
+        ("gnmt", models::gnmt(batch, seq.min(200))),
+        ("t5-large", models::t5_large(batch, seq, seq)),
+        ("vit-large", models::vit_large(batch)),
+        ("gpt2-xl", models::gpt2_xl(batch, seq)),
+        ("m6-10b", models::m6_10b(batch)),
+        ("m6-tiny", models::m6(models::M6Config::tiny(), batch)),
+        ("m6-moe-100b", models::m6_moe_100b(batch)),
+        ("m6-moe-1t", models::m6_moe_1t(batch)),
+        ("m6-moe-1t-deep", models::m6_moe_1t_deep(batch)),
+        ("moe-tiny", models::m6_moe(models::MoeConfig::tiny(), batch)),
+    ];
+    let mut out: Vec<_> = zoo
+        .into_iter()
+        .map(|(name, graph)| (name, graph.unwrap().fingerprint()))
+        .collect();
+    let training =
+        whale_graph::derive_training_graph(&models::bert_base(batch, seq).unwrap()).unwrap();
+    out.push(("bert-base training", training.graph.fingerprint()));
+    out
+}
+
+#[test]
+fn zoo_fingerprints_match_their_goldens() {
+    let got = zoo_fingerprints();
+    for (i, (a, fa)) in got.iter().enumerate() {
+        for (b, fb) in &got[i + 1..] {
+            assert_ne!(fa, fb, "{a} and {b} share a fingerprint");
+        }
+    }
+    let got: Vec<(&str, u64)> = got.into_iter().map(|(name, fp)| (name, fp.0)).collect();
+    assert_eq!(got, ZOO_GOLDENS);
+}
+
+#[test]
+#[ignore = "prints the ZOO_GOLDENS table; run it to regenerate after an intended change"]
+fn print_goldens() {
+    for (name, fp) in zoo_fingerprints() {
+        println!("    (\"{name}\", {:#018x}),", fp.0);
+    }
+}
