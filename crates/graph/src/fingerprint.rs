@@ -7,29 +7,22 @@
 //! graphs hash equal iff the planner cannot distinguish them; changing one
 //! op's shape or one matmul dimension changes the fingerprint.
 //!
-//! # Incremental composition
-//!
 //! The graph fingerprint is the wrapping sum of independent per-op content
 //! hashes (each covering the op's id, so position is pinned and two ops can
 //! never trade places unnoticed), folded into one final FNV pass together
-//! with the graph name and length. Summation makes the fingerprint
-//! *composable*: an interned graph adds up per-segment subtotals, where
-//! each block instantiation's subtotal is memoized
-//! ([`crate::intern::BlockInst::content_sum`]) and computed without
-//! materializing the ops. Re-fingerprinting after a single-block edit
-//! ([`crate::graph::Graph::with_block_replaced`]) therefore re-hashes only
-//! the touched block — and the result is bit-identical to fingerprinting
-//! the same ops stored flat, so interned and uninterned builds of one model
-//! share cache keys.
+//! with the graph name and length. The sum, rather than one running hash
+//! over every op, is the form every recorded plan key and golden digest
+//! was computed with. It is memoized per graph value (see
+//! [`Graph::fingerprint`]).
 
 use whale_fp::{Fingerprint, Fingerprinter};
 
-use crate::graph::{Graph, Op, Rep, Segment};
+use crate::graph::{Graph, Op};
 use crate::op::{OpKind, Phase};
 use crate::profile::TrainingConfig;
 use crate::tensor::{DType, TensorMeta};
 
-pub(crate) fn push_phase(fp: &mut Fingerprinter, phase: Phase) {
+fn push_phase(fp: &mut Fingerprinter, phase: Phase) {
     fp.push_tag(match phase {
         Phase::Forward => 0,
         Phase::Backward => 1,
@@ -38,7 +31,7 @@ pub(crate) fn push_phase(fp: &mut Fingerprinter, phase: Phase) {
     });
 }
 
-pub(crate) fn push_tensor(fp: &mut Fingerprinter, t: &TensorMeta) {
+fn push_tensor(fp: &mut Fingerprinter, t: &TensorMeta) {
     let dims = t.shape.dims();
     fp.push_len(dims.len());
     for &d in dims {
@@ -56,7 +49,7 @@ pub(crate) fn push_tensor(fp: &mut Fingerprinter, t: &TensorMeta) {
     });
 }
 
-pub(crate) fn push_kind(fp: &mut Fingerprinter, kind: &OpKind) {
+fn push_kind(fp: &mut Fingerprinter, kind: &OpKind) {
     match *kind {
         OpKind::Input => {
             fp.push_tag(0);
@@ -157,10 +150,7 @@ pub(crate) fn push_kind(fp: &mut Fingerprinter, kind: &OpKind) {
     }
 }
 
-/// Content hash of one op. [`crate::intern::BlockInst::content_sum`] must
-/// produce byte-identical pushes for instantiated template ops — that
-/// equivalence is what makes the fingerprint representation-independent
-/// (and is pinned by the `interned_and_flat_fingerprints_agree` test).
+/// Content hash of one op.
 fn op_content_hash(op: &Op) -> u64 {
     let mut fp = Fingerprinter::new("graph-op");
     fp.push_usize(op.id.0);
@@ -179,39 +169,21 @@ fn op_content_hash(op: &Op) -> u64 {
     fp.finish().0
 }
 
-fn ops_content_sum(ops: &[Op]) -> u64 {
-    ops.iter()
-        .map(op_content_hash)
-        .fold(0u64, u64::wrapping_add)
-}
-
 impl Graph {
     /// Stable content fingerprint over everything the planner reads from the
     /// graph: name, op kinds with all cost attributes, dependency edges,
     /// output tensors, phases, and layer indices.
     ///
-    /// Representation-independent (interned and flat builds of the same ops
-    /// agree) and subgraph-incremental: interned graphs reuse memoized
-    /// per-block subtotals, so the first fingerprint of a one-block-edited
-    /// graph does not re-walk the untouched blocks. The result is memoized
-    /// per graph value: clones share it and [`Graph::add_op`] clears it, so
-    /// every later call on the same graph is a load.
+    /// The result is memoized per graph value: clones share it and
+    /// [`Graph::add_op`] clears it, so every later call on the same graph
+    /// is a load.
     pub fn fingerprint(&self) -> Fingerprint {
         *self.fingerprint_memo().get_or_init(|| {
-            let sum = match self.rep() {
-                Rep::Flat(ops) => ops_content_sum(ops),
-                Rep::Interned { segments, flat } => segments
-                    .iter()
-                    .map(|segment| match segment {
-                        Segment::Literal { start, len } => {
-                            ops_content_sum(&flat[*start..start + len])
-                        }
-                        Segment::Block(inst) => {
-                            inst.content_sum(&flat[inst.base].name[..inst.prefix_len])
-                        }
-                    })
-                    .fold(0u64, u64::wrapping_add),
-            };
+            let sum = self
+                .ops()
+                .iter()
+                .map(op_content_hash)
+                .fold(0u64, u64::wrapping_add);
             let mut fp = Fingerprinter::new("whale-graph");
             fp.push_str(self.name());
             fp.push_len(self.len());
@@ -239,20 +211,8 @@ impl TrainingConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::GraphBuilder;
     use crate::models;
     use crate::profile::{Optimizer, ZeroStage};
-
-    fn encoder(name: &str, layers: usize, intermediate: usize, interned: bool) -> Graph {
-        let mut b = GraphBuilder::with_interning(name, interned);
-        let mut h = b.input("x", &[2, 16, 64]).unwrap();
-        for i in 0..layers {
-            h = b
-                .encoder_layer(&format!("enc.{i}"), h, 2, 16, 64, 4, intermediate)
-                .unwrap();
-        }
-        b.finish()
-    }
 
     #[test]
     fn same_model_built_twice_hashes_identically() {
@@ -275,37 +235,6 @@ mod tests {
         let a = models::resnet50(8).unwrap();
         let b = models::bert_base(8, 64).unwrap();
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn interned_and_flat_fingerprints_agree() {
-        let interned = encoder("enc", 4, 256, true);
-        let flat = encoder("enc", 4, 256, false);
-        assert!(interned.block_count() > 0 && flat.block_count() == 0);
-        assert_eq!(interned.fingerprint(), flat.fingerprint());
-        assert_ne!(
-            interned.fingerprint(),
-            encoder("enc", 4, 512, true).fingerprint()
-        );
-    }
-
-    #[test]
-    fn single_block_edit_changes_fingerprint_incrementally() {
-        let g = encoder("enc", 6, 256, true);
-        let first = g.fingerprint();
-        assert_eq!(g.clone().fingerprint(), first);
-
-        // Splicing one edited layer changes the fingerprint, and the
-        // incremental result matches a from-scratch flat hash of the
-        // edited ops (the counter-exact "only one block re-hashed"
-        // assertions live in tests/interning.rs, where the process is not
-        // shared with unrelated concurrent tests).
-        let donor = encoder("donor", 1, 512, true);
-        let edited = g.with_block_replaced(3, &donor, 0).unwrap();
-        let efp = edited.fingerprint();
-        assert_ne!(efp, first);
-        let reference = Graph::from_flat("enc".into(), edited.ops().to_vec());
-        assert_eq!(efp, reference.fingerprint());
     }
 
     #[test]

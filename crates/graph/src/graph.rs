@@ -5,17 +5,12 @@
 //! ids are a valid topological order by construction and the graph is a DAG
 //! by construction.
 //!
-//! Internally a graph stores its ops once, flat and in id order — the
-//! `&[Op]` view the planner consumes is simply that storage, for every
-//! representation. Interned graphs additionally carry a run of
-//! [`Segment`]s: a metadata overlay mapping op ranges to instantiations of
-//! interned layer blocks (see [`crate::intern`]). Deep models with
-//! repeated layers share one block *template* allocation across all layers
-//! and all graphs in the process, and fingerprinting, equality, and
-//! adjacency compose from per-block memos instead of re-walking the ops.
+//! A graph stores its ops once, flat and in id order, behind one `Arc`: the
+//! `&[Op]` view the planner consumes is that storage, and cloning a graph
+//! shares it. What the planner derives from the ops — adjacency and the
+//! [`Graph::fingerprint`] — is memoized per graph value (DESIGN.md §12).
 
 use crate::inline_list::InlineList;
-use crate::intern::{BlockInst, TemplateInput};
 use crate::op::{OpKind, Phase};
 use crate::tensor::TensorMeta;
 use std::collections::BTreeMap;
@@ -85,6 +80,11 @@ pub enum GraphError {
     UnknownOp(OpId),
     /// An op-range request was empty or out of bounds.
     BadRange(String),
+    /// An op that needs at least one input was given none.
+    NoInputs {
+        /// The op being added.
+        op: String,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -95,47 +95,12 @@ impl fmt::Display for GraphError {
             }
             GraphError::UnknownOp(id) => write!(f, "unknown op {id}"),
             GraphError::BadRange(s) => write!(f, "bad op range: {s}"),
+            GraphError::NoInputs { op } => write!(f, "op '{op}' needs at least one input"),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
-
-/// One run of a graph's op sequence: either verbatim ops (graph inputs,
-/// embeddings, heads, losses) or one instantiation of an interned layer
-/// block. Segments are an overlay over the graph's flat op storage — they
-/// hold no ops themselves, only ranges and block memos.
-#[derive(Debug, Clone)]
-pub enum Segment {
-    /// Literal ops `flat[start..start + len]` (positions are op ids).
-    Literal {
-        /// First op id covered by the run.
-        start: usize,
-        /// Number of ops in the run.
-        len: usize,
-    },
-    /// One placement of a shared block (its ops live at
-    /// `flat[inst.base..inst.base + inst.len()]`). Stored inline — the
-    /// whole segment list is behind one `Arc`, so per-block indirection
-    /// would buy nothing and cost an allocation per layer.
-    Block(BlockInst),
-}
-
-impl Segment {
-    fn len(&self) -> usize {
-        match self {
-            Segment::Literal { len, .. } => *len,
-            Segment::Block(inst) => inst.len(),
-        }
-    }
-
-    fn start(&self) -> usize {
-        match self {
-            Segment::Literal { start, .. } => *start,
-            Segment::Block(inst) => inst.base,
-        }
-    }
-}
 
 /// Adjacency derived from the op list, built once on first use: the inverse
 /// edge map plus the source/sink frontiers. `sources()`/`sinks()`/
@@ -174,102 +139,24 @@ impl AdjCache {
             sinks,
         }
     }
-
-    /// Assemble adjacency from segments without re-walking block ops:
-    /// block-internal edges come from the block's memoized
-    /// [`crate::intern::BlockAdj`] (built once per *distinct* block
-    /// process-wide, not once per graph or clone). Edge-list ordering is
-    /// identical to [`AdjCache::build`] on the flat view: segments are
-    /// walked in id order and block adjacency records edges in flat-scan
-    /// order.
-    fn build_from_segments(segments: &[Segment], flat: &[Op]) -> AdjCache {
-        let len = flat.len();
-        let mut consumers: Vec<Vec<OpId>> = vec![Vec::new(); len];
-        let mut consumed = vec![false; len];
-        let mut sources = Vec::new();
-        for segment in segments {
-            match segment {
-                Segment::Literal { start, len } => {
-                    for op in &flat[*start..start + len] {
-                        if op.inputs.is_empty() {
-                            sources.push(op.id);
-                        }
-                        for &input in &op.inputs {
-                            consumers[input.0].push(op.id);
-                            consumed[input.0] = true;
-                        }
-                    }
-                }
-                Segment::Block(inst) => {
-                    let adj = inst.block.adjacency();
-                    let base = inst.base;
-                    for &s in &adj.sources_rel {
-                        sources.push(OpId(base + s));
-                    }
-                    for (producer, cs) in adj.internal_consumers.iter().enumerate() {
-                        if cs.is_empty() {
-                            continue;
-                        }
-                        consumed[base + producer] = true;
-                        let list = &mut consumers[base + producer];
-                        list.extend(cs.iter().map(|&c| OpId(base + c)));
-                    }
-                    for (slot, cs) in adj.external_consumers.iter().enumerate() {
-                        if cs.is_empty() {
-                            continue;
-                        }
-                        let producer = inst.externals[slot];
-                        consumed[producer.0] = true;
-                        let list = &mut consumers[producer.0];
-                        list.extend(cs.iter().map(|&c| OpId(base + c)));
-                    }
-                }
-            }
-        }
-        let sinks = (0..len).filter(|&i| !consumed[i]).map(OpId).collect();
-        AdjCache {
-            consumers,
-            sources,
-            sinks,
-        }
-    }
-}
-
-/// Storage backing a graph: always the flat op vector, optionally overlaid
-/// with segments mapping op ranges to interned block instantiations.
-#[derive(Debug, Clone)]
-pub(crate) enum Rep {
-    /// Every op stored verbatim, no block structure.
-    Flat(Arc<Vec<Op>>),
-    /// Flat ops plus the literal/block segmentation the builder recorded.
-    Interned {
-        segments: Arc<Vec<Segment>>,
-        flat: Arc<Vec<Op>>,
-    },
 }
 
 /// An append-only dataflow DAG.
 ///
-/// Ops live behind [`Arc`]s with copy-on-write mutation, so cloning a
+/// Ops live behind an [`Arc`] with copy-on-write mutation, so cloning a
 /// finished graph is a reference-count bump — `auto_parallel` hands one
 /// built model to every candidate strategy without re-running the model
 /// constructor. Value semantics are preserved: appending to a shared graph
-/// copies the op list first (and collapses an interned graph to its flat
-/// form, since an arbitrary append invalidates block structure).
+/// copies the op list first.
 ///
 /// Adjacency ([`Graph::consumers`], [`Graph::sources`], [`Graph::sinks`]) and
 /// the [`Graph::fingerprint`] are memoized behind [`OnceLock`]s and shared
-/// by clones; appending an op invalidates both. For interned graphs the
-/// per-block half of that work is additionally shared across *all* graphs
-/// containing the block. Equality
-/// and ordering look only at the semantic `(name, ops)` content — caches
-/// and representation are invisible: two graphs holding the same ops
-/// compare equal whether interned or flat, with a segment/pointer fast
-/// path when both sides are interned.
+/// by clones; appending an op invalidates both. Equality looks only at the
+/// semantic `(name, ops)` content, never at the memo.
 #[derive(Debug, Clone)]
 pub struct Graph {
     name: String,
-    rep: Rep,
+    ops: Arc<Vec<Op>>,
     memo: Arc<Memo>,
 }
 
@@ -281,147 +168,26 @@ struct Memo {
     fingerprint: OnceLock<Fingerprint>,
 }
 
-fn segment_eq(a: &Segment, a_flat: &[Op], b: &Segment, b_flat: &[Op]) -> bool {
-    match (a, b) {
-        (Segment::Literal { start: sa, len: la }, Segment::Literal { start: sb, len: lb }) => {
-            sa == sb && la == lb && a_flat[*sa..sa + la] == b_flat[*sb..sb + lb]
-        }
-        (Segment::Block(a), Segment::Block(b)) => {
-            // Interning guarantees pointer equality ⟺ template equality,
-            // so this is exact, not probabilistic. Prefix text is compared
-            // through the flat storage (instances own no text); blocks are
-            // never empty, so `base` is in bounds.
-            Arc::ptr_eq(&a.block, &b.block)
-                && a.base == b.base
-                && a.layer_base == b.layer_base
-                && a.prefix_len == b.prefix_len
-                && a.externals == b.externals
-                && a_flat[a.base].name.as_bytes()[..a.prefix_len]
-                    == b_flat[b.base].name.as_bytes()[..b.prefix_len]
-        }
-        _ => false,
-    }
-}
-
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        if self.name != other.name || self.len() != other.len() {
-            return false;
-        }
-        // Interned fast path: identical segment structure proves equality
-        // without comparing a single block op (literal runs — a handful of
-        // embeddings/heads — are compared directly).
-        if let (
-            Rep::Interned {
-                segments: sa,
-                flat: fa,
-            },
-            Rep::Interned {
-                segments: sb,
-                flat: fb,
-            },
-        ) = (&self.rep, &other.rep)
-        {
-            if Arc::ptr_eq(fa, fb) || Arc::ptr_eq(sa, sb) {
-                return true;
-            }
-            if sa.len() == sb.len()
-                && sa
-                    .iter()
-                    .zip(sb.iter())
-                    .all(|(x, y)| segment_eq(x, fa, y, fb))
-            {
-                return true;
-            }
-            // Differently segmented graphs can still flatten identically;
-            // fall through to the semantic comparison.
-        }
-        self.ops() == other.ops()
-    }
-}
-
-/// Instantiate one block placement into `out` (which must be exactly
-/// `inst.len()` ops long), used when splicing an edited block into a
-/// graph's flat storage. `prefix` is the instantiation's name prefix (the
-/// instance only records its length). This is the only path that rebuilds
-/// ops from a template — ordinary construction records ops once and never
-/// revisits them.
-fn write_block_ops(inst: &BlockInst, prefix: &str, out: &mut [Op]) {
-    let template = inst.block.template();
-    debug_assert_eq!(out.len(), template.ops.len());
-    debug_assert_eq!(prefix.len(), inst.prefix_len);
-    for (off, (slot, t)) in out.iter_mut().zip(template.ops.iter()).enumerate() {
-        *slot = Op {
-            id: OpId(inst.base + off),
-            name: [prefix, t.suffix.as_str()].concat(),
-            kind: t.kind.clone(),
-            inputs: t
-                .inputs
-                .iter()
-                .map(|input| match *input {
-                    TemplateInput::Internal(p) => OpId(inst.base + p),
-                    TemplateInput::External(s) => inst.externals[s],
-                })
-                .collect(),
-            output: t.output.clone(),
-            phase: t.phase,
-            layer: t.layer_rel.map(|rel| inst.layer_base + rel),
-        };
+        self.name == other.name && self.ops() == other.ops()
     }
 }
 
 impl Graph {
     /// Create an empty graph.
     pub fn new(name: impl Into<String>) -> Graph {
-        Graph {
-            name: name.into(),
-            rep: Rep::Flat(Arc::new(Vec::new())),
-            memo: Arc::default(),
-        }
+        Graph::from_flat(name.into(), Vec::new())
     }
 
-    /// Assemble a graph from builder-produced flat ops plus the segment
-    /// overlay describing which ranges are interned blocks (see
-    /// [`crate::builder::GraphBuilder`]).
-    pub(crate) fn from_segments(name: String, segments: Vec<Segment>, flat: Vec<Op>) -> Graph {
-        debug_assert_eq!(
-            segments.iter().map(Segment::len).sum::<usize>(),
-            flat.len(),
-            "segments must tile the op list"
-        );
-        debug_assert!(
-            segments
-                .iter()
-                .scan(0usize, |pos, s| {
-                    let ok = s.start() == *pos;
-                    *pos += s.len();
-                    Some(ok)
-                })
-                .all(|ok| ok),
-            "segments must be contiguous and in id order"
-        );
-        Graph {
-            name,
-            rep: Rep::Interned {
-                segments: Arc::new(segments),
-                flat: Arc::new(flat),
-            },
-            memo: Arc::default(),
-        }
-    }
-
-    /// Assemble a flat graph from already-validated ops (builder internal).
+    /// Assemble a graph from already-validated ops (builder internal).
     pub(crate) fn from_flat(name: String, ops: Vec<Op>) -> Graph {
         debug_assert!(ops.iter().enumerate().all(|(i, op)| op.id.0 == i));
         Graph {
             name,
-            rep: Rep::Flat(Arc::new(ops)),
+            ops: Arc::new(ops),
             memo: Arc::default(),
         }
-    }
-
-    pub(crate) fn rep(&self) -> &Rep {
-        &self.rep
     }
 
     /// Graph name.
@@ -429,35 +195,19 @@ impl Graph {
         &self.name
     }
 
-    /// All ops, in id (= topological) order. Free for every
-    /// representation: interned graphs store their flat view eagerly (the
-    /// builder records each op exactly once) and share it across clones.
+    /// All ops, in id (= topological) order.
     pub fn ops(&self) -> &[Op] {
-        match &self.rep {
-            Rep::Flat(ops) => ops,
-            Rep::Interned { flat, .. } => flat,
-        }
+        &self.ops
     }
 
-    /// Number of ops (cheap for every representation).
+    /// Number of ops.
     pub fn len(&self) -> usize {
-        self.ops().len()
+        self.ops.len()
     }
 
     /// Whether the graph has no ops.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of interned-block instantiations (0 for flat graphs).
-    pub fn block_count(&self) -> usize {
-        match &self.rep {
-            Rep::Flat(_) => 0,
-            Rep::Interned { segments, .. } => segments
-                .iter()
-                .filter(|s| matches!(s, Segment::Block(_)))
-                .count(),
-        }
+        self.ops.is_empty()
     }
 
     /// Look up an op.
@@ -466,10 +216,6 @@ impl Graph {
     }
 
     /// Append an op whose inputs must already exist.
-    ///
-    /// An arbitrary append has no block structure, so an interned graph
-    /// first collapses to its flat form (block sharing with other graphs
-    /// is unaffected; this graph simply stops participating).
     pub fn add_op(
         &mut self,
         name: impl Into<String>,
@@ -487,16 +233,7 @@ impl Graph {
                 return Err(GraphError::DanglingInput { op: name, input });
             }
         }
-        if let Rep::Interned { flat, .. } = &self.rep {
-            // The flat storage already exists — collapsing just drops the
-            // segment overlay (block sharing with other graphs is
-            // unaffected; this graph simply stops participating).
-            self.rep = Rep::Flat(Arc::clone(flat));
-        }
-        let Rep::Flat(ops) = &mut self.rep else {
-            unreachable!("interned representation collapsed above")
-        };
-        Arc::make_mut(ops).push(Op {
+        Arc::make_mut(&mut self.ops).push(Op {
             id,
             name,
             kind,
@@ -516,90 +253,13 @@ impl Graph {
         Ok(id)
     }
 
-    /// Replace the `index`-th block instantiation with the `donor_index`-th
-    /// block of `donor`, keeping this graph's placement (prefix, id base,
-    /// layer base, external wiring). This is the single-layer-edit
-    /// primitive: every untouched segment is shared with `self`, so
-    /// re-fingerprinting the result re-hashes only the spliced block.
-    ///
-    /// The donor block must have the same op count (so downstream ids do
-    /// not shift) and the same external arity; the caller is responsible
-    /// for shape compatibility at the block boundary.
-    pub fn with_block_replaced(
-        &self,
-        index: usize,
-        donor: &Graph,
-        donor_index: usize,
-    ) -> Result<Graph, GraphError> {
-        fn nth_block(rep: &Rep, n: usize) -> Option<(usize, &BlockInst)> {
-            let Rep::Interned { segments, .. } = rep else {
-                return None;
-            };
-            segments
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| match s {
-                    Segment::Block(inst) => Some((i, inst)),
-                    Segment::Literal { .. } => None,
-                })
-                .nth(n)
-        }
-        let (seg_index, target) = nth_block(&self.rep, index)
-            .ok_or_else(|| GraphError::BadRange(format!("graph has no interned block #{index}")))?;
-        let (_, donor_inst) = nth_block(donor.rep(), donor_index).ok_or_else(|| {
-            GraphError::BadRange(format!("donor has no interned block #{donor_index}"))
-        })?;
-        let donor_block = Arc::clone(&donor_inst.block);
-        if donor_block.template().ops.len() != target.len() {
-            return Err(GraphError::BadRange(format!(
-                "replacement block has {} ops, target has {}",
-                donor_block.template().ops.len(),
-                target.len()
-            )));
-        }
-        if donor_block.template().external_slots != target.externals.len() {
-            return Err(GraphError::BadRange(format!(
-                "replacement block takes {} externals, target wires {}",
-                donor_block.template().external_slots,
-                target.externals.len()
-            )));
-        }
-        let Rep::Interned { segments, flat } = &self.rep else {
-            unreachable!("nth_block succeeded on self above")
-        };
-        let new_inst = BlockInst::new(
-            donor_block,
-            target.prefix_len,
-            target.base,
-            target.layer_base,
-            target.externals.clone(),
-        );
-        // Splice: clone the flat storage, rewrite only the replaced range.
-        // The replacement keeps the target's prefix text, read from the
-        // original storage before the range is overwritten.
-        let prefix = &flat[target.base].name[..target.prefix_len];
-        let mut new_flat: Vec<Op> = flat.as_ref().clone();
-        let range = new_inst.base..new_inst.base + new_inst.len();
-        write_block_ops(&new_inst, prefix, &mut new_flat[range]);
-        let mut new_segments: Vec<Segment> = segments.as_ref().clone();
-        new_segments[seg_index] = Segment::Block(new_inst);
-        Ok(Graph::from_segments(
-            self.name.clone(),
-            new_segments,
-            new_flat,
-        ))
-    }
-
     /// The fingerprint memo, filled by [`Graph::fingerprint`].
     pub(crate) fn fingerprint_memo(&self) -> &OnceLock<Fingerprint> {
         &self.memo.fingerprint
     }
 
     fn adjacency(&self) -> &AdjCache {
-        self.memo.adj.get_or_init(|| match &self.rep {
-            Rep::Flat(ops) => AdjCache::build(ops),
-            Rep::Interned { segments, flat } => AdjCache::build_from_segments(segments, flat),
-        })
+        self.memo.adj.get_or_init(|| AdjCache::build(&self.ops))
     }
 
     /// Ids of ops with no data dependencies (the graph inputs). Memoized;
@@ -736,8 +396,8 @@ mod tests {
         g
     }
 
-    fn mk_encoder(name: &str, layers: usize, interned: bool) -> Graph {
-        let mut b = GraphBuilder::with_interning(name, interned);
+    fn mk_encoder(name: &str, layers: usize) -> Graph {
+        let mut b = GraphBuilder::new(name);
         let mut h = b.input("x", &[2, 16, 64]).unwrap();
         for i in 0..layers {
             h = b
@@ -824,9 +484,7 @@ mod tests {
 
     #[test]
     fn fingerprint_is_memoized_and_invalidated_on_append() {
-        let interned = mk_encoder("enc", 2, true);
-        assert!(interned.block_count() > 0);
-        for original in [mk_chain(5), interned] {
+        for original in [mk_chain(5), mk_encoder("enc", 2)] {
             let before = original.fingerprint();
             let mut grown = original.clone();
             assert_eq!(grown.fingerprint(), before);
@@ -847,94 +505,12 @@ mod tests {
                         None,
                     )
                     .unwrap();
-                assert_eq!(grown.block_count(), 0, "an append collapses to flat");
                 assert_eq!(grown.fingerprint(), replay(&grown).fingerprint());
                 assert_ne!(grown.fingerprint(), before);
             }
             assert_eq!(original.fingerprint(), before);
             assert_eq!(before, replay(&original).fingerprint());
         }
-    }
-
-    #[test]
-    fn interned_adjacency_matches_flat_rebuild() {
-        let interned = mk_encoder("enc", 3, true);
-        let flat = mk_encoder("enc", 3, false);
-        assert!(interned.block_count() > 0);
-        assert_eq!(flat.block_count(), 0);
-        // The segment-assembled adjacency is elementwise identical to a
-        // flat scan: same consumer lists (order and duplicates included),
-        // same frontiers.
-        let rebuilt = AdjCache::build(interned.ops());
-        assert_eq!(interned.consumers(), rebuilt.consumers);
-        assert_eq!(interned.sources(), rebuilt.sources);
-        assert_eq!(interned.sinks(), rebuilt.sinks);
-        assert_eq!(flat.consumers(), interned.consumers());
-    }
-
-    #[test]
-    fn interned_and_flat_builds_are_equal() {
-        let interned = mk_encoder("enc", 2, true);
-        let flat = mk_encoder("enc", 2, false);
-        assert_eq!(interned.ops(), flat.ops());
-        assert_eq!(interned, flat);
-        assert_eq!(flat, interned);
-        assert_eq!(interned, interned.clone());
-        assert_ne!(interned, mk_encoder("enc", 3, true));
-    }
-
-    #[test]
-    fn append_to_interned_graph_collapses_but_stays_correct() {
-        let mut g = mk_encoder("enc", 2, true);
-        let flat_before = g.ops().to_vec();
-        let last = OpId(g.len() - 1);
-        g.add_op(
-            "tail",
-            OpKind::Elementwise {
-                elems: 4,
-                flops_per_elem: 1,
-            },
-            vec![last],
-            TensorMeta::f32(&[4]),
-            Phase::Forward,
-            None,
-        )
-        .unwrap();
-        assert_eq!(g.block_count(), 0);
-        assert_eq!(g.len(), flat_before.len() + 1);
-        assert_eq!(&g.ops()[..flat_before.len()], flat_before.as_slice());
-        assert_eq!(
-            *g.consumers()[last.0].last().unwrap(),
-            OpId(flat_before.len())
-        );
-    }
-
-    #[test]
-    fn block_replacement_validates_shape() {
-        let g = mk_encoder("enc", 3, true);
-        // Donor with a different FFN width: same op count, same externals.
-        let mut b = GraphBuilder::new("donor");
-        let x = b.input("x", &[2, 16, 64]).unwrap();
-        b.encoder_layer("d", x, 2, 16, 64, 4, 512).unwrap();
-        let donor = b.finish();
-
-        let edited = g.with_block_replaced(1, &donor, 0).unwrap();
-        assert_eq!(edited.len(), g.len());
-        assert_ne!(edited, g);
-        // Only the middle layer changed; names keep the target prefix.
-        let changed: Vec<_> = g
-            .ops()
-            .iter()
-            .zip(edited.ops())
-            .filter(|(a, b)| a != b)
-            .collect();
-        assert!(!changed.is_empty());
-        assert!(changed
-            .iter()
-            .all(|(a, b)| { a.name.starts_with("enc.1/") && b.name.starts_with("enc.1/") }));
-
-        assert!(g.with_block_replaced(7, &donor, 0).is_err());
-        assert!(g.with_block_replaced(0, &mk_chain(3), 0).is_err());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Short lists stored inline: an op's inputs, a tensor's dims and a block
-//! instance's external producers.
+//! Short lists stored inline: an op's inputs and a tensor's dims.
 //!
 //! Every op of every zoo graph reads at most four producers (two in the
 //! forward graphs, four after autodiff) and every tensor has rank at most
@@ -143,6 +142,7 @@ impl<'a, T> IntoIterator for &'a InlineList<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::OpId;
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of(value: &impl Hash) -> u64 {
@@ -162,5 +162,27 @@ mod tests {
             assert_eq!(hash_of(&list), hash_of(&v));
             assert_eq!(list.iter().copied().collect::<Vec<_>>(), v);
         }
+    }
+
+    #[test]
+    fn push_spills_at_the_fifth_entry() {
+        let mut e = InlineList::new();
+        assert!(e.is_empty());
+        for i in 0..6 {
+            e.push(OpId(i));
+            assert_eq!(e.spilled(), i >= 4);
+        }
+        assert_eq!(&*e, (0..6).map(OpId).collect::<Vec<_>>());
+        let same: InlineList<OpId> = (0..6).map(OpId).collect();
+        assert_eq!(e, same);
+        let inline: InlineList<OpId> = (0..3).map(OpId).collect();
+        assert_ne!(e, inline);
+        // Equality ignores representation padding.
+        let a: InlineList<OpId> = [OpId(7)].into_iter().collect();
+        let mut b = InlineList::new();
+        b.push(OpId(9));
+        assert_ne!(a, b);
+        b[0] = OpId(7);
+        assert_eq!(a, b);
     }
 }

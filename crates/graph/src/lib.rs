@@ -38,8 +38,8 @@ pub mod stats;
 pub mod tensor;
 
 pub use autodiff::{derive_training_graph, TrainingGraph};
-pub use builder::{set_default_interning, GraphBuilder};
-pub use graph::{Graph, GraphError, Op, OpId, Segment};
+pub use builder::GraphBuilder;
+pub use graph::{Graph, GraphError, Op, OpId};
 pub use inline_list::InlineList;
 pub use op::{OpKind, Phase};
 pub use profile::{CostProfile, Optimizer, TrainingConfig, ZeroStage};

@@ -326,11 +326,9 @@ impl PlanService {
     ///
     /// 1. **One fingerprint pass.** Every request is keyed up front.
     ///    Requests in a burst typically share structure — the same model at
-    ///    several batch sizes, the same cluster across models — and interned
-    ///    graphs share block allocations, so the first fingerprint of a
-    ///    block memoizes the content sum every later request reuses
-    ///    (`BlockInst::content_sum` is computed once per allocation, not
-    ///    once per request).
+    ///    several batch sizes, the same cluster across models — and a graph
+    ///    memoizes its fingerprint per value, so requests holding clones of
+    ///    one graph walk its ops once, not once per request.
     /// 2. **Duplicates made adjacent.** Requests are processed in key order,
     ///    so repeated keys run back-to-back: the first becomes the compile
     ///    leader (or hits an existing entry) and every duplicate is a

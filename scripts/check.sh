@@ -24,12 +24,6 @@ cargo run -q --release --offline -p whale-bench --bin serve_bench -- --quick
 # BENCH_comm.json against the committed baseline, run scripts/bench_diff.sh.
 cargo run -q --release --offline -p whale-bench --bin comm_bench -- --quick
 
-# Interned-core smoke test: shrunken zoo pair, asserts interned-vs-flat
-# plan/fingerprint bit-identity and the allocation gates on the warm-interner
-# hot path; the 4x trillion-scale speedup gate is compile_bench's default
-# mode (see DESIGN.md §12).
-cargo run -q --release --offline -p whale-bench --bin compile_bench -- --quick
-
 # Fleet smoke test: shrunken multi-tenant run (elastic + kill-and-requeue on
 # the same churn) plus a small concurrent compile burst; asserts bounded
 # recovery, zero failed jobs, and zero hung burst requests. The 1.5x elastic
