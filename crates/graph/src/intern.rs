@@ -1,12 +1,10 @@
-//! What is left of the block interner: its three counters, each always 0.
-//!
-//! Graphs were once assembled from layer blocks interned in a process-wide
-//! table; they are now one flat op list (see [`crate::graph`]). reqbench's
-//! `cold-plan` workload (`reqbench/src/cold_plan.rs`) still reads these
-//! counters into its `graph.intern_*` trace rows, and reqbench is the
-//! repo's declared benchmark (`BENCHMARK.json` `paths`), whose code changes
-//! only together with the benchmark. The module goes once it stops reading
-//! them.
+//! The block interner's three counters, kept so that reqbench's
+//! `cold-plan` workload (`reqbench/src/cold_plan.rs`) still builds: it reads
+//! them into its `graph.intern_*` trace rows. A graph is one flat op list
+//! (see [`crate::graph`]) and nothing is interned, so each returns 0.
+//! reqbench is the repo's declared benchmark (`BENCHMARK.json` `paths`),
+//! whose code changes only together with the benchmark; this module goes
+//! once it stops reading them.
 
 /// The interner's counters. Nothing is interned, so each returns 0.
 pub mod counters {
