@@ -819,6 +819,83 @@ mod tests {
         );
     }
 
+    // --- price goldens ---------------------------------------------------
+
+    /// The groups the price goldens walk on `2x(8xV100)+2x(8xP100)`.
+    fn price_groups() -> Vec<(&'static str, Vec<usize>)> {
+        vec![
+            ("all four nodes", (0..32).collect()),
+            ("one NVLink node", (0..8).collect()),
+            ("asymmetric membership", vec![0, 1, 2, 8, 9, 16, 24]),
+            ("singleton", vec![5]),
+            ("one GPU per node", vec![0, 8, 16, 24]),
+        ]
+    }
+
+    /// Per group, a `whale_fp` digest of the `f64::to_bits` of every
+    /// selector price at payloads of 0, 2^10, 2^16, 2^20, 2^24, 2^27 and
+    /// 2^30 bytes: `ring`, `tree`, `hierarchical`, `select` (algorithm and
+    /// cost) and `collective` of each of the five [`Collective`] kinds.
+    fn price_digests() -> Vec<(&'static str, u64)> {
+        let c = Cluster::parse("2x(8xV100)+2x(8xP100)").unwrap();
+        let m = CommModel::new(&c);
+        price_groups()
+            .into_iter()
+            .map(|(name, g)| {
+                let sel = m.allreduce_selector(&g).unwrap();
+                let mut fp = whale_fp::Fingerprinter::new("price-goldens");
+                for bytes in [0u64, 1 << 10, 1 << 16, 1 << 20, 1 << 24, 1 << 27, 1 << 30] {
+                    let (algo, cost) = sel.select(bytes);
+                    fp.push_u64(bytes)
+                        .push_u64(sel.ring(bytes).to_bits())
+                        .push_u64(sel.tree(bytes).to_bits())
+                        .push_u64(sel.hierarchical(bytes).to_bits())
+                        .push_str(algo.name())
+                        .push_u64(cost.to_bits());
+                    for kind in [
+                        Collective::AllReduce,
+                        Collective::AllGather,
+                        Collective::ReduceScatter,
+                        Collective::Broadcast,
+                        Collective::AllToAll,
+                    ] {
+                        fp.push_u64(sel.collective(kind, bytes).to_bits());
+                    }
+                }
+                (name, fp.finish().0)
+            })
+            .collect()
+    }
+
+    /// Recorded while every price was still checked against a second,
+    /// group-walking implementation. Regenerate with
+    ///
+    /// ```text
+    /// cargo test --offline -p whale-hardware --lib -- --ignored --nocapture print_goldens
+    /// ```
+    ///
+    /// and paste the printed rows over `PRICE_GOLDENS`.
+    const PRICE_GOLDENS: &[(&str, u64)] = &[
+        ("all four nodes", 0x8c6f54f37716e2b4),
+        ("one NVLink node", 0xf4f785843d5f8ec6),
+        ("asymmetric membership", 0x79e139988b71f209),
+        ("singleton", 0x1bca141a4bd0ab3a),
+        ("one GPU per node", 0x300cebb81729ea0e),
+    ];
+
+    #[test]
+    fn selector_prices_match_their_goldens() {
+        assert_eq!(price_digests(), PRICE_GOLDENS);
+    }
+
+    #[test]
+    #[ignore = "prints the PRICE_GOLDENS table; run it to regenerate after an intended change"]
+    fn print_goldens() {
+        for (name, digest) in price_digests() {
+            println!("        (\"{name}\", {digest:#018x}),");
+        }
+    }
+
     #[test]
     fn selector_costs_are_bit_identical_to_direct_evaluation() {
         // Heterogeneous multi-node, single-node, and asymmetric-membership
