@@ -5,7 +5,7 @@
 //! gradient tensors of realistic sizes on multi-node clusters.
 
 use whale_bench::{fmt_secs, header};
-use whale_hardware::{Cluster, CommModel, GpuModel};
+use whale_hardware::{AllReduceSelector, Cluster, GpuModel};
 
 fn main() {
     header(
@@ -18,12 +18,12 @@ fn main() {
     );
     for nodes in [2usize, 4, 8, 16, 32] {
         let cluster = Cluster::homogeneous(GpuModel::V100_32GB, nodes, 8);
-        let comm = CommModel::new(&cluster);
         let group: Vec<usize> = (0..cluster.num_gpus()).collect();
+        let selector = AllReduceSelector::new(&cluster, &group).unwrap();
         for mb in [100u64, 1340] {
             let bytes = mb << 20;
-            let flat = comm.allreduce(&group, bytes).unwrap();
-            let hier = comm.hierarchical_allreduce(&group, bytes).unwrap();
+            let flat = selector.ring(bytes);
+            let hier = selector.hierarchical(bytes);
             println!(
                 "  {:>6} {:>8}MB {:>12} {:>14} {:>8.2}x",
                 nodes,

@@ -8,7 +8,7 @@
 use std::hint::black_box;
 use whale::{models, strategies, Session};
 use whale_bench::{header, time_fn};
-use whale_hardware::{Cluster, CommModel, GpuModel};
+use whale_hardware::{AllReduceSelector, Cluster, GpuModel};
 use whale_sim::{simulate_step, simulate_training, LossModel, SimConfig};
 
 fn main() {
@@ -35,10 +35,14 @@ fn main() {
     }
 
     let cluster = Cluster::homogeneous(GpuModel::V100_32GB, 32, 8);
-    let comm = CommModel::new(&cluster);
     let group: Vec<usize> = (0..256).collect();
+    // Walking the group and pricing one payload.
     time_fn("hierarchical_allreduce_256", warmup, iters, || {
-        black_box(comm.hierarchical_allreduce(&group, 1 << 30).unwrap())
+        black_box(
+            AllReduceSelector::new(&cluster, &group)
+                .unwrap()
+                .hierarchical(1 << 30),
+        )
     })
     .print();
 

@@ -61,7 +61,7 @@ pub use whale_sim as sim;
 
 // Frequently used items at the crate root.
 pub use whale_graph::{models, CostProfile, Graph, Optimizer, TrainingConfig, ZeroStage};
-pub use whale_hardware::{Cluster, ClusterDelta, CommModel, GpuModel, VirtualDevice};
+pub use whale_hardware::{Cluster, ClusterDelta, GpuModel, VirtualDevice};
 pub use whale_ir::{Annotator, PipelineSpec, Primitive, ScopedBuilder, TaskGraph, WhaleIr};
 pub use whale_planner::{
     CacheStats, CommConfig, DeviceAssignment, ExecutionPlan, GradDtype, GradSyncSchedule,

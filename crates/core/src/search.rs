@@ -60,10 +60,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use whale_graph::Graph;
+use whale_hardware::GroupCache;
 use whale_planner::{
-    estimate_step_lower_bound, pipeline_leaf_bound, pipeline_memory_floor,
-    structural_lower_bound_keyed, EstimateCache, ExecutionPlan, MemoryPrefix, ScheduleKind,
-    StructuralBound,
+    estimate_step_lower_bound, pipeline_leaf_bound, pipeline_memory_floor, structural_lower_bound,
+    ExecutionPlan, MemoryPrefix, ScheduleKind, StructuralBound,
 };
 
 use crate::auto::{
@@ -245,18 +245,16 @@ fn leaf_session(base: &Session, leaf: &Leaf) -> Session {
     s
 }
 
-/// What a structure generator reads: the session, the probed graph, and
-/// the memoized pre-plan bound.
-pub(crate) struct Space<'a, 'c> {
+/// What a structure generator reads: the session and the probed graph.
+pub(crate) struct Space<'a> {
     session: &'a Session,
     global_batch: usize,
     probe: &'a GraphProbe,
     fw_flops_per_sample: f64,
     param_bytes: f64,
-    cache: &'a mut EstimateCache<'c>,
 }
 
-impl Space<'_, '_> {
+impl Space<'_> {
     fn num_gpus(&self) -> usize {
         self.session.cluster().num_gpus()
     }
@@ -276,7 +274,7 @@ impl Space<'_, '_> {
         };
         let lb = if time_bounded(schedule) {
             let cfg = self.session.planner_config();
-            structural_lower_bound_keyed(
+            structural_lower_bound(
                 &StructuralBound {
                     fw_flops_per_sample: self.fw_flops_per_sample,
                     global_batch: self.global_batch,
@@ -288,7 +286,7 @@ impl Space<'_, '_> {
                     recompute: cfg.training.recompute,
                     efficiency: cfg.efficiency,
                 },
-                self.cache,
+                self.session.cluster(),
             )
         } else {
             0.0
@@ -306,7 +304,7 @@ impl Space<'_, '_> {
 
 /// The narrow preset: the hand-picked candidates of paper Example 6, in
 /// report order, as one structure under the session's schedule.
-pub(crate) fn narrow_structures(sp: &mut Space<'_, '_>, _: &SearchOptions) -> Vec<Structure> {
+pub(crate) fn narrow_structures(sp: &mut Space<'_>, _: &SearchOptions) -> Vec<Structure> {
     let cfg = sp.session.planner_config();
     let (schedule, outer_dp) = (cfg.schedule, cfg.outer_dp);
     let n_gpus = sp.num_gpus();
@@ -341,7 +339,7 @@ pub(crate) fn narrow_structures(sp: &mut Space<'_, '_>, _: &SearchOptions) -> Ve
 }
 
 /// The wide space: every structure of the grammar in the module docs.
-fn wide_structures(sp: &mut Space<'_, '_>, opts: &SearchOptions) -> Vec<Structure> {
+fn wide_structures(sp: &mut Space<'_>, opts: &SearchOptions) -> Vec<Structure> {
     let cluster = sp.session.cluster();
     let n_gpus = cluster.num_gpus();
     let global_batch = sp.global_batch;
@@ -474,7 +472,7 @@ pub(crate) fn drive(
     global_batch: usize,
     opts: &SearchOptions,
     build: impl Fn() -> Result<Graph> + Sync,
-    generate: fn(&mut Space<'_, '_>, &SearchOptions) -> Vec<Structure>,
+    generate: fn(&mut Space<'_>, &SearchOptions) -> Vec<Structure>,
 ) -> Result<AutoReport> {
     if global_batch == 0 {
         return Err(whale_ir::IrError::ZeroGlobalBatch.into());
@@ -485,7 +483,6 @@ pub(crate) fn drive(
     let probe_stats = whale_graph::graph_stats(&probe);
     let mem_prefix = MemoryPrefix::new(&probe);
 
-    let mut cache = EstimateCache::new(session.cluster());
     let structures = generate(
         &mut Space {
             session,
@@ -493,10 +490,12 @@ pub(crate) fn drive(
             probe: &probe_graph(&probe),
             fw_flops_per_sample: probe_stats.forward_flops / global_batch as f64,
             param_bytes: probe_stats.params as f64 * 4.0,
-            cache: &mut cache,
         },
         opts,
     );
+    // Every post-plan bound prices its collectives through one topology
+    // per distinct group.
+    let mut groups = GroupCache::new(session.cluster());
 
     // ---- order best-key-first with index tie-breaks -------------------
     let mut order: Vec<usize> = (0..structures.len()).collect();
@@ -773,7 +772,7 @@ pub(crate) fn drive(
                     Ok(plan) => {
                         stats.nodes_planned += 1;
                         let lb = if time_bounded(leaf.schedule) {
-                            estimate_step_lower_bound(&plan, &mut cache)
+                            estimate_step_lower_bound(&plan, &mut groups)
                                 .map_err(|e| WhaleError::Plan(e.to_string()))?
                         } else {
                             0.0

@@ -6,9 +6,9 @@
 //! seeded per process, so fingerprints would not be stable across runs, and
 //! `f64` (ubiquitous in the cost model) does not implement `Hash` at all.
 //! This crate provides the one primitive the cache needs instead: an
-//! explicit, seed-free FNV-1a accumulator with typed `push_*` methods, the
-//! same FNV used by the planner's `EstimateCache` (collision-attack
-//! resistance buys nothing against keys we produce ourselves).
+//! explicit, seed-free FNV-1a accumulator with typed `push_*` methods
+//! (collision-attack resistance buys nothing against keys we produce
+//! ourselves).
 //!
 //! Conventions that keep fingerprints honest:
 //!

@@ -14,7 +14,7 @@ use crate::cluster::Cluster;
 use crate::error::{HardwareError, Result};
 use crate::interconnect::LinkKind;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Collective operations the planner can insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,7 +33,7 @@ pub enum Collective {
 
 /// AllReduce algorithm flavors the runtime can execute (NCCL-style).
 ///
-/// [`CommModel::select_allreduce`] picks one per group, payload, and
+/// [`AllReduceSelector::select`] picks one per group, payload, and
 /// topology at the latency/bandwidth crossover; the planner's comm-optimizer
 /// pass records the choice per fusion bucket so the simulator prices exactly
 /// the algorithm the schedule committed to.
@@ -59,209 +59,10 @@ impl AllReduceAlgo {
     }
 }
 
-/// Communication cost model over a concrete cluster.
-///
-/// The model picks the *bottleneck link class* of the group (network if the
-/// group spans nodes, otherwise NVLink/PCIe) and applies the textbook ring
-/// formulas. This first-order treatment is the same one the paper's planner
-/// uses to reason about communication (it never simulates packets).
-#[derive(Debug, Clone)]
-pub struct CommModel<'c> {
-    cluster: &'c Cluster,
-}
-
-impl<'c> CommModel<'c> {
-    /// Build a cost model over `cluster`.
-    pub fn new(cluster: &'c Cluster) -> Self {
-        Self { cluster }
-    }
-
-    /// The slowest link class used by a ring over `group`.
-    pub fn bottleneck_link(&self, group: &[usize]) -> Result<LinkKind> {
-        if group.len() < 2 {
-            return Ok(LinkKind::Local);
-        }
-        let mut nodes = BTreeSet::new();
-        let mut all_nvlink = true;
-        for &id in group {
-            let g = self.cluster.gpu(id)?;
-            nodes.insert(g.node);
-            all_nvlink &= g.model.has_nvlink();
-        }
-        Ok(ring_link(nodes.len(), all_nvlink))
-    }
-
-    fn link_params(&self, kind: LinkKind) -> (f64, f64) {
-        let ic = &self.cluster.interconnect;
-        (ic.bandwidth(kind), ic.latency(kind))
-    }
-
-    /// `kind` over a flat ring of `group`, priced by [`ring_cost`].
-    fn ring(&self, kind: Collective, group: &[usize], bytes: u64) -> Result<f64> {
-        let n = check_group(group)?;
-        if n == 1 {
-            return Ok(0.0);
-        }
-        let (bw, lat) = self.link_params(self.bottleneck_link(group)?);
-        Ok(ring_cost(kind, n, bw, lat, bytes))
-    }
-
-    /// Ring AllReduce over `group` of a `bytes`-sized tensor.
-    ///
-    /// Cost: `2·(n−1)/n · bytes / bw + 2·(n−1)·lat` — a reduce-scatter pass
-    /// followed by an all-gather pass.
-    pub fn allreduce(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        self.ring(Collective::AllReduce, group, bytes)
-    }
-
-    /// Ring AllGather: each rank contributes `bytes_per_rank`, ends with
-    /// `n·bytes_per_rank`.
-    pub fn allgather(&self, group: &[usize], bytes_per_rank: u64) -> Result<f64> {
-        self.ring(Collective::AllGather, group, bytes_per_rank)
-    }
-
-    /// Ring ReduceScatter of a `bytes`-sized tensor.
-    pub fn reduce_scatter(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        self.ring(Collective::ReduceScatter, group, bytes)
-    }
-
-    /// Pipelined broadcast of a `bytes`-sized tensor from one rank.
-    pub fn broadcast(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        self.ring(Collective::Broadcast, group, bytes)
-    }
-
-    /// AllToAll where each rank holds `bytes` total and sends `(n−1)/n` of it.
-    ///
-    /// MoE expert dispatch (`einsum("GSEC,GSM->EGCM")` in paper Example 8)
-    /// lowers to this collective.
-    pub fn alltoall(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        self.ring(Collective::AllToAll, group, bytes)
-    }
-
-    /// Binary-tree AllReduce: reduce up and broadcast down.
-    ///
-    /// Cost `2·log2(n)·(lat + bytes/bw)` — latency-optimal for small
-    /// tensors where the ring's `2(n−1)` latency hops dominate.
-    pub fn tree_allreduce(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        let n = check_group(group)?;
-        if n == 1 {
-            return Ok(0.0);
-        }
-        let (bw, lat) = self.link_params(self.bottleneck_link(group)?);
-        Ok(tree_cost(n, bw, lat, bytes))
-    }
-
-    /// Hierarchical AllReduce as implemented by Whale (§4): ReduceScatter +
-    /// AllReduce-across-node-leaders + AllGather, with intra-node phases on
-    /// the fast local links.
-    ///
-    /// Falls back to a flat ring when the group sits on a single node.
-    pub fn hierarchical_allreduce(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        if check_group(group)? == 1 {
-            return Ok(0.0);
-        }
-        Ok(self.allreduce_selector(group)?.hierarchical(bytes))
-    }
-
-    /// AllReduce cost under an explicitly chosen algorithm.
-    pub fn allreduce_with(&self, algo: AllReduceAlgo, group: &[usize], bytes: u64) -> Result<f64> {
-        match algo {
-            AllReduceAlgo::Ring => self.allreduce(group, bytes),
-            AllReduceAlgo::Tree => self.tree_allreduce(group, bytes),
-            AllReduceAlgo::Hierarchical => self.hierarchical_allreduce(group, bytes),
-        }
-    }
-
-    /// Latency/bandwidth-crossover algorithm selection: evaluate every
-    /// algorithm for this group size, payload, and topology and return the
-    /// winner with its cost. Ties break deterministically toward ring, then
-    /// hierarchical (the preference order NCCL uses when costs are equal:
-    /// the bandwidth-optimal variant wins).
-    ///
-    /// Zero-byte payloads (compression rounding can empty a fusion bucket)
-    /// are skipped rather than priced: the result is `(Ring, 0.0)` — no
-    /// degenerate collective, no latency hops for bytes that never move.
-    pub fn select_allreduce(&self, group: &[usize], bytes: u64) -> Result<(AllReduceAlgo, f64)> {
-        Ok(self.allreduce_selector(group)?.select(bytes))
-    }
-
-    /// Precompute an [`AllReduceSelector`] for `group`: one walk over the
-    /// group (bottleneck links, per-node membership, leader ring) happens
-    /// here, and each subsequent payload costs a few multiply-adds. Costs
-    /// are bit-identical to the [`CommModel`] methods; the planner's
-    /// comm-optimizer and the simulator price through a [`GroupCache`] of
-    /// these, one per distinct group.
-    pub fn allreduce_selector(&self, group: &[usize]) -> Result<AllReduceSelector> {
-        let n = check_group(group)?;
-        // Per node, in first-appearance order: id, member count, and whether
-        // every member has NVLink.
-        let mut slot_of: HashMap<usize, usize> = HashMap::new();
-        let mut per_node: Vec<(usize, usize, bool)> = Vec::new();
-        let mut min_membw = f64::INFINITY;
-        for &id in group {
-            let g = self.cluster.gpu(id)?;
-            min_membw = min_membw.min(g.model.memory_bandwidth());
-            let nvlink = g.model.has_nvlink();
-            match slot_of.entry(g.node) {
-                Entry::Occupied(e) => {
-                    let node = &mut per_node[*e.get()];
-                    node.1 += 1;
-                    node.2 &= nvlink;
-                }
-                Entry::Vacant(e) => {
-                    e.insert(per_node.len());
-                    per_node.push((g.node, 1, nvlink));
-                }
-            }
-        }
-        let all_nvlink = per_node.iter().all(|&(_, _, nvlink)| nvlink);
-        let (ring_bw, ring_lat) = self.link_params(ring_link(per_node.len(), all_nvlink));
-        let hier = (per_node.len() > 1).then(|| HierTopo {
-            nodes: per_node
-                .iter()
-                .map(|&(_, m, nvlink)| {
-                    let (bw, lat) = if m > 1 {
-                        self.link_params(ring_link(1, nvlink))
-                    } else {
-                        (1.0, 0.0)
-                    };
-                    (m, bw, lat)
-                })
-                .collect(),
-        });
-        let mut nodes: Vec<usize> = per_node.iter().map(|&(node, _, _)| node).collect();
-        nodes.sort_unstable();
-        Ok(AllReduceSelector {
-            n,
-            ring_bw,
-            ring_lat,
-            min_membw,
-            nodes,
-            hier,
-        })
-    }
-
-    /// Cost of the cheapest AllReduce algorithm — flat ring, hierarchical
-    /// two-level ring, or binary tree — which is what an NCCL-style runtime
-    /// selects per tensor size and topology. Exactly
-    /// [`CommModel::select_allreduce`]'s cost.
-    pub fn best_allreduce(&self, group: &[usize], bytes: u64) -> Result<f64> {
-        Ok(self.select_allreduce(group, bytes)?.1)
-    }
-
-    /// Dispatch on a [`Collective`] kind.
-    pub fn collective(&self, kind: Collective, group: &[usize], bytes: u64) -> Result<f64> {
-        match kind {
-            Collective::AllReduce => self.best_allreduce(group, bytes),
-            _ => self.ring(kind, group, bytes),
-        }
-    }
-}
-
 /// α–β cost of `kind` over a flat ring of `n` ranks whose slowest hop has
 /// bandwidth `bw` and latency `lat` (for AllReduce, the ring algorithm).
-/// The one copy of the ring formulas: [`CommModel`] and
-/// [`AllReduceSelector`] both price through it.
+/// The one copy of the ring formulas: every [`AllReduceSelector`] price
+/// goes through it.
 fn ring_cost(kind: Collective, n: usize, bw: f64, lat: f64, bytes: u64) -> f64 {
     if n <= 1 {
         return 0.0;
@@ -297,10 +98,18 @@ fn tree_cost(n: usize, bw: f64, lat: f64, bytes: u64) -> f64 {
     2.0 * (n as f64).log2().ceil() * (lat + bytes as f64 / bw)
 }
 
-/// Per-group cost evaluator with the topology precomputed — built by
-/// [`CommModel::allreduce_selector`]. Evaluating a payload is pure
-/// arithmetic over the cached link parameters, so pricing every bucket of a
-/// fusion schedule is O(buckets), not O(buckets × group).
+/// The collective cost model of one group on a concrete cluster: the
+/// group's topology is walked once, in [`AllReduceSelector::new`], and each
+/// payload then costs a few multiply-adds over the cached link parameters,
+/// so pricing every bucket of a fusion schedule is O(buckets), not
+/// O(buckets × group).
+///
+/// A flat ring runs on the group's *bottleneck link class* (the network if
+/// the group spans nodes, otherwise NVLink or PCIe) under the textbook α–β
+/// formulas. This first-order treatment is the one the paper's planner uses
+/// to reason about communication (it never simulates packets). The
+/// planner's comm-optimizer, its search bounds and the simulator all price
+/// through a [`GroupCache`] of these, one per distinct group.
 #[derive(Debug, Clone)]
 pub struct AllReduceSelector {
     n: usize,
@@ -327,7 +136,64 @@ struct HierTopo {
 }
 
 impl AllReduceSelector {
-    /// Flat-ring cost; bit-identical to [`CommModel::allreduce`].
+    /// Walk `group` on `cluster` once: its bottleneck link, per-node
+    /// membership and leader ring. An empty group, a repeated rank or an
+    /// unknown GPU id is [`HardwareError::InvalidGroup`] or
+    /// [`HardwareError::UnknownDevice`].
+    pub fn new(cluster: &Cluster, group: &[usize]) -> Result<AllReduceSelector> {
+        let n = check_group(group)?;
+        let ic = &cluster.interconnect;
+        let link_params = |kind: LinkKind| (ic.bandwidth(kind), ic.latency(kind));
+        // Per node, in first-appearance order: id, member count, and whether
+        // every member has NVLink.
+        let mut slot_of: HashMap<usize, usize> = HashMap::new();
+        let mut per_node: Vec<(usize, usize, bool)> = Vec::new();
+        let mut min_membw = f64::INFINITY;
+        for &id in group {
+            let g = cluster.gpu(id)?;
+            min_membw = min_membw.min(g.model.memory_bandwidth());
+            let nvlink = g.model.has_nvlink();
+            match slot_of.entry(g.node) {
+                Entry::Occupied(e) => {
+                    let node = &mut per_node[*e.get()];
+                    node.1 += 1;
+                    node.2 &= nvlink;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(per_node.len());
+                    per_node.push((g.node, 1, nvlink));
+                }
+            }
+        }
+        let all_nvlink = per_node.iter().all(|&(_, _, nvlink)| nvlink);
+        let (ring_bw, ring_lat) = link_params(ring_link(per_node.len(), all_nvlink));
+        let hier = (per_node.len() > 1).then(|| HierTopo {
+            nodes: per_node
+                .iter()
+                .map(|&(_, m, nvlink)| {
+                    let (bw, lat) = if m > 1 {
+                        link_params(ring_link(1, nvlink))
+                    } else {
+                        (1.0, 0.0)
+                    };
+                    (m, bw, lat)
+                })
+                .collect(),
+        });
+        let mut nodes: Vec<usize> = per_node.iter().map(|&(node, _, _)| node).collect();
+        nodes.sort_unstable();
+        Ok(AllReduceSelector {
+            n,
+            ring_bw,
+            ring_lat,
+            min_membw,
+            nodes,
+            hier,
+        })
+    }
+
+    /// Flat-ring AllReduce: `2·(n−1)/n · bytes / bw + 2·(n−1)·lat`, a
+    /// reduce-scatter pass followed by an all-gather pass.
     pub fn ring(&self, bytes: u64) -> f64 {
         ring_cost(
             Collective::AllReduce,
@@ -338,15 +204,18 @@ impl AllReduceSelector {
         )
     }
 
-    /// Binary-tree cost; bit-identical to [`CommModel::tree_allreduce`].
+    /// Binary-tree AllReduce, reduce up and broadcast down:
+    /// `2·⌈log2 n⌉·(lat + bytes/bw)`, latency-optimal for small tensors
+    /// where the ring's `2(n−1)` latency hops dominate.
     pub fn tree(&self, bytes: u64) -> f64 {
         tree_cost(self.n, self.ring_bw, self.ring_lat, bytes)
     }
 
-    /// Two-level cost: ReduceScatter inside each node (the slowest node
-    /// bounds), a ring AllReduce of the largest shard among one leader per
-    /// node, then AllGather inside each node. Single-node groups fall back
-    /// to the flat ring.
+    /// Two-level AllReduce as Whale runs it (§4): ReduceScatter inside each
+    /// node on the fast local links (the slowest node bounds), a ring
+    /// AllReduce of the largest shard among one leader per node, then
+    /// AllGather inside each node. Single-node groups fall back to the flat
+    /// ring.
     pub fn hierarchical(&self, bytes: u64) -> f64 {
         if self.n == 1 {
             return 0.0;
@@ -379,11 +248,10 @@ impl AllReduceSelector {
         local_rs + global + local_ag
     }
 
-    /// Cost under an explicitly chosen algorithm; bit-identical to
-    /// [`CommModel::allreduce_with`] for non-empty payloads. Zero-byte
-    /// payloads are skipped (cost `0.0`) rather than charged the
-    /// algorithm's latency terms: compression rounding can produce empty
-    /// buckets, and an empty bucket launches no collective at all.
+    /// Cost under an explicitly chosen algorithm. Zero-byte payloads are
+    /// skipped (cost `0.0`) rather than charged the algorithm's latency
+    /// terms: compression rounding can produce empty buckets, and an empty
+    /// bucket launches no collective at all.
     pub fn cost(&self, algo: AllReduceAlgo, bytes: u64) -> f64 {
         if bytes == 0 {
             return 0.0;
@@ -395,9 +263,11 @@ impl AllReduceSelector {
         }
     }
 
-    /// The cheapest algorithm for `bytes`, with
-    /// [`CommModel::select_allreduce`]'s tie-break order. Zero-byte
-    /// payloads short-circuit to `(Ring, 0.0)` — see [`Self::cost`].
+    /// Latency/bandwidth-crossover selection: the cheapest algorithm for
+    /// `bytes` with its cost. Ties break toward ring, then hierarchical (the
+    /// order NCCL uses when costs are equal: the bandwidth-optimal variant
+    /// wins). Zero-byte payloads short-circuit to `(Ring, 0.0)` — see
+    /// [`Self::cost`].
     pub fn select(&self, bytes: u64) -> (AllReduceAlgo, f64) {
         if bytes == 0 {
             return (AllReduceAlgo::Ring, 0.0);
@@ -414,9 +284,11 @@ impl AllReduceSelector {
         }
     }
 
-    /// Cost of `kind` carrying `bytes` (per rank, as
-    /// [`CommModel::collective`] takes them) over this group; bit-identical
-    /// to [`CommModel::collective`].
+    /// Cost of `kind` carrying `bytes` over this group: AllReduce at the
+    /// [`Self::select`]ed algorithm, the other kinds on the flat ring.
+    /// AllGather takes the bytes each rank contributes; AllToAll the bytes
+    /// each rank holds, of which it sends `(n−1)/n` (MoE expert dispatch,
+    /// `einsum("GSEC,GSM->EGCM")` in paper Example 8, lowers to it).
     pub fn collective(&self, kind: Collective, bytes: u64) -> f64 {
         match kind {
             Collective::AllReduce => self.select(bytes).1,
@@ -434,31 +306,16 @@ impl AllReduceSelector {
     pub fn min_membw(&self) -> f64 {
         self.min_membw
     }
-
-    /// Time to quantize a `logical`-byte fp32 gradient down to `wire` bytes
-    /// before the collective and dequantize the result back afterwards:
-    /// two elementwise passes (read logical + write wire, then read wire +
-    /// write logical), memory-bandwidth-bound on the slowest group member.
-    /// Zero when nothing is scaled (`wire == logical` charges nothing —
-    /// callers gate on the schedule's `wire_scaled()`), on singleton
-    /// groups, and on empty payloads.
-    pub fn quantize_cost(&self, logical: u64, wire: u64) -> f64 {
-        if self.n == 1 || logical == 0 {
-            return 0.0;
-        }
-        quantize_dequantize_cost(logical, wire, self.min_membw)
-    }
 }
 
 /// Group topologies memoized by group content: each distinct group is
 /// validated and walked once, however many collectives, syncs and buckets
-/// name it. The planner's comm-optimizer and the simulator keep one per
-/// pass or step; every price is bit-identical to [`CommModel`]'s, and the
-/// first sight of an invalid group returns [`CommModel::allreduce_selector`]'s
-/// error for it.
+/// name it. The planner's comm-optimizer keeps one per pass, the search one
+/// per call and the simulator one per step; the first sight of an invalid
+/// group returns [`AllReduceSelector::new`]'s error for it.
 #[derive(Debug)]
 pub struct GroupCache<'c> {
-    comm: CommModel<'c>,
+    cluster: &'c Cluster,
     slots: HashMap<Box<[usize]>, usize>,
     groups: Vec<AllReduceSelector>,
 }
@@ -467,10 +324,15 @@ impl<'c> GroupCache<'c> {
     /// An empty cache over `cluster`.
     pub fn new(cluster: &'c Cluster) -> Self {
         GroupCache {
-            comm: CommModel::new(cluster),
+            cluster,
             slots: HashMap::new(),
             groups: Vec::new(),
         }
+    }
+
+    /// The cluster the cached topologies belong to.
+    pub fn cluster(&self) -> &'c Cluster {
+        self.cluster
     }
 
     /// Slot of `group`'s topology (see [`GroupCache::get`]), walking the
@@ -479,7 +341,7 @@ impl<'c> GroupCache<'c> {
         if let Some(&slot) = self.slots.get(group) {
             return Ok(slot);
         }
-        let topo = self.comm.allreduce_selector(group)?;
+        let topo = AllReduceSelector::new(self.cluster, group)?;
         let slot = self.groups.len();
         self.groups.push(topo);
         self.slots.insert(group.into(), slot);
@@ -499,9 +361,10 @@ impl<'c> GroupCache<'c> {
 }
 
 /// Quantize + dequantize wall time for one rank: `2·(logical + wire)` bytes
-/// of device-memory traffic at `membw` bytes/s. Shared by the selector and
-/// the simulator's legacy (non-bucketed) sync path so both charge the exact
-/// same term.
+/// of device-memory traffic at `membw` bytes/s, the slowest group member's
+/// ([`AllReduceSelector::min_membw`]). The one quantize price: the
+/// simulator's bucketed and legacy sync paths and the post-plan search
+/// bound all charge it.
 pub fn quantize_dequantize_cost(logical: u64, wire: u64, membw: f64) -> f64 {
     if membw <= 0.0 {
         return 0.0;
@@ -532,47 +395,87 @@ mod tests {
 
     const MB100: u64 = 100 << 20;
 
+    fn selector(c: &Cluster, group: &[usize]) -> AllReduceSelector {
+        AllReduceSelector::new(c, group).unwrap()
+    }
+
+    /// The ring AllReduce formula over `n` ranks on a link of bandwidth
+    /// `bw` and latency `lat`, written out independently of `ring_cost`.
+    fn ring_formula(n: f64, bw: f64, lat: f64, bytes: u64) -> f64 {
+        2.0 * (n - 1.0) / n * bytes as f64 / bw + 2.0 * (n - 1.0) * lat
+    }
+
+    fn assert_close(got: f64, want: f64) {
+        assert!((got - want).abs() / want < 1e-12, "got {got}, want {want}");
+    }
+
     #[test]
     fn single_rank_collectives_are_free() {
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 8);
-        let m = CommModel::new(&c);
-        assert_eq!(m.allreduce(&[0], MB100).unwrap(), 0.0);
-        assert_eq!(m.allgather(&[3], MB100).unwrap(), 0.0);
-        assert_eq!(m.alltoall(&[5], MB100).unwrap(), 0.0);
+        assert_eq!(selector(&c, &[0]).ring(MB100), 0.0);
+        assert_eq!(
+            selector(&c, &[3]).collective(Collective::AllGather, MB100),
+            0.0
+        );
+        assert_eq!(
+            selector(&c, &[5]).collective(Collective::AllToAll, MB100),
+            0.0
+        );
     }
 
     #[test]
     fn empty_or_duplicate_group_rejected() {
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 8);
-        let m = CommModel::new(&c);
-        assert!(m.allreduce(&[], MB100).is_err());
-        assert!(m.allreduce(&[0, 0], MB100).is_err());
+        assert!(AllReduceSelector::new(&c, &[]).is_err());
+        assert!(AllReduceSelector::new(&c, &[0, 0]).is_err());
+    }
+
+    #[test]
+    fn group_cache_walks_each_group_once() {
+        let c = Cluster::homogeneous(GpuModel::V100_32GB, 2, 8);
+        let mut cache = GroupCache::new(&c);
+        assert!(std::ptr::eq(cache.cluster(), &c));
+        let a = cache.slot(&[0, 1, 8]).unwrap();
+        let b = cache.slot(&[0, 1]).unwrap();
+        assert_ne!(a, b);
+        assert_eq!(cache.slot(&[0, 1, 8]).unwrap(), a);
+        assert_eq!(cache.get(a).nodes(), &[0, 1]);
+        assert_eq!(
+            cache.selector(&[0, 1]).unwrap().ring(MB100),
+            selector(&c, &[0, 1]).ring(MB100)
+        );
+        assert!(cache.slot(&[2, 2]).is_err());
+        assert_eq!(
+            cache.slot(&[16]).unwrap_err(),
+            HardwareError::UnknownDevice(16)
+        );
     }
 
     #[test]
     fn intra_node_nvlink_beats_cross_node() {
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 2, 8);
-        let m = CommModel::new(&c);
-        let intra = m.allreduce(&[0, 1, 2, 3], MB100).unwrap();
-        let cross = m.allreduce(&[0, 1, 8, 9], MB100).unwrap();
+        let intra = selector(&c, &[0, 1, 2, 3]).ring(MB100);
+        let cross = selector(&c, &[0, 1, 8, 9]).ring(MB100);
         assert!(cross > intra * 5.0, "cross={cross} intra={intra}");
     }
 
     #[test]
     fn p100_nodes_use_pcie() {
         let c = Cluster::homogeneous(GpuModel::P100_16GB, 1, 8);
-        let m = CommModel::new(&c);
-        assert_eq!(m.bottleneck_link(&[0, 1, 2, 3]).unwrap(), LinkKind::Pcie);
+        let ic = &c.interconnect;
+        assert_close(
+            selector(&c, &[0, 1, 2, 3]).ring(MB100),
+            ring_formula(4.0, ic.pcie_bw, ic.pcie_lat, MB100),
+        );
     }
 
     #[test]
     fn ring_allreduce_formula() {
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 4);
-        let m = CommModel::new(&c);
         let ic = &c.interconnect;
-        let t = m.allreduce(&[0, 1, 2, 3], MB100).unwrap();
+        let t = selector(&c, &[0, 1, 2, 3]).ring(MB100);
         let expect = 2.0 * 3.0 / 4.0 * MB100 as f64 / ic.nvlink_bw + 6.0 * ic.nvlink_lat;
-        assert!((t - expect).abs() / expect < 1e-12);
+        assert_close(t, expect);
     }
 
     #[test]
@@ -580,78 +483,67 @@ mod tests {
         // 4 nodes × 8 GPUs: flat 32-way ring is bounded by the network for the
         // whole tensor; hierarchical only moves 1/8 of it across nodes.
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 4, 8);
-        let m = CommModel::new(&c);
         let group: Vec<usize> = (0..32).collect();
-        let flat = m.allreduce(&group, MB100).unwrap();
-        let hier = m.hierarchical_allreduce(&group, MB100).unwrap();
+        let sel = selector(&c, &group);
+        let flat = sel.ring(MB100);
+        let hier = sel.hierarchical(MB100);
         assert!(
             hier < flat,
             "hierarchical {hier} should beat flat {flat} across nodes"
         );
-        assert_eq!(m.best_allreduce(&group, MB100).unwrap(), hier.min(flat));
+        assert_eq!(sel.collective(Collective::AllReduce, MB100), hier.min(flat));
     }
 
     #[test]
     fn hierarchical_on_single_node_equals_flat() {
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 8);
-        let m = CommModel::new(&c);
         let group: Vec<usize> = (0..8).collect();
-        assert_eq!(
-            m.hierarchical_allreduce(&group, MB100).unwrap(),
-            m.allreduce(&group, MB100).unwrap()
-        );
+        let sel = selector(&c, &group);
+        assert_eq!(sel.hierarchical(MB100), sel.ring(MB100));
     }
 
     #[test]
     fn allreduce_scales_with_bytes_not_much_with_ranks() {
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 8);
-        let m = CommModel::new(&c);
-        let t4 = m.allreduce(&[0, 1, 2, 3], MB100).unwrap();
-        let t8 = m.allreduce(&(0..8).collect::<Vec<_>>(), MB100).unwrap();
+        let four = selector(&c, &[0, 1, 2, 3]);
+        let t4 = four.ring(MB100);
+        let t8 = selector(&c, &(0..8).collect::<Vec<_>>()).ring(MB100);
         // Ring AllReduce bandwidth term approaches 2·S/BW; 8 ranks within 17%
         // of 4 ranks.
         assert!(t8 < t4 * 1.2);
-        let t_double = m.allreduce(&[0, 1, 2, 3], 2 * MB100).unwrap();
+        let t_double = four.ring(2 * MB100);
         assert!(t_double > 1.8 * t4);
     }
 
     #[test]
     fn tree_wins_for_tiny_tensors_ring_for_big() {
-        // 64-rank single... use 4 nodes x 8 GPUs over the network where ring
-        // latency (2·63 hops) dominates small payloads.
+        // 8 nodes × 8 GPUs over the network, where the ring's latency
+        // (2·63 hops) dominates small payloads.
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 8, 8);
-        let m = CommModel::new(&c);
-        let group: Vec<usize> = (0..64).collect();
+        let sel = selector(&c, &(0..64).collect::<Vec<_>>());
         let tiny = 4 << 10; // 4 KiB
-        assert!(
-            m.tree_allreduce(&group, tiny).unwrap() < m.allreduce(&group, tiny).unwrap(),
-            "tree should win at 4 KiB"
-        );
+        assert!(sel.tree(tiny) < sel.ring(tiny), "tree should win at 4 KiB");
         let big = 256 << 20;
-        assert!(
-            m.allreduce(&group, big).unwrap() < m.tree_allreduce(&group, big).unwrap(),
-            "ring should win at 256 MiB"
-        );
-        // best_allreduce picks the min of all three.
-        let best = m.best_allreduce(&group, tiny).unwrap();
-        assert!(best <= m.tree_allreduce(&group, tiny).unwrap());
-        assert!(best <= m.hierarchical_allreduce(&group, tiny).unwrap());
+        assert!(sel.ring(big) < sel.tree(big), "ring should win at 256 MiB");
+        // Selection picks the min of all three.
+        let best = sel.select(tiny).1;
+        assert!(best <= sel.tree(tiny));
+        assert!(best <= sel.hierarchical(tiny));
     }
 
     #[test]
     fn singleton_groups_cost_nothing_under_every_algorithm() {
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 2, 8);
-        let m = CommModel::new(&c);
+        let sel = selector(&c, &[5]);
         for algo in [
             AllReduceAlgo::Ring,
             AllReduceAlgo::Tree,
             AllReduceAlgo::Hierarchical,
         ] {
-            assert_eq!(m.allreduce_with(algo, &[5], MB100).unwrap(), 0.0);
+            assert_eq!(sel.cost(algo, MB100), 0.0);
         }
-        let (_, cost) = m.select_allreduce(&[5], MB100).unwrap();
-        assert_eq!(cost, 0.0);
-        assert_eq!(m.best_allreduce(&[5], MB100).unwrap(), 0.0);
+        assert_eq!(sel.select(MB100).1, 0.0);
+        assert_eq!(sel.collective(Collective::AllReduce, MB100), 0.0);
     }
 
     #[test]
@@ -660,14 +552,17 @@ mod tests {
         // costs more on PCIe than on NVLink, and a group spanning both nodes
         // is bounded by the network — strictly slower than either.
         let c = Cluster::parse("1x(8xV100)+1x(8xP100)").unwrap();
-        let m = CommModel::new(&c);
-        let nvlink = m.allreduce(&[0, 1, 2, 3], MB100).unwrap();
-        let pcie = m.allreduce(&[8, 9, 10, 11], MB100).unwrap();
-        let cross = m.allreduce(&[0, 1, 8, 9], MB100).unwrap();
+        let ic = &c.interconnect;
+        let nvlink = selector(&c, &[0, 1, 2, 3]).ring(MB100);
+        let pcie = selector(&c, &[8, 9, 10, 11]).ring(MB100);
+        let cross = selector(&c, &[0, 1, 8, 9]).ring(MB100);
         assert!(pcie > nvlink, "pcie={pcie} nvlink={nvlink}");
         assert!(cross > pcie, "cross={cross} pcie={pcie}");
-        assert_eq!(m.bottleneck_link(&[8, 9, 10, 11]).unwrap(), LinkKind::Pcie);
-        assert_eq!(m.bottleneck_link(&[0, 1, 8, 9]).unwrap(), LinkKind::Network);
+        assert_close(pcie, ring_formula(4.0, ic.pcie_bw, ic.pcie_lat, MB100));
+        assert_close(
+            cross,
+            ring_formula(4.0, ic.network_bw, ic.network_lat, MB100),
+        );
     }
 
     #[test]
@@ -678,18 +573,17 @@ mod tests {
         // once as the payload grows: tree wins small tensors, ring wins big
         // ones, and once the ring wins it wins at every larger payload.
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 8, 8);
-        let m = CommModel::new(&c);
-        let group: Vec<usize> = (0..64).collect();
+        let sel = selector(&c, &(0..64).collect::<Vec<_>>());
         let mut ring_won = false;
         let mut prev_gap = f64::NEG_INFINITY;
         for shift in 10..30 {
             let bytes = 1u64 << shift; // 1 KiB → 512 MiB
-            let ring = m.allreduce(&group, bytes).unwrap();
-            let tree = m.tree_allreduce(&group, bytes).unwrap();
+            let ring = sel.ring(bytes);
+            let tree = sel.tree(bytes);
             let gap = tree - ring;
             assert!(gap > prev_gap, "gap must grow: {prev_gap} → {gap}");
             prev_gap = gap;
-            let (algo, cost) = m.select_allreduce(&group, bytes).unwrap();
+            let (algo, cost) = sel.select(bytes);
             assert!(cost <= ring.min(tree));
             if ring_won {
                 assert_ne!(
@@ -711,53 +605,26 @@ mod tests {
         // selection must therefore never report hierarchical as a strict
         // winner and its cost must equal the ring's at every payload.
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 8);
-        let m = CommModel::new(&c);
-        let group: Vec<usize> = (0..8).collect();
+        let sel = selector(&c, &(0..8).collect::<Vec<_>>());
         for bytes in [4u64 << 10, 1 << 20, 256 << 20] {
             assert_eq!(
-                m.allreduce_with(AllReduceAlgo::Hierarchical, &group, bytes)
-                    .unwrap(),
-                m.allreduce_with(AllReduceAlgo::Ring, &group, bytes)
-                    .unwrap()
+                sel.cost(AllReduceAlgo::Hierarchical, bytes),
+                sel.cost(AllReduceAlgo::Ring, bytes)
             );
-            let (algo, cost) = m.select_allreduce(&group, bytes).unwrap();
+            let (algo, cost) = sel.select(bytes);
             assert_ne!(algo, AllReduceAlgo::Hierarchical);
-            assert_eq!(cost, m.best_allreduce(&group, bytes).unwrap());
+            assert_eq!(cost, sel.collective(Collective::AllReduce, bytes));
         }
     }
 
     #[test]
     fn selection_cost_equals_chosen_algorithm_cost() {
         let c = Cluster::homogeneous(GpuModel::V100_32GB, 4, 8);
-        let m = CommModel::new(&c);
-        let group: Vec<usize> = (0..32).collect();
+        let sel = selector(&c, &(0..32).collect::<Vec<_>>());
         for bytes in [1u64 << 12, 1 << 20, 25 << 20, 512 << 20] {
-            let (algo, cost) = m.select_allreduce(&group, bytes).unwrap();
-            assert_eq!(cost, m.allreduce_with(algo, &group, bytes).unwrap());
+            let (algo, cost) = sel.select(bytes);
+            assert_eq!(cost, sel.cost(algo, bytes));
         }
-    }
-
-    #[test]
-    fn collective_dispatch_matches_direct_calls() {
-        let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 4);
-        let m = CommModel::new(&c);
-        let g = [0usize, 1, 2, 3];
-        assert_eq!(
-            m.collective(Collective::AllGather, &g, MB100).unwrap(),
-            m.allgather(&g, MB100).unwrap()
-        );
-        assert_eq!(
-            m.collective(Collective::AllToAll, &g, MB100).unwrap(),
-            m.alltoall(&g, MB100).unwrap()
-        );
-        assert_eq!(
-            m.collective(Collective::Broadcast, &g, MB100).unwrap(),
-            m.broadcast(&g, MB100).unwrap()
-        );
-        assert_eq!(
-            m.collective(Collective::ReduceScatter, &g, MB100).unwrap(),
-            m.reduce_scatter(&g, MB100).unwrap()
-        );
     }
 
     #[test]
@@ -766,13 +633,9 @@ mod tests {
         // launches no collective, so selection and explicit-algorithm
         // pricing must both return 0 — not the algorithm's latency terms.
         let c = Cluster::parse("2x(8xV100)+2x(8xP100)").unwrap();
-        let m = CommModel::new(&c);
-        let group: Vec<usize> = (0..32).collect();
-        let (algo, cost) = m.select_allreduce(&group, 0).unwrap();
-        assert_eq!((algo, cost), (AllReduceAlgo::Ring, 0.0));
-        assert_eq!(m.best_allreduce(&group, 0).unwrap(), 0.0);
-        let sel = m.allreduce_selector(&group).unwrap();
+        let sel = selector(&c, &(0..32).collect::<Vec<_>>());
         assert_eq!(sel.select(0), (AllReduceAlgo::Ring, 0.0));
+        assert_eq!(sel.collective(Collective::AllReduce, 0), 0.0);
         for algo in [
             AllReduceAlgo::Ring,
             AllReduceAlgo::Tree,
@@ -788,61 +651,45 @@ mod tests {
     fn quantize_cost_is_bound_by_the_slowest_member() {
         // V100 HBM2 is faster than P100; a mixed group pays the P100 rate.
         let c = Cluster::parse("8xV100+8xP100").unwrap();
-        let m = CommModel::new(&c);
-        let v100s: Vec<usize> = (0..8).collect();
-        let mixed: Vec<usize> = (0..16).collect();
         let (logical, wire) = (100u64 << 20, 50u64 << 20);
-        let fast = m
-            .allreduce_selector(&v100s)
-            .unwrap()
-            .quantize_cost(logical, wire);
-        let slow = m
-            .allreduce_selector(&mixed)
-            .unwrap()
-            .quantize_cost(logical, wire);
-        assert!(
-            slow > fast,
-            "mixed group must pay the P100 membw: {slow} vs {fast}"
-        );
+        let fast = selector(&c, &(0..8).collect::<Vec<_>>()).min_membw();
+        let slow = selector(&c, &(0..16).collect::<Vec<_>>()).min_membw();
+        assert_eq!(fast, GpuModel::V100_32GB.memory_bandwidth());
         let p100_bw = GpuModel::P100_16GB.memory_bandwidth();
-        let expect = 2.0 * (logical + wire) as f64 / p100_bw;
-        assert_eq!(slow, expect);
-        assert_eq!(slow, quantize_dequantize_cost(logical, wire, p100_bw));
-        // Degenerate cases are free.
-        let sel = m.allreduce_selector(&mixed).unwrap();
-        assert_eq!(sel.quantize_cost(0, 0), 0.0);
-        assert_eq!(
-            m.allreduce_selector(&[3])
-                .unwrap()
-                .quantize_cost(logical, wire),
-            0.0
+        assert_eq!(slow, p100_bw);
+        assert!(
+            quantize_dequantize_cost(logical, wire, slow)
+                > quantize_dequantize_cost(logical, wire, fast),
+            "mixed group must pay the P100 membw"
         );
+        assert_eq!(
+            quantize_dequantize_cost(logical, wire, slow),
+            2.0 * (logical + wire) as f64 / p100_bw
+        );
+        // No bandwidth, no price.
+        assert_eq!(quantize_dequantize_cost(logical, wire, 0.0), 0.0);
     }
 
     // --- price goldens ---------------------------------------------------
 
-    /// The groups the price goldens walk on `2x(8xV100)+2x(8xP100)`.
-    fn price_groups() -> Vec<(&'static str, Vec<usize>)> {
-        vec![
+    /// Per group of `2x(8xV100)+2x(8xP100)`, a `whale_fp` digest of the
+    /// `f64::to_bits` of every selector price at payloads of 0, 2^10, 2^16,
+    /// 2^20, 2^24, 2^27 and 2^30 bytes: `ring`, `tree`, `hierarchical`,
+    /// `select` (algorithm and cost) and `collective` of each of the five
+    /// [`Collective`] kinds.
+    fn price_digests() -> Vec<(&'static str, u64)> {
+        let c = Cluster::parse("2x(8xV100)+2x(8xP100)").unwrap();
+        let groups: [(&str, Vec<usize>); 5] = [
             ("all four nodes", (0..32).collect()),
             ("one NVLink node", (0..8).collect()),
             ("asymmetric membership", vec![0, 1, 2, 8, 9, 16, 24]),
             ("singleton", vec![5]),
             ("one GPU per node", vec![0, 8, 16, 24]),
-        ]
-    }
-
-    /// Per group, a `whale_fp` digest of the `f64::to_bits` of every
-    /// selector price at payloads of 0, 2^10, 2^16, 2^20, 2^24, 2^27 and
-    /// 2^30 bytes: `ring`, `tree`, `hierarchical`, `select` (algorithm and
-    /// cost) and `collective` of each of the five [`Collective`] kinds.
-    fn price_digests() -> Vec<(&'static str, u64)> {
-        let c = Cluster::parse("2x(8xV100)+2x(8xP100)").unwrap();
-        let m = CommModel::new(&c);
-        price_groups()
+        ];
+        groups
             .into_iter()
             .map(|(name, g)| {
-                let sel = m.allreduce_selector(&g).unwrap();
+                let sel = selector(&c, &g);
                 let mut fp = whale_fp::Fingerprinter::new("price-goldens");
                 for bytes in [0u64, 1 << 10, 1 << 16, 1 << 20, 1 << 24, 1 << 27, 1 << 30] {
                     let (algo, cost) = sel.select(bytes);
@@ -893,46 +740,6 @@ mod tests {
     fn print_goldens() {
         for (name, digest) in price_digests() {
             println!("        (\"{name}\", {digest:#018x}),");
-        }
-    }
-
-    #[test]
-    fn selector_costs_are_bit_identical_to_direct_evaluation() {
-        // Heterogeneous multi-node, single-node, and asymmetric-membership
-        // groups, across payloads from 1 KB to 1 GB: the precomputed
-        // selector must reproduce every direct cost exactly, and pick the
-        // same winner.
-        let c = Cluster::parse("2x(8xV100)+2x(8xP100)").unwrap();
-        let m = CommModel::new(&c);
-        let groups: Vec<Vec<usize>> = vec![
-            (0..32).collect(),           // all four nodes
-            (0..8).collect(),            // one NVLink node
-            vec![0, 1, 2, 8, 9, 16, 24], // asymmetric membership
-            vec![5],                     // singleton
-            vec![0, 8, 16, 24],          // one GPU per node
-        ];
-        for g in &groups {
-            let sel = m.allreduce_selector(g).unwrap();
-            for shift in [10u64, 16, 20, 24, 27, 30] {
-                let bytes = 1u64 << shift;
-                assert_eq!(sel.ring(bytes), m.allreduce(g, bytes).unwrap());
-                assert_eq!(sel.tree(bytes), m.tree_allreduce(g, bytes).unwrap());
-                assert_eq!(
-                    sel.hierarchical(bytes),
-                    m.hierarchical_allreduce(g, bytes).unwrap()
-                );
-                for algo in [
-                    AllReduceAlgo::Ring,
-                    AllReduceAlgo::Tree,
-                    AllReduceAlgo::Hierarchical,
-                ] {
-                    assert_eq!(
-                        sel.cost(algo, bytes),
-                        m.allreduce_with(algo, g, bytes).unwrap()
-                    );
-                }
-                assert_eq!(sel.select(bytes), m.select_allreduce(g, bytes).unwrap());
-            }
         }
     }
 }

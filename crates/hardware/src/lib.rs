@@ -10,21 +10,22 @@
 //!   compact spec strings such as `"2x(8xV100)+2x(8xP100)"`);
 //! * **virtual devices** — the TaskGraph resource abstraction of §3.2
 //!   ([`VirtualDevice`], [`slice_cluster`]);
-//! * **collective cost models** — ring and hierarchical AllReduce, AllGather,
-//!   ReduceScatter, Broadcast, AllToAll ([`CommModel`]).
+//! * **collective cost models** — ring, tree and hierarchical AllReduce,
+//!   AllGather, ReduceScatter, Broadcast, AllToAll, priced per group
+//!   ([`AllReduceSelector`], memoized by [`GroupCache`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use whale_hardware::{Cluster, CommModel};
+//! use whale_hardware::{AllReduceSelector, Cluster, Collective};
 //!
 //! // Fig. 17's testbed: 8 V100-32GB plus 8 P100-16GB.
 //! let cluster = Cluster::parse("8xV100+8xP100").unwrap();
 //! assert!(cluster.is_heterogeneous());
 //!
-//! let comm = CommModel::new(&cluster);
 //! let group: Vec<usize> = (0..16).collect();
-//! let sync = comm.best_allreduce(&group, 100 << 20).unwrap();
+//! let selector = AllReduceSelector::new(&cluster, &group).unwrap();
+//! let sync = selector.collective(Collective::AllReduce, 100 << 20);
 //! assert!(sync > 0.0);
 //! ```
 
@@ -39,7 +40,7 @@ pub mod virtual_device;
 
 pub use cluster::{Cluster, ClusterBuilder, Node, MAX_GPUS};
 pub use comm::{
-    quantize_dequantize_cost, AllReduceAlgo, AllReduceSelector, Collective, CommModel, GroupCache,
+    quantize_dequantize_cost, AllReduceAlgo, AllReduceSelector, Collective, GroupCache,
 };
 pub use delta::ClusterDelta;
 pub use error::{HardwareError, Result};

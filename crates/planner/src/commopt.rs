@@ -18,7 +18,7 @@
 //!   proportional to forward FLOPs);
 //! * when [`CommConfig::auto_algorithm`] is set, each bucket also records
 //!   the cheapest AllReduce algorithm for its `(group, payload, topology)`
-//!   via [`whale_hardware::CommModel::select_allreduce`] — small buckets
+//!   via [`whale_hardware::AllReduceSelector::select`] — small buckets
 //!   ride the latency-optimal tree, large ones the bandwidth-optimal ring
 //!   or hierarchical reduction.
 //!
@@ -357,8 +357,7 @@ pub(crate) fn build_grad_sync_schedule(
         }
         if cfg.auto_algorithm && mode == SyncMode::Bucketed {
             // One topology walk per distinct group; each bucket then costs
-            // three multiply-adds to price (the selector is bit-identical
-            // to `select_allreduce`). Selection runs on *wire* bytes:
+            // three multiply-adds to price. Selection runs on *wire* bytes:
             // smaller messages sit closer to the latency-optimal side of
             // the ring/tree/hierarchical crossover.
             let selector = groups.selector(&sync.group)?;

@@ -11,135 +11,24 @@
 //! closed-form step estimate: ranking by an inadmissible estimate could
 //! discard the true winner, and the simulator decides every winner.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-use whale_fp::Fingerprint;
-use whale_hardware::{Cluster, CommModel};
+use whale_hardware::{Cluster, GroupCache};
 
 use crate::commopt::SyncMode;
 use crate::error::Result;
 use crate::plan::{ExecutionPlan, PlannedStage};
 
-/// FNV-1a. The cache keys are short vectors of numeric words produced by the
-/// planner itself, so SipHash's collision-attack resistance buys nothing and
-/// costs measurably in the search's bound phase.
-#[derive(Clone)]
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv>>;
-
-/// Memoized sub-terms of the bounds, shared across the many leaves of one
-/// auto-parallel search.
-///
-/// Candidate plans frequently repeat whole stages (the same devices running
-/// the same per-micro work) and gradient-sync collectives; the cache keys
-/// each stage by its full cost signature — device set, per-device FLOP and
-/// traffic terms, collectives, AMP/recompute/efficiency — so a hit returns
-/// a value computed by the identical arithmetic on identical inputs.
-/// Bounds are therefore bit-identical with or without the cache.
-pub struct EstimateCache<'c> {
-    cluster: &'c Cluster,
-    comm: CommModel<'c>,
-    stage_terms: FnvMap<Vec<u64>, (f64, f64)>,
-    /// [`estimate_step_lower_bound`]'s fully-priced sync durations
-    /// (collective × ZeRO factor + quantize passes); a pipeline structure's
-    /// grad syncs are identical across its whole micro/schedule sweep, so
-    /// the search hits this map on every leaf after the first.
-    sync_durs: FnvMap<Vec<u64>, f64>,
-    bounds: FnvMap<Fingerprint, f64>,
-}
-
-impl<'c> EstimateCache<'c> {
-    /// Empty cache over `cluster` (also pre-builds the communication model
-    /// once instead of once per bound).
-    pub fn new(cluster: &'c Cluster) -> EstimateCache<'c> {
-        EstimateCache {
-            cluster,
-            comm: CommModel::new(cluster),
-            stage_terms: FnvMap::default(),
-            sync_durs: FnvMap::default(),
-            bounds: FnvMap::default(),
-        }
-    }
-
-    /// The cluster this cache prices against.
-    pub fn cluster(&self) -> &'c Cluster {
-        self.cluster
-    }
-
-    /// Number of memoized sub-terms (diagnostics).
-    pub fn len(&self) -> usize {
-        self.stage_terms.len() + self.sync_durs.len() + self.bounds.len()
-    }
-
-    /// Whether nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The full cost signature of one stage, written into `key` (a scratch
-/// buffer reused across stages — cache hits then cost no allocation); two
-/// stages with equal keys have equal forward+backward terms.
-fn stage_key_into(
-    key: &mut Vec<u64>,
-    stage: &PlannedStage,
-    amp: bool,
-    bw_factor: f64,
-    efficiency: f64,
-) {
-    key.clear();
-    key.push(amp as u64);
-    key.push(bw_factor.to_bits());
-    key.push(efficiency.to_bits());
-    for d in &stage.devices {
-        key.push(d.gpu as u64);
-        key.push(d.fw_flops_per_micro.to_bits());
-        key.push(d.mem_traffic_per_micro.to_bits());
-    }
-    key.push(u64::MAX); // separates devices from collectives
-    for c in &stage.collectives_per_micro {
-        key.push(c.kind as u64);
-        key.push(c.bytes);
-        key.push(c.group.len() as u64);
-        key.extend(c.group.iter().map(|&g| g as u64));
-    }
-}
-
 /// One stage's per-micro `(forward+backward, forward-only)` span (compute
-/// roofline + collectives) — the pair [`EstimateCache`] memoizes. The
-/// engine prices a forward task as `roofline + collectives` and a backward
-/// task as `κ·roofline + collectives`, so the pair is exactly
-/// `((1+κ)·t + 2·c, t + c)`.
+/// roofline + collectives). The engine prices a forward task as
+/// `roofline + collectives` and a backward task as `κ·roofline +
+/// collectives`, so the pair is exactly `((1+κ)·t + 2·c, t + c)`.
 fn stage_fw_bw(
     stage: &PlannedStage,
-    cluster: &Cluster,
-    comm: &CommModel<'_>,
+    groups: &mut GroupCache<'_>,
     amp: bool,
     bw_factor: f64,
     efficiency: f64,
 ) -> Result<(f64, f64)> {
+    let cluster = groups.cluster();
     let mut t: f64 = 0.0;
     for d in &stage.devices {
         let gpu = cluster.gpu(d.gpu)?;
@@ -157,7 +46,7 @@ fn stage_fw_bw(
             }
             _ => c.bytes,
         };
-        comm_t += comm.collective(c.kind, &c.group, per_rank)?;
+        comm_t += groups.selector(&c.group)?.collective(c.kind, per_rank);
     }
     Ok((t * (1.0 + bw_factor) + comm_t * 2.0, t + comm_t))
 }
@@ -189,24 +78,6 @@ pub struct StructuralBound {
     pub recompute: bool,
     /// Compute efficiency `α` of the cost model.
     pub efficiency: f64,
-}
-
-impl StructuralBound {
-    /// Content fingerprint (keys the bound memo in [`EstimateCache`]; the
-    /// caller composes it with the cluster fingerprint).
-    pub fn fingerprint(&self) -> Fingerprint {
-        let mut fp = whale_fp::Fingerprinter::new("structural-bound");
-        fp.push_f64(self.fw_flops_per_sample)
-            .push_usize(self.global_batch)
-            .push_usize(self.replicas)
-            .push_usize(self.depth)
-            .push_usize(self.num_micro)
-            .push_usize(self.stage_width)
-            .push_bool(self.amp)
-            .push_bool(self.recompute)
-            .push_f64(self.efficiency);
-        fp.finish()
-    }
 }
 
 /// Admissible pre-plan lower bound on the simulated step time of any plan
@@ -305,28 +176,17 @@ pub fn structural_lower_bound(b: &StructuralBound, cluster: &Cluster) -> f64 {
     conservation.max(fill)
 }
 
-/// [`structural_lower_bound`] memoized in the cache by the bound's content
-/// fingerprint (the cache is cluster-scoped, so the key needs no cluster
-/// component). Bit-identical to the unmemoized call.
-pub fn structural_lower_bound_keyed(b: &StructuralBound, cache: &mut EstimateCache<'_>) -> f64 {
-    let key = b.fingerprint();
-    if let Some(&t) = cache.bounds.get(&key) {
-        return t;
-    }
-    let t = structural_lower_bound(b, cache.cluster);
-    cache.bounds.insert(key, t);
-    t
-}
-
-/// Admissible post-plan lower bound on `plan`'s simulated step time.
+/// Admissible post-plan lower bound on `plan`'s simulated step time,
+/// pricing every collective through `groups` (the cluster's topologies,
+/// shared across the plans of one search).
 ///
 /// Uses the engine's own per-micro task price — per-device FLOPs at
 /// effective rate plus memory traffic at device bandwidth (backward = κ×
 /// forward) plus the stage's per-micro collectives, charged once in each
-/// direction, through the identical [`CommModel`] — and the engine's
-/// inter-stage transfer lags, but drops everything else additive:
-/// scheduling gaps and any sync serialization beyond the release-time term
-/// below.
+/// direction through the same [`whale_hardware::AllReduceSelector`] prices
+/// — and the engine's inter-stage transfer lags, but drops everything else
+/// additive: scheduling gaps and any sync serialization beyond the
+/// release-time term below.
 ///
 /// **Compute term.** For every stage `j`, data dependencies alone force
 ///
@@ -371,10 +231,8 @@ pub fn structural_lower_bound_keyed(b: &StructuralBound, cache: &mut EstimateCac
 /// *adds* time, the returned value never exceeds the simulated step time —
 /// the admissibility the branch-and-bound search relies on (see
 /// `tests/search_determinism.rs` and `tests/estimator_agreement.rs`).
-pub fn estimate_step_lower_bound(
-    plan: &ExecutionPlan,
-    cache: &mut EstimateCache<'_>,
-) -> Result<f64> {
+pub fn estimate_step_lower_bound(plan: &ExecutionPlan, groups: &mut GroupCache<'_>) -> Result<f64> {
+    let cluster = groups.cluster();
     let m = plan.num_micro_batches.max(1) as f64;
     let amp = plan.training.amp;
     let bw_factor = if plan.training.recompute { 3.0 } else { 2.0 };
@@ -384,24 +242,8 @@ pub fn estimate_step_lower_bound(
     // Release-time lower bound per stage: earliest instant its gradient
     // sync could possibly start in the engine.
     let mut releases: Vec<f64> = Vec::with_capacity(plan.stages.len());
-    let mut key: Vec<u64> = Vec::new();
     for (s, stage) in plan.stages.iter().enumerate() {
-        stage_key_into(&mut key, stage, amp, bw_factor, plan.efficiency);
-        let (fw_bw, fw) = match cache.stage_terms.get(key.as_slice()) {
-            Some(&t) => t,
-            None => {
-                let t = stage_fw_bw(
-                    stage,
-                    cache.cluster,
-                    &cache.comm,
-                    amp,
-                    bw_factor,
-                    plan.efficiency,
-                )?;
-                cache.stage_terms.insert(key.clone(), t);
-                t
-            }
-        };
+        let (fw_bw, fw) = stage_fw_bw(stage, groups, amp, bw_factor, plan.efficiency)?;
         bottleneck = bottleneck.max(chain + m * fw_bw);
         releases.push(fw_ramp + if m >= 2.0 { m * fw_bw } else { fw });
         chain += fw_bw;
@@ -415,9 +257,9 @@ pub fn estimate_step_lower_bound(
                 let from = stage.gpu_ids();
                 let to = next.gpu_ids();
                 if from != to {
-                    let a = cache.cluster.gpu(from[0])?;
-                    let b = cache.cluster.gpu(to[0])?;
-                    let xfer = cache.cluster.interconnect.p2p_time(a, b, bytes);
+                    let a = cluster.gpu(from[0])?;
+                    let b = cluster.gpu(to[0])?;
+                    let xfer = cluster.interconnect.p2p_time(a, b, bytes);
                     chain += 2.0 * xfer;
                     fw_ramp += xfer;
                 }
@@ -449,33 +291,15 @@ pub fn estimate_step_lower_bound(
                 .as_ref()
                 .and_then(|w| w[sync_index])
                 .filter(|_| c.group.len() > 1);
-            key.clear();
-            key.push(c.kind as u64);
-            key.push(c.bytes);
-            key.push(wire.unwrap_or(c.bytes));
-            key.push(zero_factor.to_bits());
-            key.extend(c.group.iter().map(|&g| g as u64));
-            let dur = match cache.sync_durs.get(key.as_slice()) {
-                Some(&d) => d,
-                None => {
-                    let (wire, quant) = match wire {
-                        Some(wire) => {
-                            let mut membw = f64::INFINITY;
-                            for &g in &c.group {
-                                membw = membw.min(cache.cluster.gpu(g)?.model.memory_bandwidth());
-                            }
-                            (
-                                wire,
-                                whale_hardware::quantize_dequantize_cost(c.bytes, wire, membw),
-                            )
-                        }
-                        None => (c.bytes, 0.0),
-                    };
-                    let d = cache.comm.collective(c.kind, &c.group, wire)? * zero_factor + quant;
-                    cache.sync_durs.insert(key.clone(), d);
-                    d
-                }
+            let sel = groups.selector(&c.group)?;
+            let (wire, quant) = match wire {
+                Some(wire) => (
+                    wire,
+                    whale_hardware::quantize_dequantize_cost(c.bytes, wire, sel.min_membw()),
+                ),
+                None => (c.bytes, 0.0),
             };
+            let dur = sel.collective(c.kind, wire) * zero_factor + quant;
             let release = c
                 .stage
                 .filter(|&s| s < plan.stages.len())
@@ -502,12 +326,12 @@ pub fn estimate_step_lower_bound(
             1.0
         };
         for d in &stage.devices {
-            let gpu = cache.cluster.gpu(d.gpu)?;
+            let gpu = cluster.gpu(d.gpu)?;
             let local_params = stage.param_bytes as f64;
             let t = if plan.training.offload {
                 let grad_bytes = local_params / 4.0 * if plan.training.amp { 2.0 } else { 4.0 };
                 let back_bytes = local_params / 4.0 * 2.0;
-                (grad_bytes + back_bytes) / (shards * cache.cluster.interconnect.pcie_bw)
+                (grad_bytes + back_bytes) / (shards * cluster.interconnect.pcie_bw)
             } else {
                 3.0 * local_params / (shards * gpu.model.memory_bandwidth())
             };
@@ -538,7 +362,6 @@ mod tests {
         // post-plan bound's admissibility against the *simulator* is the
         // workspace-level `tests/estimator_agreement.rs`.
         let cluster = Cluster::parse("4xV100,4xP100").unwrap();
-        let mut cache = EstimateCache::new(&cluster);
         let g = models::bert_base(64, 64).unwrap();
         let fw_per_sample = whale_graph::graph_stats(&g).forward_flops / 64.0;
         let ir = Annotator::new(g, 64)
@@ -547,7 +370,7 @@ mod tests {
             .finish()
             .unwrap();
         let p = plan(&ir, &cluster, &PlannerConfig::default()).unwrap();
-        let post = estimate_step_lower_bound(&p, &mut cache).unwrap();
+        let post = estimate_step_lower_bound(&p, &mut GroupCache::new(&cluster)).unwrap();
         assert!(post > 0.0, "post {post}");
         let b = StructuralBound {
             fw_flops_per_sample: fw_per_sample,
@@ -562,32 +385,11 @@ mod tests {
         };
         let pre = structural_lower_bound(&b, &cluster);
         assert!(pre > 0.0 && pre <= post, "pre {pre} vs post {post}");
-    }
-
-    #[test]
-    fn keyed_bounds_are_bit_identical() {
-        let cluster = Cluster::parse("4xV100,4xP100").unwrap();
-        let mut cache = EstimateCache::new(&cluster);
-        let b = StructuralBound {
-            fw_flops_per_sample: 1e9,
-            global_batch: 128,
-            replicas: 2,
-            depth: 4,
-            num_micro: 8,
-            stage_width: 1,
-            amp: false,
-            recompute: false,
-            efficiency: 0.45,
-        };
-        let plain = structural_lower_bound(&b, &cluster);
-        let miss = structural_lower_bound_keyed(&b, &mut cache);
-        let before = cache.len();
-        let hit = structural_lower_bound_keyed(&b, &mut cache);
-        assert_eq!(plain.to_bits(), miss.to_bits());
-        assert_eq!(miss.to_bits(), hit.to_bits());
-        assert_eq!(cache.len(), before, "a hit must not grow the cache");
         // More micro batches can only lower the pre-plan bound's chain term.
-        let wider = StructuralBound { num_micro: 32, ..b };
-        assert!(structural_lower_bound(&wider, &cluster) <= plain);
+        let wider = StructuralBound {
+            num_micro: 4 * b.num_micro,
+            ..b
+        };
+        assert!(structural_lower_bound(&wider, &cluster) <= pre);
     }
 }

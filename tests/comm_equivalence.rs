@@ -11,7 +11,7 @@
 //! monotonically to 1.0 along each group's bucket list.
 
 use whale::{models, strategies, CommConfig, GradDtype, Session, SyncMode, WhaleIr};
-use whale_hardware::{AllReduceAlgo, Cluster, CommModel, Interconnect};
+use whale_hardware::{AllReduceAlgo, AllReduceSelector, Cluster, Interconnect};
 
 type Case = (&'static str, fn() -> WhaleIr);
 
@@ -208,9 +208,8 @@ fn wire_bytes_telescope_to_the_scaled_payload_across_the_matrix() {
 fn fp8_payload_scaling_flips_ring_to_tree_on_a_latency_dominated_fabric() {
     let mut cluster = Cluster::parse("32x(1xV100)").expect("cluster");
     cluster.interconnect = Interconnect::ethernet_10g();
-    let comm = CommModel::new(&cluster);
     let group: Vec<usize> = (0..cluster.num_gpus()).collect();
-    let sel = comm.allreduce_selector(&group).expect("selector");
+    let sel = AllReduceSelector::new(&cluster, &group).expect("selector");
 
     let logical: u64 = 1 << 20;
     let fp32_wire = CommConfig::fused().wire_bytes(logical);

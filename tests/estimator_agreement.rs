@@ -3,7 +3,8 @@
 //! simulated step time, or the search could prune the true winner.
 
 use whale::{models, strategies, ScheduleKind, Session};
-use whale_planner::{estimate_step_lower_bound, pipeline_leaf_bound, EstimateCache};
+use whale_hardware::GroupCache;
+use whale_planner::{estimate_step_lower_bound, pipeline_leaf_bound};
 
 #[test]
 fn lower_bounds_never_exceed_simulated_step() {
@@ -41,8 +42,8 @@ fn lower_bounds_never_exceed_simulated_step() {
                 }
                 let plan = s.plan(&ir).unwrap();
                 let sim = s.step_plan(&plan).unwrap().stats.step_time;
-                let mut cache = EstimateCache::new(s.cluster());
-                let post_lb = estimate_step_lower_bound(&plan, &mut cache).unwrap();
+                let post_lb =
+                    estimate_step_lower_bound(&plan, &mut GroupCache::new(s.cluster())).unwrap();
                 let tag = format!("r={replicas} micro={micro} {schedule:?}");
                 assert!(
                     post_lb <= sim * (1.0 + 1e-9),

@@ -8,7 +8,9 @@
 use whale::{models, strategies, Session};
 use whale_fp::{Fingerprint, Fingerprinter};
 use whale_graph::{CostProfile, TrainingConfig};
-use whale_hardware::{Cluster, ClusterBuilder, ClusterDelta, CommModel, GpuModel, LinkKind};
+use whale_hardware::{
+    AllReduceSelector, Cluster, ClusterBuilder, ClusterDelta, GpuModel, LinkKind,
+};
 use whale_planner::bridge::{chain_bytes, fuse, Bridge};
 use whale_planner::partition::{balanced_cuts, group_costs, proportional_split};
 use whale_planner::{dp_partition, ScheduleKind};
@@ -88,19 +90,19 @@ fn allreduce_cost_monotone() {
         let bytes_a = 1 + (rng.next_u64() & ((1 << 30) - 1));
         let bytes_b = 1 + (rng.next_u64() & ((1 << 30) - 1));
         let cluster = Cluster::homogeneous(GpuModel::V100_32GB, 1, gpus);
-        let comm = CommModel::new(&cluster);
         let group: Vec<usize> = (0..gpus).collect();
+        let sel = AllReduceSelector::new(&cluster, &group).unwrap();
         let (lo, hi) = if bytes_a <= bytes_b {
             (bytes_a, bytes_b)
         } else {
             (bytes_b, bytes_a)
         };
-        let t_lo = comm.allreduce(&group, lo).unwrap();
-        let t_hi = comm.allreduce(&group, hi).unwrap();
+        let t_lo = sel.ring(lo);
+        let t_hi = sel.ring(hi);
         assert!(t_lo >= 0.0);
         assert!(t_hi >= t_lo);
-        // Hierarchical never loses to flat by construction of best_allreduce.
-        let best = comm.best_allreduce(&group, hi).unwrap();
+        // Selection never loses to the flat ring: it takes the cheapest.
+        let best = sel.select(hi).1;
         assert!(best <= t_hi + 1e-12);
     }
 }
