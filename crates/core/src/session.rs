@@ -96,9 +96,10 @@ impl Session {
         self
     }
 
-    /// Set the fraction of backward compute available to hide gradient sync.
-    /// Only consulted by the legacy sync model — with bucketed fusion on
-    /// (see [`Session::comm`]) overlap emerges from per-bucket events.
+    /// Set the fraction of backward compute available to hide gradient sync,
+    /// in `[0, 1]`; a step refuses any other value. Only consulted by the
+    /// legacy sync model — with bucketed fusion on (see [`Session::comm`])
+    /// overlap emerges from per-bucket events.
     pub fn sync_overlap(mut self, fraction: f64) -> Session {
         self.sim.sync_overlap = fraction;
         self

@@ -224,8 +224,8 @@ pub fn structural_lower_bound(b: &StructuralBound, cluster: &Cluster) -> f64 {
 /// durations are priced identically (ZeRO comm factor, wire scaling,
 /// quantize passes). Bucketed schedules overlap across disjoint node
 /// groups, so no admissible serialization term exists and they contribute
-/// nothing. (Admissibility assumes `sync_overlap ∈ [0, 1]`, the documented
-/// range of the simulator's knob.)
+/// nothing. (Admissibility needs `sync_overlap ∈ [0, 1]`; the simulator
+/// refuses any other value.)
 ///
 /// Because the engine prices each task exactly this way and then only ever
 /// *adds* time, the returned value never exceeds the simulated step time —

@@ -21,14 +21,9 @@ pub struct SimConfig {
     pub schedule: ScheduleKind,
     /// Fraction of backward compute usable to hide gradient AllReduce
     /// (Whale overlaps sync with the tail of backward; 1.0 = full overlap,
-    /// 0.0 = fully exposed sync).
+    /// 0.0 = fully exposed sync). [`simulate_step`] refuses a value outside
+    /// `[0, 1]` with [`SimError::SyncOverlapOutOfRange`].
     pub sync_overlap: f64,
-    /// Half-saturation batch of the SM-occupancy model: kernels launched
-    /// with `b` samples reach `b/(b + half_sat)` of full SM activity, which
-    /// is why the paper's Table 2 shows P100 SMACT *dipping slightly* when
-    /// the hardware-aware policy shrinks its batch. 0 disables the model
-    /// (utilization = pure busy fraction).
-    pub occupancy_half_sat: f64,
 }
 
 impl Default for SimConfig {
@@ -36,10 +31,15 @@ impl Default for SimConfig {
         Self {
             schedule: ScheduleKind::BackwardFirst,
             sync_overlap: 1.0,
-            occupancy_half_sat: 16.0,
         }
     }
 }
+
+/// Half-saturation batch of the SM-occupancy model: kernels launched with
+/// `b` samples reach `b/(b + OCCUPANCY_HALF_SAT)` of full SM activity, which
+/// is why the paper's Table 2 shows P100 SMACT *dipping slightly* when the
+/// hardware-aware policy shrinks its batch.
+const OCCUPANCY_HALF_SAT: f64 = 16.0;
 
 impl SimConfig {
     /// Default config with the given pipeline schedule — the knob the
@@ -415,6 +415,12 @@ pub fn simulate_step(
     cluster: &Cluster,
     config: &SimConfig,
 ) -> Result<StepOutcome> {
+    // The post-plan search bound is admissible only for an overlap in
+    // [0, 1]; outside it the legacy sync path charges a step the bound
+    // cannot see.
+    if !(0.0..=1.0).contains(&config.sync_overlap) {
+        return Err(SimError::SyncOverlapOutOfRange(config.sync_overlap));
+    }
     plan.validate(cluster)?;
     // Every collective, sync and bucket below prices through one topology
     // per distinct group.
@@ -675,12 +681,8 @@ pub fn simulate_step(
             oom.push(gpu_id);
         }
         let b = busy[gpu_id];
-        let occupancy = if config.occupancy_half_sat > 0.0 {
-            let s = samples[gpu_id] as f64;
-            s / (s + config.occupancy_half_sat)
-        } else {
-            1.0
-        };
+        let s = samples[gpu_id] as f64;
+        let occupancy = s / (s + OCCUPANCY_HALF_SAT);
         per_gpu.push(GpuStat {
             gpu: gpu_id,
             model: gpu.model,
@@ -869,7 +871,6 @@ mod tests {
         let d = SimConfig::default();
         assert_eq!(c.schedule, ScheduleKind::GPipe);
         assert_eq!(c.sync_overlap, d.sync_overlap);
-        assert_eq!(c.occupancy_half_sat, d.occupancy_half_sat);
     }
 
     #[test]

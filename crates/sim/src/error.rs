@@ -11,6 +11,9 @@ pub enum SimError {
     Hardware(String),
     /// Scheduling produced an inconsistent task graph (a bug if it happens).
     Schedule(String),
+    /// [`crate::SimConfig::sync_overlap`] is not a finite fraction in
+    /// `[0, 1]`.
+    SyncOverlapOutOfRange(f64),
     /// A fleet run fell below its capacity floor: the pool's surviving
     /// FLOPS dropped under `required` (a fraction of the starting
     /// capacity), so no legal shrink can keep the tenants running.
@@ -28,6 +31,9 @@ impl fmt::Display for SimError {
             SimError::BadPlan(s) => write!(f, "bad plan: {s}"),
             SimError::Hardware(s) => write!(f, "hardware error: {s}"),
             SimError::Schedule(s) => write!(f, "schedule error: {s}"),
+            SimError::SyncOverlapOutOfRange(x) => {
+                write!(f, "sync_overlap must be a fraction in [0, 1], got {x}")
+            }
             SimError::InsufficientCapacity {
                 available,
                 required,

@@ -1,8 +1,8 @@
 //! Simulator boundary conditions: degenerate pipelines, single micro
 //! batches, co-located stages, determinism under reordering.
 
-use whale::{models, strategies, ScheduleKind, Session};
-use whale_sim::TaskKind;
+use whale::{models, strategies, ScheduleKind, Session, WhaleError};
+use whale_sim::{SimError, TaskKind};
 
 #[test]
 fn pipeline_with_one_micro_batch_is_sequential() {
@@ -104,6 +104,24 @@ fn utilization_never_exceeds_one() {
             );
             assert!(g.utilization >= 0.0);
         }
+    }
+}
+
+#[test]
+fn sync_overlap_outside_the_unit_interval_is_a_typed_error() {
+    // The post-plan search bound is admissible only for an overlap in
+    // [0, 1], so the simulator refuses any other value before it runs.
+    let ir = strategies::data_parallel(models::bert_base(16, 64).unwrap(), 16).unwrap();
+    let session = Session::on_cluster("4xV100,4xP100").unwrap();
+    for bad in [1.5, -1.0, f64::NAN] {
+        let want = SimError::SyncOverlapOutOfRange(bad).to_string();
+        match session.clone().sync_overlap(bad).step(&ir) {
+            Err(WhaleError::Sim(msg)) => assert_eq!(msg, want),
+            other => panic!("sync_overlap {bad}: {:?}", other.map(|o| o.stats.step_time)),
+        }
+    }
+    for ok in [0.0, 1.0] {
+        session.clone().sync_overlap(ok).step(&ir).unwrap();
     }
 }
 
