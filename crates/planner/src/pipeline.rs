@@ -115,9 +115,8 @@ pub struct PlacedTaskGraphs {
     /// Virtual device of each TaskGraph within plan replica 0.
     pub vds0: Vec<VirtualDevice>,
     /// Per-stage exit-tensor byte totals from one sweep over the graph's
-    /// edges (`None` when TaskGraphs overlap; consumers then fall back to
-    /// `exit_tensors`).
-    pub boundary_sums: Option<Vec<u64>>,
+    /// edges.
+    pub boundary_sums: Vec<u64>,
 }
 
 /// Artifact of [`PassId::BridgeInsertion`]: everything that crosses a stage
@@ -342,7 +341,7 @@ impl PlannerPass for Placement {
         // planning. One pass over the graph's edges replaces those scans;
         // per-producer byte sums are u64, so the two computations are
         // exactly equal, not just approximately.
-        let boundary_sums = stage_boundary_bytes(&ir.graph, &task_graphs);
+        let boundary_sums = stage_boundary_bytes(&ir.graph, &task_graphs)?;
 
         state.placement = Some(PlacedTaskGraphs {
             task_graphs,
@@ -379,15 +378,7 @@ impl PlannerPass for BridgeInsertion {
         // Inter-stage boundary bytes per micro batch (at the first group's
         // batch; groups are symmetric by construction).
         let mut send_bytes = Vec::with_capacity(num_stages);
-        for (tg_idx, tg) in p.task_graphs.iter().enumerate() {
-            let boundary: u64 = match &p.boundary_sums {
-                Some(v) => v[tg_idx],
-                None => tg
-                    .exit_tensors(&ir.graph)
-                    .iter()
-                    .map(|(_, bytes)| bytes)
-                    .sum(),
-            };
+        for (tg_idx, &boundary) in p.boundary_sums.iter().enumerate() {
             let micro_scale = if ir.global_batch > 0 {
                 d.group_batches[0] as f64 / (d.num_micro as f64 * ir.global_batch as f64)
             } else {
@@ -420,10 +411,7 @@ impl PlannerPass for BridgeInsertion {
             if chain.is_empty() {
                 continue;
             }
-            let boundary: u64 = match &p.boundary_sums {
-                Some(v) => v[i],
-                None => a.exit_tensors(&ir.graph).iter().map(|(_, b)| b).sum(),
-            };
+            let boundary = p.boundary_sums[i];
             let micro_scale =
                 d.group_batches[0] as f64 / (d.num_micro as f64 * ir.global_batch.max(1) as f64);
             let moved = (chain_bytes(&chain, boundary) as f64 * micro_scale) as u64;

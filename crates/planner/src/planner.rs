@@ -141,20 +141,25 @@ pub fn plan(ir: &WhaleIr, cluster: &Cluster, config: &PlannerConfig) -> Result<E
 /// graph's edges, equal to `tg.exit_tensors(graph).iter().map(|(_, b)| b)
 /// .sum()` per TaskGraph: a producer counts once when any consumer lives
 /// outside its TaskGraph, and the per-TaskGraph u64 sums are
-/// order-independent. Returns `None` when TaskGraphs share ops (the
-/// per-TaskGraph scan is then not expressible as one labeling) so the
-/// caller falls back to the direct computation.
+/// order-independent. TaskGraphs that share an op or name one out of range
+/// are [`PlanError::BadIr`]; `WhaleIr::validate` refuses both before
+/// placement runs.
 pub(crate) fn stage_boundary_bytes(
     graph: &whale_graph::Graph,
     task_graphs: &[TaskGraph],
-) -> Option<Vec<u64>> {
+) -> Result<Vec<u64>> {
     const UNASSIGNED: u32 = u32::MAX;
     let mut stage_of = vec![UNASSIGNED; graph.len()];
     for (tg_idx, tg) in task_graphs.iter().enumerate() {
         for op in &tg.ops {
-            let slot = stage_of.get_mut(op.0)?;
+            let slot = stage_of
+                .get_mut(op.0)
+                .ok_or_else(|| PlanError::BadIr(format!("op {} out of range", op.0)))?;
             if *slot != UNASSIGNED {
-                return None;
+                return Err(PlanError::BadIr(format!(
+                    "op {} is in two TaskGraphs",
+                    op.0
+                )));
             }
             *slot = tg_idx as u32;
         }
@@ -174,7 +179,7 @@ pub(crate) fn stage_boundary_bytes(
             sums[stage_of[op.id.0] as usize] += op.output_bytes();
         }
     }
-    Some(sums)
+    Ok(sums)
 }
 
 /// Auto-partition a pipeline into one stage per GPU of a plan replica
@@ -302,6 +307,31 @@ mod tests {
     use whale_graph::models;
     use whale_hardware::Collective;
     use whale_ir::Annotator;
+
+    #[test]
+    fn boundary_bytes_match_exit_tensors_and_refuse_shared_ops() {
+        let g = models::bert_base(8, 32).unwrap();
+        let (half, n) = (g.len() / 2, g.len());
+        let tg = |i, ops: std::ops::Range<usize>| {
+            TaskGraph::new(i, ops.map(whale_graph::OpId).collect(), vec![])
+        };
+        let tgs = [tg(0, 0..half), tg(1, half..n)];
+        let sums = stage_boundary_bytes(&g, &tgs).unwrap();
+        let direct: Vec<u64> = tgs
+            .iter()
+            .map(|t| t.exit_tensors(&g).iter().map(|(_, b)| b).sum())
+            .collect();
+        assert_eq!(sums, direct);
+        assert!(sums[0] > 0);
+        // Shared ops and out-of-range ids are refused, not priced.
+        for bad in [
+            [tg(0, 0..half), tg(1, 0..half)],
+            [tg(0, 0..half), tg(1, half..n + 1)],
+        ] {
+            let err = stage_boundary_bytes(&g, &bad).unwrap_err();
+            assert!(matches!(err, PlanError::BadIr(_)), "{err}");
+        }
+    }
 
     #[test]
     fn nested_degree_selection() {
