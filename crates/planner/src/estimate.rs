@@ -148,17 +148,18 @@ pub fn structural_lower_bound(b: &StructuralBound, cluster: &Cluster) -> f64 {
     let fill = if b.depth > 1 && b.stage_width == 1 && replicas * b.depth == cluster.num_gpus() {
         let q = 1.0 - 1.0 / m;
         let mut denom = 0.0_f64;
-        for g in 0..replicas {
-            let mut rates: Vec<f64> = cluster.gpus()[g * b.depth..(g + 1) * b.depth]
-                .iter()
-                .map(|gpu| {
-                    let boost = if b.amp { gpu.model.amp_speedup() } else { 1.0 };
-                    gpu.flops() * boost * b.efficiency
-                })
-                .collect();
+        // One rate buffer for every replica group: the search prices this
+        // bound for each of its leaves.
+        let mut rates: Vec<f64> = Vec::with_capacity(b.depth);
+        for group in cluster.gpus().chunks(b.depth) {
+            rates.clear();
+            rates.extend(group.iter().map(|gpu| {
+                let boost = if b.amp { gpu.model.amp_speedup() } else { 1.0 };
+                gpu.flops() * boost * b.efficiency
+            }));
             rates.sort_by(|x, y| y.total_cmp(x));
             let (mut dsum, mut wgt) = (0.0_f64, 1.0_f64);
-            for c in rates {
+            for &c in &rates {
                 dsum += c * wgt;
                 wgt *= q;
             }
