@@ -4,7 +4,11 @@
 //! timeline). `{:?}` prints every `f64` in its shortest round-trip form, so
 //! a digest moves if and only if some output bit moves. The digests were
 //! recorded while the original polling scheduler still asserted equality
-//! beside them. After an intended output change, regenerate the table with
+//! beside them. The run-boundary cases (a degraded GPU, mixed precision
+//! with compression, ZeRO-3 with offload, and Balance's nested arms on
+//! device slices that straddle two GPU models) were recorded while the
+//! simulator still priced and audited every device row on its own. After
+//! an intended output change, regenerate the table with
 //!
 //! ```text
 //! cargo test --offline --test sim_equivalence -- --ignored --nocapture print_goldens
@@ -14,7 +18,10 @@
 
 use std::fmt::{self, Write};
 
-use whale::{models, strategies, ScheduleKind, Session, WhaleIr};
+use whale::{
+    models, strategies, Annotator, Cluster, CommConfig, DeviceAssignment, Primitive, ScheduleKind,
+    Session, TrainingConfig, VirtualDevice, WhaleIr, ZeroStage,
+};
 use whale_fp::Fingerprinter;
 
 /// `(case, StepOutcome digest)`, in the order `all_cases` lists them.
@@ -28,6 +35,17 @@ const GOLDENS: &[(&str, &str)] = &[
     ("hybrid pipeline×DP bert_base", "bc6ddb469f20ba76"),
     ("moe hybrid m6_moe tiny", "05a7bcc84761f616"),
     ("vanilla model parallel bert_base", "42250419e60cdcef"),
+    ("moe hybrid m6_moe tiny gpu5 at 0.7", "042b6380b272a624"),
+    (
+        "moe hybrid m6_moe tiny bf16 compress(0.5) hetero",
+        "f01912491c3a63f5",
+    ),
+    (
+        "moe hybrid m6_moe tiny zero3 offload amp hetero",
+        "b36324830ce65ed8",
+    ),
+    ("fig6 nested hybrid bert_base hetero", "8888cd72201d89fa"),
+    ("nested replica×split bert_base hetero", "1e237ab1e9894a31"),
 ];
 
 /// One simulated step: the session it plans and steps on, and its IR.
@@ -102,6 +120,95 @@ fn vanilla_case() -> Case {
     }
 }
 
+/// The MoE hybrid at batch 64: replica TaskGraphs alternate with split
+/// expert TaskGraphs, every one on every GPU.
+fn moe_ir() -> WhaleIr {
+    strategies::moe_hybrid(models::m6_moe(models::MoeConfig::tiny(), 64).unwrap(), 64).unwrap()
+}
+
+/// Cases where a run of equal device rows breaks, or a memory-ledger rule
+/// fires, at a known place.
+fn run_boundary_cases() -> Vec<Case> {
+    // One degraded GPU: its split-expert rows equal their neighbours' in
+    // model, FLOPs and traffic, and differ only in `throughput_scale`.
+    let mut degraded = Cluster::parse("2x(8xV100)").unwrap();
+    degraded.degrade_gpu(5, 0.7).unwrap();
+    // The Fig. 6 hybrid and a `[Replica, Split]` TaskGraph, with virtual
+    // devices that straddle the V100/P100 boundary so that Balance's
+    // replica and nested arms see unequal batch shares within one device
+    // slice. Fig. 6's TG4 shares TG1's GPUs, so those GPUs carry two
+    // stages each and their runtime overhead is charged once.
+    let vd = |ids: &[usize]| VirtualDevice::new(ids.to_vec()).unwrap();
+    let fig6 = |g: whale::Graph| {
+        let n = g.len();
+        let q = n / 4;
+        Annotator::new(g, 32)
+            .annotate_range(0, q, vec![Primitive::Replica])
+            .unwrap()
+            .annotate_range(q, 2 * q, vec![Primitive::Replica])
+            .unwrap()
+            .annotate_range(2 * q, 3 * q, vec![Primitive::Split])
+            .unwrap()
+            .annotate_range(3 * q, n, vec![Primitive::Split, Primitive::Replica])
+            .unwrap()
+            .finish()
+            .unwrap()
+    };
+    let nested = |g: whale::Graph| {
+        let n = g.len();
+        Annotator::new(g, 32)
+            .annotate_range(0, n, vec![Primitive::Replica, Primitive::Split])
+            .unwrap()
+            .finish()
+            .unwrap()
+    };
+    vec![
+        Case {
+            label: "moe hybrid m6_moe tiny gpu5 at 0.7".into(),
+            session: Session::new(degraded),
+            ir: moe_ir(),
+        },
+        Case {
+            label: "moe hybrid m6_moe tiny bf16 compress(0.5) hetero".into(),
+            session: Session::on_cluster("1x(4xV100)+1x(4xP100)")
+                .unwrap()
+                .comm(CommConfig::fused().bf16().compress(0.5)),
+            ir: moe_ir(),
+        },
+        Case {
+            label: "moe hybrid m6_moe tiny zero3 offload amp hetero".into(),
+            session: Session::on_cluster("1x(4xV100)+1x(4xP100)")
+                .unwrap()
+                .training(TrainingConfig {
+                    amp: true,
+                    zero: ZeroStage::Parameters,
+                    offload: true,
+                    ..TrainingConfig::default()
+                }),
+            ir: moe_ir(),
+        },
+        Case {
+            label: "fig6 nested hybrid bert_base hetero".into(),
+            session: Session::on_cluster("8xV100+8xP100").unwrap().devices(
+                DeviceAssignment::PerTaskGraph(vec![
+                    vd(&[6, 7, 8, 9]),
+                    vd(&[4, 5]),
+                    vd(&[10, 11]),
+                    vd(&[6, 7, 8, 9]),
+                ]),
+            ),
+            ir: fig6(models::bert_base(32, 64).unwrap()),
+        },
+        Case {
+            label: "nested replica×split bert_base hetero".into(),
+            session: Session::on_cluster("8xV100+8xP100").unwrap().devices(
+                DeviceAssignment::PerTaskGraph(vec![vd(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])]),
+            ),
+            ir: nested(models::bert_base(32, 64).unwrap()),
+        },
+    ]
+}
+
 fn all_cases() -> Vec<Case> {
     let mut cases = dp_cases();
     cases.extend(pipeline_cases());
@@ -111,6 +218,7 @@ fn all_cases() -> Vec<Case> {
         moe_case(),
         vanilla_case(),
     ]);
+    cases.extend(run_boundary_cases());
     cases
 }
 
@@ -184,6 +292,11 @@ fn moe_hybrid_matches() {
 #[test]
 fn vanilla_model_parallel_matches() {
     assert_golden(vec![vanilla_case()]);
+}
+
+#[test]
+fn run_boundaries_and_ledger_rules_match() {
+    assert_golden(run_boundary_cases());
 }
 
 #[test]
