@@ -160,9 +160,9 @@ pub(crate) fn balance_taskgraph(
                 act_mult,
                 a.config.hardware_aware,
             )?;
-            for (i, &gpu) in a.vd_gpus.iter().enumerate() {
-                let bs = dp.batch_sizes[i];
-                devices.push(DeviceWork {
+            let start = devices.len();
+            for (&gpu, &bs) in a.vd_gpus.iter().zip(&dp.batch_sizes) {
+                push_row(devices, start, gpu, bs, || DeviceWork {
                     gpu,
                     fw_flops_per_micro: fw_per_sample * bs as f64 / a.num_micro as f64,
                     mem_traffic_per_micro: a.profile.memory_traffic_bytes_per_sample * bs as f64
@@ -223,6 +223,7 @@ pub(crate) fn balance_taskgraph(
         // Replica nested inside split: replica groups each own a shard.
         [Primitive::Replica, Primitive::Split] => {
             let (s, r) = nested_degrees(k);
+            let start = devices.len();
             for shard_gpus in a.vd_gpus.chunks(r) {
                 let dp = memo.dp_partition_memo(
                     a.cluster,
@@ -233,9 +234,8 @@ pub(crate) fn balance_taskgraph(
                     act_mult / s as f64,
                     a.config.hardware_aware,
                 )?;
-                for (i, &gpu) in shard_gpus.iter().enumerate() {
-                    let bs = dp.batch_sizes[i];
-                    devices.push(DeviceWork {
+                for (&gpu, &bs) in shard_gpus.iter().zip(&dp.batch_sizes) {
+                    push_row(devices, start, gpu, bs, || DeviceWork {
                         gpu,
                         fw_flops_per_micro: fw_per_sample * bs as f64
                             / (a.num_micro as f64 * s as f64),
@@ -286,8 +286,10 @@ fn shard_taskgraph(
             * split.flops_fraction,
         ref_batch: a.profile.ref_batch,
     };
+    // Every shard carries the same batch: one row, copied per GPU.
+    let start = devices.len();
     for &gpu in shard_gpus {
-        devices.push(DeviceWork {
+        push_row(devices, start, gpu, batch, || DeviceWork {
             gpu,
             fw_flops_per_micro: fw_per_sample * split.flops_fraction * batch as f64
                 / a.num_micro as f64,
@@ -315,6 +317,28 @@ fn shard_taskgraph(
         });
     }
     Ok(())
+}
+
+/// Append `gpu`'s row at batch share `bs`, one of a loop's rows that
+/// starts at `devices[start]`. Within such a loop every field but `gpu` is
+/// a function of the share alone, so a row whose share equals the
+/// previous row's is that row with its own `gpu`; only a change of share
+/// calls `work`. A run of equal shares thus builds its row once.
+fn push_row(
+    devices: &mut Vec<DeviceWork>,
+    start: usize,
+    gpu: usize,
+    bs: usize,
+    work: impl FnOnce() -> DeviceWork,
+) {
+    let row = match devices[start..].last() {
+        Some(prev) if prev.samples_per_step == bs => DeviceWork {
+            gpu,
+            ..prev.clone()
+        },
+        _ => work(),
+    };
+    devices.push(row);
 }
 
 /// Append the gradient-sync AllReduce tasks of one TaskGraph: the GPUs at

@@ -1,5 +1,7 @@
 //! Per-GPU memory ledger: itemized accounting behind
-//! [`ExecutionPlan::memory_per_gpu`].
+//! [`ExecutionPlan::memory_per_gpu`], and the same charges summed per GPU
+//! without itemizing them ([`ExecutionPlan::memory_totals`], which the
+//! simulator's memory audit reads).
 //!
 //! The base plan charges each device its profiled model state (parameters,
 //! gradients, optimizer state, activations — whatever
@@ -22,9 +24,11 @@
 use std::collections::{BTreeMap, HashSet};
 
 use whale_graph::profile::RUNTIME_OVERHEAD_BYTES;
+use whale_hardware::Cluster;
 
 use crate::commopt::GradDtype;
-use crate::plan::ExecutionPlan;
+use crate::error::Result;
+use crate::plan::{DeviceWork, ExecutionPlan, PlannedStage};
 
 /// Loss-scaling bookkeeping per GPU: the scale scalar, growth counter, and
 /// per-bucket found-inf flags (tiny, but nonzero — the ledger itemizes it
@@ -84,89 +88,161 @@ pub struct MemoryLedger {
 
 impl MemoryLedger {
     /// Total bytes per GPU (what [`ExecutionPlan::memory_per_gpu`] returns).
+    /// A total past `u64::MAX` saturates there, so it reads as out of
+    /// memory on any GPU.
     pub fn per_gpu(&self) -> BTreeMap<usize, u64> {
         let mut out = BTreeMap::new();
         for e in &self.entries {
-            *out.entry(e.gpu).or_insert(0) += e.bytes;
+            let total: &mut u64 = out.entry(e.gpu).or_insert(0);
+            *total = total.saturating_add(e.bytes);
         }
         out
     }
 
-    /// Total bytes charged to one component across all GPUs.
+    /// Total bytes charged to one component across all GPUs, saturating
+    /// at `u64::MAX`.
     pub fn component_total(&self, component: LedgerComponent) -> u64 {
         self.entries
             .iter()
             .filter(|e| e.component == component)
-            .map(|e| e.bytes)
-            .sum()
+            .fold(0, |total, e| total.saturating_add(e.bytes))
     }
 }
 
-/// Build the ledger for a plan. Base entries reproduce the pre-ledger
-/// accounting exactly (model state per stage-device net of overhead, one
-/// overhead per GPU); precision entries appear only when the attached
-/// grad-sync schedule communicates in a sub-fp32 dtype or compresses.
+/// The ledger's charging rules for one plan: what each device row of a
+/// stage pays, and what each GPU pays once however many rows it has.
+/// [`build_ledger`] itemizes the charges; [`ExecutionPlan::memory_totals`]
+/// only sums them.
+///
+/// Base charges reproduce the pre-ledger accounting exactly (model state per
+/// stage-device net of overhead, one overhead per GPU); precision charges
+/// appear only when the attached grad-sync schedule communicates in a
+/// sub-fp32 dtype or compresses.
+struct Rules {
+    needs_master: bool,
+    needs_scaling: bool,
+    compressed: bool,
+    shards_optimizer: bool,
+}
+
+impl Rules {
+    fn of(plan: &ExecutionPlan) -> Rules {
+        let sched = plan.grad_sync_schedule.as_ref();
+        let dtype = sched.map(|s| s.grad_dtype).unwrap_or(GradDtype::Fp32);
+        Rules {
+            // AMP profiles already hold an fp32 master copy (see
+            // `TrainingConfig::memory_bytes`); charging another would
+            // double-count.
+            needs_master: dtype != GradDtype::Fp32 && !plan.training.amp,
+            needs_scaling: dtype != GradDtype::Fp32,
+            compressed: sched.is_some_and(|s| s.compress_ratio < 1.0),
+            shards_optimizer: plan.training.zero.shards_optimizer(),
+        }
+    }
+
+    /// The model state a device row pays: its profiled memory net of the
+    /// runtime overhead, which [`Rules::per_gpu`] charges instead.
+    fn model_state(d: &DeviceWork) -> u64 {
+        d.mem_bytes.saturating_sub(RUNTIME_OVERHEAD_BYTES)
+    }
+
+    /// What every device row of `stage` pays after its model state, in
+    /// entry order. The charges depend on the stage alone.
+    fn row_extras(&self, stage: &PlannedStage) -> [Option<(LedgerComponent, u64)>; 2] {
+        if stage.param_bytes == 0 {
+            return [None, None];
+        }
+        // ZeRO shards optimizer state — master weights included — across
+        // the replica group; the error-feedback residual is per-rank.
+        let master_shards = if self.shards_optimizer {
+            stage.dp_degree.max(1) as u64
+        } else {
+            1
+        };
+        [
+            self.needs_master.then(|| {
+                (
+                    LedgerComponent::MasterWeights,
+                    stage.param_bytes / master_shards,
+                )
+            }),
+            self.compressed
+                .then_some((LedgerComponent::CompressionResidual, stage.param_bytes)),
+        ]
+    }
+
+    /// What each GPU the plan touches pays once, in entry order.
+    fn per_gpu(&self) -> [Option<(LedgerComponent, u64)>; 2] {
+        [
+            Some((LedgerComponent::RuntimeOverhead, RUNTIME_OVERHEAD_BYTES)),
+            self.needs_scaling
+                .then_some((LedgerComponent::LossScaling, LOSS_SCALING_STATE_BYTES)),
+        ]
+    }
+}
+
+/// The saturating sum of some charges' bytes.
+fn sum(charges: [Option<(LedgerComponent, u64)>; 2]) -> u64 {
+    charges
+        .into_iter()
+        .flatten()
+        .fold(0, |total, (_, bytes)| total.saturating_add(bytes))
+}
+
+/// Build the itemized ledger for a plan: each device row's charges in
+/// stage order, then each GPU's once-only charges in first-seen order.
 pub(crate) fn build_ledger(plan: &ExecutionPlan) -> MemoryLedger {
+    let rules = Rules::of(plan);
     let mut entries = Vec::new();
     // GPUs in first-seen order. The set is hashed, not indexed by id: a
     // plan no cluster validated may name any id.
     let mut gpus_seen: Vec<usize> = Vec::new();
     let mut seen: HashSet<usize> = HashSet::new();
-    let sched = plan.grad_sync_schedule.as_ref();
-    let dtype = sched.map(|s| s.grad_dtype).unwrap_or(GradDtype::Fp32);
-    let compressed = sched.is_some_and(|s| s.compress_ratio < 1.0);
-    // AMP profiles already hold an fp32 master copy (see
-    // `TrainingConfig::memory_bytes`); charging another would double-count.
-    let needs_master = dtype != GradDtype::Fp32 && !plan.training.amp;
-    let needs_scaling = dtype != GradDtype::Fp32;
+    let entry = |gpu| {
+        move |(component, bytes)| LedgerEntry {
+            gpu,
+            component,
+            bytes,
+        }
+    };
     for stage in plan.stages.iter() {
-        // ZeRO shards optimizer state — master weights included — across
-        // the replica group; the error-feedback residual is per-rank.
-        let master_shards = if plan.training.zero.shards_optimizer() {
-            stage.dp_degree.max(1) as u64
-        } else {
-            1
-        };
+        let extras = rules.row_extras(stage);
         for d in &stage.devices {
             entries.push(LedgerEntry {
                 gpu: d.gpu,
                 component: LedgerComponent::ModelState,
-                bytes: d.mem_bytes.saturating_sub(RUNTIME_OVERHEAD_BYTES),
+                bytes: Rules::model_state(d),
             });
-            if needs_master && stage.param_bytes > 0 {
-                entries.push(LedgerEntry {
-                    gpu: d.gpu,
-                    component: LedgerComponent::MasterWeights,
-                    bytes: stage.param_bytes / master_shards,
-                });
-            }
-            if compressed && stage.param_bytes > 0 {
-                entries.push(LedgerEntry {
-                    gpu: d.gpu,
-                    component: LedgerComponent::CompressionResidual,
-                    bytes: stage.param_bytes,
-                });
-            }
+            entries.extend(extras.into_iter().flatten().map(entry(d.gpu)));
             if seen.insert(d.gpu) {
                 gpus_seen.push(d.gpu);
             }
         }
     }
+    let once = rules.per_gpu();
     for &gpu in &gpus_seen {
-        entries.push(LedgerEntry {
-            gpu,
-            component: LedgerComponent::RuntimeOverhead,
-            bytes: RUNTIME_OVERHEAD_BYTES,
-        });
-        if needs_scaling {
-            entries.push(LedgerEntry {
-                gpu,
-                component: LedgerComponent::LossScaling,
-                bytes: LOSS_SCALING_STATE_BYTES,
-            });
-        }
+        entries.extend(once.into_iter().flatten().map(entry(gpu)));
     }
     MemoryLedger { entries }
+}
+
+/// Sum the ledger's charges per GPU into a vector indexed by id, without
+/// itemizing or hashing anything (see [`ExecutionPlan::memory_totals`]).
+pub(crate) fn memory_totals(plan: &ExecutionPlan, cluster: &Cluster) -> Result<Vec<Option<u64>>> {
+    let rules = Rules::of(plan);
+    let once = sum(rules.per_gpu());
+    let mut totals = vec![None; cluster.num_gpus()];
+    for stage in plan.stages.iter() {
+        let extras = sum(rules.row_extras(stage));
+        for d in &stage.devices {
+            cluster.gpu(d.gpu)?;
+            let bytes = totals[d.gpu].get_or_insert(once);
+            *bytes = bytes
+                .saturating_add(Rules::model_state(d))
+                .saturating_add(extras);
+        }
+    }
+    Ok(totals)
 }
 
 #[cfg(test)]

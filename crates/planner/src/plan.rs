@@ -133,8 +133,30 @@ impl ExecutionPlan {
         crate::ledger::build_ledger(self)
     }
 
+    /// The [`memory_ledger`]'s per-GPU totals in a vector indexed by GPU id,
+    /// summed from the same charging rules without itemizing them. Entry
+    /// `id` is `None` for a GPU of `cluster` the plan does not touch. A
+    /// total past `u64::MAX` saturates there, as in
+    /// [`MemoryLedger::per_gpu`](crate::ledger::MemoryLedger::per_gpu), so
+    /// it reads as out of memory.
+    ///
+    /// # Errors
+    ///
+    /// A device id the cluster lacks returns the error [`Cluster::gpu`]
+    /// returns for it.
+    ///
+    /// [`memory_ledger`]: ExecutionPlan::memory_ledger
+    pub fn memory_totals(&self, cluster: &Cluster) -> Result<Vec<Option<u64>>> {
+        crate::ledger::memory_totals(self, cluster)
+    }
+
     /// Validate the plan against a cluster: GPU ids exist, stage and
     /// collective groups are sane, micro-batch count is positive.
+    ///
+    /// The id lists are checked in this order: each stage's devices, then
+    /// its collective groups, then each gradient-sync group. An unknown id
+    /// returns the error [`Cluster::gpu`] returns for the first unknown id
+    /// in that order.
     pub fn validate(&self, cluster: &Cluster) -> Result<()> {
         if self.num_micro_batches == 0 {
             return Err(PlanError::BadConfig("0 micro batches".into()));
@@ -149,13 +171,9 @@ impl ExecutionPlan {
                     stage.index
                 )));
             }
-            for d in &stage.devices {
-                cluster.gpu(d.gpu)?;
-            }
+            known_ids(cluster, stage.devices.iter().map(|d| d.gpu))?;
             for c in &stage.collectives_per_micro {
-                for &g in &c.group {
-                    cluster.gpu(g)?;
-                }
+                known_ids(cluster, c.group.iter().copied())?;
             }
         }
         for c in self.grad_syncs.iter() {
@@ -165,9 +183,7 @@ impl ExecutionPlan {
                     c.label
                 )));
             }
-            for &g in &c.group {
-                cluster.gpu(g)?;
-            }
+            known_ids(cluster, c.group.iter().copied())?;
         }
         Ok(())
     }
@@ -186,6 +202,22 @@ impl ExecutionPlan {
     pub fn grad_sync_bytes(&self) -> u64 {
         self.grad_syncs.iter().map(|c| c.bytes).sum()
     }
+}
+
+/// Check that every id of one list names a GPU of `cluster`. One `max`
+/// bounds the list; only a list whose max is out of range is walked, to
+/// return [`Cluster::gpu`]'s error for its first unknown id.
+fn known_ids(cluster: &Cluster, ids: impl Iterator<Item = usize> + Clone) -> Result<()> {
+    if ids
+        .clone()
+        .max()
+        .is_some_and(|max| max >= cluster.num_gpus())
+    {
+        for id in ids {
+            cluster.gpu(id)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

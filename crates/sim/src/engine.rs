@@ -7,7 +7,7 @@
 //! collective cost model, and gradient AllReduce runs hierarchically at the
 //! end of the step, partially overlapped with backward compute.
 
-use whale_hardware::{Cluster, GroupCache};
+use whale_hardware::{Cluster, GpuModel, GroupCache};
 use whale_planner::{ExecutionPlan, PlannedStage, ScheduleKind, SyncMode};
 
 use crate::error::{Result, SimError};
@@ -157,9 +157,18 @@ impl StageTimes {
     }
 }
 
+/// What a device row's times depend on besides the plan's constants: its
+/// GPU's model and the bit patterns of its GPU's `throughput_scale` and of
+/// its FLOPs and traffic per micro batch.
+type RowKey = (GpuModel, u64, u64, u64);
+
 /// One pass over every device row and one price per stage collective:
 /// forward and backward tasks of a stage pay the same collectives, so they
 /// are priced once and shared.
+///
+/// A row whose [`RowKey`] equals the last priced row's reuses that row's
+/// times, so a run of equal rows — the replicas of one batch share, the
+/// shards of one split — is priced once.
 fn stage_times(
     plan: &ExecutionPlan,
     cluster: &Cluster,
@@ -173,23 +182,38 @@ fn stage_times(
     let mut fw = Vec::with_capacity(num_stages);
     let mut bw = Vec::with_capacity(num_stages);
     let mut bw_max = Vec::with_capacity(num_stages);
-    let mut rows = Vec::new();
+    let mut rows = Vec::with_capacity(plan.stages.iter().map(|s| s.devices.len()).sum());
     let mut row_start = Vec::with_capacity(num_stages + 1);
+    // The last priced row's inputs and its `(t_fw, t_bw)`.
+    let mut last: Option<(RowKey, (f64, f64))> = None;
     for stage in plan.stages.iter() {
         row_start.push(rows.len());
         let (mut max_fw, mut max_bw): (f64, f64) = (0.0, 0.0);
         for d in &stage.devices {
             let gpu = cluster.gpu(d.gpu)?;
-            let amp_boost = if amp { gpu.model.amp_speedup() } else { 1.0 };
-            // Roofline: compute-bound FLOPs at effective throughput plus the
-            // bandwidth-bound traffic at device memory bandwidth (AMP halves
-            // activation bytes).
-            let traffic = d.mem_traffic_per_micro * if amp { 0.5 } else { 1.0 };
-            let time = |factor: f64| {
-                factor * d.fw_flops_per_micro / (gpu.flops() * amp_boost * efficiency)
-                    + factor * traffic / gpu.model.memory_bandwidth()
+            let key = (
+                gpu.model,
+                gpu.throughput_scale.to_bits(),
+                d.fw_flops_per_micro.to_bits(),
+                d.mem_traffic_per_micro.to_bits(),
+            );
+            let (t_fw, t_bw) = match last {
+                Some((k, times)) if k == key => times,
+                _ => {
+                    let amp_boost = if amp { gpu.model.amp_speedup() } else { 1.0 };
+                    // Roofline: compute-bound FLOPs at effective throughput
+                    // plus the bandwidth-bound traffic at device memory
+                    // bandwidth (AMP halves activation bytes).
+                    let traffic = d.mem_traffic_per_micro * if amp { 0.5 } else { 1.0 };
+                    let time = |factor: f64| {
+                        factor * d.fw_flops_per_micro / (gpu.flops() * amp_boost * efficiency)
+                            + factor * traffic / gpu.model.memory_bandwidth()
+                    };
+                    let times = (time(1.0), time(bw_factor));
+                    last = Some((key, times));
+                    times
+                }
             };
-            let (t_fw, t_bw) = (time(1.0), time(bw_factor));
             rows.push((d.gpu, t_fw, t_bw));
             max_fw = max_fw.max(t_fw);
             max_bw = max_bw.max(t_bw);
@@ -631,7 +655,9 @@ pub fn simulate_step(
 
     // Optimizer update: parameter read-modify-write, memory-bandwidth bound.
     // ZeRO-Offload instead updates on the host and pays a PCIe round trip of
-    // gradients down and fp16 parameters back (ref [34]).
+    // gradients down and fp16 parameters back (ref [34]). Within a stage
+    // the time depends only on the GPU model, so it is priced once per
+    // change of model.
     let mut optimizer_time: f64 = 0.0;
     for stage in plan.stages.iter() {
         // ZeRO shards the update across the ranks replicating this stage.
@@ -640,8 +666,12 @@ pub fn simulate_step(
         } else {
             1.0
         };
+        let mut last_model = None;
         for d in &stage.devices {
             let gpu = cluster.gpu(d.gpu)?;
+            if last_model.replace(gpu.model) == Some(gpu.model) {
+                continue;
+            }
             let local_params = stage.param_bytes as f64;
             let t = if plan.training.offload {
                 let grad_bytes = local_params / 4.0 * if plan.training.amp { 2.0 } else { 4.0 };
@@ -664,18 +694,12 @@ pub fn simulate_step(
         }
     }
 
-    // Memory audit: the ledger's per-GPU totals (`memory_per_gpu`), visited
-    // in id order.
-    let mut mem = vec![0u64; num_gpus];
-    let mut charged = vec![false; num_gpus];
-    for e in &plan.memory_ledger().entries {
-        mem[e.gpu] += e.bytes;
-        charged[e.gpu] = true;
-    }
+    // Memory audit: the ledger's per-GPU totals, summed without itemizing
+    // them, visited in id order.
     let mut oom = Vec::new();
     let mut per_gpu = Vec::new();
-    for gpu_id in (0..num_gpus).filter(|&g| charged[g]) {
-        let bytes = mem[gpu_id];
+    for (gpu_id, total) in plan.memory_totals(cluster)?.into_iter().enumerate() {
+        let Some(bytes) = total else { continue };
         let gpu = cluster.gpu(gpu_id)?;
         if bytes > gpu.memory_bytes() {
             oom.push(gpu_id);

@@ -10,10 +10,19 @@
 
 use std::fmt::{self, Write};
 
-use whale::{models, strategies, Cluster, ClusterDelta, PlannerConfig, ScheduleKind, Session};
+use std::sync::Arc;
+
+use whale::{
+    models, strategies, Cluster, ClusterDelta, CommConfig, PlannerConfig, ScheduleKind, Session,
+    TrainingConfig, ZeroStage,
+};
 use whale_fp::Fingerprinter;
-use whale_planner::{plan, CompilePipeline, PassId, PlanService};
-use whale_sim::{check_replan, SimConfig};
+use whale_hardware::Collective;
+use whale_planner::{
+    plan, CollectiveTask, CompilePipeline, DeviceWork, ExecutionPlan, PassId, PlanService,
+    PlannedStage,
+};
+use whale_sim::{check_replan, simulate_step, SimConfig};
 
 type IrCase = (&'static str, whale::WhaleIr);
 
@@ -474,6 +483,162 @@ fn print_goldens() {
     for (name, digest) in matrix_digests() {
         println!("    (\"{name}\", \"{digest}\"),");
     }
+}
+
+/// The precision and memory settings the memory identities run under, each
+/// applied on top of a matrix config.
+fn memory_variants() -> Vec<(&'static str, CommConfig, TrainingConfig)> {
+    let plain = TrainingConfig::default();
+    let amp = TrainingConfig { amp: true, ..plain };
+    let zero2 = TrainingConfig {
+        zero: ZeroStage::Gradients,
+        ..plain
+    };
+    let zero3_offload = TrainingConfig {
+        zero: ZeroStage::Parameters,
+        offload: true,
+        ..plain
+    };
+    vec![
+        ("fp32", CommConfig::fused(), plain),
+        ("bf16", CommConfig::fused().bf16(), plain),
+        ("fp8", CommConfig::fused().fp8(), plain),
+        ("compress(0.5)", CommConfig::fused().compress(0.5), plain),
+        ("amp+bf16", CommConfig::fused().bf16(), amp),
+        ("zero2", CommConfig::default(), zero2),
+        ("zero3+offload", CommConfig::default(), zero3_offload),
+    ]
+}
+
+/// Check the memory identities of one plan: `memory_totals` is the
+/// ledger's `per_gpu` laid out by id, and the simulated step's per-GPU
+/// memory is both.
+fn assert_memory_identities(cell: &str, p: &ExecutionPlan, cluster: &Cluster) {
+    let ledger = p.memory_ledger().per_gpu();
+    let mut by_id = vec![None; cluster.num_gpus()];
+    for (&gpu, &bytes) in &ledger {
+        by_id[gpu] = Some(bytes);
+    }
+    assert_eq!(p.memory_totals(cluster).unwrap(), by_id, "{cell}");
+    let step = simulate_step(p, cluster, &SimConfig::default()).unwrap();
+    let stepped: Vec<(usize, u64)> = step
+        .stats
+        .per_gpu
+        .iter()
+        .map(|g| (g.gpu, g.mem_bytes))
+        .collect();
+    let ledger: Vec<(usize, u64)> = ledger.into_iter().collect();
+    assert_eq!(stepped, ledger, "{cell}");
+}
+
+#[test]
+fn step_memory_totals_are_the_ledger_totals_across_the_matrix() {
+    let zoo = model_zoo();
+    let mut planned = 0;
+    for cluster_spec in CLUSTERS {
+        let cluster = Cluster::parse(cluster_spec).unwrap();
+        for (name, ir) in &zoo {
+            for (cfg_name, config) in &configs() {
+                for (variant, comm, training) in memory_variants() {
+                    let config = PlannerConfig {
+                        comm,
+                        training,
+                        ..config.clone()
+                    };
+                    // A cell the planner refuses has no plan to audit.
+                    let Ok(p) = plan(ir, &cluster, &config) else {
+                        continue;
+                    };
+                    let cell = format!("{name} @ {cluster_spec} [{cfg_name}, {variant}]");
+                    assert_memory_identities(&cell, &p, &cluster);
+                    planned += 1;
+                }
+            }
+        }
+    }
+    assert!(planned > 0);
+}
+
+/// Hand-built plans on `1x(4xV100)`: one stage per GPU list, 1 GiB of
+/// model state per row.
+fn hand_built(stage_gpus: &[&[usize]]) -> ExecutionPlan {
+    let stages = stage_gpus
+        .iter()
+        .enumerate()
+        .map(|(index, gpus)| PlannedStage {
+            index,
+            devices: gpus
+                .iter()
+                .map(|&gpu| DeviceWork {
+                    gpu,
+                    fw_flops_per_micro: 1e9,
+                    mem_traffic_per_micro: 0.0,
+                    mem_bytes: 2 << 30,
+                    samples_per_step: 8,
+                })
+                .collect(),
+            send_bytes_per_micro: 0,
+            collectives_per_micro: vec![],
+            param_bytes: 1 << 20,
+            dp_degree: 1,
+        })
+        .collect();
+    ExecutionPlan {
+        name: "hand-built".into(),
+        global_batch: 8,
+        num_micro_batches: 1,
+        stages: Arc::new(stages),
+        grad_syncs: Arc::new(vec![]),
+        grad_sync_schedule: None,
+        training: TrainingConfig::default(),
+        efficiency: 0.45,
+    }
+}
+
+#[test]
+fn memory_totals_charge_a_repeated_gpu_its_overhead_once() {
+    let cluster = Cluster::parse("1x(4xV100)").unwrap();
+    let p = hand_built(&[&[0, 0, 1]]);
+    let totals = p.memory_totals(&cluster).unwrap();
+    assert_eq!(totals, vec![Some(3 << 30), Some(2 << 30), None, None]);
+    assert_memory_identities("gpu 0 twice in one stage", &p, &cluster);
+}
+
+#[test]
+fn an_unknown_id_is_the_error_validate_returns() {
+    let cluster = Cluster::parse("1x(4xV100)").unwrap();
+    let p = hand_built(&[&[0, 1], &[2, 9, 3]]);
+    let want = p.validate(&cluster).unwrap_err();
+    assert_eq!(want, cluster.gpu(9).unwrap_err().into());
+    assert_eq!(p.memory_totals(&cluster), Err(want));
+}
+
+#[test]
+fn validate_names_the_first_unknown_id_in_walk_order() {
+    // Stage 0's collective group comes before stage 1's devices, which come
+    // before the grad syncs; within a list the first unknown id wins, not
+    // the largest.
+    let cluster = Cluster::parse("1x(4xV100)").unwrap();
+    let task = |group: Vec<usize>| CollectiveTask {
+        kind: Collective::AllReduce,
+        group,
+        bytes: 1 << 20,
+        label: "hand-built".into(),
+        stage: Some(0),
+    };
+    let mut p = hand_built(&[&[0, 1], &[12, 2]]);
+    Arc::make_mut(&mut p.stages)[0]
+        .collectives_per_micro
+        .push(task(vec![1, 6, 2, 11]));
+    p.grad_syncs = Arc::new(vec![task(vec![0, 5])]);
+    let unknown = |id: usize| cluster.gpu(id).unwrap_err().into();
+    assert_eq!(p.validate(&cluster), Err(unknown(6)));
+    Arc::make_mut(&mut p.stages)[0]
+        .collectives_per_micro
+        .clear();
+    assert_eq!(p.validate(&cluster), Err(unknown(12)));
+    Arc::make_mut(&mut p.stages)[1].devices[0].gpu = 3;
+    assert_eq!(p.validate(&cluster), Err(unknown(5)));
 }
 
 #[test]

@@ -136,6 +136,54 @@ fn timeline_and_chrome_trace_agree_on_task_count() {
     assert_eq!(events, 4 * 2 * 6);
 }
 
+/// Two co-located one-device stages on GPU 0 whose model state sums past
+/// `u64::MAX`: the per-GPU total saturates there instead of wrapping to a
+/// small number, so the plan reads as out of memory everywhere.
+#[test]
+fn per_gpu_memory_totals_saturate_instead_of_wrapping() {
+    use std::sync::Arc;
+    use whale::{Cluster, SimConfig, TrainingConfig};
+    use whale_planner::{DeviceWork, ExecutionPlan, PlannedStage};
+    use whale_sim::simulate_step;
+
+    let stage = |index| PlannedStage {
+        index,
+        devices: vec![DeviceWork {
+            gpu: 0,
+            fw_flops_per_micro: 1e9,
+            mem_traffic_per_micro: 0.0,
+            mem_bytes: (1 << 63) + (1 << 30),
+            samples_per_step: 8,
+        }],
+        send_bytes_per_micro: 0,
+        collectives_per_micro: vec![],
+        param_bytes: 1 << 20,
+        dp_degree: 1,
+    };
+    let plan = ExecutionPlan {
+        name: "saturating".into(),
+        global_batch: 8,
+        num_micro_batches: 1,
+        stages: Arc::new(vec![stage(0), stage(1)]),
+        grad_syncs: Arc::new(vec![]),
+        grad_sync_schedule: None,
+        training: TrainingConfig::default(),
+        efficiency: 0.45,
+    };
+    let cluster = Cluster::parse("1x(2xV100)").unwrap();
+    assert_eq!(plan.memory_per_gpu()[&0], u64::MAX);
+    assert_eq!(
+        plan.memory_totals(&cluster).unwrap(),
+        vec![Some(u64::MAX), None]
+    );
+    assert!(!plan.memory_feasible(&cluster).unwrap());
+    let stats = simulate_step(&plan, &cluster, &SimConfig::default())
+        .unwrap()
+        .stats;
+    assert_eq!(stats.oom_gpus, vec![0]);
+    assert_eq!(stats.per_gpu[0].mem_bytes, u64::MAX);
+}
+
 /// A duplicate rank in any group the step prices is the typed
 /// `InvalidGroup` error, even when the step has already priced a valid
 /// group: the per-step topology cache is keyed by the group's exact
