@@ -73,6 +73,22 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_whose_tensors_overflow_64_bits_is_refused() {
+        // This build is unoptimized, so an unchecked product that
+        // overflowed on the way to the refusal would panic here.
+        for batch in [1 << 62, 1 << 52] {
+            for (name, _) in MODELS {
+                let err = build(name, batch, 128).expect_err(name);
+                assert!(
+                    err.starts_with(&format!("building {name}: op '"))
+                        && err.ends_with("overflows 64 bits of bytes"),
+                    "{name} at batch {batch}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unknown_model_is_a_clear_error() {
         let err = build("alexnet", 1, 32).unwrap_err();
         assert!(err.contains("alexnet"));

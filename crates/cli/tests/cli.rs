@@ -224,6 +224,24 @@ fn zero_batch_exits_nonzero() {
 }
 
 #[test]
+fn a_batch_whose_tensors_overflow_exits_nonzero() {
+    let (stdout, stderr, ok) = run(&[
+        "simulate",
+        "--model",
+        "bert-large",
+        "--batch",
+        "4611686018427387904",
+        "--cluster",
+        "1x(8xV100)",
+    ]);
+    assert!(!ok, "succeeded: {stdout}");
+    assert!(
+        stderr.contains("op 'tokens': output [4611686018427387904, 128] of f32 overflows 64 bits"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn oversized_cluster_exits_nonzero_at_once() {
     let start = std::time::Instant::now();
     for spec in ["99999999999x(8xV100)", "100000x(100000xV100)"] {

@@ -10,7 +10,7 @@
 //! once at their exact length, and inputs and shapes are held inline, so
 //! recording an op allocates only its name.
 
-use crate::graph::{Graph, GraphError, Op, OpId};
+use crate::graph::{check_output_size, Graph, GraphError, Op, OpId};
 use crate::inline_list::InlineList;
 use crate::op::{OpKind, Phase};
 use crate::tensor::TensorMeta;
@@ -69,7 +69,8 @@ impl GraphBuilder {
             .ok_or(GraphError::UnknownOp(id))
     }
 
-    /// Record a forward op at the current layer.
+    /// Record a forward op at the current layer. An op whose output byte
+    /// size overflows `u64` is [`GraphError::OutputTooLarge`].
     fn add(
         &mut self,
         name: String,
@@ -83,6 +84,7 @@ impl GraphBuilder {
                 return Err(GraphError::DanglingInput { op: name, input });
             }
         }
+        check_output_size(&name, &output)?;
         self.ops.push(Op {
             id,
             name,

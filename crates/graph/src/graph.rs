@@ -85,6 +85,14 @@ pub enum GraphError {
         /// The op being added.
         op: String,
     },
+    /// An op's output byte size (element count × dtype bytes) overflows
+    /// `u64`, as a huge batch makes it.
+    OutputTooLarge {
+        /// The op being added.
+        op: String,
+        /// Its output tensor.
+        output: TensorMeta,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -96,11 +104,38 @@ impl fmt::Display for GraphError {
             GraphError::UnknownOp(id) => write!(f, "unknown op {id}"),
             GraphError::BadRange(s) => write!(f, "bad op range: {s}"),
             GraphError::NoInputs { op } => write!(f, "op '{op}' needs at least one input"),
+            GraphError::OutputTooLarge { op, output } => write!(
+                f,
+                "op '{op}': output {} of {} overflows 64 bits of bytes",
+                output.shape, output.dtype
+            ),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
+
+/// Refuse an op whose output byte size (element count × dtype bytes)
+/// overflows `u64`: every later size, cost and memory product of the op
+/// would wrap. A zero dimension makes the size zero, whatever the others.
+pub(crate) fn check_output_size(op: &str, output: &TensorMeta) -> Result<(), GraphError> {
+    let dims = output.shape.dims();
+    let fits = dims.contains(&0)
+        || dims
+            .iter()
+            .try_fold(output.dtype.size_bytes(), |bytes, &d| {
+                bytes.checked_mul(d as u64)
+            })
+            .is_some();
+    if fits {
+        Ok(())
+    } else {
+        Err(GraphError::OutputTooLarge {
+            op: op.to_string(),
+            output: output.clone(),
+        })
+    }
+}
 
 /// Adjacency derived from the op list, built once on first use: the inverse
 /// edge map plus the source/sink frontiers. `sources()`/`sinks()`/
@@ -215,7 +250,8 @@ impl Graph {
         self.ops().get(id.0).ok_or(GraphError::UnknownOp(id))
     }
 
-    /// Append an op whose inputs must already exist.
+    /// Append an op whose inputs must already exist and whose output byte
+    /// size fits in `u64` ([`GraphError::OutputTooLarge`] otherwise).
     pub fn add_op(
         &mut self,
         name: impl Into<String>,
@@ -233,6 +269,7 @@ impl Graph {
                 return Err(GraphError::DanglingInput { op: name, input });
             }
         }
+        check_output_size(&name, &output)?;
         Arc::make_mut(&mut self.ops).push(Op {
             id,
             name,
