@@ -3,7 +3,7 @@
 # tree in alternating pairs of runs.
 #
 # Usage:
-#   scripts/reqbench_pairs.sh <parent-rev> <workload> [pairs=10] [seconds=25] [first-seed=101]
+#   scripts/reqbench_pairs.sh <parent-rev> <workload> [pairs=10] [seconds=25] [first-seed=101] [trace=0]
 #
 # The parent is exported with `git archive` into a work directory and both
 # reqbench binaries are built with `--release --offline`, each into its own
@@ -15,6 +15,12 @@
 # each side's median and q1-q3, the change-over-parent ratio of the medians,
 # and the number of pairs the change won in the metric's direction.
 #
+# With trace=1 every run passes `--trace 1`, whose verdict carries the
+# per-layer metrics (layer times, work counters, allocations per request)
+# instead of the end-to-end ones, and the summary lists BENCHMARK.json's
+# `per_layer` metrics the same way. Traced runs time every span, so compare
+# their timings only with other traced runs.
+#
 # The work directory is $PAIRS_WORKDIR, or a fresh temporary one. Reusing a
 # work directory reuses the parent's export and build.
 #
@@ -24,10 +30,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: $0 <parent-rev> <workload> [pairs=10] [seconds=25] [first-seed=101]" >&2
+  echo "usage: $0 <parent-rev> <workload> [pairs=10] [seconds=25] [first-seed=101] [trace=0]" >&2
   exit 2
 }
-[[ $# -ge 2 && $# -le 5 ]] || usage
+[[ $# -ge 2 && $# -le 6 ]] || usage
 command -v jq >/dev/null || { echo "reqbench_pairs: jq not found" >&2; exit 2; }
 
 rev="$1"
@@ -35,16 +41,25 @@ workload="$2"
 pairs="${3:-10}"
 seconds="${4:-25}"
 first_seed="${5:-101}"
+trace="${6:-0}"
 sha="$(git rev-parse --verify "$rev^{commit}")" || usage
 for n in "$pairs" "$seconds" "$first_seed"; do
   [[ "$n" =~ ^[0-9]+$ ]] || usage
 done
 (( pairs >= 1 )) || usage
+[[ "$trace" == 0 || "$trace" == 1 ]] || usage
+# The BENCHMARK.json list the summary reads, and the metric each run's
+# progress line shows.
+if ((trace)); then
+  metrics=per_layer shown=trace.traced_requests
+else
+  metrics=end_to_end shown=throughput_rps
+fi
 
 root="$(pwd)"
 work="${PAIRS_WORKDIR:-$(mktemp -d)}"
 parent="$work/parent-$sha"
-runs="$work/runs-$workload-$(date +%Y%m%d-%H%M%S)"
+runs="$work/runs-$workload$( ((trace)) && echo -trace)-$(date +%Y%m%d-%H%M%S)"
 mkdir -p "$runs"
 echo "reqbench_pairs: work directory $work" >&2
 
@@ -69,11 +84,11 @@ run() { # <side> <pair> <seed>
   fi
   local verdict
   verdict=$(cd "$tree" && "$bin" --workload "$workload" --seed "$3" --seconds "$seconds" \
-    --trace 0 2>/dev/null | tail -n 1) || true
+    --trace "$trace" 2>/dev/null | tail -n 1) || true
   # A run that crashed or printed no verdict counts as not correct.
   jq -e 'has("correct")' <<<"$verdict" >/dev/null 2>&1 || verdict='{"correct":false,"metrics":{}}'
   echo "$verdict" >"$runs/$1-$2.json"
-  echo "pair $2 seed $3 $1: $(jq -c '[.correct, .metrics.throughput_rps.value]' "$runs/$1-$2.json")" >&2
+  echo "pair $2 seed $3 $1: $(jq -c --arg m "$shown" '[.correct, .metrics[$m].value]' "$runs/$1-$2.json")" >&2
 }
 for ((i = 0; i < pairs; i++)); do
   seed=$((first_seed + i))
@@ -90,8 +105,8 @@ done
 jq -s . $(for ((i = 0; i < pairs; i++)); do echo "$runs/parent-$i.json"; done) >"$runs/parent.json"
 jq -s . $(for ((i = 0; i < pairs; i++)); do echo "$runs/change-$i.json"; done) >"$runs/change.json"
 
-echo "$workload: $pairs pairs of ${seconds}s, seeds $first_seed-$((first_seed + pairs - 1)), parent $sha vs working tree"
-jq -r --slurpfile parent "$runs/parent.json" --slurpfile change "$runs/change.json" '
+echo "$workload: $pairs pairs of ${seconds}s, seeds $first_seed-$((first_seed + pairs - 1)), trace $trace, parent $sha vs working tree"
+jq -r --arg list "$metrics" --slurpfile parent "$runs/parent.json" --slurpfile change "$runs/change.json" '
   def q(p): sort as $s | ((($s | length) - 1) * p) as $h | ($h | floor) as $lo
     | $s[$lo] + ($h - $lo) * ($s[[$lo + 1, ($s | length) - 1] | min] - $s[$lo]);
   # Four decimals, or four significant digits below 1.
@@ -101,7 +116,7 @@ jq -r --slurpfile parent "$runs/parent.json" --slurpfile change "$runs/change.js
   def pad(n): if n > length then . + (" " * (n - length)) else . end;
   [["metric", "unit", "better", "parent median [q1-q3]", "change median [q1-q3]",
     "change/parent", "change wins"],
-   (.end_to_end[] | .name as $m | .better as $better
+   (.[$list][] | .name as $m | .better as $better
     | [$parent[0][] | .metrics[$m].value] as $p
     | [$change[0][] | .metrics[$m].value] as $c
     | [range(0; $p | length)
