@@ -160,12 +160,10 @@ impl Rules {
             1
         };
         [
-            self.needs_master.then(|| {
-                (
-                    LedgerComponent::MasterWeights,
-                    stage.param_bytes / master_shards,
-                )
-            }),
+            self.needs_master.then_some((
+                LedgerComponent::MasterWeights,
+                stage.param_bytes / master_shards,
+            )),
             self.compressed
                 .then_some((LedgerComponent::CompressionResidual, stage.param_bytes)),
         ]
