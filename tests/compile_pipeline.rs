@@ -9,7 +9,6 @@
 //! approximation promises it.
 
 use std::fmt::{self, Write};
-
 use std::sync::Arc;
 
 use whale::{
@@ -559,7 +558,7 @@ fn step_memory_totals_are_the_ledger_totals_across_the_matrix() {
     assert!(planned > 0);
 }
 
-/// Hand-built plans on `1x(4xV100)`: one stage per GPU list, 1 GiB of
+/// A hand-built plan for `1x(4xV100)`: one stage per GPU list, 1 GiB of
 /// model state per row.
 fn hand_built(stage_gpus: &[&[usize]]) -> ExecutionPlan {
     let stages = stage_gpus
