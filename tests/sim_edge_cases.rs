@@ -270,3 +270,275 @@ mod duplicate_ranks {
         }
     }
 }
+
+/// Hand-built plans where a step that walks each stage's device rows once,
+/// adding up busy time, sample shares, memory totals and the optimizer term
+/// as it prices them, could go wrong. Each case pins a `whale_fp` digest of
+/// its `StepOutcome`'s `{:?}`, as `tests/sim_equivalence.rs` does, so a
+/// digest moves if and only if some output bit moves. The digests were
+/// recorded while the simulator still walked the rows once per phase.
+/// After an intended output change, regenerate the table with
+///
+/// ```text
+/// cargo test --offline --test sim_edge_cases -- --ignored --nocapture print_step_goldens
+/// ```
+///
+/// and paste the printed rows over `GOLDENS`.
+mod row_walk_goldens {
+    use std::fmt::{self, Write};
+    use std::sync::Arc;
+
+    use whale::{Cluster, SimConfig, TrainingConfig, ZeroStage};
+    use whale_fp::Fingerprinter;
+    use whale_hardware::{AllReduceAlgo, Collective};
+    use whale_planner::{
+        CollectiveTask, DeviceWork, ExecutionPlan, GradBucket, GradDtype, GradSyncSchedule,
+        PlannedStage, SyncMode,
+    };
+    use whale_sim::simulate_step;
+
+    /// `(case, StepOutcome digest)`, in the order `cases` lists them.
+    const GOLDENS: &[(&str, &str)] = &[
+        ("gpu listed twice in one stage", "59fbcc872db10e87"),
+        ("alternating V100/P100 zero2", "b2cc705031b12717"),
+        ("alternating V100/P100 zero3 offload", "603475046759dc3a"),
+        ("groups A B A B legacy", "40c02538c928d899"),
+        ("groups A B A B bucketed", "159f814f400034fc"),
+    ];
+
+    fn row(gpu: usize, fw_flops_per_micro: f64, mem_bytes: u64, samples: usize) -> DeviceWork {
+        DeviceWork {
+            gpu,
+            fw_flops_per_micro,
+            mem_traffic_per_micro: fw_flops_per_micro / 97.0,
+            mem_bytes,
+            samples_per_step: samples,
+        }
+    }
+
+    fn task(kind: Collective, group: &[usize], bytes: u64, stage: usize) -> CollectiveTask {
+        CollectiveTask {
+            kind,
+            group: group.to_vec(),
+            bytes,
+            label: "hand-built".into(),
+            stage: Some(stage),
+        }
+    }
+
+    fn stage(
+        index: usize,
+        devices: Vec<DeviceWork>,
+        collectives_per_micro: Vec<CollectiveTask>,
+        dp_degree: usize,
+    ) -> PlannedStage {
+        PlannedStage {
+            index,
+            devices,
+            send_bytes_per_micro: 3 << 20,
+            collectives_per_micro,
+            param_bytes: (1 << 28) + 12_345,
+            dp_degree,
+        }
+    }
+
+    fn plan(
+        stages: Vec<PlannedStage>,
+        grad_syncs: Vec<CollectiveTask>,
+        schedule: Option<GradSyncSchedule>,
+        training: TrainingConfig,
+    ) -> ExecutionPlan {
+        ExecutionPlan {
+            name: "row-walk".into(),
+            global_batch: 48,
+            num_micro_batches: 3,
+            stages: Arc::new(stages),
+            grad_syncs: Arc::new(grad_syncs),
+            grad_sync_schedule: schedule,
+            training,
+            efficiency: 0.45,
+        }
+    }
+
+    /// One bucket per sync, then a second, earlier one for sync 0.
+    fn schedule(num_syncs: usize, grad_dtype: GradDtype, compress_ratio: f64) -> GradSyncSchedule {
+        let bucket = |sync_index, ready_frac, algo| GradBucket {
+            sync_index,
+            bytes: 5 << 20,
+            wire_bytes: (5 << 20) / 2,
+            ready_frac,
+            algo,
+            layers: (0, 1),
+        };
+        let mut buckets: Vec<GradBucket> = (0..num_syncs)
+            .map(|i| bucket(i, 1.0, (i % 2 == 0).then_some(AllReduceAlgo::Ring)))
+            .collect();
+        buckets.push(bucket(0, 0.375, Some(AllReduceAlgo::Tree)));
+        GradSyncSchedule {
+            mode: SyncMode::Bucketed,
+            fusion_bytes: 25 << 20,
+            grad_dtype,
+            compress_ratio,
+            buckets,
+        }
+    }
+
+    /// GPU 0 is listed twice in stage 0, with FLOPs for which adding every
+    /// row's forward share before any row's backward share rounds
+    /// differently from adding each row's two shares in turn.
+    fn repeated_gpu() -> (ExecutionPlan, Cluster) {
+        let stages = vec![
+            stage(
+                0,
+                vec![
+                    row(0, 3.300_000_1e11, 5 << 30, 32),
+                    row(1, 2.3e9, 2 << 30, 16),
+                    row(0, 1.1e10, 3 << 30, 16),
+                ],
+                vec![],
+                2,
+            ),
+            stage(
+                1,
+                vec![row(1, 7.77e10, 4 << 30, 16), row(0, 5.1e10, 1 << 30, 16)],
+                vec![],
+                2,
+            ),
+        ];
+        let syncs = vec![task(Collective::AllReduce, &[0, 1], 1 << 26, 0)];
+        let p = plan(stages, syncs, None, TrainingConfig::default());
+        (p, Cluster::parse("1x(2xV100)").unwrap())
+    }
+
+    /// Rows alternate V100 and P100, so every row breaks a run of equal
+    /// rows and the optimizer term is priced at every model change. A bf16
+    /// compressed schedule charges master weights, loss scaling and a
+    /// residual per row.
+    fn alternating_models(zero: ZeroStage, offload: bool) -> (ExecutionPlan, Cluster) {
+        let groups = [[0, 4, 1, 5], [2, 6, 3, 7]];
+        let stages = groups
+            .iter()
+            .enumerate()
+            .map(|(s, ids)| {
+                let devices = ids
+                    .iter()
+                    .map(|&gpu| row(gpu, 4.1e11 + 1e9 * (s as f64), 9 << 30, 12))
+                    .collect();
+                stage(s, devices, vec![], 4)
+            })
+            .collect();
+        let syncs = groups
+            .iter()
+            .enumerate()
+            .map(|(s, ids)| task(Collective::AllReduce, ids, 1 << 28, s))
+            .collect();
+        let training = TrainingConfig {
+            zero,
+            offload,
+            ..TrainingConfig::default()
+        };
+        let p = plan(
+            stages,
+            syncs,
+            Some(schedule(2, GradDtype::Bf16, 0.5)),
+            training,
+        );
+        (p, Cluster::parse("1x(4xV100)+1x(4xP100)").unwrap())
+    }
+
+    /// Stage collectives and grad syncs over two groups, looked up in the
+    /// order A, B, A, B.
+    fn two_groups(bucketed: bool) -> (ExecutionPlan, Cluster) {
+        const A: &[usize] = &[0, 1, 2, 3];
+        const B: &[usize] = &[1, 5];
+        let all = || (0..8).map(|gpu| row(gpu, 2e11, 6 << 30, 6)).collect();
+        let stages = vec![
+            stage(
+                0,
+                all(),
+                vec![
+                    task(Collective::AllToAll, A, 8 << 20, 0),
+                    task(Collective::AllGather, B, 2 << 20, 0),
+                ],
+                1,
+            ),
+            stage(
+                1,
+                all(),
+                vec![
+                    task(Collective::AllToAll, A, 8 << 20, 1),
+                    task(Collective::Broadcast, B, 2 << 20, 1),
+                ],
+                1,
+            ),
+        ];
+        let syncs = vec![
+            task(Collective::AllReduce, A, 1 << 27, 0),
+            task(Collective::AllReduce, B, 1 << 26, 0),
+            task(Collective::AllReduce, A, 1 << 27, 1),
+            task(Collective::AllReduce, B, 1 << 26, 1),
+        ];
+        let sched = bucketed.then(|| schedule(4, GradDtype::Fp32, 1.0));
+        let p = plan(stages, syncs, sched, TrainingConfig::default());
+        (p, Cluster::parse("2x(4xV100)").unwrap())
+    }
+
+    fn cases() -> Vec<(&'static str, (ExecutionPlan, Cluster))> {
+        vec![
+            ("gpu listed twice in one stage", repeated_gpu()),
+            (
+                "alternating V100/P100 zero2",
+                alternating_models(ZeroStage::Gradients, false),
+            ),
+            (
+                "alternating V100/P100 zero3 offload",
+                alternating_models(ZeroStage::Parameters, true),
+            ),
+            ("groups A B A B legacy", two_groups(false)),
+            ("groups A B A B bucketed", two_groups(true)),
+        ]
+    }
+
+    /// Streams `{:?}` output straight into a fingerprint.
+    struct FpWriter(Fingerprinter);
+
+    impl Write for FpWriter {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.push_bytes(s.as_bytes());
+            Ok(())
+        }
+    }
+
+    fn step_digest(label: &str, plan: &ExecutionPlan, cluster: &Cluster) -> String {
+        let outcome = simulate_step(plan, cluster, &SimConfig::default())
+            .unwrap_or_else(|e| panic!("{label}: sim failed: {e}"));
+        let mut w = FpWriter(Fingerprinter::new("sim-step/outcome"));
+        write!(w, "{outcome:?}").unwrap();
+        w.0.finish().to_string()
+    }
+
+    #[test]
+    fn steps_match_their_golden_digests() {
+        let cases = cases();
+        assert_eq!(cases.len(), GOLDENS.len());
+        for ((label, (plan, cluster)), (want_label, want)) in cases.iter().zip(GOLDENS) {
+            assert_eq!(label, want_label);
+            assert_eq!(
+                step_digest(label, plan, cluster),
+                *want,
+                "{label}: golden digest moved"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "prints the GOLDENS table; run it to regenerate after an intended change"]
+    fn print_step_goldens() {
+        for (label, (plan, cluster)) in cases() {
+            println!(
+                "    ({label:?}, {:?}),",
+                step_digest(label, &plan, &cluster)
+            );
+        }
+    }
+}
