@@ -1,7 +1,7 @@
 //! Per-GPU memory ledger: itemized accounting behind
 //! [`ExecutionPlan::memory_per_gpu`], and the same charges summed per GPU
-//! without itemizing them ([`ExecutionPlan::memory_totals`], which the
-//! simulator's memory audit reads).
+//! without itemizing them ([`ExecutionPlan::memory_totals`], and the
+//! simulator's memory audit through [`LedgerRules::charge_row`]).
 //!
 //! The base plan charges each device its profiled model state (parameters,
 //! gradients, optimizer state, activations — whatever
@@ -111,25 +111,29 @@ impl MemoryLedger {
 
 /// The ledger's charging rules for one plan: what each device row of a
 /// stage pays, and what each GPU pays once however many rows it has.
-/// [`build_ledger`] itemizes the charges; [`ExecutionPlan::memory_totals`]
-/// only sums them.
+/// [`ExecutionPlan::memory_ledger`] itemizes the charges;
+/// [`ExecutionPlan::memory_totals`] and the simulator's memory audit only
+/// sum them per GPU, with [`LedgerRules::charge_row`], in whatever walk
+/// over the rows they already make.
 ///
 /// Base charges reproduce the pre-ledger accounting exactly (model state per
 /// stage-device net of overhead, one overhead per GPU); precision charges
 /// appear only when the attached grad-sync schedule communicates in a
 /// sub-fp32 dtype or compresses.
-struct Rules {
+#[derive(Debug, Clone, Copy)]
+pub struct LedgerRules {
     needs_master: bool,
     needs_scaling: bool,
     compressed: bool,
     shards_optimizer: bool,
 }
 
-impl Rules {
-    fn of(plan: &ExecutionPlan) -> Rules {
+impl LedgerRules {
+    /// The rules of `plan`'s training options and grad-sync schedule.
+    pub fn of(plan: &ExecutionPlan) -> LedgerRules {
         let sched = plan.grad_sync_schedule.as_ref();
         let dtype = sched.map(|s| s.grad_dtype).unwrap_or(GradDtype::Fp32);
-        Rules {
+        LedgerRules {
             // AMP profiles already hold an fp32 master copy (see
             // `TrainingConfig::memory_bytes`); charging another would
             // double-count.
@@ -140,8 +144,28 @@ impl Rules {
         }
     }
 
+    /// What every device row of `stage` pays after its model state,
+    /// summed: the `extras` that [`LedgerRules::charge_row`] adds for each
+    /// of the stage's rows. A sum past `u64::MAX` saturates there.
+    pub fn stage_extras(&self, stage: &PlannedStage) -> u64 {
+        sum(self.row_extras(stage))
+    }
+
+    /// Add one device row's charges to its GPU's running total: the row's
+    /// model state plus `extras` (its stage's
+    /// [`LedgerRules::stage_extras`]), and, when `total` is `None` because
+    /// this is the GPU's first row, the charges each GPU pays once. Every
+    /// add saturates at `u64::MAX`, so a total past it reads as out of
+    /// memory on any GPU.
+    pub fn charge_row(&self, total: &mut Option<u64>, row: &DeviceWork, extras: u64) {
+        let bytes = total.get_or_insert_with(|| sum(self.per_gpu()));
+        *bytes = bytes
+            .saturating_add(Self::model_state(row))
+            .saturating_add(extras);
+    }
+
     /// The model state a device row pays: its profiled memory net of the
-    /// runtime overhead, which [`Rules::per_gpu`] charges instead.
+    /// runtime overhead, which [`LedgerRules::per_gpu`] charges instead.
     fn model_state(d: &DeviceWork) -> u64 {
         d.mem_bytes.saturating_sub(RUNTIME_OVERHEAD_BYTES)
     }
@@ -190,7 +214,7 @@ fn sum(charges: [Option<(LedgerComponent, u64)>; 2]) -> u64 {
 /// Build the itemized ledger for a plan: each device row's charges in
 /// stage order, then each GPU's once-only charges in first-seen order.
 pub(crate) fn build_ledger(plan: &ExecutionPlan) -> MemoryLedger {
-    let rules = Rules::of(plan);
+    let rules = LedgerRules::of(plan);
     let mut entries = Vec::new();
     // GPUs in first-seen order. The set is hashed, not indexed by id: a
     // plan no cluster validated may name any id.
@@ -209,7 +233,7 @@ pub(crate) fn build_ledger(plan: &ExecutionPlan) -> MemoryLedger {
             entries.push(LedgerEntry {
                 gpu: d.gpu,
                 component: LedgerComponent::ModelState,
-                bytes: Rules::model_state(d),
+                bytes: LedgerRules::model_state(d),
             });
             entries.extend(extras.into_iter().flatten().map(entry(d.gpu)));
             if seen.insert(d.gpu) {
@@ -227,17 +251,13 @@ pub(crate) fn build_ledger(plan: &ExecutionPlan) -> MemoryLedger {
 /// Sum the ledger's charges per GPU into a vector indexed by id, without
 /// itemizing or hashing anything (see [`ExecutionPlan::memory_totals`]).
 pub(crate) fn memory_totals(plan: &ExecutionPlan, cluster: &Cluster) -> Result<Vec<Option<u64>>> {
-    let rules = Rules::of(plan);
-    let once = sum(rules.per_gpu());
+    let rules = LedgerRules::of(plan);
     let mut totals = vec![None; cluster.num_gpus()];
     for stage in plan.stages.iter() {
-        let extras = sum(rules.row_extras(stage));
+        let extras = rules.stage_extras(stage);
         for d in &stage.devices {
             cluster.gpu(d.gpu)?;
-            let bytes = totals[d.gpu].get_or_insert(once);
-            *bytes = bytes
-                .saturating_add(Rules::model_state(d))
-                .saturating_add(extras);
+            rules.charge_row(&mut totals[d.gpu], d, extras);
         }
     }
     Ok(totals)

@@ -55,7 +55,9 @@ pub use commopt::{
 pub use dp_balance::{dp_partition, dp_partition_traced, DpPartition};
 pub use error::{PlanError, Result};
 pub use estimate::{estimate_step_lower_bound, structural_lower_bound, StructuralBound};
-pub use ledger::{LedgerComponent, LedgerEntry, MemoryLedger, LOSS_SCALING_STATE_BYTES};
+pub use ledger::{
+    LedgerComponent, LedgerEntry, LedgerRules, MemoryLedger, LOSS_SCALING_STATE_BYTES,
+};
 pub use pipe_balance::{
     in_flight_micro_batches, pipeline_leaf_bound, pipeline_memory_floor, pipeline_partition,
     stage_flops, MemoryPrefix, MemoryShortfall, PipePartition,

@@ -8,11 +8,11 @@
 //! end of the step, partially overlapped with backward compute.
 
 use whale_hardware::{Cluster, GpuModel, GroupCache};
-use whale_planner::{ExecutionPlan, PlannedStage, ScheduleKind, SyncMode};
+use whale_planner::{ExecutionPlan, LedgerRules, PlannedStage, ScheduleKind, SyncMode};
 
 use crate::error::{Result, SimError};
 use crate::metrics::{GpuStat, StepStats};
-use crate::schedule::{stage_order, TaskKind};
+use crate::schedule::{fill_stage_order, TaskKind};
 
 /// Simulator options.
 #[derive(Debug, Clone, Copy)]
@@ -141,20 +141,25 @@ struct StageTimes {
     fw: Vec<f64>,
     /// Same for one backward micro-task.
     bw: Vec<f64>,
-    /// `(gpu, forward share, backward share)` of every device row, stage
-    /// after stage; stage `s` owns `rows[row_start[s]..row_start[s + 1]]`.
-    rows: Vec<(usize, f64, f64)>,
-    row_start: Vec<usize>,
     /// Largest backward share among each stage's devices.
     bw_max: Vec<f64>,
     /// Activation/gradient transfer lag across the boundary after stage `s`.
     xfer: Vec<f64>,
 }
 
-impl StageTimes {
-    fn rows(&self, s: usize) -> &[(usize, f64, f64)] {
-        &self.rows[self.row_start[s]..self.row_start[s + 1]]
-    }
+/// What a step adds up over every device row. The per-GPU vectors are
+/// indexed by GPU id.
+struct RowTotals {
+    /// Each GPU's compute: every row's forward and backward share, times
+    /// the micro-batch count.
+    busy: Vec<f64>,
+    /// Each GPU's largest sample share, for the occupancy model.
+    samples: Vec<usize>,
+    /// Each GPU's memory ledger total; `None` for a GPU the plan does not
+    /// touch.
+    mem: Vec<Option<u64>>,
+    /// The optimizer update: the slowest row's parameter read-modify-write.
+    optimizer_time: f64,
 }
 
 /// What a device row's times depend on besides the plan's constants: its
@@ -162,35 +167,61 @@ impl StageTimes {
 /// its FLOPs and traffic per micro batch.
 type RowKey = (GpuModel, u64, u64, u64);
 
-/// One pass over every device row and one price per stage collective:
-/// forward and backward tasks of a stage pay the same collectives, so they
-/// are priced once and shared.
+/// One walk over each stage's device rows and one price per stage
+/// collective: forward and backward tasks of a stage pay the same
+/// collectives, so they are priced once and shared. The same walk adds up
+/// each GPU's busy time, sample share and memory total, and the optimizer
+/// term.
 ///
 /// A row whose [`RowKey`] equals the last priced row's reuses that row's
 /// times, so a run of equal rows — the replicas of one batch share, the
 /// shards of one split — is priced once.
+///
+/// The plan must have passed [`ExecutionPlan::validate`] on `cluster`:
+/// every row's GPU is read by id without a check.
 fn stage_times(
     plan: &ExecutionPlan,
     cluster: &Cluster,
     groups: &mut GroupCache<'_>,
-) -> Result<StageTimes> {
+) -> Result<(StageTimes, RowTotals)> {
     let num_stages = plan.stages.len();
-    let (recompute, amp, efficiency) =
-        (plan.training.recompute, plan.training.amp, plan.efficiency);
+    let training = &plan.training;
+    let (recompute, amp, efficiency) = (training.recompute, training.amp, plan.efficiency);
     // Backward ≈ 2× forward; recomputation replays the forward first.
     let bw_factor = if recompute { 3.0 } else { 2.0 };
+    let num_micro = plan.num_micro_batches as f64;
+    // ZeRO shards the optimizer update across the ranks replicating a
+    // stage, and so does ZeRO-Offload's host update.
+    let shard_update = training.zero.shards_optimizer() || training.offload;
+    let ledger = LedgerRules::of(plan);
+    let gpus = cluster.gpus();
     let mut fw = Vec::with_capacity(num_stages);
     let mut bw = Vec::with_capacity(num_stages);
     let mut bw_max = Vec::with_capacity(num_stages);
-    let mut rows = Vec::with_capacity(plan.stages.iter().map(|s| s.devices.len()).sum());
-    let mut row_start = Vec::with_capacity(num_stages + 1);
+    let mut totals = RowTotals {
+        busy: vec![0.0; gpus.len()],
+        samples: vec![0; gpus.len()],
+        mem: vec![None; gpus.len()],
+        optimizer_time: 0.0,
+    };
+    // One stage's `(gpu, backward share)` per row: a stage adds every
+    // row's forward share to its GPU's busy time before any row's backward
+    // share, which fixes the rounding of a GPU listed twice in one stage.
+    let mut bw_shares: Vec<(usize, f64)> = Vec::new();
     // The last priced row's inputs and its `(t_fw, t_bw)`.
     let mut last: Option<(RowKey, (f64, f64))> = None;
     for stage in plan.stages.iter() {
-        row_start.push(rows.len());
         let (mut max_fw, mut max_bw): (f64, f64) = (0.0, 0.0);
+        let extras = ledger.stage_extras(stage);
+        let shards = if shard_update {
+            stage.dp_degree.max(1) as f64
+        } else {
+            1.0
+        };
+        let mut last_model = None;
+        bw_shares.clear();
         for d in &stage.devices {
-            let gpu = cluster.gpu(d.gpu)?;
+            let gpu = &gpus[d.gpu];
             let key = (
                 gpu.model,
                 gpu.throughput_scale.to_bits(),
@@ -214,9 +245,31 @@ fn stage_times(
                     times
                 }
             };
-            rows.push((d.gpu, t_fw, t_bw));
             max_fw = max_fw.max(t_fw);
             max_bw = max_bw.max(t_bw);
+            totals.busy[d.gpu] += t_fw * num_micro;
+            bw_shares.push((d.gpu, t_bw));
+            totals.samples[d.gpu] = totals.samples[d.gpu].max(d.samples_per_step);
+            ledger.charge_row(&mut totals.mem[d.gpu], d, extras);
+            // Optimizer update: parameter read-modify-write, memory-bandwidth
+            // bound. ZeRO-Offload instead updates on the host and pays a PCIe
+            // round trip of gradients down and fp16 parameters back (ref
+            // [34]). Within a stage the time depends only on the GPU model,
+            // so it is priced once per change of model.
+            if last_model.replace(gpu.model) != Some(gpu.model) {
+                let local_params = stage.param_bytes as f64;
+                let t = if training.offload {
+                    let grad_bytes = local_params / 4.0 * if amp { 2.0 } else { 4.0 };
+                    let back_bytes = local_params / 4.0 * 2.0;
+                    (grad_bytes + back_bytes) / (shards * cluster.interconnect.pcie_bw)
+                } else {
+                    3.0 * local_params / (shards * gpu.model.memory_bandwidth())
+                };
+                totals.optimizer_time = totals.optimizer_time.max(t);
+            }
+        }
+        for &(gpu, t_bw) in &bw_shares {
+            totals.busy[gpu] += t_bw * num_micro;
         }
         let mut comm_time = 0.0;
         for c in &stage.collectives_per_micro {
@@ -228,7 +281,6 @@ fn stage_times(
         bw.push(max_bw + comm_time);
         bw_max.push(max_bw);
     }
-    row_start.push(rows.len());
     let mut xfer = vec![0.0; num_stages];
     for (s, slot) in xfer
         .iter_mut()
@@ -242,21 +294,23 @@ fn stage_times(
             plan.stages[s].send_bytes_per_micro,
         )?;
     }
-    Ok(StageTimes {
-        fw,
-        bw,
-        rows,
-        row_start,
-        bw_max,
-        xfer,
-    })
+    Ok((
+        StageTimes {
+            fw,
+            bw,
+            bw_max,
+            xfer,
+        },
+        totals,
+    ))
 }
 
 /// Event-driven scheduler: an indegree-counted ready queue over the task
 /// DAG, one visit per task, one relaxation per edge.
 ///
 /// A task starts at `max(control-predecessor finish, data-dep finish +
-/// transfer lag)` over the edges [`stage_order`] and
+/// transfer lag)` over the edges
+/// [`stage_order`](crate::schedule::stage_order) and
 /// [`data_deps`](crate::schedule::data_deps) define: an order-independent
 /// fold of `f64::max` over the same finish values, so the traversal order
 /// cannot change any timestamp. That order-independence is why the ready
@@ -266,8 +320,9 @@ fn stage_times(
 /// measured ~20% *slower* end to end than a polling rescan of stage cursors
 /// on a 16×64 pipeline; the stack variant is >2× faster than that rescan).
 /// Indegrees, task kinds, and dependency edges all come from index
-/// arithmetic — the scheduler allocates only its flat arrays, never a
-/// per-task `Vec` — and it touches each DAG edge exactly once.
+/// arithmetic — the scheduler allocates only its flat arrays and one
+/// control-order buffer that every stage refills, never a per-task or
+/// per-stage `Vec` — and it touches each DAG edge exactly once.
 fn schedule_tasks_event(
     num_stages: usize,
     num_micro: usize,
@@ -283,10 +338,11 @@ fn schedule_tasks_event(
     // each stage, one slot per task.
     let mut control_next: Vec<u32> = vec![NONE; n_tasks];
     let mut has_control_pred = vec![false; n_tasks];
+    let mut order = Vec::with_capacity(2 * num_micro);
     for s in 0..num_stages {
-        let order = stage_order(s, num_stages, num_micro, schedule);
+        fill_stage_order(&mut order, s, num_stages, num_micro, schedule);
         let mut prev = NONE;
-        for kind in order {
+        for &kind in &order {
             let idx = task_index(kind, num_micro) as u32;
             if prev != NONE {
                 control_next[prev as usize] = idx;
@@ -452,7 +508,7 @@ pub fn simulate_step(
     let num_stages = plan.stages.len();
     let num_micro = plan.num_micro_batches;
 
-    let times = stage_times(plan, cluster, &mut groups)?;
+    let (times, totals) = stage_times(plan, cluster, &mut groups)?;
     let (finish, records) = schedule_tasks_event(num_stages, num_micro, &times, config.schedule)?;
     let fw_time = &times.fw;
     let bw_time = &times.bw;
@@ -466,20 +522,6 @@ pub fn simulate_step(
             .map(|s| (fw_time[s] + bw_time[s]) * num_micro as f64)
             .fold(0.0f64, f64::max);
         compute_makespan = steady;
-    }
-
-    // Per-GPU busy time: own compute share per task instance. `validate`
-    // bounds every GPU id by the cluster, so per-GPU state lives in arrays
-    // indexed by id.
-    let num_gpus = cluster.num_gpus();
-    let mut busy = vec![0.0f64; num_gpus];
-    for s in 0..num_stages {
-        for &(gpu, t, _) in times.rows(s) {
-            busy[gpu] += t * num_micro as f64;
-        }
-        for &(gpu, _, t) in times.rows(s) {
-            busy[gpu] += t * num_micro as f64;
-        }
     }
 
     // Gradient synchronization. Each stage's AllReduce becomes *ready* when
@@ -653,59 +695,20 @@ pub fn simulate_step(
         (sync_total, (nic_free - compute_makespan_tmp).max(0.0))
     };
 
-    // Optimizer update: parameter read-modify-write, memory-bandwidth bound.
-    // ZeRO-Offload instead updates on the host and pays a PCIe round trip of
-    // gradients down and fp16 parameters back (ref [34]). Within a stage
-    // the time depends only on the GPU model, so it is priced once per
-    // change of model.
-    let mut optimizer_time: f64 = 0.0;
-    for stage in plan.stages.iter() {
-        // ZeRO shards the update across the ranks replicating this stage.
-        let shards = if plan.training.zero.shards_optimizer() || plan.training.offload {
-            stage.dp_degree.max(1) as f64
-        } else {
-            1.0
-        };
-        let mut last_model = None;
-        for d in &stage.devices {
-            let gpu = cluster.gpu(d.gpu)?;
-            if last_model.replace(gpu.model) == Some(gpu.model) {
-                continue;
-            }
-            let local_params = stage.param_bytes as f64;
-            let t = if plan.training.offload {
-                let grad_bytes = local_params / 4.0 * if plan.training.amp { 2.0 } else { 4.0 };
-                let back_bytes = local_params / 4.0 * 2.0;
-                (grad_bytes + back_bytes) / (shards * cluster.interconnect.pcie_bw)
-            } else {
-                3.0 * local_params / (shards * gpu.model.memory_bandwidth())
-            };
-            optimizer_time = optimizer_time.max(t);
-        }
-    }
-
+    let optimizer_time = totals.optimizer_time;
     let step_time = compute_makespan + sync_exposed + optimizer_time;
 
-    // Per-GPU sample share, for the occupancy model.
-    let mut samples = vec![0usize; num_gpus];
-    for stage in plan.stages.iter() {
-        for d in &stage.devices {
-            samples[d.gpu] = samples[d.gpu].max(d.samples_per_step);
-        }
-    }
-
-    // Memory audit: the ledger's per-GPU totals, summed without itemizing
-    // them, visited in id order.
+    // Memory audit: the ledger's per-GPU totals, visited in id order.
     let mut oom = Vec::new();
     let mut per_gpu = Vec::new();
-    for (gpu_id, total) in plan.memory_totals(cluster)?.into_iter().enumerate() {
-        let Some(bytes) = total else { continue };
-        let gpu = cluster.gpu(gpu_id)?;
+    for (gpu_id, total) in totals.mem.iter().enumerate() {
+        let Some(bytes) = *total else { continue };
+        let gpu = &cluster.gpus()[gpu_id];
         if bytes > gpu.memory_bytes() {
             oom.push(gpu_id);
         }
-        let b = busy[gpu_id];
-        let s = samples[gpu_id] as f64;
+        let b = totals.busy[gpu_id];
+        let s = totals.samples[gpu_id] as f64;
         let occupancy = s / (s + OCCUPANCY_HALF_SAT);
         per_gpu.push(GpuStat {
             gpu: gpu_id,
@@ -933,7 +936,7 @@ mod tests {
     #[test]
     fn event_schedule_matches_the_dag_spec() {
         use crate::rng::SplitMix64;
-        use crate::schedule::data_deps;
+        use crate::schedule::{data_deps, stage_order};
 
         let mut rng = SplitMix64::seed_from_u64(0x05EE_DDA6);
         for num_stages in 1..=6 {
@@ -952,8 +955,6 @@ mod tests {
                         fw: draw(),
                         bw: draw(),
                         xfer: draw(),
-                        rows: Vec::new(),
-                        row_start: Vec::new(),
                         bw_max: Vec::new(),
                     };
                     let (finish, records) =

@@ -63,6 +63,20 @@ pub fn stage_order(
     schedule: ScheduleKind,
 ) -> Vec<TaskKind> {
     let mut order = Vec::with_capacity(2 * num_micro);
+    fill_stage_order(&mut order, stage, num_stages, num_micro, schedule);
+    order
+}
+
+/// Replace `order`'s contents with [`stage_order`]'s, so one buffer serves
+/// every stage of a step.
+pub(crate) fn fill_stage_order(
+    order: &mut Vec<TaskKind>,
+    stage: usize,
+    num_stages: usize,
+    num_micro: usize,
+    schedule: ScheduleKind,
+) {
+    order.clear();
     match schedule {
         ScheduleKind::GPipe => {
             for m in 0..num_micro {
@@ -91,7 +105,6 @@ pub fn stage_order(
             }
         }
     }
-    order
 }
 
 /// Data dependencies of a task (cross-stage tensor edges).
