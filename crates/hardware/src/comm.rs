@@ -15,6 +15,7 @@ use crate::error::{HardwareError, Result};
 use crate::interconnect::LinkKind;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Collective operations the planner can insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -313,11 +314,18 @@ impl AllReduceSelector {
 /// name it. The planner's comm-optimizer keeps one per pass, the search one
 /// per call and the simulator one per step; the first sight of an invalid
 /// group returns [`AllReduceSelector::new`]'s error for it.
+///
+/// A lookup compares the group with the last valid group looked up before
+/// it hashes anything: the collectives and syncs of an MoE plan name one
+/// group over and over.
 #[derive(Debug)]
 pub struct GroupCache<'c> {
     cluster: &'c Cluster,
-    slots: HashMap<Box<[usize]>, usize>,
-    groups: Vec<AllReduceSelector>,
+    slots: HashMap<Arc<[usize]>, usize>,
+    /// Each slot's group and topology.
+    groups: Vec<(Arc<[usize]>, AllReduceSelector)>,
+    /// The slot of the last valid group looked up.
+    last: Option<usize>,
 }
 
 impl<'c> GroupCache<'c> {
@@ -327,6 +335,7 @@ impl<'c> GroupCache<'c> {
             cluster,
             slots: HashMap::new(),
             groups: Vec::new(),
+            last: None,
         }
     }
 
@@ -336,27 +345,38 @@ impl<'c> GroupCache<'c> {
     }
 
     /// Slot of `group`'s topology (see [`GroupCache::get`]), walking the
-    /// group on its first sight.
+    /// group on its first sight. Only a lookup of a group never seen
+    /// allocates.
     pub fn slot(&mut self, group: &[usize]) -> Result<usize> {
-        if let Some(&slot) = self.slots.get(group) {
-            return Ok(slot);
+        if let Some(last) = self.last {
+            if *self.groups[last].0 == *group {
+                return Ok(last);
+            }
         }
-        let topo = AllReduceSelector::new(self.cluster, group)?;
-        let slot = self.groups.len();
-        self.groups.push(topo);
-        self.slots.insert(group.into(), slot);
+        let slot = match self.slots.get(group) {
+            Some(&slot) => slot,
+            None => {
+                let topo = AllReduceSelector::new(self.cluster, group)?;
+                let key: Arc<[usize]> = group.into();
+                let slot = self.groups.len();
+                self.groups.push((Arc::clone(&key), topo));
+                self.slots.insert(key, slot);
+                slot
+            }
+        };
+        self.last = Some(slot);
         Ok(slot)
     }
 
     /// The topology in `slot`.
     pub fn get(&self, slot: usize) -> &AllReduceSelector {
-        &self.groups[slot]
+        &self.groups[slot].1
     }
 
     /// `group`'s topology.
     pub fn selector(&mut self, group: &[usize]) -> Result<&AllReduceSelector> {
         let slot = self.slot(group)?;
-        Ok(&self.groups[slot])
+        Ok(&self.groups[slot].1)
     }
 }
 
@@ -449,6 +469,51 @@ mod tests {
             cache.slot(&[16]).unwrap_err(),
             HardwareError::UnknownDevice(16)
         );
+    }
+
+    #[test]
+    fn a_repeated_group_reuses_its_slot() {
+        let c = Cluster::homogeneous(GpuModel::V100_32GB, 2, 8);
+        let mut cache = GroupCache::new(&c);
+        let (a, b): (&[usize], &[usize]) = (&[0, 1, 8], &[2, 9]);
+        let slots: Vec<usize> = [a, b, a, a]
+            .into_iter()
+            .map(|g| cache.slot(g).unwrap())
+            .collect();
+        assert_eq!(slots, vec![0, 1, 0, 0]);
+        assert_eq!(cache.groups.len(), 2, "one topology per distinct group");
+        assert_eq!(cache.get(0).nodes(), &[0, 1]);
+        assert_eq!(cache.get(1).nodes(), &[0, 1]);
+    }
+
+    #[test]
+    fn a_bad_group_after_a_repeated_hit_is_still_refused() {
+        let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 8);
+        let mut cache = GroupCache::new(&c);
+        cache.slot(&[0, 1, 2]).unwrap();
+        cache.slot(&[0, 1, 2]).unwrap();
+        let want = AllReduceSelector::new(&c, &[0, 1, 1]).unwrap_err();
+        assert_eq!(
+            want,
+            HardwareError::InvalidGroup("duplicate rank in group".into())
+        );
+        assert_eq!(cache.slot(&[0, 1, 1]).unwrap_err(), want);
+        // The refused group did not become the previous one.
+        assert_eq!(cache.slot(&[0, 1, 1]).unwrap_err(), want);
+        assert_eq!(cache.slot(&[0, 1, 2]).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_prefix_or_permutation_of_the_previous_group_is_its_own_group() {
+        let c = Cluster::homogeneous(GpuModel::V100_32GB, 2, 8);
+        let mut cache = GroupCache::new(&c);
+        assert_eq!(cache.slot(&[0, 1, 8]).unwrap(), 0);
+        assert_eq!(cache.slot(&[0, 1]).unwrap(), 1);
+        assert_eq!(cache.slot(&[0, 1, 8]).unwrap(), 0);
+        assert_eq!(cache.slot(&[8, 0, 1]).unwrap(), 2);
+        assert_eq!(cache.slot(&[0, 1, 8]).unwrap(), 0);
+        assert_eq!(cache.groups.len(), 3);
+        assert_eq!(cache.get(1).nodes(), &[0]);
     }
 
     #[test]
