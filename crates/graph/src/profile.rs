@@ -9,6 +9,7 @@
 //! recomputation and mixed precision).
 
 use crate::graph::{Graph, OpId};
+use crate::inline_list::InlineList;
 use crate::op::{OpKind, Phase};
 
 /// Optimizers with their per-parameter state footprint.
@@ -234,9 +235,10 @@ impl CostProfile {
         let mut traffic_bytes = 0u64;
         // Last op of each layer — its output is the layer checkpoint. Ops
         // arrive grouped by layer in practice, so a tail-first scan over a
-        // small vec is amortized O(1) per op (checkpoint_bytes is a u64 sum,
-        // so the collection order does not affect the result).
-        let mut layer_last: Vec<(usize, OpId)> = Vec::new();
+        // short list is amortized O(1) per op (checkpoint_bytes is a u64
+        // sum, so the collection order does not affect the result). A
+        // TaskGraph of at most four layers keeps the list inline.
+        let mut layer_last: InlineList<(usize, OpId)> = InlineList::new();
         for &id in ids {
             let op = match graph.op(id) {
                 Ok(op) => op,
@@ -263,7 +265,7 @@ impl CostProfile {
             }
         }
         let mut checkpoint_bytes = 0u64;
-        for (_, id) in layer_last {
+        for &(_, id) in &layer_last {
             if let Ok(op) = graph.op(id) {
                 checkpoint_bytes += op.output_bytes();
             }

@@ -67,6 +67,9 @@ pub(crate) struct BalanceMemo {
     dp: HashMap<DpKey, DpBucket>,
     /// `(TaskGraph position, degree)` → shard plan.
     splits: HashMap<(usize, usize), SplitPlan>,
+    /// The GPU ids of the last device slice whose GPUs were all found:
+    /// `gpus` and `sig` describe it.
+    ids: Vec<usize>,
     /// Reused device-slice buffer.
     gpus: Vec<Gpu>,
     /// Reused signature buffer.
@@ -86,16 +89,22 @@ impl BalanceMemo {
         act_mult: f64,
         hardware_aware: bool,
     ) -> Result<&DpPartition> {
-        self.gpus.clear();
-        for &id in ids {
-            self.gpus.push(*cluster.gpu(id)?);
+        // Every TaskGraph of a one-replica plan lands on the same slice:
+        // its GPUs and signature are copied once while the ids repeat.
+        if self.ids != ids {
+            self.ids.clear();
+            self.gpus.clear();
+            for &id in ids {
+                self.gpus.push(*cluster.gpu(id)?);
+            }
+            self.ids.extend_from_slice(ids);
+            self.sig.clear();
+            self.sig.extend(
+                self.gpus
+                    .iter()
+                    .map(|g| (g.model, g.throughput_scale.to_bits())),
+            );
         }
-        self.sig.clear();
-        self.sig.extend(
-            self.gpus
-                .iter()
-                .map(|g| (g.model, g.throughput_scale.to_bits())),
-        );
         let key = (
             [
                 profile.param_count,
@@ -303,6 +312,8 @@ fn shard_taskgraph(
         });
     }
     let micro_scale = batch as f64 / (a.num_micro as f64 * a.ir.global_batch.max(1) as f64);
+    // Every collective of the split carries one label, formatted once.
+    let mut label: Option<String> = None;
     for (kind, bytes) in &split.collectives {
         let scaled = (*bytes as f64 * micro_scale) as u64;
         if scaled == 0 || k < 2 {
@@ -312,7 +323,9 @@ fn shard_taskgraph(
             kind: *kind,
             group: shard_gpus.to_vec(),
             bytes: scaled,
-            label: format!("{:?} split tg{}", split.pattern, a.tg.index),
+            label: label
+                .get_or_insert_with(|| format!("{:?} split tg{}", split.pattern, a.tg.index))
+                .clone(),
             stage: Some(a.stage_index),
         });
     }

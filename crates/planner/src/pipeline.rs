@@ -523,7 +523,8 @@ impl PlannerPass for Balance {
                 Some(ps) => ps[tg_idx].clone(),
                 None => tg.profile(&ir.graph, ir.global_batch.max(1)),
             };
-            let mut devices = Vec::new();
+            // Each plan replica lists one row per GPU of its virtual device.
+            let mut devices = Vec::with_capacity(p.vds0[tg_idx].num_gpus() * d.groups.len());
             let mut collectives = Vec::new();
 
             for (g, group) in d.groups.iter().enumerate() {
