@@ -10,7 +10,7 @@
 //! once at their exact length, and inputs and shapes are held inline, so
 //! recording an op allocates only its name.
 
-use crate::graph::{check_output_size, Graph, GraphError, Op, OpId};
+use crate::graph::{check_output_size, check_param_size, Graph, GraphError, Op, OpId};
 use crate::inline_list::InlineList;
 use crate::op::{OpKind, Phase};
 use crate::tensor::TensorMeta;
@@ -70,7 +70,8 @@ impl GraphBuilder {
     }
 
     /// Record a forward op at the current layer. An op whose output byte
-    /// size overflows `u64` is [`GraphError::OutputTooLarge`].
+    /// size overflows `u64` is [`GraphError::OutputTooLarge`]; one whose
+    /// parameters' fp32 bytes overflow it is [`GraphError::ParamsTooLarge`].
     fn add(
         &mut self,
         name: String,
@@ -85,6 +86,7 @@ impl GraphBuilder {
             }
         }
         check_output_size(&name, &output)?;
+        check_param_size(&name, &kind)?;
         self.ops.push(Op {
             id,
             name,

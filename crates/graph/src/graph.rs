@@ -93,6 +93,12 @@ pub enum GraphError {
         /// Its output tensor.
         output: TensorMeta,
     },
+    /// An op's parameter count, or that count's fp32 bytes (4 per
+    /// parameter), overflows `u64`.
+    ParamsTooLarge {
+        /// The op being added.
+        op: String,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -109,6 +115,9 @@ impl fmt::Display for GraphError {
                 "op '{op}': output {} of {} overflows 64 bits of bytes",
                 output.shape, output.dtype
             ),
+            GraphError::ParamsTooLarge { op } => {
+                write!(f, "op '{op}': parameter bytes overflow 64 bits")
+            }
         }
     }
 }
@@ -134,6 +143,16 @@ pub(crate) fn check_output_size(op: &str, output: &TensorMeta) -> Result<(), Gra
             op: op.to_string(),
             output: output.clone(),
         })
+    }
+}
+
+/// Refuse an op whose parameter count, or that count × 4 bytes (its fp32
+/// parameters), overflows `u64`: the count and every size and memory
+/// product built on it would wrap.
+pub(crate) fn check_param_size(op: &str, kind: &OpKind) -> Result<(), GraphError> {
+    match kind.checked_param_count().and_then(|n| n.checked_mul(4)) {
+        Some(_) => Ok(()),
+        None => Err(GraphError::ParamsTooLarge { op: op.to_string() }),
     }
 }
 
@@ -250,8 +269,10 @@ impl Graph {
         self.ops().get(id.0).ok_or(GraphError::UnknownOp(id))
     }
 
-    /// Append an op whose inputs must already exist and whose output byte
-    /// size fits in `u64` ([`GraphError::OutputTooLarge`] otherwise).
+    /// Append an op whose inputs must already exist, whose output byte
+    /// size fits in `u64` ([`GraphError::OutputTooLarge`] otherwise) and
+    /// whose parameters' fp32 bytes fit in `u64`
+    /// ([`GraphError::ParamsTooLarge`] otherwise).
     pub fn add_op(
         &mut self,
         name: impl Into<String>,
@@ -270,6 +291,7 @@ impl Graph {
             }
         }
         check_output_size(&name, &output)?;
+        check_param_size(&name, &kind)?;
         Arc::make_mut(&mut self.ops).push(Op {
             id,
             name,
@@ -652,5 +674,108 @@ mod tests {
         let dot = g.to_dot();
         assert!(dot.contains("n0 -> n1"));
         assert!(dot.contains("digraph"));
+    }
+
+    /// One kind per `OpKind` arm with parameters, each at a size whose
+    /// parameter count, or that count's fp32 bytes, overflows `u64`.
+    fn kinds_with_oversized_params() -> Vec<OpKind> {
+        vec![
+            // 2^64 + 2^24 parameters.
+            OpKind::MatMul {
+                m: 8,
+                k: 1 << 40,
+                n: 1 << 24,
+                has_params: true,
+            },
+            // 2^62 + 2^20 parameters: the count fits, its bytes do not.
+            OpKind::Conv2d {
+                batch: 8,
+                in_c: 1 << 20,
+                out_c: 1 << 20,
+                kernel: (1 << 12, 1 << 10),
+                out_hw: (1, 1),
+            },
+            OpKind::Embedding {
+                vocab: 1 << 32,
+                dim: 1 << 31,
+                tokens: 8,
+            },
+            OpKind::LayerNorm {
+                elems: 128,
+                dim: 1 << 63,
+            },
+            OpKind::Lstm {
+                seq: 4,
+                batch: 8,
+                input_dim: 1 << 33,
+                hidden: 1 << 31,
+            },
+            OpKind::MoeFfn {
+                tokens: 8,
+                hidden: 1 << 20,
+                intermediate: 1 << 20,
+                experts: 1 << 23,
+                top_k: 2,
+            },
+            OpKind::Gating {
+                tokens: 8,
+                hidden: 1 << 32,
+                experts: 1 << 32,
+            },
+            OpKind::Synthetic {
+                flops: 1.0,
+                params: u64::MAX / 4 + 1,
+            },
+        ]
+    }
+
+    #[test]
+    fn an_op_whose_parameter_bytes_overflow_is_refused() {
+        for kind in kinds_with_oversized_params() {
+            let want = GraphError::ParamsTooLarge {
+                op: "big".to_string(),
+            };
+            let mut g = mk_chain(1);
+            let err = g
+                .add_op(
+                    "big",
+                    kind.clone(),
+                    vec![OpId(0)],
+                    TensorMeta::f32(&[8, 16]),
+                    Phase::Forward,
+                    None,
+                )
+                .unwrap_err();
+            assert_eq!(err, want, "Graph::add_op, {kind:?}");
+            assert_eq!(g.len(), 1, "{kind:?}");
+
+            let mut b = GraphBuilder::new("big");
+            let x = b.input("x", &[8, 16]).unwrap();
+            let err = b
+                .op("big", kind.clone(), [x], TensorMeta::f32(&[8, 16]))
+                .unwrap_err();
+            assert_eq!(err, want, "GraphBuilder::op, {kind:?}");
+            assert_eq!(
+                err.to_string(),
+                "op 'big': parameter bytes overflow 64 bits"
+            );
+        }
+    }
+
+    #[test]
+    fn parameter_bytes_that_just_fit_are_accepted() {
+        let mut g = mk_chain(1);
+        let params = u64::MAX / 4;
+        let id = g
+            .add_op(
+                "fits",
+                OpKind::Synthetic { flops: 1.0, params },
+                vec![OpId(0)],
+                TensorMeta::f32(&[8, 16]),
+                Phase::Forward,
+                None,
+            )
+            .unwrap();
+        assert_eq!(g.op(id).unwrap().kind.param_count(), params);
     }
 }

@@ -207,43 +207,53 @@ impl OpKind {
         }
     }
 
-    /// Number of trainable parameters owned by this operation.
+    /// Number of trainable parameters owned by this operation. A graph
+    /// refuses an op whose count overflows `u64`
+    /// ([`GraphError::ParamsTooLarge`](crate::GraphError::ParamsTooLarge));
+    /// for such a kind built outside a graph the count saturates at
+    /// `u64::MAX`.
     pub fn param_count(&self) -> u64 {
+        self.checked_param_count().unwrap_or(u64::MAX)
+    }
+
+    /// [`OpKind::param_count`], or `None` when it overflows `u64`.
+    pub(crate) fn checked_param_count(&self) -> Option<u64> {
+        let mul = |a: usize, b: usize| (a as u64).checked_mul(b as u64);
         match *self {
             OpKind::MatMul {
                 k, n, has_params, ..
-            } if has_params => k as u64 * n as u64 + n as u64,
+            } if has_params => mul(k, n)?.checked_add(n as u64),
             OpKind::Conv2d {
                 in_c,
                 out_c,
                 kernel: (kh, kw),
                 ..
-            } => in_c as u64 * out_c as u64 * kh as u64 * kw as u64 + out_c as u64,
-            OpKind::Embedding { vocab, dim, .. } => vocab as u64 * dim as u64,
-            OpKind::LayerNorm { dim, .. } => 2 * dim as u64,
+            } => mul(in_c, out_c)?
+                .checked_mul(mul(kh, kw)?)?
+                .checked_add(out_c as u64),
+            OpKind::Embedding { vocab, dim, .. } => mul(vocab, dim),
+            OpKind::LayerNorm { dim, .. } => mul(2, dim),
             OpKind::Lstm {
                 input_dim, hidden, ..
-            } => {
-                4 * (input_dim as u64 * hidden as u64
-                    + hidden as u64 * hidden as u64
-                    + hidden as u64)
-            }
+            } => mul(input_dim, hidden)?
+                .checked_add(mul(hidden, hidden)?)?
+                .checked_add(hidden as u64)?
+                .checked_mul(4),
             OpKind::MoeFfn {
                 hidden,
                 intermediate,
                 experts,
                 ..
-            } => {
-                experts as u64
-                    * (2 * hidden as u64 * intermediate as u64
-                        + hidden as u64
-                        + intermediate as u64)
-            }
+            } => mul(hidden, intermediate)?
+                .checked_mul(2)?
+                .checked_add(hidden as u64)?
+                .checked_add(intermediate as u64)?
+                .checked_mul(experts as u64),
             OpKind::Gating {
                 hidden, experts, ..
-            } => hidden as u64 * experts as u64,
-            OpKind::Synthetic { params, .. } => params,
-            _ => 0,
+            } => mul(hidden, experts),
+            OpKind::Synthetic { params, .. } => Some(params),
+            _ => Some(0),
         }
     }
 
