@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Compare one reqbench workload between a parent revision and the working
-# tree in alternating pairs of runs.
+# Compare reqbench workloads between a parent revision and the working tree
+# in alternating pairs of runs.
 #
 # Usage:
-#   scripts/reqbench_pairs.sh <parent-rev> <workload> [pairs=10] [seconds=25] [first-seed=101] [trace=0]
+#   scripts/reqbench_pairs.sh <parent-rev> <workload|all> [pairs=10] [seconds=25] [first-seed=101] [trace=0]
+#
+# With `all` as the workload, the pairs run on each workload BENCHMARK.json
+# lists, in turn, with the same seeds and one parent export and build, and
+# a summary is printed per workload.
 #
 # The parent is exported with `git archive` into a work directory and both
 # reqbench binaries are built with `--release --offline`, each into its own
@@ -24,20 +28,24 @@
 # The work directory is $PAIRS_WORKDIR, or a fresh temporary one. Reusing a
 # work directory reuses the parent's export and build.
 #
-# Exit status: 0 when every run reported "correct":true, 1 otherwise, 2 on a
-# usage error.
+# Exit status: 0 when every run (of every workload) reported
+# "correct":true, 1 otherwise, 2 on a usage error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: $0 <parent-rev> <workload> [pairs=10] [seconds=25] [first-seed=101] [trace=0]" >&2
+  echo "usage: $0 <parent-rev> <workload|all> [pairs=10] [seconds=25] [first-seed=101] [trace=0]" >&2
   exit 2
 }
 [[ $# -ge 2 && $# -le 6 ]] || usage
 command -v jq >/dev/null || { echo "reqbench_pairs: jq not found" >&2; exit 2; }
 
 rev="$1"
-workload="$2"
+if [[ "$2" == all ]]; then
+  mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
+else
+  workloads=("$2")
+fi
 pairs="${3:-10}"
 seconds="${4:-25}"
 first_seed="${5:-101}"
@@ -59,8 +67,6 @@ fi
 root="$(pwd)"
 work="${PAIRS_WORKDIR:-$(mktemp -d)}"
 parent="$work/parent-$sha"
-runs="$work/runs-$workload$( ((trace)) && echo -trace)-$(date +%Y%m%d-%H%M%S)"
-mkdir -p "$runs"
 echo "reqbench_pairs: work directory $work" >&2
 
 if [[ ! -d "$parent" ]]; then
@@ -90,46 +96,60 @@ run() { # <side> <pair> <seed>
   echo "$verdict" >"$runs/$1-$2.json"
   echo "pair $2 seed $3 $1: $(jq -c --arg m "$shown" '[.correct, .metrics[$m].value]' "$runs/$1-$2.json")" >&2
 }
-for ((i = 0; i < pairs; i++)); do
-  seed=$((first_seed + i))
-  if ((i % 2 == 0)); then
-    run parent "$i" "$seed"
-    run change "$i" "$seed"
-  else
-    run change "$i" "$seed"
-    run parent "$i" "$seed"
+pairs_of() { # <workload>: run the pairs, print the summary, count bad runs
+  workload="$1"
+  runs="$work/runs-$workload$( ((trace)) && echo -trace)-$(date +%Y%m%d-%H%M%S)"
+  mkdir -p "$runs"
+  for ((i = 0; i < pairs; i++)); do
+    seed=$((first_seed + i))
+    if ((i % 2 == 0)); then
+      run parent "$i" "$seed"
+      run change "$i" "$seed"
+    else
+      run change "$i" "$seed"
+      run parent "$i" "$seed"
+    fi
+  done
+
+  # One array per side, in pair order, of every run's verdict.
+  jq -s . $(for ((i = 0; i < pairs; i++)); do echo "$runs/parent-$i.json"; done) >"$runs/parent.json"
+  jq -s . $(for ((i = 0; i < pairs; i++)); do echo "$runs/change-$i.json"; done) >"$runs/change.json"
+
+  echo "$workload: $pairs pairs of ${seconds}s, seeds $first_seed-$((first_seed + pairs - 1)), trace $trace, parent $sha vs working tree"
+  jq -r --arg list "$metrics" --slurpfile parent "$runs/parent.json" --slurpfile change "$runs/change.json" '
+    def q(p): sort as $s | ((($s | length) - 1) * p) as $h | ($h | floor) as $lo
+      | $s[$lo] + ($h - $lo) * ($s[[$lo + 1, ($s | length) - 1] | min] - $s[$lo]);
+    # Four decimals, or four significant digits below 1.
+    def fmt: if . == null then "null" elif . == 0 then "0"
+      else pow(10; [4, 3 - (fabs | log10 | floor)] | max) as $m | . * $m | round / $m | tostring end;
+    def side(v): "\(v | q(0.5) | fmt) [\(v | q(0.25) | fmt)-\(v | q(0.75) | fmt)]";
+    def pad(n): if n > length then . + (" " * (n - length)) else . end;
+    [["metric", "unit", "better", "parent median [q1-q3]", "change median [q1-q3]",
+      "change/parent", "change wins"],
+     (.[$list][] | .name as $m | .better as $better
+      | [$parent[0][] | .metrics[$m].value] as $p
+      | [$change[0][] | .metrics[$m].value] as $c
+      | [range(0; $p | length)
+          | select(if $better == "higher" then $c[.] > $p[.] else $c[.] < $p[.] end)] as $wins
+      | [$m, .unit, $better, side($p), side($c),
+         (if ($p | q(0.5)) == 0 then "n/a" else (($c | q(0.5)) / ($p | q(0.5)) | fmt) end),
+         "\($wins | length)/\($p | length)"])]
+    | [range(0; .[0] | length) as $j | [.[][$j] | length] | max] as $w
+    | .[] | [range(0; length) as $j | .[$j] | pad($w[$j])] | join("  ")' BENCHMARK.json
+
+  local n
+  n=$(jq -s '[.[][] | select(.correct != true)] | length' "$runs/parent.json" "$runs/change.json")
+  echo "verdicts: $runs"
+  if ((n > 0)); then
+    echo "reqbench_pairs: $workload: $n run(s) not \"correct\":true" >&2
   fi
+  bad=$((bad + n))
+}
+
+bad=0
+for w in "${workloads[@]}"; do
+  pairs_of "$w"
 done
-
-# One array per side, in pair order, of every run's verdict.
-jq -s . $(for ((i = 0; i < pairs; i++)); do echo "$runs/parent-$i.json"; done) >"$runs/parent.json"
-jq -s . $(for ((i = 0; i < pairs; i++)); do echo "$runs/change-$i.json"; done) >"$runs/change.json"
-
-echo "$workload: $pairs pairs of ${seconds}s, seeds $first_seed-$((first_seed + pairs - 1)), trace $trace, parent $sha vs working tree"
-jq -r --arg list "$metrics" --slurpfile parent "$runs/parent.json" --slurpfile change "$runs/change.json" '
-  def q(p): sort as $s | ((($s | length) - 1) * p) as $h | ($h | floor) as $lo
-    | $s[$lo] + ($h - $lo) * ($s[[$lo + 1, ($s | length) - 1] | min] - $s[$lo]);
-  # Four decimals, or four significant digits below 1.
-  def fmt: if . == null then "null" elif . == 0 then "0"
-    else pow(10; [4, 3 - (fabs | log10 | floor)] | max) as $m | . * $m | round / $m | tostring end;
-  def side(v): "\(v | q(0.5) | fmt) [\(v | q(0.25) | fmt)-\(v | q(0.75) | fmt)]";
-  def pad(n): if n > length then . + (" " * (n - length)) else . end;
-  [["metric", "unit", "better", "parent median [q1-q3]", "change median [q1-q3]",
-    "change/parent", "change wins"],
-   (.[$list][] | .name as $m | .better as $better
-    | [$parent[0][] | .metrics[$m].value] as $p
-    | [$change[0][] | .metrics[$m].value] as $c
-    | [range(0; $p | length)
-        | select(if $better == "higher" then $c[.] > $p[.] else $c[.] < $p[.] end)] as $wins
-    | [$m, .unit, $better, side($p), side($c),
-       (if ($p | q(0.5)) == 0 then "n/a" else (($c | q(0.5)) / ($p | q(0.5)) | fmt) end),
-       "\($wins | length)/\($p | length)"])]
-  | [range(0; .[0] | length) as $j | [.[][$j] | length] | max] as $w
-  | .[] | [range(0; length) as $j | .[$j] | pad($w[$j])] | join("  ")' BENCHMARK.json
-
-bad=$(jq -s '[.[][] | select(.correct != true)] | length' "$runs/parent.json" "$runs/change.json")
-echo "verdicts: $runs"
 if ((bad > 0)); then
-  echo "reqbench_pairs: $bad run(s) not \"correct\":true" >&2
   exit 1
 fi
