@@ -312,8 +312,7 @@ fn shard_taskgraph(
         });
     }
     let micro_scale = batch as f64 / (a.num_micro as f64 * a.ir.global_batch.max(1) as f64);
-    // Every collective of the split carries one label, formatted once.
-    let mut label: Option<String> = None;
+    let first = collectives.len();
     for (kind, bytes) in &split.collectives {
         let scaled = (*bytes as f64 * micro_scale) as u64;
         if scaled == 0 || k < 2 {
@@ -323,9 +322,12 @@ fn shard_taskgraph(
             kind: *kind,
             group: shard_gpus.to_vec(),
             bytes: scaled,
-            label: label
-                .get_or_insert_with(|| format!("{:?} split tg{}", split.pattern, a.tg.index))
-                .clone(),
+            // Every collective of the split carries one label: format it
+            // for the first and copy it for the rest.
+            label: match collectives[first..].last() {
+                Some(prev) => prev.label.clone(),
+                None => format!("{:?} split tg{}", split.pattern, a.tg.index),
+            },
             stage: Some(a.stage_index),
         });
     }
