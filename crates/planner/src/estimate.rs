@@ -14,6 +14,7 @@
 use whale_hardware::{Cluster, GroupCache};
 
 use crate::commopt::SyncMode;
+use crate::cost;
 use crate::error::Result;
 use crate::plan::{ExecutionPlan, PlannedStage};
 
@@ -32,22 +33,16 @@ fn stage_fw_bw(
     let mut t: f64 = 0.0;
     for d in &stage.devices {
         let gpu = cluster.gpu(d.gpu)?;
-        let boost = if amp { gpu.model.amp_speedup() } else { 1.0 };
-        let flops_t = d.fw_flops_per_micro / (gpu.flops() * boost * efficiency);
-        let traffic = d.mem_traffic_per_micro * if amp { 0.5 } else { 1.0 };
-        t = t.max(flops_t + traffic / gpu.model.memory_bandwidth());
+        t = t.max(cost::roofline(
+            gpu,
+            d.fw_flops_per_micro,
+            d.mem_traffic_per_micro,
+            amp,
+            efficiency,
+            1.0,
+        ));
     }
-    let mut comm_t = 0.0;
-    for c in &stage.collectives_per_micro {
-        let n = c.group.len().max(1) as u64;
-        let per_rank = match c.kind {
-            whale_hardware::Collective::AllGather | whale_hardware::Collective::AllToAll => {
-                (c.bytes / n).max(1)
-            }
-            _ => c.bytes,
-        };
-        comm_t += groups.selector(&c.group)?.collective(c.kind, per_rank);
-    }
+    let comm_t = cost::stage_collectives(stage, groups)?;
     Ok((t * (1.0 + bw_factor) + comm_t * 2.0, t + comm_t))
 }
 
@@ -127,13 +122,12 @@ pub struct StructuralBound {
 /// rather than `d` copies of the fastest — the slack that used to let
 /// every high-micro leaf through the pre-plan gate on V100+P100 clusters.
 pub fn structural_lower_bound(b: &StructuralBound, cluster: &Cluster) -> f64 {
-    let kappa = if b.recompute { 3.0 } else { 2.0 };
-    let work = (1.0 + kappa) * b.fw_flops_per_sample * b.global_batch as f64;
+    let work =
+        (1.0 + cost::backward_factor(b.recompute)) * b.fw_flops_per_sample * b.global_batch as f64;
     let mut total_rate = 0.0_f64;
     let mut max_rate = 0.0_f64;
     for g in cluster.gpus() {
-        let boost = if b.amp { g.model.amp_speedup() } else { 1.0 };
-        let rate = g.flops() * boost * b.efficiency;
+        let rate = cost::effective_rate(g, b.amp, b.efficiency);
         total_rate += rate;
         max_rate = max_rate.max(rate);
     }
@@ -153,10 +147,11 @@ pub fn structural_lower_bound(b: &StructuralBound, cluster: &Cluster) -> f64 {
         let mut rates: Vec<f64> = Vec::with_capacity(b.depth);
         for group in cluster.gpus().chunks(b.depth) {
             rates.clear();
-            rates.extend(group.iter().map(|gpu| {
-                let boost = if b.amp { gpu.model.amp_speedup() } else { 1.0 };
-                gpu.flops() * boost * b.efficiency
-            }));
+            rates.extend(
+                group
+                    .iter()
+                    .map(|gpu| cost::effective_rate(gpu, b.amp, b.efficiency)),
+            );
             rates.sort_by(|x, y| y.total_cmp(x));
             let (mut dsum, mut wgt) = (0.0_f64, 1.0_f64);
             for &c in &rates {
@@ -236,7 +231,7 @@ pub fn estimate_step_lower_bound(plan: &ExecutionPlan, groups: &mut GroupCache<'
     let cluster = groups.cluster();
     let m = plan.num_micro_batches.max(1) as f64;
     let amp = plan.training.amp;
-    let bw_factor = if plan.training.recompute { 3.0 } else { 2.0 };
+    let bw_factor = cost::backward_factor(plan.training.recompute);
     let mut chain = 0.0_f64;
     let mut fw_ramp = 0.0_f64;
     let mut bottleneck = 0.0_f64;
@@ -250,21 +245,11 @@ pub fn estimate_step_lower_bound(plan: &ExecutionPlan, groups: &mut GroupCache<'
         chain += fw_bw;
         fw_ramp += fw;
         // Boundary to the next stage: the engine lags cross-stage edges by
-        // the activation transfer forward and the gradient transfer back
-        // (co-located stages hand over in device memory, lag 0).
+        // the activation transfer forward and the gradient transfer back.
         if let Some(next) = plan.stages.get(s + 1) {
-            let bytes = stage.send_bytes_per_micro;
-            if bytes > 0 {
-                let from = stage.gpu_ids();
-                let to = next.gpu_ids();
-                if from != to {
-                    let a = cluster.gpu(from[0])?;
-                    let b = cluster.gpu(to[0])?;
-                    let xfer = cluster.interconnect.p2p_time(a, b, bytes);
-                    chain += 2.0 * xfer;
-                    fw_ramp += xfer;
-                }
-            }
+            let xfer = cost::stage_transfer(stage, next, cluster)?;
+            chain += 2.0 * xfer;
+            fw_ramp += xfer;
         }
     }
 
@@ -280,27 +265,9 @@ pub fn estimate_step_lower_bound(plan: &ExecutionPlan, groups: &mut GroupCache<'
         .is_some_and(|s| s.mode == SyncMode::Bucketed);
     let mut sync_finish = 0.0_f64;
     if !bucketed {
-        let zero_factor = plan.training.zero.comm_factor();
-        let wire_of = plan
-            .grad_sync_schedule
-            .as_ref()
-            .filter(|s| s.wire_scaled())
-            .map(|s| s.wire_bytes_per_sync(plan.grad_syncs.len()));
         let mut syncs: Vec<(f64, f64)> = Vec::with_capacity(plan.grad_syncs.len());
-        for (sync_index, c) in plan.grad_syncs.iter().enumerate() {
-            let wire = wire_of
-                .as_ref()
-                .and_then(|w| w[sync_index])
-                .filter(|_| c.group.len() > 1);
-            let sel = groups.selector(&c.group)?;
-            let (wire, quant) = match wire {
-                Some(wire) => (
-                    wire,
-                    whale_hardware::quantize_dequantize_cost(c.bytes, wire, sel.min_membw()),
-                ),
-                None => (c.bytes, 0.0),
-            };
-            let dur = sel.collective(c.kind, wire) * zero_factor + quant;
+        for (c, wire) in plan.grad_syncs.iter().zip(cost::legacy_wire_bytes(plan)) {
+            let dur = cost::legacy_sync(c, wire, plan.training.zero, groups)?;
             let release = c
                 .stage
                 .filter(|&s| s < plan.stages.len())
@@ -321,22 +288,14 @@ pub fn estimate_step_lower_bound(plan: &ExecutionPlan, groups: &mut GroupCache<'
     // the ZeRO-Offload PCIe round trip).
     let mut optimizer_time: f64 = 0.0;
     for stage in plan.stages.iter() {
-        let shards = if plan.training.zero.shards_optimizer() || plan.training.offload {
-            stage.dp_degree.max(1) as f64
-        } else {
-            1.0
-        };
         for d in &stage.devices {
-            let gpu = cluster.gpu(d.gpu)?;
-            let local_params = stage.param_bytes as f64;
-            let t = if plan.training.offload {
-                let grad_bytes = local_params / 4.0 * if plan.training.amp { 2.0 } else { 4.0 };
-                let back_bytes = local_params / 4.0 * 2.0;
-                (grad_bytes + back_bytes) / (shards * cluster.interconnect.pcie_bw)
-            } else {
-                3.0 * local_params / (shards * gpu.model.memory_bandwidth())
-            };
-            optimizer_time = optimizer_time.max(t);
+            let model = cluster.gpu(d.gpu)?.model;
+            optimizer_time = optimizer_time.max(cost::optimizer_update(
+                stage,
+                model,
+                &plan.training,
+                cluster,
+            ));
         }
     }
 

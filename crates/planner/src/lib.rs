@@ -11,7 +11,9 @@
 //!   (Algorithm 3, Fig. 11);
 //! * [`shard`] — split-pattern matching (MoE / Megatron / large-FC);
 //! * [`planner`] — plan assembly: device mapping, degree inference, bridges,
-//!   gradient-sync groups.
+//!   gradient-sync groups;
+//! * [`cost`] — the step's cost model, which the simulator and every search
+//!   bound price with.
 //!
 //! # Examples
 //!
@@ -34,6 +36,7 @@ pub(crate) mod balance_memo;
 pub mod bridge;
 pub mod cache;
 pub mod commopt;
+pub mod cost;
 pub mod dp_balance;
 pub mod error;
 pub mod estimate;

@@ -25,6 +25,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::cost;
 use crate::error::{PlanError, Result};
 use crate::partition::{balanced_cuts, group_costs};
 use crate::planner::{DeviceAssignment, PlannerConfig};
@@ -449,21 +450,25 @@ pub fn pipeline_leaf_bound(
     )?;
     // Price replica 0's stages the way `balance_taskgraph` + the estimator's
     // `stage_fw_bw` do, minus everything additive.
-    let amp = config.training.amp;
-    let bw_factor = if config.training.recompute { 3.0 } else { 2.0 };
+    let (amp, efficiency) = (config.training.amp, config.efficiency);
+    let bw_factor = cost::backward_factor(config.training.recompute);
     let m = num_micro as f64;
     let mut chain = 0.0_f64;
     let mut bound = 0.0_f64;
     for (j, profile) in profiles.iter().enumerate() {
         let gpu = &gpus[j.min(gpus.len() - 1)];
-        let boost = if amp { gpu.model.amp_speedup() } else { 1.0 };
         let fw_flops_per_micro =
             profile.forward_flops_per_sample * group_batch as f64 / num_micro as f64;
-        let traffic_per_micro = profile.memory_traffic_bytes_per_sample * group_batch as f64
-            / num_micro as f64
-            * if amp { 0.5 } else { 1.0 };
-        let t = fw_flops_per_micro / (gpu.flops() * boost * config.efficiency)
-            + traffic_per_micro / gpu.model.memory_bandwidth();
+        let traffic_per_micro =
+            profile.memory_traffic_bytes_per_sample * group_batch as f64 / num_micro as f64;
+        let t = cost::roofline(
+            gpu,
+            fw_flops_per_micro,
+            traffic_per_micro,
+            amp,
+            efficiency,
+            1.0,
+        );
         let fw_bw = t * (1.0 + bw_factor);
         bound = bound.max(chain + m * fw_bw);
         chain += fw_bw;

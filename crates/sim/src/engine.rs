@@ -8,7 +8,7 @@
 //! end of the step, partially overlapped with backward compute.
 
 use whale_hardware::{Cluster, GpuModel, GroupCache};
-use whale_planner::{ExecutionPlan, LedgerRules, PlannedStage, ScheduleKind, SyncMode};
+use whale_planner::{cost, ExecutionPlan, LedgerRules, ScheduleKind, SyncMode};
 
 use crate::error::{Result, SimError};
 use crate::metrics::{GpuStat, StepStats};
@@ -95,44 +95,6 @@ fn task_kind(idx: usize, num_micro: usize) -> TaskKind {
     }
 }
 
-/// Convert a plan collective's *total logical payload* into the per-rank
-/// bytes the cost model expects. AllGather and AllToAll distribute the
-/// payload across ranks (each rank contributes `1/n`); AllReduce,
-/// ReduceScatter, and Broadcast operate on the full tensor per rank.
-fn per_rank_bytes(c: &whale_planner::CollectiveTask) -> u64 {
-    use whale_hardware::Collective;
-    let n = c.group.len().max(1) as u64;
-    match c.kind {
-        Collective::AllGather | Collective::AllToAll => (c.bytes / n).max(1),
-        Collective::AllReduce | Collective::ReduceScatter | Collective::Broadcast => c.bytes,
-    }
-}
-
-/// Transfer time for the tensor flowing between two adjacent stages.
-fn inter_stage_transfer(
-    from: &PlannedStage,
-    to: &PlannedStage,
-    cluster: &Cluster,
-    bytes: u64,
-) -> Result<f64> {
-    if bytes == 0 {
-        return Ok(0.0);
-    }
-    // Co-located stages (e.g. alternating replica/split MoE TaskGraphs on
-    // the same GPUs) hand tensors over in device memory.
-    if from
-        .devices
-        .iter()
-        .map(|d| d.gpu)
-        .eq(to.devices.iter().map(|d| d.gpu))
-    {
-        return Ok(0.0);
-    }
-    let a = cluster.gpu(from.devices[0].gpu)?;
-    let b = cluster.gpu(to.devices[0].gpu)?;
-    Ok(cluster.interconnect.p2p_time(a, b, bytes))
-}
-
 /// Per-stage task durations and inter-stage transfer lags, computed once per
 /// simulated step.
 struct StageTimes {
@@ -186,13 +148,9 @@ fn stage_times(
 ) -> Result<(StageTimes, RowTotals)> {
     let num_stages = plan.stages.len();
     let training = &plan.training;
-    let (recompute, amp, efficiency) = (training.recompute, training.amp, plan.efficiency);
-    // Backward ≈ 2× forward; recomputation replays the forward first.
-    let bw_factor = if recompute { 3.0 } else { 2.0 };
+    let (amp, efficiency) = (training.amp, plan.efficiency);
+    let bw_factor = cost::backward_factor(training.recompute);
     let num_micro = plan.num_micro_batches as f64;
-    // ZeRO shards the optimizer update across the ranks replicating a
-    // stage, and so does ZeRO-Offload's host update.
-    let shard_update = training.zero.shards_optimizer() || training.offload;
     let ledger = LedgerRules::of(plan);
     let gpus = cluster.gpus();
     let mut fw = Vec::with_capacity(num_stages);
@@ -213,11 +171,6 @@ fn stage_times(
     for stage in plan.stages.iter() {
         let (mut max_fw, mut max_bw): (f64, f64) = (0.0, 0.0);
         let extras = ledger.stage_extras(stage);
-        let shards = if shard_update {
-            stage.dp_degree.max(1) as f64
-        } else {
-            1.0
-        };
         let mut last_model = None;
         bw_shares.clear();
         for d in &stage.devices {
@@ -231,14 +184,15 @@ fn stage_times(
             let (t_fw, t_bw) = match last {
                 Some((k, times)) if k == key => times,
                 _ => {
-                    let amp_boost = if amp { gpu.model.amp_speedup() } else { 1.0 };
-                    // Roofline: compute-bound FLOPs at effective throughput
-                    // plus the bandwidth-bound traffic at device memory
-                    // bandwidth (AMP halves activation bytes).
-                    let traffic = d.mem_traffic_per_micro * if amp { 0.5 } else { 1.0 };
-                    let time = |factor: f64| {
-                        factor * d.fw_flops_per_micro / (gpu.flops() * amp_boost * efficiency)
-                            + factor * traffic / gpu.model.memory_bandwidth()
+                    let time = |factor| {
+                        cost::roofline(
+                            gpu,
+                            d.fw_flops_per_micro,
+                            d.mem_traffic_per_micro,
+                            amp,
+                            efficiency,
+                            factor,
+                        )
                     };
                     let times = (time(1.0), time(bw_factor));
                     last = Some((key, times));
@@ -251,48 +205,24 @@ fn stage_times(
             bw_shares.push((d.gpu, t_bw));
             totals.samples[d.gpu] = totals.samples[d.gpu].max(d.samples_per_step);
             ledger.charge_row(&mut totals.mem[d.gpu], d, extras);
-            // Optimizer update: parameter read-modify-write, memory-bandwidth
-            // bound. ZeRO-Offload instead updates on the host and pays a PCIe
-            // round trip of gradients down and fp16 parameters back (ref
-            // [34]). Within a stage the time depends only on the GPU model,
-            // so it is priced once per change of model.
+            // Within a stage the optimizer update depends only on the GPU
+            // model, so it is priced once per change of model.
             if last_model.replace(gpu.model) != Some(gpu.model) {
-                let local_params = stage.param_bytes as f64;
-                let t = if training.offload {
-                    let grad_bytes = local_params / 4.0 * if amp { 2.0 } else { 4.0 };
-                    let back_bytes = local_params / 4.0 * 2.0;
-                    (grad_bytes + back_bytes) / (shards * cluster.interconnect.pcie_bw)
-                } else {
-                    3.0 * local_params / (shards * gpu.model.memory_bandwidth())
-                };
+                let t = cost::optimizer_update(stage, gpu.model, training, cluster);
                 totals.optimizer_time = totals.optimizer_time.max(t);
             }
         }
         for &(gpu, t_bw) in &bw_shares {
             totals.busy[gpu] += t_bw * num_micro;
         }
-        let mut comm_time = 0.0;
-        for c in &stage.collectives_per_micro {
-            comm_time += groups
-                .selector(&c.group)?
-                .collective(c.kind, per_rank_bytes(c));
-        }
+        let comm_time = cost::stage_collectives(stage, groups)?;
         fw.push(max_fw + comm_time);
         bw.push(max_bw + comm_time);
         bw_max.push(max_bw);
     }
     let mut xfer = vec![0.0; num_stages];
-    for (s, slot) in xfer
-        .iter_mut()
-        .enumerate()
-        .take(num_stages.saturating_sub(1))
-    {
-        *slot = inter_stage_transfer(
-            &plan.stages[s],
-            &plan.stages[s + 1],
-            cluster,
-            plan.stages[s].send_bytes_per_micro,
-        )?;
+    for (slot, pair) in xfer.iter_mut().zip(plan.stages.windows(2)) {
+        *slot = cost::stage_transfer(&pair[0], &pair[1], cluster)?;
     }
     Ok((
         StageTimes {
@@ -652,20 +582,8 @@ pub fn simulate_step(
         // moves its schedule's wire bytes and pays the quantize passes.
         // fp32 schedules — and plans with no schedule at all — take the
         // exact pre-existing expression.
-        let wire_of = match plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled()) {
-            Some(sched) => sched.wire_bytes_per_sync(plan.grad_syncs.len()),
-            None => vec![None; plan.grad_syncs.len()],
-        };
-        for (c, wire_sum) in plan.grad_syncs.iter().zip(wire_of) {
-            let topo = groups.selector(&c.group)?;
-            let (wire, quant) = match wire_sum {
-                Some(wire) if c.group.len() > 1 => (
-                    wire,
-                    whale_hardware::quantize_dequantize_cost(c.bytes, wire, topo.min_membw()),
-                ),
-                _ => (c.bytes, 0.0),
-            };
-            let dur = topo.collective(c.kind, wire) * zero_factor + quant;
+        for (c, wire) in plan.grad_syncs.iter().zip(cost::legacy_wire_bytes(plan)) {
+            let dur = cost::legacy_sync(c, wire, plan.training.zero, &mut groups)?;
             sync_total += dur;
             let stage_idx = c.stage.filter(|&s| s < num_stages);
             let done = stage_idx
