@@ -16,7 +16,13 @@ fn run(label: &str, training: TrainingConfig) {
     let ir = strategies::data_parallel(models::bert_large(batch, 128).unwrap(), batch).unwrap();
     let plan = session.plan(&ir).unwrap();
     let out = session.step_plan(&plan).unwrap();
-    let peak = plan.memory_per_gpu().values().copied().max().unwrap_or(0);
+    let peak = out
+        .stats
+        .per_gpu
+        .iter()
+        .map(|g| g.mem_bytes)
+        .max()
+        .unwrap_or(0);
     println!(
         "  {:<34} {:>9.1} GiB {:>12} {:>6}",
         label,
@@ -119,7 +125,13 @@ fn main() {
         match plan {
             Ok(plan) => {
                 let out = session.step_plan(&plan).unwrap();
-                let peak = plan.memory_per_gpu().values().copied().max().unwrap_or(0);
+                let peak = out
+                    .stats
+                    .per_gpu
+                    .iter()
+                    .map(|g| g.mem_bytes)
+                    .max()
+                    .unwrap_or(0);
                 println!(
                     "  {:<34} {:>9.1} GiB  {}",
                     label,

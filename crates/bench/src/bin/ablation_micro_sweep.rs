@@ -23,7 +23,13 @@ fn main() {
             .unwrap();
         let plan = session.plan(&ir).unwrap();
         let out = session.step_plan(&plan).unwrap();
-        let peak = plan.memory_per_gpu().values().copied().max().unwrap_or(0);
+        let peak = out
+            .stats
+            .per_gpu
+            .iter()
+            .map(|g| g.mem_bytes)
+            .max()
+            .unwrap_or(0);
         println!(
             "  {:>7} {:>12} {:>11.1}/s {:>9.1}% {:>11.1} GiB",
             micros,

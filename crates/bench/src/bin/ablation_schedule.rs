@@ -27,7 +27,13 @@ fn main() {
                 .unwrap();
             let plan = session.plan(&ir).unwrap();
             let out = session.step_plan(&plan).unwrap();
-            let peak = plan.memory_per_gpu().values().copied().max().unwrap_or(0);
+            let peak = out
+                .stats
+                .per_gpu
+                .iter()
+                .map(|g| g.mem_bytes)
+                .max()
+                .unwrap_or(0);
             row.push((out.stats.step_time, peak));
         }
         println!(

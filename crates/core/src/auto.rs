@@ -224,21 +224,12 @@ pub(crate) fn probe_graph(graph: &Graph) -> GraphProbe {
     }
 }
 
-/// Structured memory rejection for `plan` on `cluster`: the worst
-/// overcommitted GPU's (need, have) pair, or the busiest GPU when the
-/// ledger itself stays under capacity.
-pub(crate) fn memory_reject(
-    plan: &ExecutionPlan,
-    cluster: &whale_hardware::Cluster,
-) -> RejectReason {
-    let (need, have) = plan
-        .memory_per_gpu()
-        .iter()
-        .map(|(&gpu, &bytes)| {
-            let cap = cluster.gpu(gpu).map(|g| g.memory_bytes()).unwrap_or(0);
-            (bytes, cap)
-        })
-        .max_by_key(|&(bytes, cap)| (bytes.saturating_sub(cap), bytes))
+/// Structured memory rejection from each GPU's `(need, have)` bytes, in
+/// ascending id order: the worst overcommitted GPU's pair (the highest id
+/// on a tie), or the busiest GPU's when every GPU stays under capacity.
+pub(crate) fn memory_reject(per_gpu: impl Iterator<Item = (u64, u64)>) -> RejectReason {
+    let (need, have) = per_gpu
+        .max_by_key(|&(need, have)| (need.saturating_sub(have), need))
         .unwrap_or((0, 0));
     RejectReason::MemoryInfeasible { need, have }
 }
@@ -351,7 +342,10 @@ pub(crate) fn evaluate_plan(session: &Session, name: &str, plan: Arc<ExecutionPl
         }
     };
     if outcome.stats.has_oom() {
-        let rejected = Some(memory_reject(&plan, session.cluster()));
+        let per_gpu = outcome.stats.per_gpu.iter();
+        let rejected = Some(memory_reject(
+            per_gpu.map(|g| (g.mem_bytes, g.mem_capacity)),
+        ));
         return Candidate {
             name: name.into(),
             plan: Some(plan),

@@ -821,7 +821,15 @@ pub(crate) fn drive(
                         .map_err(|e| WhaleError::Plan(e.to_string()))?
                     {
                         stats.nodes_memory_rejected += 1;
-                        let rejected = Some(memory_reject(&leaf.plan, session.cluster()));
+                        let cluster = session.cluster();
+                        let totals = leaf
+                            .plan
+                            .memory_totals(cluster)
+                            .map_err(|e| WhaleError::Plan(e.to_string()))?;
+                        let per_gpu = totals.iter().zip(cluster.gpus());
+                        let rejected = Some(memory_reject(per_gpu.filter_map(|(total, gpu)| {
+                            total.map(|need| (need, gpu.memory_bytes()))
+                        })));
                         resolved.insert(
                             (si, leaf.index),
                             Candidate {

@@ -219,23 +219,22 @@ impl Session {
         )?)
     }
 
-    /// Fail unless the plan fits in device memory (useful in examples).
+    /// Fail unless the plan fits in device memory (useful in examples),
+    /// naming every GPU whose
+    /// [`memory_totals`](ExecutionPlan::memory_totals) exceed its capacity.
     pub fn check_memory(&self, p: &ExecutionPlan) -> Result<()> {
-        if !p.memory_feasible(&self.cluster)? {
-            return Err(WhaleError::OutOfMemory(
-                p.memory_per_gpu()
-                    .into_iter()
-                    .filter(|&(gpu, bytes)| {
-                        self.cluster
-                            .gpu(gpu)
-                            .map(|g| bytes > g.memory_bytes())
-                            .unwrap_or(true)
-                    })
-                    .map(|(gpu, _)| gpu)
-                    .collect(),
-            ));
+        let over: Vec<usize> = p
+            .memory_totals(&self.cluster)?
+            .iter()
+            .zip(self.cluster.gpus())
+            .filter(|(total, gpu)| total.is_some_and(|bytes| bytes > gpu.memory_bytes()))
+            .map(|(_, gpu)| gpu.id)
+            .collect();
+        if over.is_empty() {
+            Ok(())
+        } else {
+            Err(WhaleError::OutOfMemory(over))
         }
-        Ok(())
     }
 }
 

@@ -1,7 +1,5 @@
-//! Per-GPU memory ledger: itemized accounting behind
-//! [`ExecutionPlan::memory_per_gpu`], and the same charges summed per GPU
-//! without itemizing them ([`ExecutionPlan::memory_totals`], and the
-//! simulator's memory audit through [`LedgerRules::charge_row`]).
+//! Per-GPU memory ledger: the charging rules ([`LedgerRules`]) behind
+//! every memory check, and the itemized account they produce.
 //!
 //! The base plan charges each device its profiled model state (parameters,
 //! gradients, optimizer state, activations — whatever
@@ -14,14 +12,16 @@
 //! (`CommConfig::compress_ratio` < 1) adds an **error-feedback residual**
 //! the same size as the gradient so dropped mass re-enters the next step.
 //!
-//! The ledger makes those costs visible to the planner — `memory_per_gpu`
-//! (and therefore `memory_feasible` and the simulator's OOM audit) is the
-//! ledger's per-GPU total, so a dtype choice that blows past device memory
-//! fails feasibility like any other memory cost. This seeds the ROADMAP's
-//! memory-ledger item: new components (activation checkpoints, ZeRO shards)
-//! slot in as further [`LedgerComponent`] variants.
+//! One sum reads the rules: [`ExecutionPlan::memory_totals`], each GPU's
+//! total in a vector indexed by id. `memory_feasible`, `Session::check_memory`,
+//! the search's memory rejections and the memory profile read it, and the
+//! simulator's OOM audit adds the same charges with
+//! [`LedgerRules::charge_row`] in its own walk over the rows, so a dtype
+//! choice that blows past device memory fails every check alike.
+//! [`ExecutionPlan::memory_ledger`] itemizes the same charges by component
+//! for rendering and attribution; folded by GPU it gives the same totals.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use whale_graph::profile::RUNTIME_OVERHEAD_BYTES;
 use whale_hardware::Cluster;
@@ -87,18 +87,6 @@ pub struct MemoryLedger {
 }
 
 impl MemoryLedger {
-    /// Total bytes per GPU (what [`ExecutionPlan::memory_per_gpu`] returns).
-    /// A total past `u64::MAX` saturates there, so it reads as out of
-    /// memory on any GPU.
-    pub fn per_gpu(&self) -> BTreeMap<usize, u64> {
-        let mut out = BTreeMap::new();
-        for e in &self.entries {
-            let total: &mut u64 = out.entry(e.gpu).or_insert(0);
-            *total = total.saturating_add(e.bytes);
-        }
-        out
-    }
-
     /// Total bytes charged to one component across all GPUs, saturating
     /// at `u64::MAX`.
     pub fn component_total(&self, component: LedgerComponent) -> u64 {
@@ -297,9 +285,7 @@ mod tests {
             ledger.component_total(LedgerComponent::CompressionResidual),
             0
         );
-        // The per-GPU totals ARE memory_per_gpu (same code path), and the
-        // overhead is charged exactly once per GPU.
-        assert_eq!(ledger.per_gpu(), p.memory_per_gpu());
+        // The overhead is charged exactly once per GPU.
         let overhead_gpus = ledger
             .entries
             .iter()
@@ -326,8 +312,13 @@ mod tests {
             LOSS_SCALING_STATE_BYTES * bf16.all_gpus().len() as u64
         );
         // And the totals grow accordingly.
-        for (gpu, bytes) in bf16.memory_per_gpu() {
-            assert!(bytes > fp32.memory_per_gpu()[&gpu]);
+        let cluster = whale_hardware::Cluster::parse("8xV100+8xP100").unwrap();
+        let (fp32, bf16) = (
+            fp32.memory_totals(&cluster).unwrap(),
+            bf16.memory_totals(&cluster).unwrap(),
+        );
+        for (a, b) in fp32.iter().zip(&bf16) {
+            assert!(b.unwrap() > a.unwrap());
         }
     }
 

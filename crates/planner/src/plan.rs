@@ -113,32 +113,25 @@ impl ExecutionPlan {
         ids
     }
 
-    /// Estimated peak memory per GPU, bytes: the [`memory_ledger`]'s
-    /// per-GPU totals. Co-located stages sum their model memory, but the
-    /// fixed runtime overhead (CUDA context + workspace) is charged once
-    /// per GPU, not once per stage. Plans whose grad-sync schedule
-    /// communicates in a sub-fp32 dtype (or compresses) additionally carry
-    /// fp32 master weights, loss-scaling state, and error-feedback
-    /// residuals — see [`crate::ledger`].
-    ///
-    /// [`memory_ledger`]: ExecutionPlan::memory_ledger
-    pub fn memory_per_gpu(&self) -> std::collections::BTreeMap<usize, u64> {
-        self.memory_ledger().per_gpu()
-    }
-
     /// Itemized per-GPU memory accounting (model state, runtime overhead,
     /// and — under mixed-precision or compressed gradient collectives —
     /// master weights, loss-scaling state, and compression residuals).
+    /// Folded by GPU, its entries sum to [`ExecutionPlan::memory_totals`].
     pub fn memory_ledger(&self) -> crate::ledger::MemoryLedger {
         crate::ledger::build_ledger(self)
     }
 
-    /// The [`memory_ledger`]'s per-GPU totals in a vector indexed by GPU id,
-    /// summed from the same charging rules without itemizing them. Entry
-    /// `id` is `None` for a GPU of `cluster` the plan does not touch. A
-    /// total past `u64::MAX` saturates there, as in
-    /// [`MemoryLedger::per_gpu`](crate::ledger::MemoryLedger::per_gpu), so
-    /// it reads as out of memory.
+    /// Estimated peak memory per GPU, bytes, in a vector indexed by GPU id:
+    /// the one per-GPU sum every memory check reads. Entry `id` is `None`
+    /// for a GPU of `cluster` the plan does not touch. Co-located stages
+    /// sum their model memory, but the fixed runtime overhead (CUDA
+    /// context and workspace) is charged once per GPU, not once per stage;
+    /// plans whose grad-sync schedule communicates in a sub-fp32 dtype (or
+    /// compresses) additionally carry fp32 master weights, loss-scaling
+    /// state, and error-feedback residuals (see [`crate::ledger`]). The
+    /// charges are the [`memory_ledger`]'s, summed without itemizing them;
+    /// a total past `u64::MAX` saturates there, so it reads as out of
+    /// memory.
     ///
     /// # Errors
     ///
@@ -188,14 +181,14 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Whether any GPU exceeds its memory capacity under this plan.
+    /// Whether every GPU's [`memory_totals`](ExecutionPlan::memory_totals)
+    /// fits its capacity.
     pub fn memory_feasible(&self, cluster: &Cluster) -> Result<bool> {
-        for (gpu, bytes) in self.memory_per_gpu() {
-            if bytes > cluster.gpu(gpu)?.memory_bytes() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let totals = self.memory_totals(cluster)?;
+        Ok(totals
+            .iter()
+            .zip(cluster.gpus())
+            .all(|(total, gpu)| total.is_none_or(|bytes| bytes <= gpu.memory_bytes())))
     }
 
     /// Total gradient bytes synchronized per step.
@@ -289,15 +282,16 @@ mod tests {
     fn colocated_stages_sum_memory_with_single_overhead() {
         // Two co-located 1-GiB stages: model memory (1 GiB − overhead = 0)
         // sums, but the fixed runtime overhead is charged once.
+        let c = Cluster::homogeneous(GpuModel::V100_32GB, 1, 1);
         let p = plan_with(vec![vec![0], vec![0]]);
         let overhead = whale_graph::profile::RUNTIME_OVERHEAD_BYTES;
-        assert_eq!(p.memory_per_gpu()[&0], overhead);
+        assert_eq!(p.memory_totals(&c).unwrap(), vec![Some(overhead)]);
 
         let mut big = plan_with(vec![vec![0], vec![0]]);
         for s in Arc::make_mut(&mut big.stages) {
             s.devices[0].mem_bytes = 3 << 30;
         }
         // (3 − 1) + (3 − 1) + 1 = 5 GiB.
-        assert_eq!(big.memory_per_gpu()[&0], 5 << 30);
+        assert_eq!(big.memory_totals(&c).unwrap(), vec![Some(5 << 30)]);
     }
 }

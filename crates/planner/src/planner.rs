@@ -483,8 +483,11 @@ mod tests {
             .unwrap();
         let cluster = Cluster::parse("8xV100+8xP100").unwrap();
         let p = plan(&ir, &cluster, &PlannerConfig::default()).unwrap();
-        let mem = p.memory_per_gpu();
+        let mem = p.memory_totals(&cluster).unwrap();
         assert_eq!(mem.len(), 16);
-        assert!(mem.values().all(|&m| m > 1 << 30), "params + overhead");
+        assert!(
+            mem.iter().all(|m| m.is_some_and(|m| m > 1 << 30)),
+            "params + overhead"
+        );
     }
 }

@@ -62,18 +62,26 @@ pub fn chrome_trace(outcome: &StepOutcome) -> String {
     format!("[{}]", events.join(","))
 }
 
-/// Render each GPU's memory demand as an ASCII bar chart against capacity.
+/// Render each GPU's memory demand, its
+/// [`memory_totals`](ExecutionPlan::memory_totals), as an ASCII bar chart
+/// against capacity.
 ///
-/// One row per GPU: `#` cells for used memory, `.` for headroom, `!` marking
-/// overflow past capacity.
-pub fn memory_profile(plan: &ExecutionPlan, cluster: &Cluster, width: usize) -> String {
+/// One row per GPU the plan touches, in id order: `#` cells for used
+/// memory, `.` for headroom, `!` marking overflow past capacity.
+///
+/// # Errors
+///
+/// A device id the cluster lacks returns the error `memory_totals` returns.
+pub fn memory_profile(
+    plan: &ExecutionPlan,
+    cluster: &Cluster,
+    width: usize,
+) -> whale_planner::Result<String> {
     let width = width.max(10);
     let mut out = String::new();
-    for (gpu_id, bytes) in plan.memory_per_gpu() {
-        let (cap, model) = match cluster.gpu(gpu_id) {
-            Ok(g) => (g.memory_bytes(), g.model.to_string()),
-            Err(_) => (0, "gpu?".into()),
-        };
+    for (total, gpu) in plan.memory_totals(cluster)?.into_iter().zip(cluster.gpus()) {
+        let Some(bytes) = total else { continue };
+        let (cap, model, gpu_id) = (gpu.memory_bytes(), gpu.model.to_string(), gpu.id);
         let frac = if cap > 0 {
             bytes as f64 / cap as f64
         } else {
@@ -87,14 +95,13 @@ pub fn memory_profile(plan: &ExecutionPlan, cluster: &Cluster, width: usize) -> 
             bar.push('!');
         }
         out.push_str(&format!(
-            "gpu{gpu_id:<3} {model:<10} |{bar}| {:.1}/{:.0} GiB{}
-",
+            "gpu{gpu_id:<3} {model:<10} |{bar}| {:.1}/{:.0} GiB{}\n",
             bytes as f64 / (1u64 << 30) as f64,
             cap as f64 / (1u64 << 30) as f64,
             if over { "  OUT OF MEMORY" } else { "" }
         ));
     }
-    out
+    Ok(out)
 }
 
 fn task_label(r: &TaskRecord) -> String {
@@ -146,7 +153,7 @@ mod tests {
             .unwrap();
         let cluster = Cluster::parse("4xV100").unwrap();
         let p = plan(&ir, &cluster, &PlannerConfig::default()).unwrap();
-        let prof = memory_profile(&p, &cluster, 40);
+        let prof = memory_profile(&p, &cluster, 40).unwrap();
         assert_eq!(prof.lines().count(), 4);
         assert!(prof.contains("V100-32GB"));
         assert!(prof.contains('#'));
@@ -167,7 +174,7 @@ mod tests {
             ..PlannerConfig::default()
         };
         let p = plan(&ir, &cluster, &cfg).unwrap();
-        let prof = memory_profile(&p, &cluster, 30);
+        let prof = memory_profile(&p, &cluster, 30).unwrap();
         assert!(prof.contains("OUT OF MEMORY"));
         assert!(prof.contains('!'));
     }

@@ -15,7 +15,7 @@ fn show(label: &str, training: TrainingConfig) -> whale::Result<()> {
     let ir = strategies::data_parallel(models::bert_large(batch, 128).unwrap(), batch)?;
     let plan = session.plan(&ir)?;
     println!("{label}:");
-    print!("{}", memory_profile(&plan, session.cluster(), 48));
+    print!("{}", memory_profile(&plan, session.cluster(), 48)?);
     println!();
     Ok(())
 }
@@ -67,7 +67,7 @@ fn main() -> whale::Result<()> {
     let ir = strategies::data_parallel(models::m6_10b(32).unwrap(), 32)?;
     let plan = session.plan(&ir)?;
     println!("M6-10B (9.9B params) data-parallel with the full stack:");
-    print!("{}", memory_profile(&plan, session.cluster(), 48));
+    print!("{}", memory_profile(&plan, session.cluster(), 48)?);
     session.check_memory(&plan)?;
     println!("\n→ a dense 10B replica fits a 32 GiB V100. Without the stack it");
     println!("  needs ~150 GiB and only pipelines can host it (see m6_pipeline).");

@@ -510,13 +510,13 @@ fn memory_variants() -> Vec<(&'static str, CommConfig, TrainingConfig)> {
 }
 
 /// Check the memory identities of one plan: `memory_totals` is the
-/// ledger's `per_gpu` laid out by id, and the simulated step's per-GPU
-/// memory is both.
+/// itemized ledger folded by GPU (saturating, like every memory sum), and
+/// the simulated step's per-GPU memory is both.
 fn assert_memory_identities(cell: &str, p: &ExecutionPlan, cluster: &Cluster) {
-    let ledger = p.memory_ledger().per_gpu();
-    let mut by_id = vec![None; cluster.num_gpus()];
-    for (&gpu, &bytes) in &ledger {
-        by_id[gpu] = Some(bytes);
+    let mut by_id: Vec<Option<u64>> = vec![None; cluster.num_gpus()];
+    for e in &p.memory_ledger().entries {
+        let total = by_id[e.gpu].get_or_insert(0);
+        *total = total.saturating_add(e.bytes);
     }
     assert_eq!(p.memory_totals(cluster).unwrap(), by_id, "{cell}");
     let step = simulate_step(p, cluster, &SimConfig::default()).unwrap();
@@ -526,7 +526,11 @@ fn assert_memory_identities(cell: &str, p: &ExecutionPlan, cluster: &Cluster) {
         .iter()
         .map(|g| (g.gpu, g.mem_bytes))
         .collect();
-    let ledger: Vec<(usize, u64)> = ledger.into_iter().collect();
+    let ledger: Vec<(usize, u64)> = by_id
+        .iter()
+        .enumerate()
+        .filter_map(|(gpu, total)| total.map(|bytes| (gpu, bytes)))
+        .collect();
     assert_eq!(stepped, ledger, "{cell}");
 }
 

@@ -257,8 +257,7 @@ fn ledger_of_an_unvalidated_plan_never_allocates_by_gpu_id() {
         vec![0, far],
         "overhead once per GPU, in first-seen order"
     );
-    assert_eq!(p.memory_per_gpu().len(), 2);
-    assert!(p.memory_per_gpu()[&far] > 0);
+    assert!(ledger.entries.iter().any(|e| e.gpu == far && e.bytes > 0));
 }
 
 #[test]
