@@ -10,7 +10,7 @@
 //! once at their exact length, and inputs and shapes are held inline, so
 //! recording an op allocates only its name.
 
-use crate::graph::{check_output_size, check_param_size, Graph, GraphError, Op, OpId};
+use crate::graph::{Graph, GraphError, Op, OpId, SizeTotals};
 use crate::inline_list::InlineList;
 use crate::op::{OpKind, Phase};
 use crate::tensor::TensorMeta;
@@ -23,6 +23,8 @@ pub struct GraphBuilder {
     /// Every op, recorded exactly once in id order. This becomes the
     /// finished graph's storage verbatim.
     ops: Vec<Op>,
+    /// The recorded ops' running size totals.
+    totals: SizeTotals,
 }
 
 impl GraphBuilder {
@@ -32,6 +34,7 @@ impl GraphBuilder {
             name: name.into(),
             layer: 0,
             ops: Vec::new(),
+            totals: SizeTotals::default(),
         }
     }
 
@@ -69,9 +72,9 @@ impl GraphBuilder {
             .ok_or(GraphError::UnknownOp(id))
     }
 
-    /// Record a forward op at the current layer. An op whose output byte
-    /// size overflows `u64` is [`GraphError::OutputTooLarge`]; one whose
-    /// parameters' fp32 bytes overflow it is [`GraphError::ParamsTooLarge`].
+    /// Record a forward op at the current layer. An op that would break
+    /// the [`Graph`] size invariant is [`GraphError::OutputTooLarge`] or
+    /// [`GraphError::ParamsTooLarge`].
     fn add(
         &mut self,
         name: String,
@@ -85,8 +88,7 @@ impl GraphBuilder {
                 return Err(GraphError::DanglingInput { op: name, input });
             }
         }
-        check_output_size(&name, &output)?;
-        check_param_size(&name, &kind)?;
+        self.totals.add(&name, &kind, &output)?;
         self.ops.push(Op {
             id,
             name,

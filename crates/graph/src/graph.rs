@@ -86,7 +86,8 @@ pub enum GraphError {
         op: String,
     },
     /// An op's output byte size (element count × dtype bytes) overflows
-    /// `u64`, as a huge batch makes it.
+    /// `u64`, as a huge batch makes it, or takes its graph's doubled output
+    /// total past `u64` (see [`Graph`]).
     OutputTooLarge {
         /// The op being added.
         op: String,
@@ -94,7 +95,8 @@ pub enum GraphError {
         output: TensorMeta,
     },
     /// An op's parameter count, or that count's fp32 bytes (4 per
-    /// parameter), overflows `u64`.
+    /// parameter), overflows `u64`, or takes its graph's total parameter
+    /// bytes past `u64` (see [`Graph`]).
     ParamsTooLarge {
         /// The op being added.
         op: String,
@@ -124,35 +126,62 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Refuse an op whose output byte size (element count × dtype bytes)
-/// overflows `u64`: every later size, cost and memory product of the op
-/// would wrap. A zero dimension makes the size zero, whatever the others.
-pub(crate) fn check_output_size(op: &str, output: &TensorMeta) -> Result<(), GraphError> {
-    let dims = output.shape.dims();
-    let fits = dims.contains(&0)
-        || dims
-            .iter()
-            .try_fold(output.dtype.size_bytes(), |bytes, &d| {
-                bytes.checked_mul(d as u64)
-            })
-            .is_some();
-    if fits {
-        Ok(())
-    } else {
-        Err(GraphError::OutputTooLarge {
-            op: op.to_string(),
-            output: output.clone(),
-        })
-    }
+/// The size totals a graph keeps within `u64`: its ops' parameter bytes
+/// (Σ parameter count × 4) and their output bytes, at most half of
+/// `u64::MAX` so that doubling fits too (see [`Graph`]'s invariant).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SizeTotals {
+    param_bytes: u64,
+    output_bytes: u64,
 }
 
-/// Refuse an op whose parameter count, or that count × 4 bytes (its fp32
-/// parameters), overflows `u64`: the count and every size and memory
-/// product built on it would wrap.
-pub(crate) fn check_param_size(op: &str, kind: &OpKind) -> Result<(), GraphError> {
-    match kind.checked_param_count().and_then(|n| n.checked_mul(4)) {
-        Some(_) => Ok(()),
-        None => Err(GraphError::ParamsTooLarge { op: op.to_string() }),
+impl SizeTotals {
+    /// The totals of ops that already hold the invariant.
+    fn of(ops: &[Op]) -> SizeTotals {
+        ops.iter().fold(SizeTotals::default(), |t, op| SizeTotals {
+            param_bytes: t.param_bytes + op.kind.param_count() * 4,
+            output_bytes: t.output_bytes + op.output_bytes(),
+        })
+    }
+
+    /// Add the sizes of the op `op` about to be recorded, or refuse it:
+    /// [`GraphError::OutputTooLarge`] when its output byte size (element
+    /// count × dtype bytes) overflows `u64` or takes the doubled output
+    /// total past it, else [`GraphError::ParamsTooLarge`] when its
+    /// parameter count, that count's fp32 bytes, or the parameter-byte
+    /// total overflows `u64`. A zero dimension makes an output's size zero,
+    /// whatever the others.
+    pub(crate) fn add(
+        &mut self,
+        op: &str,
+        kind: &OpKind,
+        output: &TensorMeta,
+    ) -> Result<(), GraphError> {
+        let dims = output.shape.dims();
+        let output_bytes = if dims.contains(&0) {
+            Some(0)
+        } else {
+            dims.iter()
+                .try_fold(output.dtype.size_bytes(), |bytes, &d| {
+                    bytes.checked_mul(d as u64)
+                })
+        }
+        .and_then(|bytes| self.output_bytes.checked_add(bytes))
+        .filter(|total| total.checked_mul(2).is_some())
+        .ok_or_else(|| GraphError::OutputTooLarge {
+            op: op.to_string(),
+            output: output.clone(),
+        })?;
+        let param_bytes = kind
+            .checked_param_count()
+            .and_then(|n| n.checked_mul(4))
+            .and_then(|bytes| self.param_bytes.checked_add(bytes))
+            .ok_or_else(|| GraphError::ParamsTooLarge { op: op.to_string() })?;
+        *self = SizeTotals {
+            param_bytes,
+            output_bytes,
+        };
+        Ok(())
     }
 }
 
@@ -207,6 +236,14 @@ impl AdjCache {
 /// the [`Graph::fingerprint`] are memoized behind [`OnceLock`]s and shared
 /// by clones; appending an op invalidates both. Equality looks only at the
 /// semantic `(name, ops)` content, never at the memo.
+///
+/// **Size invariant.** A graph's total parameter bytes (Σ parameter count
+/// × 4) and twice its total output bytes fit in `u64`: both insertion
+/// paths, [`Graph::add_op`] and `GraphBuilder`, refuse the op that would
+/// break it. So every sum or product over a subset of the ops fits as
+/// written — [`CostProfile::from_ops`](crate::CostProfile::from_ops),
+/// `MemoryPrefix`, [`Graph::total_params`], [`graph_stats`](crate::graph_stats),
+/// a grad sync's `param_count * 2` — and none of them needs a check.
 #[derive(Debug, Clone)]
 pub struct Graph {
     name: String,
@@ -269,10 +306,10 @@ impl Graph {
         self.ops().get(id.0).ok_or(GraphError::UnknownOp(id))
     }
 
-    /// Append an op whose inputs must already exist, whose output byte
-    /// size fits in `u64` ([`GraphError::OutputTooLarge`] otherwise) and
-    /// whose parameters' fp32 bytes fit in `u64`
-    /// ([`GraphError::ParamsTooLarge`] otherwise).
+    /// Append an op whose inputs must already exist and whose output and
+    /// parameter bytes keep the graph's size invariant
+    /// ([`GraphError::OutputTooLarge`] or [`GraphError::ParamsTooLarge`]
+    /// otherwise). The totals are summed over the graph's ops on each call.
     pub fn add_op(
         &mut self,
         name: impl Into<String>,
@@ -290,8 +327,7 @@ impl Graph {
                 return Err(GraphError::DanglingInput { op: name, input });
             }
         }
-        check_output_size(&name, &output)?;
-        check_param_size(&name, &kind)?;
+        SizeTotals::of(&self.ops).add(&name, &kind, &output)?;
         Arc::make_mut(&mut self.ops).push(Op {
             id,
             name,
@@ -777,5 +813,113 @@ mod tests {
             )
             .unwrap();
         assert_eq!(g.op(id).unwrap().kind.param_count(), params);
+    }
+
+    /// Add `kind` with output `output` to a graph holding one input, first
+    /// through `Graph::add_op`, then through `GraphBuilder::op`, `count`
+    /// times each; return each path's graph or the first error and the
+    /// index of the op that raised it.
+    fn add_repeatedly(
+        kind: OpKind,
+        output: TensorMeta,
+        count: usize,
+    ) -> [Result<Graph, (usize, GraphError)>; 2] {
+        let mut g = Graph::new("sum");
+        let x = g
+            .add_op(
+                "x",
+                OpKind::Input,
+                vec![],
+                TensorMeta::f32(&[8]),
+                Phase::Forward,
+                None,
+            )
+            .unwrap();
+        let by_add_op = (0..count)
+            .try_for_each(|i| {
+                g.add_op(
+                    format!("op{i}"),
+                    kind.clone(),
+                    vec![x],
+                    output.clone(),
+                    Phase::Forward,
+                    None,
+                )
+                .map(drop)
+                .map_err(|e| (i, e))
+            })
+            .map(|()| g);
+        let mut b = GraphBuilder::new("sum");
+        let x = b.input("x", &[8]).unwrap();
+        let by_builder = (0..count)
+            .try_for_each(|i| {
+                b.op(format!("op{i}"), kind.clone(), [x], output.clone())
+                    .map(drop)
+                    .map_err(|e| (i, e))
+            })
+            .map(|()| b.finish());
+        [by_add_op, by_builder]
+    }
+
+    #[test]
+    fn ops_whose_parameter_bytes_sum_past_u64_are_refused() {
+        // Each op's fp32 parameter bytes fit in u64, but two of them do not:
+        // the second op is refused, by name.
+        let kind = OpKind::Synthetic {
+            flops: 1.0,
+            params: u64::MAX / 4,
+        };
+        for outcome in add_repeatedly(kind.clone(), TensorMeta::f32(&[8]), 5) {
+            let want = GraphError::ParamsTooLarge {
+                op: "op1".to_string(),
+            };
+            assert_eq!(outcome.unwrap_err(), (1, want));
+        }
+        // One such op is a graph whose totals fit.
+        for g in add_repeatedly(kind, TensorMeta::f32(&[8]), 1) {
+            let g = g.unwrap();
+            assert_eq!(g.total_params(), u64::MAX / 4);
+            let profile = crate::CostProfile::from_graph(&g, 8);
+            assert_eq!(profile.param_bytes, u64::MAX / 4 * 4);
+        }
+    }
+
+    #[test]
+    fn an_output_whose_doubled_bytes_overflow_is_refused() {
+        // 2^61 f32 elements are 2^63 bytes: the op's own size fits, but the
+        // doubled traffic of a bandwidth-bound op would not.
+        let kind = OpKind::Elementwise {
+            elems: 1 << 61,
+            flops_per_elem: 1,
+        };
+        for outcome in add_repeatedly(kind.clone(), TensorMeta::f32(&[1 << 61]), 1) {
+            let want = GraphError::OutputTooLarge {
+                op: "op0".to_string(),
+                output: TensorMeta::f32(&[1 << 61]),
+            };
+            assert_eq!(outcome.unwrap_err(), (0, want));
+        }
+        // Half of that fits once, and its traffic doubles without wrapping;
+        // a second such op takes the graph's doubled total past u64.
+        let half = TensorMeta::f32(&[1 << 60]);
+        for g in add_repeatedly(kind.clone(), half.clone(), 1) {
+            let profile = crate::CostProfile::from_graph(&g.unwrap(), 1);
+            assert_eq!(profile.memory_traffic_bytes_per_sample, 2f64.powi(63));
+        }
+        for outcome in add_repeatedly(kind, half.clone(), 2) {
+            let want = GraphError::OutputTooLarge {
+                op: "op1".to_string(),
+                output: half.clone(),
+            };
+            assert_eq!(outcome.unwrap_err(), (1, want));
+        }
+        // A zero dimension makes an output empty whatever the others, so
+        // the ops after it still see the totals they had.
+        let empty = TensorMeta::f32(&[1 << 40, 1 << 40, 0]);
+        let pool = OpKind::Pool { elems: 0 };
+        for g in add_repeatedly(pool, empty.clone(), 2) {
+            let g = g.unwrap();
+            assert_eq!(g.op(OpId(2)).unwrap().output_bytes(), 0);
+        }
     }
 }
