@@ -431,7 +431,7 @@ pub fn pipeline_leaf_bound(
     let Some(depth) = pipeline_depth(cluster, replicas, num_micro) else {
         return Ok(None);
     };
-    // Replica 0's batch share, exactly as DegreeInference splits it.
+    // Replica 0's batch share.
     let group_batch = group_batches(cluster, config, replicas, depth, global_batch)?[0];
     if group_batch == 0 {
         return Ok(None);
@@ -487,9 +487,12 @@ fn pipeline_depth(cluster: &Cluster, replicas: usize, num_micro: usize) -> Optio
     Some(n / replicas).filter(|&depth| depth >= 2)
 }
 
-/// Each replica group's batch share, exactly as `DegreeInference` splits
-/// the global batch over contiguous `depth`-GPU groups.
-fn group_batches(
+/// Each replica group's batch share: the global batch split over
+/// `replicas` contiguous `depth`-GPU groups, in proportion to each group's
+/// FLOPs when hardware-aware and evenly otherwise. `DegreeInference` splits
+/// a plan's batch with it, so the leaf bound and the memory floor price the
+/// shares a plan gets.
+pub(crate) fn group_batches(
     cluster: &Cluster,
     config: &PlannerConfig,
     replicas: usize,

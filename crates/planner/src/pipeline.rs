@@ -36,6 +36,7 @@ use whale_ir::{Primitive, TaskGraph, WhaleIr};
 
 use crate::bridge::{chain_bytes, connect};
 use crate::error::{PlanError, Result};
+use crate::pipe_balance::group_batches;
 use crate::plan::{CollectiveTask, ExecutionPlan, PlannedStage};
 use crate::planner::{
     auto_stages, resolve_devices, stage_boundary_bytes, PlanTgArgs, PlannerConfig, ScheduleKind,
@@ -271,17 +272,7 @@ impl PlannerPass for DegreeInference {
         let groups: Vec<Vec<usize>> = (0..outer_dp)
             .map(|g| (g * group_size..(g + 1) * group_size).collect())
             .collect();
-
-        // Split the global batch across plan replicas.
-        let group_weights: Vec<f64> = if config.hardware_aware {
-            groups
-                .iter()
-                .map(|g| g.iter().map(|&id| cluster.gpus()[id].flops()).sum())
-                .collect()
-        } else {
-            vec![1.0; outer_dp]
-        };
-        let group_batches = crate::partition::proportional_split(ir.global_batch, &group_weights)?;
+        let group_batches = group_batches(cluster, config, outer_dp, group_size, ir.global_batch)?;
 
         state.degrees = Some(InferredDegrees {
             outer_dp,
