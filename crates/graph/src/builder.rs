@@ -38,11 +38,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Set the layer index stamped on subsequently added ops.
-    pub fn set_layer(&mut self, layer: usize) {
-        self.layer = layer;
-    }
-
     /// Advance to the next layer index and return it.
     pub fn next_layer(&mut self) -> usize {
         self.layer += 1;

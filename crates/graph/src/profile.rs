@@ -174,18 +174,6 @@ impl TrainingConfig {
         (master + working + grads + opt_state + activations + overhead) as u64
     }
 
-    /// Host↔device bytes ZeRO-Offload moves per step: gradients down to the
-    /// host and updated fp16 parameters back.
-    pub fn offload_bytes_per_step(&self, profile: &CostProfile) -> u64 {
-        if !self.offload {
-            return 0;
-        }
-        let p = profile.param_count;
-        let grad = if self.amp { 2 } else { 4 };
-        let updated = 2; // fp16 parameters return
-        p * (grad + updated) / self.dp_shards.max(1) as u64
-    }
-
     /// FLOPs to process `batch` samples for one training step (forward +
     /// backward + recompute overhead if enabled).
     pub fn step_flops(&self, profile: &CostProfile, batch: usize) -> f64 {
@@ -290,11 +278,6 @@ impl CostProfile {
     /// Forward FLOPs at an arbitrary batch size.
     pub fn forward_flops(&self, batch: usize) -> f64 {
         self.forward_flops_per_sample * batch as f64
-    }
-
-    /// Gradient bytes synchronized per step (fp32).
-    pub fn gradient_bytes(&self) -> u64 {
-        self.param_bytes
     }
 }
 
@@ -507,21 +490,6 @@ mod zero_tests {
             "saved {} expected {saved}",
             on_device - offloaded
         );
-    }
-
-    #[test]
-    fn offload_transfer_accounting() {
-        let cfg = TrainingConfig {
-            offload: true,
-            amp: true,
-            dp_shards: 4,
-            ..TrainingConfig::default()
-        };
-        let p = profile();
-        // fp16 grads down + fp16 params back = 4 B/param, sharded 4 ways.
-        assert_eq!(cfg.offload_bytes_per_step(&p), p.param_count * 4 / 4);
-        let off = TrainingConfig::default();
-        assert_eq!(off.offload_bytes_per_step(&p), 0);
     }
 
     #[test]

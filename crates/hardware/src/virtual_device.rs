@@ -36,25 +36,6 @@ impl VirtualDevice {
         self.gpu_ids.len()
     }
 
-    /// Sum of peak FLOPS of member GPUs.
-    pub fn total_flops(&self, cluster: &Cluster) -> Result<f64> {
-        let mut total = 0.0;
-        for &id in &self.gpu_ids {
-            total += cluster.gpu(id)?.flops();
-        }
-        Ok(total)
-    }
-
-    /// Minimum member-GPU memory, bytes — the binding constraint for
-    /// replicated layouts.
-    pub fn min_memory_bytes(&self, cluster: &Cluster) -> Result<u64> {
-        let mut min = u64::MAX;
-        for &id in &self.gpu_ids {
-            min = min.min(cluster.gpu(id)?.memory_bytes());
-        }
-        Ok(min)
-    }
-
     /// Whether the device contains GPU `id`.
     pub fn contains(&self, id: usize) -> bool {
         self.gpu_ids.contains(&id)
@@ -96,24 +77,6 @@ impl VirtualDevice {
                 .map(|&id| if id >= inserted { id + 1 } else { id })
                 .collect(),
         }
-    }
-
-    /// Whether all member GPUs share one node.
-    pub fn is_single_node(&self, cluster: &Cluster) -> Result<bool> {
-        let mut nodes = self
-            .gpu_ids
-            .iter()
-            .map(|&id| cluster.gpu(id).map(|g| g.node));
-        let first = match nodes.next() {
-            Some(n) => n?,
-            None => return Ok(true),
-        };
-        for n in nodes {
-            if n? != first {
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 }
 
@@ -234,26 +197,6 @@ mod tests {
         assert!(validate_partition(&c, &overlap).is_err());
         let gap = vec![VirtualDevice::new(vec![0, 1, 2]).unwrap()];
         assert!(validate_partition(&c, &gap).is_err());
-    }
-
-    #[test]
-    fn flops_and_memory_aggregates() {
-        let c = Cluster::parse("1xV100,1xP100").unwrap();
-        let vd = VirtualDevice::new(vec![0, 1]).unwrap();
-        let f = vd.total_flops(&c).unwrap();
-        assert!((f - (GpuModel::V100_32GB.flops() + GpuModel::P100_16GB.flops())).abs() < 1.0);
-        assert_eq!(
-            vd.min_memory_bytes(&c).unwrap(),
-            GpuModel::P100_16GB.memory_bytes()
-        );
-        assert!(vd.is_single_node(&c).unwrap());
-    }
-
-    #[test]
-    fn multi_node_detection() {
-        let c = Cluster::parse("1x(2xV100)+1x(2xV100)").unwrap();
-        let vd = VirtualDevice::new(vec![0, 2]).unwrap();
-        assert!(!vd.is_single_node(&c).unwrap());
     }
 
     #[test]

@@ -1318,18 +1318,6 @@ impl FleetSim {
         };
         FleetReport { stats, jobs }
     }
-
-    /// Invariant check for tests: bindings plus the free list form an exact
-    /// partition of the pool.
-    #[doc(hidden)]
-    pub fn audit_partition(&self) -> std::result::Result<(), String> {
-        let mut vds: Vec<VirtualDevice> =
-            self.jobs.iter().filter_map(|j| j.binding.clone()).collect();
-        if !self.free.is_empty() {
-            vds.push(VirtualDevice::new(self.free.clone()).expect("non-empty free list"));
-        }
-        whale_hardware::validate_partition(&self.pool, &vds).map_err(|e| e.to_string())
-    }
 }
 
 #[cfg(test)]

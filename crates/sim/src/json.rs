@@ -55,14 +55,6 @@ impl JsonValue {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array view.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
