@@ -10,7 +10,7 @@
 //! each term exactly as the simulator does, so a change here moves the
 //! simulator and every bound together.
 
-use whale_graph::{TrainingConfig, ZeroStage};
+use whale_graph::TrainingConfig;
 use whale_hardware::{Cluster, Collective, Gpu, GpuModel, GroupCache, Result};
 
 use crate::plan::{CollectiveTask, ExecutionPlan, PlannedStage};
@@ -26,7 +26,7 @@ pub fn backward_factor(recompute: bool) -> f64 {
 }
 
 /// A GPU's effective rate: peak FLOPs × AMP boost × α.
-pub fn effective_rate(gpu: &Gpu, amp: bool, efficiency: f64) -> f64 {
+pub(crate) fn effective_rate(gpu: &Gpu, amp: bool, efficiency: f64) -> f64 {
     let boost = if amp { gpu.model.amp_speedup() } else { 1.0 };
     gpu.flops() * boost * efficiency
 }
@@ -53,7 +53,7 @@ pub fn roofline(
 /// distribute the payload across ranks (each rank contributes `1/n`);
 /// AllReduce, ReduceScatter, and Broadcast operate on the full tensor per
 /// rank.
-pub fn per_rank_bytes(c: &CollectiveTask) -> u64 {
+fn per_rank_bytes(c: &CollectiveTask) -> u64 {
     let n = c.group.len().max(1) as u64;
     match c.kind {
         Collective::AllGather | Collective::AllToAll => (c.bytes / n).max(1),
@@ -94,41 +94,40 @@ pub fn stage_transfer(from: &PlannedStage, to: &PlannedStage, cluster: &Cluster)
     Ok(cluster.interconnect.p2p_time(a, b, bytes))
 }
 
-/// The wire bytes of each of `plan`'s legacy (unbucketed) gradient syncs:
-/// `Some` under a schedule that scales the wire (a sub-fp32 dtype or
-/// compression), `None` where a sync moves its own bytes.
-pub fn legacy_wire_bytes(plan: &ExecutionPlan) -> Vec<Option<u64>> {
-    match plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled()) {
-        Some(sched) => sched.wire_bytes_per_sync(plan.grad_syncs.len()),
-        None => vec![None; plan.grad_syncs.len()],
-    }
-}
-
-/// The duration of one legacy gradient sync `c` that moves `wire` bytes
-/// (its [`legacy_wire_bytes`] entry): the collective at the ZeRO comm
-/// factor, plus the quantize passes when a scaled wire crosses ranks.
-pub fn legacy_sync(
-    c: &CollectiveTask,
-    wire: Option<u64>,
-    zero: ZeroStage,
-    groups: &mut GroupCache<'_>,
-) -> Result<f64> {
-    let topo = groups.selector(&c.group)?;
-    let (wire, quant) = match wire {
-        Some(wire) if c.group.len() > 1 => (
-            wire,
-            whale_hardware::quantize_dequantize_cost(c.bytes, wire, topo.min_membw()),
-        ),
-        _ => (c.bytes, 0.0),
+/// The duration of each of `plan`'s gradient syncs on the legacy
+/// (unbucketed) path: its collective at the ZeRO comm factor. Under a
+/// schedule that scales the wire (a sub-fp32 dtype or compression) a sync
+/// that crosses ranks moves its wire bytes and pays the quantize passes;
+/// otherwise it moves its own bytes.
+pub fn legacy_syncs(plan: &ExecutionPlan, groups: &mut GroupCache<'_>) -> Result<Vec<f64>> {
+    let n = plan.grad_syncs.len();
+    let wire_of = match plan.grad_sync_schedule.as_ref().filter(|s| s.wire_scaled()) {
+        Some(sched) => sched.wire_bytes_per_sync(n),
+        None => vec![None; n],
     };
-    Ok(topo.collective(c.kind, wire) * zero.comm_factor() + quant)
+    let zero_factor = plan.training.zero.comm_factor();
+    plan.grad_syncs
+        .iter()
+        .zip(wire_of)
+        .map(|(c, wire)| {
+            let topo = groups.selector(&c.group)?;
+            let (wire, quant) = match wire {
+                Some(wire) if c.group.len() > 1 => (
+                    wire,
+                    whale_hardware::quantize_dequantize_cost(c.bytes, wire, topo.min_membw()),
+                ),
+                _ => (c.bytes, 0.0),
+            };
+            Ok(topo.collective(c.kind, wire) * zero_factor + quant)
+        })
+        .collect()
 }
 
 /// The optimizer update of one of `stage`'s rows on a `model` GPU: a
 /// parameter read-modify-write at device memory bandwidth, or under
 /// ZeRO-Offload a PCIe round trip of gradients down and fp16 parameters
-/// back (ref [34]). ZeRO shards the update across the ranks replicating the
-/// stage, and so does ZeRO-Offload's host update.
+/// back (ref \[34\]). ZeRO shards the update across the ranks
+/// replicating the stage, and so does ZeRO-Offload's host update.
 pub fn optimizer_update(
     stage: &PlannedStage,
     model: GpuModel,

@@ -176,13 +176,13 @@ pub fn structural_lower_bound(b: &StructuralBound, cluster: &Cluster) -> f64 {
 /// pricing every collective through `groups` (the cluster's topologies,
 /// shared across the plans of one search).
 ///
-/// Uses the engine's own per-micro task price — per-device FLOPs at
-/// effective rate plus memory traffic at device bandwidth (backward = κ×
-/// forward) plus the stage's per-micro collectives, charged once in each
-/// direction through the same [`whale_hardware::AllReduceSelector`] prices
-/// — and the engine's inter-stage transfer lags, but drops everything else
-/// additive: scheduling gaps and any sync serialization beyond the
-/// release-time term below.
+/// Uses the engine's own per-micro task price, from the same
+/// [`crate::cost`] functions — per-device FLOPs at effective rate plus
+/// memory traffic at device bandwidth (backward = κ× forward) plus the
+/// stage's per-micro collectives, charged once in each direction — and the
+/// engine's inter-stage transfer lags, but drops everything else additive:
+/// scheduling gaps and any sync serialization beyond the release-time term
+/// below.
 ///
 /// **Compute term.** For every stage `j`, data dependencies alone force
 ///
@@ -216,9 +216,9 @@ pub fn structural_lower_bound(b: &StructuralBound, cluster: &Cluster) -> f64 {
 /// is a suffix of the syncs sorted by descending `R`, so the bound sweeps
 /// those suffixes. The step is then
 /// `max(compute, release-bound) + optimizer`, since the engine computes
-/// `step = max(compute makespan, last sync finish) + optimizer` and the
-/// durations are priced identically (ZeRO comm factor, wire scaling,
-/// quantize passes). Bucketed schedules overlap across disjoint node
+/// `step = max(compute makespan, last sync finish) + optimizer` with the
+/// same sync durations ([`crate::cost::legacy_syncs`]) and optimizer
+/// price. Bucketed schedules overlap across disjoint node
 /// groups, so no admissible serialization term exists and they contribute
 /// nothing. (Admissibility needs `sync_overlap ∈ [0, 1]`; the simulator
 /// refuses any other value.)
@@ -254,9 +254,9 @@ pub fn estimate_step_lower_bound(plan: &ExecutionPlan, groups: &mut GroupCache<'
     }
 
     // Unbucketed gradient syncs serialize on one NIC accumulator in the
-    // engine; collect each sync's (release bound, duration) — priced
-    // identically (ZeRO comm factor, wire scaling, quantize passes) — and
-    // take the best suffix bound over descending releases. Bucketed
+    // engine; collect each sync's (release bound, duration) — the engine's
+    // own duration, from `cost::legacy_syncs` — and take the best suffix
+    // bound over descending releases. Bucketed
     // schedules overlap across disjoint node groups; no admissible
     // serialization term there, so they contribute nothing.
     let bucketed = plan
@@ -266,8 +266,11 @@ pub fn estimate_step_lower_bound(plan: &ExecutionPlan, groups: &mut GroupCache<'
     let mut sync_finish = 0.0_f64;
     if !bucketed {
         let mut syncs: Vec<(f64, f64)> = Vec::with_capacity(plan.grad_syncs.len());
-        for (c, wire) in plan.grad_syncs.iter().zip(cost::legacy_wire_bytes(plan)) {
-            let dur = cost::legacy_sync(c, wire, plan.training.zero, groups)?;
+        for (c, dur) in plan
+            .grad_syncs
+            .iter()
+            .zip(cost::legacy_syncs(plan, groups)?)
+        {
             let release = c
                 .stage
                 .filter(|&s| s < plan.stages.len())

@@ -577,13 +577,11 @@ pub fn simulate_step(
         // could silently change.
         let mut syncs: Vec<(f64, usize, f64)> = Vec::with_capacity(plan.grad_syncs.len());
         let mut sync_total = 0.0;
-        // A mixed-precision legacy schedule (fusion off, but a non-fp32
-        // dtype or a compression factor) still shrinks the wire: each sync
-        // moves its schedule's wire bytes and pays the quantize passes.
-        // fp32 schedules — and plans with no schedule at all — take the
-        // exact pre-existing expression.
-        for (c, wire) in plan.grad_syncs.iter().zip(cost::legacy_wire_bytes(plan)) {
-            let dur = cost::legacy_sync(c, wire, plan.training.zero, &mut groups)?;
+        for (c, dur) in plan
+            .grad_syncs
+            .iter()
+            .zip(cost::legacy_syncs(plan, &mut groups)?)
+        {
             sync_total += dur;
             let stage_idx = c.stage.filter(|&s| s < num_stages);
             let done = stage_idx
