@@ -78,12 +78,8 @@ impl Shape {
         self.0.len()
     }
 
-    /// Total element count (1 for scalars). A zero dimension makes it
-    /// zero, whatever the others.
+    /// Total element count (1 for scalars).
     pub fn num_elements(&self) -> u64 {
-        if self.0.contains(&0) {
-            return 0;
-        }
         self.0.iter().map(|&d| d as u64).product()
     }
 
