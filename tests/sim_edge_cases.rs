@@ -541,3 +541,121 @@ mod row_walk_goldens {
         }
     }
 }
+
+/// The text both timeline exporters print, pinned as `whale_fp` digests of
+/// `ascii_timeline(&out, 100)` and `chrome_trace(&out)`: pipelines under
+/// every schedule, a heterogeneous pipeline and a one-micro-batch
+/// data-parallel step. The digests were recorded while a step still built
+/// its start-ordered timeline eagerly. After an intended output change,
+/// regenerate the table with
+///
+/// ```text
+/// cargo test --offline --test sim_edge_cases -- --ignored --nocapture print_exporter_goldens
+/// ```
+///
+/// and paste the printed rows over `GOLDENS`.
+mod exporter_goldens {
+    use whale::{models, strategies, ScheduleKind, Session, StepOutcome};
+    use whale_fp::Fingerprinter;
+    use whale_sim::{ascii_timeline, chrome_trace};
+
+    /// `(case, ascii_timeline digest, chrome_trace digest)`, in the order
+    /// `cases` lists them.
+    const GOLDENS: &[(&str, &str, &str)] = &[
+        (
+            "4-stage bert-base pipeline BackwardFirst",
+            "1308894606909145",
+            "a099b9578d4058c9",
+        ),
+        (
+            "4-stage bert-base pipeline GPipe",
+            "ed664fb1a928df61",
+            "b585e62b9e0d29d8",
+        ),
+        (
+            "4-stage bert-base pipeline AsyncNoFlush",
+            "1308894606909145",
+            "a099b9578d4058c9",
+        ),
+        (
+            "4xV100,4xP100 bert-base pipeline",
+            "7028e376a6fd13bd",
+            "0a69dbbd47cd1290",
+        ),
+        (
+            "one-micro-batch resnet50 data parallel",
+            "3f94056e9a7f7a31",
+            "b32c2e21779c0ca5",
+        ),
+    ];
+
+    fn cases() -> Vec<(String, StepOutcome)> {
+        let pipeline =
+            || strategies::pipeline_only(models::bert_base(32, 64).unwrap(), 32, 8).unwrap();
+        let mut cases: Vec<(String, StepOutcome)> = [
+            ScheduleKind::BackwardFirst,
+            ScheduleKind::GPipe,
+            ScheduleKind::AsyncNoFlush,
+        ]
+        .into_iter()
+        .map(|schedule| {
+            let session = Session::on_cluster("1x(4xV100)")
+                .unwrap()
+                .schedule(schedule);
+            (
+                format!("4-stage bert-base pipeline {schedule:?}"),
+                session.step(&pipeline()).unwrap(),
+            )
+        })
+        .collect();
+        let hetero = Session::on_cluster("4xV100,4xP100").unwrap();
+        cases.push((
+            "4xV100,4xP100 bert-base pipeline".into(),
+            hetero.step(&pipeline()).unwrap(),
+        ));
+        let dp = strategies::data_parallel(models::resnet50(64).unwrap(), 64).unwrap();
+        cases.push((
+            "one-micro-batch resnet50 data parallel".into(),
+            Session::on_cluster("1x(4xV100)")
+                .unwrap()
+                .step(&dp)
+                .unwrap(),
+        ));
+        cases
+    }
+
+    fn digest(domain: &str, text: &str) -> String {
+        Fingerprinter::new(domain)
+            .push_bytes(text.as_bytes())
+            .finish()
+            .to_string()
+    }
+
+    fn digests(out: &StepOutcome) -> (String, String) {
+        (
+            digest("sim-trace/ascii", &ascii_timeline(out, 100)),
+            digest("sim-trace/chrome", &chrome_trace(out)),
+        )
+    }
+
+    #[test]
+    fn exporters_match_their_golden_digests() {
+        let cases = cases();
+        assert_eq!(cases.len(), GOLDENS.len());
+        for ((label, out), (want_label, ascii, chrome)) in cases.iter().zip(GOLDENS) {
+            assert_eq!(label, want_label);
+            let (got_ascii, got_chrome) = digests(out);
+            assert_eq!(got_ascii, *ascii, "{label}: ascii_timeline digest moved");
+            assert_eq!(got_chrome, *chrome, "{label}: chrome_trace digest moved");
+        }
+    }
+
+    #[test]
+    #[ignore = "prints the GOLDENS table; run it to regenerate after an intended change"]
+    fn print_exporter_goldens() {
+        for (label, out) in cases() {
+            let (ascii, chrome) = digests(&out);
+            println!("    ({label:?}, {ascii:?}, {chrome:?}),");
+        }
+    }
+}
