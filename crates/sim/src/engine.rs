@@ -7,6 +7,8 @@
 //! collective cost model, and gradient AllReduce runs hierarchically at the
 //! end of the step, partially overlapped with backward compute.
 
+use std::fmt;
+
 use whale_hardware::{Cluster, GpuModel, GroupCache};
 use whale_planner::{cost, ExecutionPlan, LedgerRules, ScheduleKind, SyncMode};
 
@@ -65,12 +67,108 @@ pub struct TaskRecord {
 }
 
 /// A simulated step: stats plus the task timeline.
+///
+/// `{:?}` prints the timeline as its start-ordered records, so the text of
+/// an outcome is what it was when the timeline was a `Vec<TaskRecord>`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepOutcome {
     /// Aggregate metrics.
     pub stats: StepStats,
-    /// Per-task records ordered by start time.
-    pub timeline: Vec<TaskRecord>,
+    /// Every task's start and end time.
+    pub timeline: Timeline,
+}
+
+/// Every task's start and end time of a simulated step, in task-index
+/// order: per stage, its forward micro batches, then its backward ones.
+///
+/// A step keeps only these two arrays. [`Timeline::records`] builds the
+/// start-ordered [`TaskRecord`]s on each call, so only a caller that reads
+/// them (the trace exporters, `{:?}`) pays for the merge. Two timelines are
+/// equal exactly when their records are.
+#[derive(Clone, PartialEq)]
+pub struct Timeline {
+    num_micro: usize,
+    starts: Vec<f64>,
+    ends: Vec<f64>,
+}
+
+impl Timeline {
+    /// Number of tasks: stages × 2 × micro batches.
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Whether the step ran no task.
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// The tasks in `(start, task index)` order, built on every call.
+    ///
+    /// Each stage's forward block and backward block are nondecreasing in
+    /// start (the control order forces that within a stage), so a
+    /// bottom-up merge of those 2·stages presorted runs yields the order in
+    /// `O(n log stages)` sequential passes. `(start, task index)` is a
+    /// strict total order, so the merge and a sort agree exactly.
+    pub fn records(&self) -> Vec<TaskRecord> {
+        let n_tasks = self.len();
+        let starts = &self.starts;
+
+        // Bottom-up two-way merge over index runs. Every run is a
+        // contiguous, ascending index range throughout (initial runs are
+        // the per-stage F/B blocks `[r·M, (r+1)·M)`, and merging neighbours
+        // preserves contiguity of the *covered* range), so whenever starts
+        // tie the left run's index is smaller — "take left on ties" IS the
+        // `(start, task_index)` order.
+        let mut order: Vec<u32> = (0..n_tasks as u32).collect();
+        let mut scratch: Vec<u32> = vec![0; n_tasks];
+        let mut run_len = self.num_micro.max(1);
+        while run_len < n_tasks {
+            let mut lo = 0;
+            while lo < n_tasks {
+                let mid = (lo + run_len).min(n_tasks);
+                let hi = (lo + 2 * run_len).min(n_tasks);
+                let (mut a, mut b, mut o) = (lo, mid, lo);
+                while a < mid && b < hi {
+                    // `<=` takes left on ties; starts are never NaN and
+                    // never -0.0 (nonnegative max-folds), so `<=` agrees
+                    // with `total_cmp`.
+                    if starts[order[a] as usize] <= starts[order[b] as usize] {
+                        scratch[o] = order[a];
+                        a += 1;
+                    } else {
+                        scratch[o] = order[b];
+                        b += 1;
+                    }
+                    o += 1;
+                }
+                scratch[o..o + (mid - a)].copy_from_slice(&order[a..mid]);
+                let o2 = o + (mid - a);
+                scratch[o2..o2 + (hi - b)].copy_from_slice(&order[b..hi]);
+                lo = hi;
+            }
+            std::mem::swap(&mut order, &mut scratch);
+            run_len *= 2;
+        }
+
+        order
+            .into_iter()
+            .map(|idx| {
+                let idx = idx as usize;
+                TaskRecord {
+                    kind: task_kind(idx, self.num_micro),
+                    start: starts[idx],
+                    end: self.ends[idx],
+                }
+            })
+            .collect()
+    }
+}
+
+impl fmt::Debug for Timeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.records()).finish()
+    }
 }
 
 fn task_index(kind: TaskKind, num_micro: usize) -> usize {
@@ -253,16 +351,17 @@ fn stage_times(
 /// arithmetic — the scheduler allocates only its flat arrays and one
 /// control-order buffer that every stage refills, never a per-task or
 /// per-stage `Vec` — and it touches each DAG edge exactly once.
+///
+/// Returns each task's finish and start time in task-index order.
 fn schedule_tasks_event(
     num_stages: usize,
     num_micro: usize,
     times: &StageTimes,
     schedule: ScheduleKind,
-) -> Result<(Vec<f64>, Vec<Option<TaskRecord>>)> {
+) -> Result<(Vec<f64>, Vec<f64>)> {
     const NONE: u32 = u32::MAX;
     let n_tasks = num_stages * 2 * num_micro;
     let mut finish = vec![f64::NAN; n_tasks];
-    let mut records: Vec<Option<TaskRecord>> = vec![None; n_tasks];
 
     // Control order: `order[pos] → order[pos + 1]` successor edges within
     // each stage, one slot per task.
@@ -300,7 +399,8 @@ fn schedule_tasks_event(
     }
 
     // `ready_acc[t]` accumulates max(finish + lag) over t's satisfied
-    // dependencies; once the indegree hits zero it *is* the start time. The
+    // dependencies; once the indegree hits zero it *is* the start time, and
+    // nothing writes it again, so it is returned as the start array. The
     // LIFO pop order is just some topological order — the accumulated max is
     // complete by the time a task is visited, so every timestamp matches the
     // time-ordered traversal exactly.
@@ -315,14 +415,8 @@ fn schedule_tasks_event(
         } else {
             times.fw[s]
         };
-        let start = ready_acc[idx];
-        let done = start + dur;
+        let done = ready_acc[idx] + dur;
         finish[idx] = done;
-        records[idx] = Some(TaskRecord {
-            kind,
-            start,
-            end: done,
-        });
         scheduled += 1;
 
         // Release the control successor and the data dependents.
@@ -361,62 +455,7 @@ fn schedule_tasks_event(
             "task DAG deadlocked (cyclic dependencies?)".into(),
         ));
     }
-    Ok((finish, records))
-}
-
-/// Assemble the start-ordered timeline by merging the presorted runs of the
-/// index-ordered record array (each stage's forward block and backward block
-/// are nondecreasing in start). Output order is the unique
-/// `(start, task_index)` order — identical to sorting, in `O(n log stages)`
-/// sequential passes.
-fn merge_timeline(records: Vec<Option<TaskRecord>>, num_micro: usize) -> Vec<TaskRecord> {
-    let n_tasks = records.len();
-    let starts: Vec<f64> = records
-        .iter()
-        .map(|r| r.as_ref().map(|r| r.start).unwrap_or(f64::INFINITY))
-        .collect();
-
-    // Bottom-up two-way merge over index runs. Every run is a contiguous,
-    // ascending index range throughout (initial runs are the per-stage F/B
-    // blocks `[r·M, (r+1)·M)`, and merging neighbours preserves contiguity
-    // of the *covered* range), so whenever starts tie the left run's index
-    // is smaller — "take left on ties" IS the `(start, task_index)` order.
-    let mut order: Vec<u32> = (0..n_tasks as u32).collect();
-    let mut scratch: Vec<u32> = vec![0; n_tasks];
-    let mut run_len = num_micro.max(1);
-    while run_len < n_tasks {
-        let mut lo = 0;
-        while lo < n_tasks {
-            let mid = (lo + run_len).min(n_tasks);
-            let hi = (lo + 2 * run_len).min(n_tasks);
-            let (mut a, mut b, mut o) = (lo, mid, lo);
-            while a < mid && b < hi {
-                // `<=` takes left on ties; starts are never NaN and never
-                // -0.0 (nonnegative max-folds), so `<=` agrees with
-                // `total_cmp`.
-                if starts[order[a] as usize] <= starts[order[b] as usize] {
-                    scratch[o] = order[a];
-                    a += 1;
-                } else {
-                    scratch[o] = order[b];
-                    b += 1;
-                }
-                o += 1;
-            }
-            scratch[o..o + (mid - a)].copy_from_slice(&order[a..mid]);
-            let o2 = o + (mid - a);
-            scratch[o2..o2 + (hi - b)].copy_from_slice(&order[b..hi]);
-            lo = hi;
-        }
-        std::mem::swap(&mut order, &mut scratch);
-        run_len *= 2;
-    }
-
-    let mut records = records;
-    order
-        .into_iter()
-        .filter_map(|idx| records[idx as usize].take())
-        .collect()
+    Ok((finish, ready_acc))
 }
 
 /// Simulate one training step of `plan` on `cluster`.
@@ -432,14 +471,14 @@ pub fn simulate_step(
         return Err(SimError::SyncOverlapOutOfRange(config.sync_overlap));
     }
     plan.validate(cluster)?;
+    let num_stages = plan.stages.len();
+    let num_micro = plan.num_micro_batches;
     // Every collective, sync and bucket below prices through one topology
     // per distinct group.
     let mut groups = GroupCache::new(cluster);
-    let num_stages = plan.stages.len();
-    let num_micro = plan.num_micro_batches;
 
     let (times, totals) = stage_times(plan, cluster, &mut groups)?;
-    let (finish, records) = schedule_tasks_event(num_stages, num_micro, &times, config.schedule)?;
+    let (finish, starts) = schedule_tasks_event(num_stages, num_micro, &times, config.schedule)?;
     let fw_time = &times.fw;
     let bw_time = &times.bw;
 
@@ -640,13 +679,6 @@ pub fn simulate_step(
         });
     }
 
-    // Records sit in task-index order: per stage, the forward block then the
-    // backward block, each nondecreasing in start time (the control order
-    // forces that within a stage). The comparator `(start, task_index)` is a
-    // strict total order, so the timeline is one unique sequence; merging
-    // the 2·stages presorted runs yields it without sorting from scratch.
-    let timeline = merge_timeline(records, num_micro);
-
     Ok(StepOutcome {
         stats: StepStats {
             step_time,
@@ -662,7 +694,11 @@ pub fn simulate_step(
             per_gpu,
             oom_gpus: oom,
         },
-        timeline,
+        timeline: Timeline {
+            num_micro,
+            starts,
+            ends: finish,
+        },
     })
 }
 
@@ -827,8 +863,9 @@ mod tests {
             .unwrap();
         let p = plan(&ir, &cluster, &PlannerConfig::default()).unwrap();
         let out = simulate_step(&p, &cluster, &SimConfig::default()).unwrap();
+        let records = out.timeline.records();
         let find = |k: TaskKind| {
-            out.timeline
+            records
                 .iter()
                 .find(|r| r.kind == k)
                 .unwrap_or_else(|| panic!("missing {k:?}"))
@@ -842,7 +879,8 @@ mod tests {
         let b10 = find(TaskKind::Backward { stage: 1, micro: 0 });
         let b00 = find(TaskKind::Backward { stage: 0, micro: 0 });
         assert!(b00.start >= b10.end);
-        assert_eq!(out.timeline.len(), 4 * 2 * 4);
+        assert_eq!(records.len(), 4 * 2 * 4);
+        assert_eq!(out.timeline.len(), records.len());
     }
 
     /// The event scheduler against the task-DAG spec on seeded random stage
@@ -873,21 +911,19 @@ mod tests {
                         xfer: draw(),
                         bw_max: Vec::new(),
                     };
-                    let (finish, records) =
+                    let (finish, starts) =
                         schedule_tasks_event(num_stages, num_micro, &times, schedule).unwrap();
-                    let end = |k: TaskKind| records[task_index(k, num_micro)].as_ref().unwrap().end;
                     for s in 0..num_stages {
                         let mut prev_end = 0.0f64;
                         for kind in stage_order(s, num_stages, num_micro, schedule) {
                             let idx = task_index(kind, num_micro);
-                            let r = records[idx].as_ref().unwrap();
                             let dur = if kind.is_backward() {
                                 times.bw[s]
                             } else {
                                 times.fw[s]
                             };
-                            assert_eq!(r.end.to_bits(), (r.start + dur).to_bits(), "{case}");
-                            assert_eq!(finish[idx].to_bits(), r.end.to_bits(), "{case}");
+                            let (start, end) = (starts[idx], finish[idx]);
+                            assert_eq!(end.to_bits(), (start + dur).to_bits(), "{case}");
                             // Activations flow into forward stage s over
                             // link s−1; gradients flow back into backward
                             // stage s over link s.
@@ -903,24 +939,31 @@ mod tests {
                                         }
                                         _ => 0.0,
                                     };
-                                    acc.max(end(dep) + lag)
+                                    acc.max(finish[task_index(dep, num_micro)] + lag)
                                 },
                             );
-                            assert_eq!(r.start.to_bits(), want.to_bits(), "{case}: {kind:?}");
-                            prev_end = r.end;
+                            assert_eq!(start.to_bits(), want.to_bits(), "{case}: {kind:?}");
+                            prev_end = end;
                         }
                     }
 
                     let n_tasks = num_stages * 2 * num_micro;
-                    let timeline = merge_timeline(records, num_micro);
+                    let timeline = Timeline {
+                        num_micro,
+                        starts,
+                        ends: finish,
+                    };
+                    let records = timeline.records();
                     let mut seen = vec![false; n_tasks];
-                    for r in &timeline {
+                    for r in &records {
                         let idx = task_index(r.kind, num_micro);
                         assert!(!seen[idx], "{case}: {:?} listed twice", r.kind);
                         seen[idx] = true;
+                        let times = (timeline.starts[idx], timeline.ends[idx]);
+                        assert_eq!((r.start, r.end), times, "{case}: {:?}", r.kind);
                     }
-                    assert_eq!(timeline.len(), n_tasks, "{case}");
-                    for w in timeline.windows(2) {
+                    assert_eq!(records.len(), n_tasks, "{case}");
+                    for w in records.windows(2) {
                         let a = (w[0].start, task_index(w[0].kind, num_micro));
                         let b = (w[1].start, task_index(w[1].kind, num_micro));
                         assert!(a.0 < b.0 || (a.0 == b.0 && a.1 < b.1), "{case}");

@@ -13,16 +13,12 @@ use whale_planner::ExecutionPlan;
 /// character columns.
 pub fn ascii_timeline(outcome: &StepOutcome, width: usize) -> String {
     let width = width.max(10);
-    let end = outcome
-        .timeline
-        .iter()
-        .map(|r| r.end)
-        .fold(0.0f64, f64::max);
+    let records = outcome.timeline.records();
+    let end = records.iter().map(|r| r.end).fold(0.0f64, f64::max);
     if end <= 0.0 {
         return String::from("(empty timeline)\n");
     }
-    let num_stages = outcome
-        .timeline
+    let num_stages = records
         .iter()
         .map(|r| r.kind.stage())
         .max()
@@ -32,7 +28,7 @@ pub fn ascii_timeline(outcome: &StepOutcome, width: usize) -> String {
     let mut out = String::new();
     for s in 0..num_stages {
         let mut row = vec!['.'; width + 1];
-        for r in outcome.timeline.iter().filter(|r| r.kind.stage() == s) {
+        for r in records.iter().filter(|r| r.kind.stage() == s) {
             let (a, b) = (col(r.start), col(r.end).max(col(r.start) + 1));
             let ch = if r.kind.is_backward() { 'B' } else { 'F' };
             for cell in row.iter_mut().take(b.min(width + 1)).skip(a) {
@@ -50,7 +46,7 @@ pub fn ascii_timeline(outcome: &StepOutcome, width: usize) -> String {
 /// stage, microseconds).
 pub fn chrome_trace(outcome: &StepOutcome) -> String {
     let mut events = Vec::new();
-    for r in &outcome.timeline {
+    for r in &outcome.timeline.records() {
         events.push(format!(
             r#"{{"name":"{}","ph":"X","ts":{:.3},"dur":{:.3},"pid":0,"tid":{}}}"#,
             task_label(r),

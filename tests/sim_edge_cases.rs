@@ -9,11 +9,12 @@ fn pipeline_with_one_micro_batch_is_sequential() {
     let session = Session::on_cluster("1x(4xV100)").unwrap();
     let ir = strategies::pipeline_only(models::bert_base(16, 64).unwrap(), 16, 1).unwrap();
     let out = session.step(&ir).unwrap();
+    let records = out.timeline.records();
     // With one micro batch the pipeline degenerates: 4 stages × (F + B).
-    assert_eq!(out.timeline.len(), 8);
+    assert_eq!(records.len(), 8);
     // Fully serial: no two tasks overlap.
-    for (i, a) in out.timeline.iter().enumerate() {
-        for b in &out.timeline[i + 1..] {
+    for (i, a) in records.iter().enumerate() {
+        for b in &records[i + 1..] {
             assert!(
                 a.end <= b.start + 1e-12 || b.end <= a.start + 1e-12,
                 "{:?} overlaps {:?}",
@@ -29,18 +30,13 @@ fn pipeline_with_one_micro_batch_is_sequential() {
 fn two_stage_pipeline_interleaves_under_1f1b() {
     let session = Session::on_cluster("1x(2xV100)").unwrap();
     let ir = strategies::pipeline_only(models::bert_base(32, 64).unwrap(), 32, 8).unwrap();
-    let out = session.step(&ir).unwrap();
+    let records = session.step(&ir).unwrap().timeline.records();
     // Stage 0's F and stage 1's work overlap somewhere.
-    let f0: Vec<_> = out
-        .timeline
+    let f0: Vec<_> = records
         .iter()
         .filter(|r| matches!(r.kind, TaskKind::Forward { stage: 0, .. }))
         .collect();
-    let s1: Vec<_> = out
-        .timeline
-        .iter()
-        .filter(|r| r.kind.stage() == 1)
-        .collect();
+    let s1: Vec<_> = records.iter().filter(|r| r.kind.stage() == 1).collect();
     let overlaps = f0
         .iter()
         .any(|a| s1.iter().any(|b| a.start < b.end && b.start < a.end));
@@ -72,7 +68,7 @@ fn colocated_sequential_taskgraphs_never_overlap_in_time() {
     let g = models::m6_moe(models::MoeConfig::tiny(), 32).unwrap();
     let ir = strategies::moe_hybrid(g, 32).unwrap();
     let out = session.step(&ir).unwrap();
-    let sum_durations: f64 = out.timeline.iter().map(|r| r.end - r.start).sum();
+    let sum_durations: f64 = out.timeline.records().iter().map(|r| r.end - r.start).sum();
     assert!(
         out.stats.compute_makespan >= sum_durations * 0.999,
         "co-located stages must serialize: makespan {} < sum {}",
