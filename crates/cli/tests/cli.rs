@@ -253,6 +253,35 @@ fn oversized_cluster_exits_nonzero_at_once() {
 }
 
 #[test]
+fn a_step_with_too_many_tasks_exits_nonzero_at_once() {
+    // 8 stages × 2 × micro batches: 2^62 overflows usize, 262,145 is
+    // 4,194,320 tasks, just over the cap of 2^22.
+    for (micro, why) in [
+        ("4611686018427387904", "overflows usize"),
+        ("262145", "is 4194320 tasks, over the cap of 4194304"),
+    ] {
+        let start = std::time::Instant::now();
+        let (stdout, stderr, ok) = run(&[
+            "simulate",
+            "--strategy",
+            "pipeline",
+            "--model",
+            "bert-base",
+            "--batch",
+            "16",
+            "--cluster",
+            "1x(8xV100)",
+            "--micro",
+            micro,
+        ]);
+        let took = start.elapsed();
+        assert!(!ok, "--micro {micro} succeeded: {stdout}");
+        assert!(stderr.contains(why), "--micro {micro}: {stderr}");
+        assert!(took.as_secs_f64() < 5.0, "--micro {micro} took {took:?}");
+    }
+}
+
+#[test]
 fn auto_search_summary_partitions_the_leaves() {
     let (stdout, _, ok) = run(&[
         "auto",

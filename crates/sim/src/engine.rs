@@ -55,6 +55,13 @@ impl SimConfig {
     }
 }
 
+/// Most tasks one simulated step may schedule: 2²², 512× the 8,192 tasks
+/// (32 stages × 2 × 128 micro batches) of the largest step the search
+/// simulates. The scheduler's arrays and the kept timeline take about 40
+/// bytes per task, so a step at the cap needs about 170 MB. A constant,
+/// not an option.
+pub const MAX_TASKS: usize = 1 << 22;
+
 /// Per-task timing record from a simulated step (feeds the trace exporter).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
@@ -352,7 +359,9 @@ fn stage_times(
 /// control-order buffer that every stage refills, never a per-task or
 /// per-stage `Vec` — and it touches each DAG edge exactly once.
 ///
-/// Returns each task's finish and start time in task-index order.
+/// Returns each task's finish and start time in task-index order. The
+/// caller has checked that `n_tasks` is at most [`MAX_TASKS`], so every
+/// task index fits the `u32` slots.
 fn schedule_tasks_event(
     num_stages: usize,
     num_micro: usize,
@@ -473,6 +482,18 @@ pub fn simulate_step(
     plan.validate(cluster)?;
     let num_stages = plan.stages.len();
     let num_micro = plan.num_micro_batches;
+    // Each task gets a slot in the scheduler's arrays, so the count is
+    // bounded before anything is sized by it.
+    let tasks = num_stages
+        .checked_mul(2)
+        .and_then(|n| n.checked_mul(num_micro));
+    if tasks.is_none_or(|n| n > MAX_TASKS) {
+        return Err(SimError::TooManyTasks {
+            stages: num_stages,
+            micro_batches: num_micro,
+            tasks,
+        });
+    }
     // Every collective, sync and bucket below prices through one topology
     // per distinct group.
     let mut groups = GroupCache::new(cluster);

@@ -14,6 +14,16 @@ pub enum SimError {
     /// [`crate::SimConfig::sync_overlap`] is not a finite fraction in
     /// `[0, 1]`.
     SyncOverlapOutOfRange(f64),
+    /// A step's task count, stages × 2 × micro batches, is above
+    /// [`crate::engine::MAX_TASKS`].
+    TooManyTasks {
+        /// The plan's pipeline stages.
+        stages: usize,
+        /// The plan's micro batches per step.
+        micro_batches: usize,
+        /// The task count; `None` when it overflows `usize`.
+        tasks: Option<usize>,
+    },
     /// A fleet run fell below its capacity floor: the pool's surviving
     /// FLOPS dropped under `required` (a fraction of the starting
     /// capacity), so no legal shrink can keep the tenants running.
@@ -33,6 +43,21 @@ impl fmt::Display for SimError {
             SimError::Schedule(s) => write!(f, "schedule error: {s}"),
             SimError::SyncOverlapOutOfRange(x) => {
                 write!(f, "sync_overlap must be a fraction in [0, 1], got {x}")
+            }
+            SimError::TooManyTasks {
+                stages,
+                micro_batches,
+                tasks,
+            } => {
+                let cap = crate::engine::MAX_TASKS;
+                let shape = format!("{stages} stages × 2 × {micro_batches} micro batches");
+                match tasks {
+                    Some(n) => write!(f, "{shape} is {n} tasks, over the cap of {cap} per step"),
+                    None => write!(
+                        f,
+                        "{shape} overflows usize, over the cap of {cap} tasks per step"
+                    ),
+                }
             }
             SimError::InsufficientCapacity {
                 available,

@@ -45,7 +45,7 @@ pub mod schedule;
 pub mod trace;
 pub mod trainer;
 
-pub use engine::{simulate_step, SimConfig, StepOutcome, TaskRecord, Timeline};
+pub use engine::{simulate_step, SimConfig, StepOutcome, TaskRecord, Timeline, MAX_TASKS};
 pub use error::{Result, SimError};
 pub use faults::{FaultEvent, FaultKind, FaultModel, FaultTrace};
 pub use fleet::{default_templates, FleetConfig, FleetReport, FleetSim, FleetStats, JobTemplate};

@@ -2,7 +2,7 @@
 //! batches, co-located stages, determinism under reordering.
 
 use whale::{models, strategies, ScheduleKind, Session, WhaleError};
-use whale_sim::{SimError, TaskKind};
+use whale_sim::{SimError, TaskKind, MAX_TASKS};
 
 #[test]
 fn pipeline_with_one_micro_batch_is_sequential() {
@@ -118,6 +118,27 @@ fn sync_overlap_outside_the_unit_interval_is_a_typed_error() {
     }
     for ok in [0.0, 1.0] {
         session.clone().sync_overlap(ok).step(&ir).unwrap();
+    }
+}
+
+#[test]
+fn a_step_with_too_many_tasks_is_a_typed_error() {
+    // 8 stages × 2 × micro batches: 2^62 overflows usize, and
+    // MAX_TASKS / 16 + 1 is 16 tasks over the cap.
+    let session = Session::on_cluster("1x(8xV100)").unwrap();
+    let over = MAX_TASKS / 16 + 1;
+    for (micro, tasks) in [(1 << 62, None), (over, Some(16 * over))] {
+        let ir = strategies::pipeline_only(models::bert_base(16, 64).unwrap(), 16, micro).unwrap();
+        let want = SimError::TooManyTasks {
+            stages: 8,
+            micro_batches: micro,
+            tasks,
+        }
+        .to_string();
+        match session.step(&ir) {
+            Err(WhaleError::Sim(msg)) => assert_eq!(msg, want),
+            other => panic!("micro {micro}: {:?}", other.map(|o| o.stats.step_time)),
+        }
     }
 }
 
