@@ -419,6 +419,28 @@ mod tests {
                 < 1e-9
         );
     }
+
+    /// A graph accepts the output `f32[2^40, 2^40, 0]` as zero bytes, and
+    /// profiling it reads zero bytes: its dimensions' product passes 2^64
+    /// before it reaches the zero, which a debug build's overflow check
+    /// used to turn into a panic.
+    #[test]
+    fn a_zero_sized_output_with_huge_dimensions_profiles_as_zero_bytes() {
+        let dims = [1 << 40, 1 << 40, 0];
+        let mut b = crate::builder::GraphBuilder::new("zero");
+        let x = b.input("x", &[8, 16]).unwrap();
+        b.op(
+            "pool",
+            OpKind::Pool { elems: 128 },
+            [x],
+            TensorMeta::f32(&dims),
+        )
+        .unwrap();
+        let profile = CostProfile::from_graph(&b.finish(), 8);
+        assert_eq!(profile.activation_bytes_per_sample, 0.0);
+        assert_eq!(profile.memory_traffic_bytes_per_sample, 0.0);
+        assert_eq!(TensorMeta::f32(&dims).size_bytes(), 0);
+    }
 }
 
 #[cfg(test)]

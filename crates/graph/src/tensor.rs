@@ -79,8 +79,13 @@ impl Shape {
     }
 
     /// Total element count (1 for scalars).
+    ///
+    /// The product wraps instead of overflowing, which a release build's
+    /// `product()` does too: it is exact for every output a graph accepts
+    /// (its byte size fits `u64`), and zero for any shape with a zero
+    /// dimension, however large the others, such as `[2^40, 2^40, 0]`.
     pub fn num_elements(&self) -> u64 {
-        self.0.iter().map(|&d| d as u64).product()
+        self.0.iter().fold(1, |n, &d| n.wrapping_mul(d as u64))
     }
 
     /// The batch (leading) dimension, if any.
