@@ -11,6 +11,13 @@ cargo fmt --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --document-private-items
 
+# Examples: clippy --all-targets only type-checks them, so run each one and
+# fail on a non-zero exit (pipeline_timeline and m6_pipeline print
+# ascii_timeline). Their output is not checked.
+for example in examples/*.rs; do
+  cargo run -q --release --offline --example "$(basename "$example" .rs)" >/dev/null
+done
+
 # Concurrent-serving smoke test: small workload, asserts single-flight and
 # counter consistency; no performance threshold (see EXPERIMENTS.md for the
 # full sweep).
