@@ -75,8 +75,8 @@ pub struct TaskRecord {
 
 /// A simulated step: stats plus the task timeline.
 ///
-/// `{:?}` prints the timeline as its start-ordered records, so the text of
-/// an outcome is what it was when the timeline was a `Vec<TaskRecord>`.
+/// `{:?}` prints the timeline as the list of start-ordered records that
+/// [`Timeline::records`] builds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepOutcome {
     /// Aggregate metrics.
@@ -980,8 +980,8 @@ mod tests {
                         let idx = task_index(r.kind, num_micro);
                         assert!(!seen[idx], "{case}: {:?} listed twice", r.kind);
                         seen[idx] = true;
-                        let times = (timeline.starts[idx], timeline.ends[idx]);
-                        assert_eq!((r.start, r.end), times, "{case}: {:?}", r.kind);
+                        let kept = (timeline.starts[idx], timeline.ends[idx]);
+                        assert_eq!((r.start, r.end), kept, "{case}: {:?}", r.kind);
                     }
                     assert_eq!(records.len(), n_tasks, "{case}");
                     for w in records.windows(2) {
