@@ -468,6 +468,10 @@ fn schedule_tasks_event(
 }
 
 /// Simulate one training step of `plan` on `cluster`.
+///
+/// A plan whose step has more than [`MAX_TASKS`] tasks (stages × 2 ×
+/// micro batches) is refused with [`SimError::TooManyTasks`] before
+/// anything is allocated per task.
 pub fn simulate_step(
     plan: &ExecutionPlan,
     cluster: &Cluster,
