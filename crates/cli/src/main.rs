@@ -16,7 +16,7 @@ mod zoo;
 use args::Args;
 use whale::{
     auto_parallel, strategies, ClusterDelta, CommConfig, GradDtype, Optimizer, RecoveryPolicy,
-    ScheduleKind, Session, SimConfig, TrainingConfig, WhaleIr, ZeroStage,
+    ScheduleKind, Session, TrainingConfig, WhaleIr, ZeroStage,
 };
 use whale_hardware::GpuModel;
 use whale_planner::PlanKey;
@@ -199,17 +199,11 @@ fn session_from(args: &Args) -> Result<Session, String> {
         Some(s) => GradDtype::parse(s)
             .ok_or_else(|| format!("--grad-dtype must be fp32|bf16|fp8, got '{s}'"))?,
     };
-    let compress_ratio = args.get_num("compress-ratio", 1.0f64)?;
-    if !(compress_ratio > 0.0 && compress_ratio <= 1.0) {
-        return Err(format!(
-            "--compress-ratio must be in (0, 1], got {compress_ratio}"
-        ));
-    }
     let comm = CommConfig {
         fusion_bytes: fusion_mb << 20,
         auto_algorithm: fusion_mb > 0,
         grad_dtype,
-        compress_ratio,
+        compress_ratio: args.get_num("compress-ratio", 1.0f64)?,
     };
     Ok(Session::on_cluster(cluster)
         .map_err(|e| e.to_string())?
@@ -328,7 +322,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
         let new = session
             .replan(&ir, ClusterDelta::GpuDegraded { id, scale })
             .map_err(|e| e.to_string())?;
-        let report = check_replan(&old, &new, session.cluster(), &SimConfig::default());
+        let report = check_replan(&old, &new, session.cluster(), session.sim_config());
         println!("\nreplan after degrading gpu {id} to {scale:.2}x:");
         let moved = old
             .stages
@@ -374,13 +368,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
         ..RecoveryPolicy::default()
     };
     let trace = FaultTrace::generate(session.cluster(), &model, horizon);
-    let params = {
-        let batch = args.get_num("batch", 64usize)?;
-        let seq = args.get_num("seq", 128usize)?;
-        let graph = zoo::build(args.get_or("model", "resnet50"), batch, seq)?;
-        whale_graph::graph_stats(&graph).params as f64
-    };
-    let loss = LossModel::for_params(params);
+    let loss = LossModel::for_params(ir.graph.total_params() as f64);
 
     println!(
         "fault injection: mtbf {:.0} mttr {:.0} seed {} over {} event(s)",

@@ -184,6 +184,52 @@ fn compile_degrade_checks_consistency() {
 }
 
 #[test]
+fn compile_degrade_checks_the_replan_under_the_sessions_schedule() {
+    use whale::{models, strategies, ClusterDelta, ScheduleKind, Session};
+    let mut session = Session::on_cluster("1x(4xV100)")
+        .unwrap()
+        .schedule(ScheduleKind::GPipe);
+    let ir = strategies::pipeline_only(models::bert_base(64, 128).unwrap(), 64, 8).unwrap();
+    session.plan(&ir).unwrap();
+    let replanned = session
+        .replan(&ir, ClusterDelta::GpuDegraded { id: 0, scale: 0.5 })
+        .unwrap();
+    let step = session.step_plan(&replanned).unwrap();
+    let expected = format!("OK ({:.1} samples/s after replan)", step.stats.throughput);
+
+    let (stdout, _, ok) = run(&[
+        "compile",
+        "--cluster",
+        "1x(4xV100)",
+        "--model",
+        "bert-base",
+        "--batch",
+        "64",
+        "--strategy",
+        "pipeline",
+        "--micro",
+        "8",
+        "--gpipe",
+        "--degrade",
+        "0:0.5",
+    ]);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains(&expected), "{expected} not in\n{stdout}");
+}
+
+#[test]
+fn an_out_of_range_compression_ratio_exits_nonzero_with_the_planners_message() {
+    for command in ["simulate", "auto"] {
+        let (_, stderr, ok) = run(&[command, "--compress-ratio", "0"]);
+        assert!(!ok, "{command}");
+        assert!(
+            stderr.contains("compress_ratio must lie in (0, 1], got 0"),
+            "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn baseline_flag_slows_hetero_dp() {
     let step_time = |extra: &[&str]| {
         let mut args = vec![

@@ -329,35 +329,26 @@ pub fn auto_parallel_opts(
     )
 }
 
+/// Simulate one planned leaf of the wave drain. The drain admits a leaf
+/// only after [`ExecutionPlan::memory_feasible`] passes, and the step's
+/// memory audit compares the same ledger totals with the same capacities,
+/// so the only rejection left here is a simulation error.
 pub(crate) fn evaluate_plan(session: &Session, name: &str, plan: Arc<ExecutionPlan>) -> Candidate {
-    let outcome = match session.step_plan(&plan) {
-        Ok(o) => o,
-        Err(e) => {
-            return Candidate {
-                name: name.into(),
-                plan: Some(plan),
-                stats: None,
-                rejected: Some(RejectReason::SimError(e.to_string())),
-            }
+    let (stats, rejected) = match session.step_plan(&plan) {
+        Ok(outcome) => {
+            debug_assert!(
+                !outcome.stats.has_oom(),
+                "{name} fit the drain, not the step"
+            );
+            (Some(outcome.stats), None)
         }
+        Err(e) => (None, Some(RejectReason::SimError(e.to_string()))),
     };
-    if outcome.stats.has_oom() {
-        let per_gpu = outcome.stats.per_gpu.iter();
-        let rejected = Some(memory_reject(
-            per_gpu.map(|g| (g.mem_bytes, g.mem_capacity)),
-        ));
-        return Candidate {
-            name: name.into(),
-            plan: Some(plan),
-            stats: None,
-            rejected,
-        };
-    }
     Candidate {
         name: name.into(),
         plan: Some(plan),
-        stats: Some(outcome.stats),
-        rejected: None,
+        stats,
+        rejected,
     }
 }
 

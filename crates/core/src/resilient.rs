@@ -1,12 +1,11 @@
 //! Self-healing training runs over delta replanning.
 //!
-//! PR 2 built the machinery for reacting to cluster drift —
-//! [`ClusterDelta`](whale_hardware::ClusterDelta),
-//! [`Session::replan`], `check_replan` — but nothing drove it under
-//! adversarial schedules. This module closes the loop: given a deterministic
-//! [`FaultTrace`], [`Session::train_resilient`] runs the training simulation
-//! in segments between fault events and, on each event, walks the recovery
-//! state machine
+//! [`ClusterDelta`](whale_hardware::ClusterDelta) and [`Session::replan`]
+//! react to cluster drift; this module drives them under adversarial
+//! schedules. Given a deterministic [`FaultTrace`],
+//! [`Session::train_resilient`] trains in segments between fault events,
+//! each charged whole steps at the running plan's simulated step time, and,
+//! on each event, walks the recovery state machine
 //!
 //! ```text
 //! detect  →  rollback  →  replan  →  resume
@@ -24,10 +23,11 @@
 //!   falls back to a full from-scratch recompile. Recovery attempts for
 //!   *transient* faults (degradation, congestion, restore) are retried with
 //!   bounded exponential backoff; permanent faults fail fast.
-//! * **resume** — training continues under the new plan. If the surviving
-//!   capacity has dropped below [`RecoveryPolicy::min_capacity`] of the
-//!   starting cluster, the run aborts with
-//!   [`WhaleError::InsufficientCapacity`] instead of limping.
+//! * **resume** — training continues under the new plan, at the step time
+//!   the verification simulated. If the surviving capacity has dropped
+//!   below [`RecoveryPolicy::min_capacity`] of the starting cluster, the
+//!   run aborts with [`WhaleError::InsufficientCapacity`] instead of
+//!   limping.
 //!
 //! [`Session::train_restart_baseline`] is the foil: a conventional static
 //! runtime that cannot replan. It ignores rate faults (and stalls behind the
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use whale_ir::WhaleIr;
 use whale_planner::{plan as cold_plan, ExecutionPlan};
 use whale_sim::recovery::{ratio, replan_verified};
-use whale_sim::{check_replan, simulate_training, FaultEvent, FaultTrace, LossModel, TrainPoint};
+use whale_sim::{FaultEvent, FaultTrace, LossModel, TrainPoint};
 
 use crate::error::{Result, WhaleError};
 use crate::session::Session;
@@ -181,6 +181,9 @@ impl Session {
         policy.check()?;
         let capacity0 = self.cluster().total_flops();
         let mut plan = self.plan(ir)?;
+        // The running plan's step time on the session's cluster, once a
+        // segment or a recovery has simulated it.
+        let mut step_time = None;
         let mut state = LoopState::new();
 
         for event in &trace.events {
@@ -192,21 +195,19 @@ impl Session {
             let to_done = total_samples - state.committed;
             let seg = to_event.min(to_done);
             if seg > 0.0 {
-                self.run_segment(&plan, loss, seg, &mut state)?;
+                self.run_segment(&plan, &mut step_time, loss, seg, &mut state)?;
             }
             if state.committed >= total_samples {
                 break;
             }
 
             // The fault strikes.
-            match mode {
-                RecoveryMode::Resilient => {
-                    plan = self.recover(ir, event, policy, &mut state)?;
-                }
+            (plan, step_time) = match mode {
+                RecoveryMode::Resilient => self.recover(ir, event, policy, &mut state)?,
                 RecoveryMode::RestartFromScratch => {
-                    plan = self.react_static(ir, plan, event, policy, &mut state)?;
+                    self.react_static(ir, plan, event, policy, &mut state)?
                 }
-            }
+            };
             let capacity = self.cluster().total_flops();
             if capacity < policy.min_capacity * capacity0 {
                 return Err(WhaleError::InsufficientCapacity {
@@ -218,7 +219,7 @@ impl Session {
 
         let remaining = total_samples - state.committed;
         if remaining > 0.0 {
-            self.run_segment(&plan, loss, remaining, &mut state)?;
+            self.run_segment(&plan, &mut step_time, loss, remaining, &mut state)?;
         }
         Ok(ResilientRun {
             points: std::mem::take(&mut state.points),
@@ -226,25 +227,25 @@ impl Session {
         })
     }
 
-    /// Simulate `seg_samples` of training under `plan`, charging wall-clock
-    /// and emitting one curve point at the segment end.
+    /// Train `seg_samples` under `plan`, charging wall-clock for whole
+    /// steps (at least one; the cast saturates an infinite segment) and
+    /// emitting one curve point at the segment end. `step_time` is
+    /// `plan`'s step time; when it is `None`, one step is simulated to
+    /// fill it.
     fn run_segment(
         &self,
         plan: &ExecutionPlan,
+        step_time: &mut Option<f64>,
         loss: &LossModel,
         seg_samples: f64,
         state: &mut LoopState,
     ) -> Result<()> {
-        let run = simulate_training(
-            plan,
-            self.cluster(),
-            self.sim_config(),
-            loss,
-            seg_samples,
-            2,
-            0,
-        )?;
-        let elapsed = run.total_seconds();
+        let step_time = match *step_time {
+            Some(t) => t,
+            None => *step_time.insert(self.step_plan(plan)?.stats.step_time),
+        };
+        let steps = (seg_samples / plan.global_batch as f64).ceil().max(1.0) as u64;
+        let elapsed = steps as f64 * step_time;
         state.processed += seg_samples;
         state.committed += seg_samples;
         state.wall_s += elapsed;
@@ -260,14 +261,15 @@ impl Session {
 
     /// The resilient recovery state machine for one fault event: roll back
     /// to the last checkpoint, then replan, verify and fall back through
-    /// [`replan_verified`] on the session's plan service.
+    /// [`replan_verified`] on the session's plan service. Returns the plan
+    /// to resume under and the step time its verification simulated.
     fn recover(
         &mut self,
         ir: &WhaleIr,
         event: &FaultEvent,
         policy: &RecoveryPolicy,
         state: &mut LoopState,
-    ) -> Result<Arc<ExecutionPlan>> {
+    ) -> Result<(Arc<ExecutionPlan>, Option<f64>)> {
         // A rate fault's replan is checked against the pre-fault plan.
         let pre_fault = self.plan(ir)?;
         let lost = policy.rollback(&mut state.committed);
@@ -289,11 +291,13 @@ impl Session {
             .faults
             .push(r.event(event.kind, event.at_samples, lost));
         *self.cluster_mut() = r.cluster;
-        Ok(r.plan)
+        Ok((r.plan, Some(r.step.step_time)))
     }
 
     /// The static baseline's reaction: straggle through rate faults,
-    /// restart from scratch on membership changes.
+    /// restart from scratch on membership changes. Returns the plan to
+    /// resume under and its step time when this reaction simulated it
+    /// (`None` leaves the simulation, and its error, to the next segment).
     fn react_static(
         &mut self,
         ir: &WhaleIr,
@@ -301,13 +305,13 @@ impl Session {
         event: &FaultEvent,
         policy: &RecoveryPolicy,
         state: &mut LoopState,
-    ) -> Result<Arc<ExecutionPlan>> {
+    ) -> Result<(Arc<ExecutionPlan>, Option<f64>)> {
         if !event.delta.is_structural() {
             // The static runtime never even notices: the plan stays, the
             // cluster slows underneath it and the fast GPUs wait on the
             // straggler.
             self.cluster_mut().apply_delta(event.delta)?;
-            return Ok(current);
+            return Ok((current, None));
         }
         // Membership changed: the only move a static runtime has is a full
         // restart — recompile cold, lose everything.
@@ -318,22 +322,15 @@ impl Session {
         state.downtime_s += policy.detection_latency_s;
         self.cluster_mut().apply_delta(event.delta)?;
         let plan = Arc::new(cold_plan(ir, self.cluster(), self.planner_config())?);
-        let audit = check_replan(&plan, &plan, self.cluster(), self.sim_config());
-        let throughput = audit
-            .outcome
-            .as_ref()
-            .map(|o| o.stats.throughput)
-            .unwrap_or(0.0);
-        state.faults.push(RecoveryEvent {
-            kind: event.kind,
-            at_samples: event.at_samples,
-            samples_lost: lost,
-            downtime_s: policy.detection_latency_s,
-            time_to_recover_s: policy.detection_latency_s + ratio(lost, throughput),
-            retries: 0,
-            replan: ReplanPath::Full,
-        });
-        Ok(plan)
+        let step = self.step_plan(&plan).ok().map(|out| out.stats);
+        state.faults.push(RecoveryEvent::restart(
+            event.kind,
+            event.at_samples,
+            lost,
+            policy.detection_latency_s,
+            step.as_ref().map_or(0.0, |s| s.throughput),
+        ));
+        Ok((plan, step.map(|s| s.step_time)))
     }
 }
 

@@ -477,6 +477,9 @@ pub(crate) fn drive(
     if global_batch == 0 {
         return Err(whale_ir::IrError::ZeroGlobalBatch.into());
     }
+    // Every leaf's CommOpt pass would refuse this config: refuse it once,
+    // with its own error, rather than as no feasible strategy.
+    session.planner_config().comm.check()?;
     // Leaves clone the probe (an O(1) Arc bump) instead of re-running the
     // model constructor.
     let probe = build()?;
@@ -908,20 +911,6 @@ pub(crate) fn drive(
             }
         }
         None => Err(WhaleError::NoFeasibleStrategy),
-    }
-}
-
-impl Session {
-    /// [`auto_parallel_search`] on this session — the wide space (the
-    /// narrow preset runs through the same driver as
-    /// [`crate::auto_parallel`]).
-    pub fn auto_search(
-        &self,
-        global_batch: usize,
-        opts: &SearchOptions,
-        build: impl Fn() -> Result<Graph> + Sync,
-    ) -> Result<AutoReport> {
-        auto_parallel_search(self, global_batch, opts, build)
     }
 }
 

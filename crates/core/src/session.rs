@@ -126,7 +126,8 @@ impl Session {
 
     /// Set the gradient compression factor in `(0, 1]` (1.0 = off) on top
     /// of the dtype scaling; values below 1 also charge an error-feedback
-    /// residual in the memory ledger.
+    /// residual in the memory ledger. Planning refuses any other value,
+    /// NaN included, with a [`WhaleError::Plan`] naming it.
     pub fn compress_ratio(mut self, ratio: f64) -> Session {
         self.planner.comm.compress_ratio = ratio;
         self
@@ -144,8 +145,10 @@ impl Session {
         &self.planner
     }
 
-    /// The active simulator configuration (for the resilient runtime).
-    pub(crate) fn sim_config(&self) -> &SimConfig {
+    /// The active simulator configuration: the one [`Session::step`],
+    /// [`Session::step_plan`] and the resilient runtime simulate under. Its
+    /// schedule follows [`Session::schedule`].
+    pub fn sim_config(&self) -> &SimConfig {
         &self.sim
     }
 
@@ -360,6 +363,28 @@ mod tests {
                 ..CacheStats::default()
             }
         );
+    }
+
+    #[test]
+    fn out_of_range_compression_ratios_are_refused() {
+        let g = models::bert_base(64, 128).unwrap();
+        let ir = Annotator::new(g, 64)
+            .replicate_all()
+            .unwrap()
+            .finish()
+            .unwrap();
+        let s = Session::on_cluster("2x(4xV100)")
+            .unwrap()
+            .comm(CommConfig::fused());
+        assert!(s.clone().compress_ratio(1.0).step(&ir).is_ok());
+        for ratio in [0.0, -1.0, f64::NAN, 2.0] {
+            let err = s.clone().compress_ratio(ratio).step(&ir).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("compress_ratio must lie in (0, 1], got {ratio}")),
+                "{ratio}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -439,22 +439,6 @@ impl Graph {
         }
         out
     }
-
-    /// Export in Graphviz DOT format (for debugging and docs).
-    pub fn to_dot(&self) -> String {
-        let mut s = format!("digraph \"{}\" {{\n", self.name);
-        for op in self.ops().iter() {
-            s.push_str(&format!(
-                "  n{} [label=\"{}\\n{:?}\"];\n",
-                op.id.0, op.name, op.phase
-            ));
-            for &input in &op.inputs {
-                s.push_str(&format!("  n{} -> n{};\n", input.0, op.id.0));
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -704,14 +688,6 @@ mod tests {
         assert!(g.op_range(2, 2).is_err());
         assert!(g.op_range(0, 5).is_err());
         assert_eq!(g.op_range(1, 3).unwrap(), vec![OpId(1), OpId(2)]);
-    }
-
-    #[test]
-    fn dot_export_contains_edges() {
-        let g = mk_chain(2);
-        let dot = g.to_dot();
-        assert!(dot.contains("n0 -> n1"));
-        assert!(dot.contains("digraph"));
     }
 
     /// One kind per `OpKind` arm with parameters, each at a size whose

@@ -32,17 +32,6 @@ impl GptConfig {
         }
     }
 
-    /// GPT-3 13B: 40 layers, hidden 5140.
-    pub fn gpt3_13b() -> GptConfig {
-        GptConfig {
-            layers: 40,
-            hidden: 5140,
-            heads: 40,
-            intermediate: 4 * 5140,
-            vocab: 50257,
-        }
-    }
-
     /// Closed-form parameter estimate: `12·L·h² + V·h`.
     pub fn analytic_params(&self) -> u64 {
         let h = self.hidden as u64;
@@ -100,12 +89,6 @@ mod tests {
         // Built graph tracks the closed form within 10%.
         let analytic = GptConfig::gpt2_xl().analytic_params() as f64;
         assert!((p - analytic).abs() / analytic < 0.1);
-    }
-
-    #[test]
-    fn gpt3_13b_analytic() {
-        let p = GptConfig::gpt3_13b().analytic_params() as f64;
-        assert!((11e9..15e9).contains(&p), "params = {p}");
     }
 
     #[test]

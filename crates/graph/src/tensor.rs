@@ -87,44 +87,6 @@ impl Shape {
     pub fn num_elements(&self) -> u64 {
         self.0.iter().fold(1, |n, &d| n.wrapping_mul(d as u64))
     }
-
-    /// The batch (leading) dimension, if any.
-    pub fn batch(&self) -> Option<usize> {
-        self.0.first().copied()
-    }
-
-    /// Replace the batch dimension, returning a new shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape is a scalar (no batch dimension to replace).
-    pub fn with_batch(&self, batch: usize) -> Shape {
-        assert!(
-            !self.0.is_empty(),
-            "cannot set batch dimension on a scalar shape"
-        );
-        let mut dims = self.0.clone();
-        dims[0] = batch;
-        Shape(dims)
-    }
-
-    /// Split the batch dimension into `n` near-equal parts (first `batch % n`
-    /// parts get one extra element), mirroring the `Partition(n)` bridge.
-    ///
-    /// Returns `None` if the shape is scalar or `n == 0`.
-    pub fn split_batch(&self, n: usize) -> Option<Vec<Shape>> {
-        let batch = self.batch()?;
-        if n == 0 {
-            return None;
-        }
-        let base = batch / n;
-        let extra = batch % n;
-        Some(
-            (0..n)
-                .map(|i| self.with_batch(base + usize::from(i < extra)))
-                .collect(),
-        )
-    }
 }
 
 impl fmt::Display for Shape {
@@ -177,28 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn split_batch_even_and_uneven() {
-        let s = Shape::of(&[32, 128]);
-        let parts = s.split_batch(4).unwrap();
-        assert!(parts.iter().all(|p| p.batch() == Some(8)));
-
-        // Paper §3.5: a global batch of 32 split by FLOPS 9.3:12 gives 14/18;
-        // the generic splitter splits 32 into 3 as 11/11/10.
-        let parts = s.split_batch(3).unwrap();
-        let batches: Vec<usize> = parts.iter().map(|p| p.batch().unwrap()).collect();
-        assert_eq!(batches, vec![11, 11, 10]);
-        assert_eq!(batches.iter().sum::<usize>(), 32);
-    }
-
-    #[test]
-    fn split_batch_degenerate() {
-        assert!(Shape::scalar().split_batch(2).is_none());
-        assert!(Shape::of(&[4]).split_batch(0).is_none());
-        let one = Shape::of(&[4]).split_batch(1).unwrap();
-        assert_eq!(one, vec![Shape::of(&[4])]);
-    }
-
-    #[test]
     fn rank_five_shapes_spill_and_keep_their_value_semantics() {
         let dims = [2, 3, 4, 5, 6];
         let shape = Shape::of(&dims);
@@ -208,7 +148,6 @@ mod tests {
         assert_eq!(shape.rank(), 5);
         assert_eq!(shape, Shape::of(&dims));
         assert_ne!(shape, Shape::of(&dims[..4]));
-        assert_eq!(shape.with_batch(7).dims(), [7, 3, 4, 5, 6]);
         assert_eq!(format!("{shape:?}"), "Shape([2, 3, 4, 5, 6])");
         assert_eq!(shape.to_string(), "[2, 3, 4, 5, 6]");
         let metas: std::collections::HashSet<TensorMeta> = [

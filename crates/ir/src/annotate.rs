@@ -112,23 +112,6 @@ impl Annotator {
         self.annotate_ops(ops, strategies)
     }
 
-    /// Annotate all ops whose layer index lies in `[first, last)`.
-    pub fn annotate_layers(
-        self,
-        first: usize,
-        last: usize,
-        strategies: Vec<Primitive>,
-    ) -> Result<Annotator> {
-        let ops: Vec<OpId> = self
-            .graph
-            .ops()
-            .iter()
-            .filter(|op| op.layer.map(|l| l >= first && l < last).unwrap_or(false))
-            .map(|op| op.id)
-            .collect();
-        self.annotate_ops(ops, strategies)
-    }
-
     /// Annotate all unclaimed ops whose name contains `needle` (how the MoE
     /// example wraps only the expert computation in `split`).
     pub fn annotate_named(self, needle: &str, strategies: Vec<Primitive>) -> Result<Annotator> {
@@ -140,57 +123,6 @@ impl Annotator {
             .map(|op| op.id)
             .collect();
         self.annotate_ops(ops, strategies)
-    }
-
-    /// Partition the model's annotated layers into `num_stages` contiguous
-    /// `stage` TaskGraphs of near-equal layer counts — manual pipeline
-    /// staging without naming op ranges. Ops without a layer index join the
-    /// nearest preceding stage via id order.
-    pub fn stage_layers_evenly(mut self, num_stages: usize) -> Result<Annotator> {
-        if num_stages == 0 {
-            return Err(IrError::EmptyTaskGraph);
-        }
-        let max_layer = self
-            .graph
-            .ops()
-            .iter()
-            .filter_map(|op| op.layer)
-            .max()
-            .unwrap_or(0);
-        let layers = max_layer + 1;
-        if layers < num_stages {
-            return Err(IrError::Graph(format!(
-                "{layers} layers cannot fill {num_stages} stages"
-            )));
-        }
-        // Cut layer ranges, then convert to contiguous op-id ranges so the
-        // stages stay convex under pipelines.
-        let mut cuts = Vec::with_capacity(num_stages + 1);
-        for s in 0..=num_stages {
-            cuts.push(s * layers / num_stages);
-        }
-        let mut op_cuts = vec![0usize; num_stages + 1];
-        op_cuts[num_stages] = self.graph.len();
-        for s in 1..num_stages {
-            let boundary_layer = cuts[s];
-            // First op whose layer reaches the boundary starts stage s.
-            let idx = self
-                .graph
-                .ops()
-                .iter()
-                .position(|op| op.layer.map(|l| l >= boundary_layer).unwrap_or(false))
-                .unwrap_or(self.graph.len());
-            op_cuts[s] = idx;
-        }
-        for s in 0..num_stages {
-            if op_cuts[s] >= op_cuts[s + 1] {
-                return Err(IrError::Graph(format!(
-                    "stage {s} would be empty (layer boundaries collide)"
-                )));
-            }
-            self = self.annotate_range(op_cuts[s], op_cuts[s + 1], vec![Primitive::Stage])?;
-        }
-        Ok(self)
     }
 
     /// Example 1: `replica` over the entire model.
@@ -313,55 +245,5 @@ mod tests {
             .annotate_range(2, 4, vec![Primitive::Split])
             .unwrap_err();
         assert!(matches!(err, IrError::OverlappingTaskGraphs(_)));
-    }
-
-    #[test]
-    fn layer_annotation_selects_by_layer() {
-        let ir = Annotator::new(two_part_model(), 8)
-            .annotate_layers(0, 1, vec![Primitive::Replica])
-            .unwrap()
-            .set_default(Primitive::Split)
-            .finish()
-            .unwrap();
-        // Layer 0 ops replicated; layer-1 ops split by default fill.
-        assert!(ir
-            .task_graphs
-            .iter()
-            .any(|tg| tg.innermost() == Primitive::Split));
-    }
-}
-
-#[cfg(test)]
-mod stage_layer_tests {
-    use super::*;
-    use whale_graph::models;
-
-    #[test]
-    fn even_layer_staging_covers_and_balances() {
-        let g = models::bert_base(8, 64).unwrap();
-        let n = g.len();
-        let ir = Annotator::new(g, 8)
-            .pipeline(4)
-            .unwrap()
-            .stage_layers_evenly(4)
-            .unwrap()
-            .finish()
-            .unwrap();
-        assert_eq!(ir.num_task_graphs(), 4);
-        let total: usize = ir.task_graphs.iter().map(|tg| tg.ops.len()).sum();
-        assert_eq!(total, n);
-        for tg in &ir.task_graphs {
-            assert!(tg.is_convex());
-            assert_eq!(tg.innermost(), Primitive::Stage);
-        }
-    }
-
-    #[test]
-    fn too_many_stages_rejected() {
-        let g = models::m6(models::M6Config::tiny(), 2).unwrap();
-        let err = Annotator::new(g, 2).stage_layers_evenly(100).unwrap_err();
-        assert!(matches!(err, IrError::Graph(_)));
-        let g = models::m6(models::M6Config::tiny(), 2).unwrap();
-        assert!(Annotator::new(g, 2).stage_layers_evenly(0).is_err());
     }
 }

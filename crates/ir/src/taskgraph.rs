@@ -56,28 +56,6 @@ impl TaskGraph {
     pub fn exit_tensors(&self, graph: &Graph) -> Vec<(OpId, u64)> {
         graph.boundary_outputs(&self.ops)
     }
-
-    /// Entrance tensors: producers outside this TaskGraph whose outputs feed
-    /// ops inside, as `(producer op, bytes)`.
-    pub fn entrance_tensors(&self, graph: &Graph) -> Vec<(OpId, u64)> {
-        let inside: std::collections::BTreeSet<OpId> = self.ops.iter().copied().collect();
-        let mut seen = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for &id in &self.ops {
-            let op = match graph.op(id) {
-                Ok(op) => op,
-                Err(_) => continue,
-            };
-            for &input in &op.inputs {
-                if !inside.contains(&input) && seen.insert(input) {
-                    if let Ok(producer) = graph.op(input) {
-                        out.push((input, producer.output_bytes()));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -105,12 +83,9 @@ mod tests {
     }
 
     #[test]
-    fn entrance_and_exit_tensors() {
+    fn exit_tensors() {
         let g = chain4();
         let tg = TaskGraph::new(0, vec![OpId(1), OpId(2)], vec![Primitive::Stage]);
-        let entr = tg.entrance_tensors(&g);
-        assert_eq!(entr.len(), 1);
-        assert_eq!(entr[0].0, OpId(0));
         let exit = tg.exit_tensors(&g);
         assert_eq!(exit.len(), 1);
         assert_eq!(exit[0].0, OpId(2));

@@ -35,7 +35,7 @@ use whale_graph::Graph;
 use whale_hardware::{AllReduceAlgo, Cluster, GroupCache};
 use whale_ir::TaskGraph;
 
-use crate::error::Result;
+use crate::error::{PlanError, Result};
 use crate::pipeline::{CompileState, PassContext, PassId, PlannerPass};
 use crate::plan::CollectiveTask;
 
@@ -131,7 +131,9 @@ pub struct CommConfig {
     /// Optional gradient compression factor in `(0, 1]` applied on top of
     /// the dtype scaling (top-k / sketching-style). `1.0` (the default)
     /// means no compression. Values below 1 also charge an error-feedback
-    /// residual in the memory ledger.
+    /// residual in the memory ledger. [`CommConfig::check`] refuses any
+    /// other value, NaN included; the [`CommOpt`] pass, which every compile
+    /// and replan runs, calls it.
     pub compress_ratio: f64,
 }
 
@@ -155,6 +157,19 @@ impl CommConfig {
             auto_algorithm: true,
             ..CommConfig::default()
         }
+    }
+
+    /// Refuse a `compress_ratio` outside `(0, 1]`, NaN included, with
+    /// [`PlanError::BadConfig`] naming it.
+    pub fn check(&self) -> Result<()> {
+        let ratio = self.compress_ratio;
+        // NaN fails the comparison too.
+        if !(ratio > 0.0 && ratio <= 1.0) {
+            return Err(PlanError::BadConfig(format!(
+                "compress_ratio must lie in (0, 1], got {ratio}"
+            )));
+        }
+        Ok(())
     }
 
     /// Whether bucketed fusion is on.
@@ -524,6 +539,7 @@ impl PlannerPass for CommOpt {
     }
 
     fn run(&self, cx: &PassContext<'_>, state: &mut CompileState) -> Result<()> {
+        cx.config.comm.check()?;
         let mut plan_arc = state
             .plan
             .take()

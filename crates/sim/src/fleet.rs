@@ -63,7 +63,6 @@ use crate::json::{num, obj, JsonValue};
 use crate::recovery::{
     ratio, replan_verified, RecoveryEvent, RecoveryPolicy, RecoveryStats, ReplanPath,
 };
-use crate::replan::check_replan;
 use crate::rng::SplitMix64;
 
 /// One entry of the fleet's model zoo: an annotated IR jobs can sample.
@@ -866,8 +865,9 @@ impl FleetSim {
         let Ok((plan, after)) = self.service.replan(ir, &sub, &self.planner_cfg, delta) else {
             return None;
         };
-        let report = check_replan(&plan, &plan, &after, &self.sim_cfg);
-        let outcome = report.outcome?;
+        let Ok(out) = simulate_step(&plan, &after, &self.sim_cfg) else {
+            return None;
+        };
         let j = &mut self.jobs[id];
         // The freed GPU returns to the pool, so pool ids do not shift —
         // the binding just loses its largest member.
@@ -884,7 +884,7 @@ impl FleetSim {
         );
         j.sub = Some(after);
         j.plan = Some(plan);
-        j.throughput = outcome.stats.throughput;
+        j.throughput = out.stats.throughput;
         j.shrinks += 1;
         self.shrinks += 1;
         Some(freed)
@@ -901,46 +901,41 @@ impl FleetSim {
         let mut ids: Vec<usize> = binding.gpu_ids().to_vec();
         ids.push(gpu);
         ids.sort_unstable();
-        let ir = &self.templates[self.jobs[id].template].ir;
-        let Ok(sub) = self.pool.subcluster(&ids) else {
-            return false;
-        };
-        let Ok(plan) = self.service.plan(ir, &sub, &self.planner_cfg) else {
-            return false;
-        };
-        let Ok(out) = simulate_step(&plan, &sub, &self.sim_cfg) else {
+        let Ok((sub, plan, throughput)) = self.plan_slice(id, &ids) else {
             return false;
         };
         let j = &mut self.jobs[id];
         j.binding = Some(VirtualDevice::new(ids).expect("non-empty expansion"));
         j.sub = Some(sub);
         j.plan = Some(plan);
-        j.throughput = out.stats.throughput;
+        j.throughput = throughput;
         j.expands += 1;
         self.expands += 1;
         true
     }
 
+    /// Carve pool GPUs `gpu_ids` (ascending) into a slice, plan `id`'s
+    /// template on it through the shared service and simulate one step:
+    /// the slice, its plan and the plan's throughput.
+    fn plan_slice(
+        &self,
+        id: usize,
+        gpu_ids: &[usize],
+    ) -> std::result::Result<(Cluster, Arc<ExecutionPlan>, f64), String> {
+        let ir = &self.templates[self.jobs[id].template].ir;
+        let sub = self.pool.subcluster(gpu_ids).map_err(|e| e.to_string())?;
+        let plan = self
+            .service
+            .plan(ir, &sub, &self.planner_cfg)
+            .map_err(|e| e.to_string())?;
+        let out = simulate_step(&plan, &sub, &self.sim_cfg).map_err(|e| e.to_string())?;
+        Ok((sub, plan, out.stats.throughput))
+    }
+
     /// Bind a queued job to `gpu_ids` and start (or resume) it.
     fn bind(&mut self, id: usize, mut gpu_ids: Vec<usize>) {
         gpu_ids.sort_unstable();
-        let ir = &self.templates[self.jobs[id].template].ir;
-        let planned = self
-            .pool
-            .subcluster(&gpu_ids)
-            .map_err(|e| e.to_string())
-            .and_then(|sub| {
-                self.service
-                    .plan(ir, &sub, &self.planner_cfg)
-                    .map_err(|e| e.to_string())
-                    .map(|plan| (sub, plan))
-            })
-            .and_then(|(sub, plan)| {
-                simulate_step(&plan, &sub, &self.sim_cfg)
-                    .map_err(|e| e.to_string())
-                    .map(|out| (sub, plan, out.stats.throughput))
-            });
-        match planned {
+        match self.plan_slice(id, &gpu_ids) {
             Ok((sub, plan, throughput)) => {
                 let now = self.now;
                 let j = &mut self.jobs[id];
@@ -1114,15 +1109,13 @@ impl FleetSim {
             j.phase = JobPhase::Queued;
             j.queued_since = now;
             j.downtime_s += policy.detection_latency_s;
-            j.recoveries.push(RecoveryEvent {
-                kind: ev.kind,
-                at_samples: j.processed,
-                samples_lost: lost,
-                downtime_s: policy.detection_latency_s,
-                time_to_recover_s: policy.detection_latency_s + ratio(lost, old_throughput),
-                retries: 0,
-                replan: ReplanPath::Full,
-            });
+            j.recoveries.push(RecoveryEvent::restart(
+                ev.kind,
+                j.processed,
+                lost,
+                policy.detection_latency_s,
+                old_throughput,
+            ));
             self.kills += 1;
             self.release(job);
             self.queue.push(job);
@@ -1146,15 +1139,13 @@ impl FleetSim {
             j.throughput = 0.0;
             j.restarts += 1;
             j.downtime_s += downtime;
-            j.recoveries.push(RecoveryEvent {
-                kind: ev.kind,
-                at_samples: j.processed,
-                samples_lost: lost,
-                downtime_s: downtime,
-                time_to_recover_s: downtime + ratio(lost, old_throughput),
-                retries: 0,
-                replan: ReplanPath::Full,
-            });
+            j.recoveries.push(RecoveryEvent::restart(
+                ev.kind,
+                j.processed,
+                lost,
+                downtime,
+                old_throughput,
+            ));
             self.queue.push(job);
             return;
         }
@@ -1189,7 +1180,7 @@ impl FleetSim {
                 j.recoveries.push(r.event(fault.kind, j.processed, lost));
                 j.paused_until = j.paused_until.max(now + r.downtime_s);
                 j.downtime_s += r.downtime_s;
-                j.throughput = r.throughput;
+                j.throughput = r.step.throughput;
                 j.sub = Some(r.cluster);
                 j.plan = Some(r.plan);
             }

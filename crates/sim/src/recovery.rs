@@ -7,7 +7,8 @@
 //! rollback ([`RecoveryPolicy::rollback`]) and the replan → verify → fall
 //! back step ([`replan_verified`]). `whale::resilient` re-exports the data
 //! types under their original paths. The foils (the restart baseline and
-//! the fleet's kill-and-requeue mode) never replan and do not use the step.
+//! the fleet's kill-and-requeue mode) never replan and do not use the step;
+//! their rows, like the step's, come from [`RecoveryEvent::restart`].
 
 use std::sync::Arc;
 
@@ -21,6 +22,7 @@ use crate::engine::SimConfig;
 use crate::error::{Result, SimError};
 use crate::faults::{FaultEvent, FaultKind, MAX_RETRIES};
 use crate::json::{num, obj, s, JsonValue};
+use crate::metrics::StepStats;
 use crate::replan::check_replan;
 
 /// Knobs of the recovery state machine.
@@ -123,14 +125,18 @@ pub fn ratio(a: f64, b: f64) -> f64 {
 }
 
 /// A plan that survived [`replan_verified`], with what the recovery cost.
+///
+/// `step` is the one simulation the verification ran, so a runtime that
+/// resumes under `plan` on `cluster` reads its throughput and step time
+/// here instead of simulating the plan again.
 #[derive(Debug)]
 pub struct VerifiedPlan {
     /// The plan to resume under.
     pub plan: Arc<ExecutionPlan>,
     /// The post-delta cluster `plan` runs on.
     pub cluster: Cluster,
-    /// Simulated throughput of `plan` on `cluster`, samples per second.
-    pub throughput: f64,
+    /// One simulated step of `plan` on `cluster`.
+    pub step: StepStats,
     /// Replan attempts retried after transient errors.
     pub retries: u32,
     /// Detection latency plus backoff waits, seconds.
@@ -145,13 +151,15 @@ impl VerifiedPlan {
     /// are re-earned at the verified throughput.
     pub fn event(&self, kind: FaultKind, at_samples: f64, samples_lost: f64) -> RecoveryEvent {
         RecoveryEvent {
-            kind,
-            at_samples,
-            samples_lost,
-            downtime_s: self.downtime_s,
-            time_to_recover_s: self.downtime_s + ratio(samples_lost, self.throughput),
             retries: self.retries,
             replan: self.path,
+            ..RecoveryEvent::restart(
+                kind,
+                at_samples,
+                samples_lost,
+                self.downtime_s,
+                self.step.throughput,
+            )
         }
     }
 }
@@ -214,7 +222,7 @@ pub fn replan_verified(
     Ok(VerifiedPlan {
         plan,
         cluster: after,
-        throughput: outcome.stats.throughput,
+        step: outcome.stats,
         retries,
         downtime_s,
         path,
@@ -274,6 +282,31 @@ pub struct RecoveryEvent {
     pub retries: u32,
     /// Whether the recovery replanned via cached suffix or a full compile.
     pub replan: ReplanPath,
+}
+
+impl RecoveryEvent {
+    /// The row of a recovery that took no retry and compiled in full: a
+    /// fault of `kind` struck at `at_samples`, rolled back `samples_lost`
+    /// samples and cost `downtime_s` seconds, and the lost samples are
+    /// re-earned at `throughput` samples per second (none when it is not
+    /// positive).
+    pub fn restart(
+        kind: FaultKind,
+        at_samples: f64,
+        samples_lost: f64,
+        downtime_s: f64,
+        throughput: f64,
+    ) -> RecoveryEvent {
+        RecoveryEvent {
+            kind,
+            at_samples,
+            samples_lost,
+            downtime_s,
+            time_to_recover_s: downtime_s + ratio(samples_lost, throughput),
+            retries: 0,
+            replan: ReplanPath::Full,
+        }
+    }
 }
 
 /// Nearest-rank quantile of `time_to_recover_s` over `events`.
@@ -443,7 +476,7 @@ mod tests {
         assert_eq!(r.cluster, after(&cluster, delta));
         assert_eq!(service.stats().partial_hits, partial_hits + 1);
         let step = simulate_step(&r.plan, &r.cluster, &sim).unwrap();
-        assert_eq!(r.throughput, step.stats.throughput);
+        assert_eq!(r.step, step.stats);
     }
 
     #[test]
@@ -473,7 +506,7 @@ mod tests {
         assert_eq!(*r.plan, cold);
         assert_eq!(r.cluster, after);
         let step = simulate_step(&cold, &after, &sim).unwrap();
-        assert_eq!(r.throughput, step.stats.throughput);
+        assert_eq!(r.step, step.stats);
     }
 
     #[test]
